@@ -28,6 +28,14 @@ std::string FmtHex(uint64_t v) {
   return buf;
 }
 
+// Appends `"key":`. Built via append: gcc 12's -Wrestrict fires a false
+// positive on operator+(const char*, std::string&&) in Release builds.
+void AppendKey(std::string* out, const std::string& key) {
+  *out += '"';
+  *out += obs::JsonEscape(key);
+  *out += "\":";
+}
+
 }  // namespace
 
 BenchTelemetry::BenchTelemetry(std::string name) : name_(std::move(name)) {
@@ -62,21 +70,26 @@ std::string BenchTelemetry::ToJson() const {
   for (const auto& [k, v] : digests_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + obs::JsonEscape(k) + "\":\"" + FmtHex(v) + "\"";
+    AppendKey(&out, k);
+    out += '"';
+    out += FmtHex(v);
+    out += '"';
   }
   out += "},\"counters\":{";
   first = true;
   for (const auto& [k, v] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + obs::JsonEscape(k) + "\":" + FmtNum(v);
+    AppendKey(&out, k);
+    out += FmtNum(v);
   }
   out += "},\"timings\":{";
   first = true;
   for (const auto& [k, v] : timings_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + obs::JsonEscape(k) + "\":" + FmtNum(v);
+    AppendKey(&out, k);
+    out += FmtNum(v);
   }
   out += "}";
   util::ThreadPool::StatsSnapshot pool = util::ThreadPool::Shared().stats();

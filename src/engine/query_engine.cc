@@ -853,50 +853,45 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
     }
   };
 
+  // One execution for every query form: ASK runs as a one-solution probe,
+  // COUNT(*) as a SELECT * whose BGP match counter (bag semantics) is the
+  // answer, and SELECT as written.
+  sparql::ParsedQuery rewritten;
   if (query.is_ask) {
-    // One solution suffices.
-    sparql::ParsedQuery probe = query;
-    probe.limit = 1;
-    ASSIGN_OR_RETURN(exec::ResultTable table,
-                     exec::ExecuteSelect(state_->graph, probe, bgp,
-                                         result.plan.order, eopts));
-    result.ask = !table.rows.empty();
-    finish(table.rows.size(), table.timed_out, table.cancelled);
-    return result;
+    rewritten = query;
+    rewritten.limit = 1;
+  } else if (query.count_aggregate) {
+    rewritten = query;
+    rewritten.count_aggregate = false;
+    rewritten.select_all = true;
+    rewritten.projection.clear();
   }
-  if (query.count_aggregate) {
-    // COUNT(*) counts solutions (bag semantics): run the BGP + filters and
-    // read the match counter.
-    sparql::ParsedQuery counting = query;
-    counting.count_aggregate = false;
-    counting.select_all = true;
-    counting.projection.clear();
-    exec::ResultTable table;
-    if (result.phys.Materializes()) {
-      ASSIGN_OR_RETURN(table,
-                       phys::ExecuteSelectPhysical(state_->graph, counting,
-                                                   bgp, result.phys, eopts));
-    } else {
-      ASSIGN_OR_RETURN(table,
-                       exec::ExecuteSelect(state_->graph, counting, bgp,
-                                           result.plan.order, eopts));
-    }
-    result.count = table.bgp_matches;
-    finish(table.bgp_matches, table.timed_out, table.cancelled);
-    return result;
-  }
-
+  const bool whole_table = !query.is_ask && !query.count_aggregate;
+  const sparql::ParsedQuery& run = whole_table ? query : rewritten;
+  exec::ResultTable table;
   if (result.phys.Materializes()) {
-    ASSIGN_OR_RETURN(result.table,
-                     phys::ExecuteSelectPhysical(state_->graph, query, bgp,
-                                                 result.phys, eopts));
+    ASSIGN_OR_RETURN(table, phys::ExecuteSelectPhysical(state_->graph, run,
+                                                        bgp, result.phys,
+                                                        eopts));
   } else {
-    ASSIGN_OR_RETURN(result.table,
-                     exec::ExecuteSelect(state_->graph, query, bgp,
-                                         result.plan.order, eopts));
+    ASSIGN_OR_RETURN(table, exec::ExecuteSelect(state_->graph, run, bgp,
+                                                result.plan.order, eopts));
   }
-  finish(result.table.rows.size(), result.table.timed_out,
-         result.table.cancelled);
+  uint64_t num_results = table.rows.size();
+  if (query.is_ask) {
+    result.ask = !table.rows.empty();
+  } else if (query.count_aggregate) {
+    num_results = table.bgp_matches;
+    result.count = num_results;
+  }
+  if (whole_table) {
+    result.table = std::move(table);
+  } else {
+    // A truncated ASK or COUNT must not look exact to the caller.
+    result.table.timed_out = table.timed_out;
+    result.table.cancelled = table.cancelled;
+  }
+  finish(num_results, result.table.timed_out, result.table.cancelled);
   return result;
 }
 

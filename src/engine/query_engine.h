@@ -90,8 +90,9 @@ struct EngineOptions {
 const char* OptimizerName(EngineOptions::Optimizer opt);
 
 /// Result of one query: the solution table plus the plan that produced it.
-/// ASK queries set `ask`; COUNT(*) queries set `count` (the table is empty
-/// in both cases).
+/// ASK queries set `ask`; COUNT(*) queries set `count` (the table then has
+/// no rows, but its timed_out / cancelled flags still mark a truncated
+/// answer).
 struct QueryResult {
   exec::ResultTable table;
   opt::Plan plan;

@@ -1,10 +1,14 @@
 #include "exec/executor.h"
 
-#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <optional>
 
-#include "obs/metrics.h"
-#include "util/timer.h"
+#include "exec/filter_eval.h"
+#include "exec/select_executor.h"
+#include "exec/work_meter.h"
+#include "util/table_printer.h"
 
 namespace shapestats::exec {
 
@@ -13,6 +17,7 @@ using rdf::TermId;
 using sparql::EncodedBgp;
 using sparql::EncodedPattern;
 using sparql::EncodedTerm;
+using sparql::ParsedQuery;
 
 uint64_t ExecResult::TrueCost() const {
   return std::accumulate(step_cards.begin(), step_cards.end(), uint64_t{0});
@@ -20,56 +25,65 @@ uint64_t ExecResult::TrueCost() const {
 
 namespace {
 
-// Timeout checks happen every this many work units (index probes + scanned
-// triples), so even plans producing zero rows hit the wall-clock check.
-constexpr uint32_t kTimeoutCheckInterval = 1024;
+// What a run of the depth-first evaluator produces. kCount serves
+// ExecuteBgp: per-step true cardinalities, no query, early stop at
+// ExecOptions::limit results. kRows serves ExecuteSelect: filters applied
+// at the depth where their variables are bound, projected rows, early stop
+// at OFFSET + LIMIT rows when no ORDER BY or DISTINCT needs them all.
+enum class Mode { kCount, kRows };
 
-class Evaluator {
+// Index nested-loop join over the store, depth first: step k probes
+// Graph::Match with the bindings of steps 0..k-1 and recurses per match.
+// The mode is a template parameter so the per-triple loop carries no mode
+// dispatch.
+template <Mode kMode>
+class DepthFirstEvaluator {
+  static constexpr bool kRows = kMode == Mode::kRows;
+
  public:
-  Evaluator(const rdf::Graph& graph, const EncodedBgp& bgp,
-            const std::vector<uint32_t>& order, const ExecOptions& options)
+  DepthFirstEvaluator(const rdf::Graph& graph, const EncodedBgp& bgp,
+                      const std::vector<uint32_t>& order,
+                      const ExecOptions& options)
       : graph_(graph),
         bgp_(bgp),
         order_(order),
-        options_(options),
-        trace_(options.trace),
-        resources_(options.resources),
+        meter_(options, order.size()),
         bindings_(bgp.NumVars(), rdf::kInvalidTermId) {
-    result_.step_cards.assign(order.size(), 0);
-    if (trace_ != nullptr) {
-      trace_->step_probes.assign(order.size(), 0);
-      trace_->step_rows_scanned.assign(order.size(), 0);
-      trace_->step_rows_produced.assign(order.size(), 0);
-      trace_->total_probes = 0;
-      trace_->total_rows_scanned = 0;
+    if constexpr (!kRows) {
+      step_cards_.assign(order.size(), 0);
+      if (options.limit != 0) stop_at_ = options.limit;
     }
   }
 
-  ExecResult Run() {
-    static obs::Counter* runs = obs::MetricsRegistry::Global().GetCounter("exec.bgp_runs");
-    static obs::Counter* probes =
-        obs::MetricsRegistry::Global().GetCounter("exec.index_probes");
-    static obs::Counter* scanned =
-        obs::MetricsRegistry::Global().GetCounter("exec.rows_scanned");
-    static obs::Counter* timeouts =
-        obs::MetricsRegistry::Global().GetCounter("exec.timeouts");
-    Timer timer;
-    if (!order_.empty()) Recurse(0, timer);
-    result_.num_results = result_.step_cards.empty() ? 0 : result_.step_cards.back();
-    result_.elapsed_ms = timer.ElapsedMs();
-    if (trace_ != nullptr) {
-      trace_->total_probes = probes_;
-      trace_->total_rows_scanned = scanned_;
+  ExecResult Count() && {
+    static_assert(!kRows);
+    if (!order_.empty()) Recurse(0);
+    ExecResult result;
+    result.num_results = step_cards_.empty() ? 0 : step_cards_.back();
+    result.step_cards = std::move(step_cards_);
+    result.timed_out = meter_.timed_out();
+    result.cancelled = meter_.cancelled();
+    result.elapsed_ms = meter_.ElapsedMs();
+    meter_.Finish(RunKind::kBgp);
+    return result;
+  }
+
+  Result<ResultTable> Select(const ParsedQuery& query) && {
+    static_assert(kRows);
+    ASSIGN_OR_RETURN(shape_, PrepareSelectShape(query, bgp_));
+    ASSIGN_OR_RETURN(filters_, EncodeFilters(query, bgp_, order_));
+    if (!query.order_by && !query.distinct && query.limit) {
+      stop_at_ = query.offset + *query.limit;
     }
-    if (resources_ != nullptr) {
-      resources_->Publish(probes_, scanned_, rows_produced_, 0,
-                          static_cast<uint32_t>(order_.size()));
-    }
-    runs->Add();
-    probes->Add(probes_);
-    scanned->Add(scanned_);
-    if (result_.timed_out) timeouts->Add();
-    return std::move(result_);
+    table_.var_names = shape_.var_names;
+    if (!filters_.unsatisfiable && !order_.empty()) Recurse(0);
+    RETURN_NOT_OK(ApplyModifiers(query, graph_.dict(), &table_.rows,
+                                 &order_keys_));
+    table_.timed_out = meter_.timed_out();
+    table_.cancelled = meter_.cancelled();
+    table_.elapsed_ms = meter_.ElapsedMs();
+    meter_.Finish(RunKind::kSelect);
+    return std::move(table_);
   }
 
  private:
@@ -85,48 +99,15 @@ class Evaluator {
     return std::nullopt;
   }
 
-  /// Amortized wall-clock / cancellation check: one branch per call, a
-  /// clock read every kTimeoutCheckInterval work units. Work advances on
-  /// probes and scans, not produced rows, so zero-result nested loops still
-  /// observe it. The same tick publishes running totals to the resource
-  /// tracker and serves cooperative cancellation, keeping the accounting
-  /// overhead amortized to the tick.
-  bool TimedOut(const Timer& timer, size_t depth) {
-    if (options_.timeout_ms <= 0 && resources_ == nullptr) return false;
-    if (++timeout_ticks_ < kTimeoutCheckInterval) return false;
-    timeout_ticks_ = 0;
-    if (resources_ != nullptr) {
-      resources_->Publish(probes_, scanned_, rows_produced_, 0,
-                          static_cast<uint32_t>(depth));
-      if (resources_->cancel_requested()) {
-        resources_->NoteCancelObserved();
-        result_.timed_out = true;
-        result_.cancelled = true;
-        return true;
-      }
+  bool LimitReached() const {
+    if constexpr (kRows) {
+      return table_.rows.size() >= stop_at_;
+    } else {
+      return step_cards_.back() >= stop_at_;
     }
-    if (options_.timeout_ms > 0 && timer.ElapsedMs() > options_.timeout_ms) {
-      result_.timed_out = true;
-      return true;
-    }
-    return false;
   }
 
-  bool Aborted(const Timer& /*timer*/) {
-    if (options_.max_intermediate_rows &&
-        rows_produced_ > options_.max_intermediate_rows) {
-      result_.timed_out = true;
-      return true;
-    }
-    if (result_.timed_out) return true;
-    if (options_.limit && !result_.step_cards.empty() &&
-        result_.step_cards.back() >= options_.limit) {
-      return true;
-    }
-    return false;
-  }
-
-  void Recurse(size_t depth, const Timer& timer) {
+  void Recurse(size_t depth) {
     const EncodedPattern& tp = bgp_.patterns[order_[depth]];
     if (tp.HasMissingConstant()) return;
 
@@ -134,18 +115,10 @@ class Evaluator {
     OptId s = Resolve(tp.s, &vs);
     OptId p = Resolve(tp.p, &vp);
     OptId o = Resolve(tp.o, &vo);
-
-    ++probes_;
-    if (trace_ != nullptr) ++trace_->step_probes[depth];
-    if (TimedOut(timer, depth)) return;
+    if (meter_.Probe(depth)) return;
 
     for (const rdf::Triple& t : graph_.Match(s, p, o)) {
-      ++scanned_;
-      if (trace_ != nullptr) ++trace_->step_rows_scanned[depth];
-      if (TimedOut(timer, depth)) {
-        ClearVars(vs, vp, vo);
-        return;
-      }
+      if (meter_.Scan(depth)) break;
       // A variable repeated inside one pattern must match equal terms.
       if (vs && vp && *vs == *vp && t.s != t.p) continue;
       if (vs && vo && *vs == *vo && t.s != t.o) continue;
@@ -155,43 +128,54 @@ class Evaluator {
       if (vp) bindings_[*vp] = t.p;
       if (vo) bindings_[*vo] = t.o;
 
-      ++result_.step_cards[depth];
-      if (trace_ != nullptr) ++trace_->step_rows_produced[depth];
-      ++rows_produced_;
-      if (Aborted(timer)) {
-        ClearVars(vs, vp, vo);
-        return;
+      if constexpr (!kRows) ++step_cards_[depth];
+      if (meter_.Produce(depth)) break;
+      // Count mode stops on the binding that completes LIMIT results;
+      // row mode after the iteration that emitted the last needed row.
+      if constexpr (!kRows) {
+        if (LimitReached()) break;
       }
-      if (depth + 1 < order_.size()) {
-        Recurse(depth + 1, timer);
-        if (result_.timed_out) {
-          ClearVars(vs, vp, vo);
-          return;
+      if (!kRows || filters_.by_depth[depth].empty() ||
+          FiltersPass(filters_.by_depth[depth], bindings_.data(),
+                      graph_.dict())) {
+        if (depth + 1 < order_.size()) {
+          Recurse(depth + 1);
+          if (meter_.timed_out()) break;
+        } else if constexpr (kRows) {
+          EmitRow();
         }
       }
+      if constexpr (kRows) {
+        if (LimitReached()) break;
+      }
     }
-    ClearVars(vs, vp, vo);
-  }
-
-  void ClearVars(std::optional<sparql::VarId> vs, std::optional<sparql::VarId> vp,
-                 std::optional<sparql::VarId> vo) {
     if (vs) bindings_[*vs] = rdf::kInvalidTermId;
     if (vp) bindings_[*vp] = rdf::kInvalidTermId;
     if (vo) bindings_[*vo] = rdf::kInvalidTermId;
   }
 
+  void EmitRow() {
+    ++table_.bgp_matches;
+    std::vector<TermId> row(shape_.projection.size());
+    for (size_t c = 0; c < shape_.projection.size(); ++c) {
+      row[c] = bindings_[shape_.projection[c]];
+    }
+    if (shape_.order_var) order_keys_.push_back(bindings_[*shape_.order_var]);
+    table_.rows.push_back(std::move(row));
+  }
+
   const rdf::Graph& graph_;
   const EncodedBgp& bgp_;
   const std::vector<uint32_t>& order_;
-  const ExecOptions& options_;
-  obs::ExecTrace* trace_;
-  obs::ResourceTracker* resources_;
+  WorkMeter meter_;
   std::vector<TermId> bindings_;
-  uint64_t rows_produced_ = 0;
-  uint64_t probes_ = 0;
-  uint64_t scanned_ = 0;
-  uint32_t timeout_ticks_ = 0;
-  ExecResult result_;
+  uint64_t stop_at_ = std::numeric_limits<uint64_t>::max();
+
+  std::vector<uint64_t> step_cards_;  // count mode
+  SelectShape shape_;                 // row mode from here on
+  FilterPlan filters_;
+  std::vector<TermId> order_keys_;  // parallel to table_.rows (pre-sort)
+  ResultTable table_;
 };
 
 }  // namespace
@@ -199,20 +183,9 @@ class Evaluator {
 Result<ExecResult> ExecuteBgp(const rdf::Graph& graph, const EncodedBgp& bgp,
                               const std::vector<uint32_t>& order,
                               const ExecOptions& options) {
-  if (!graph.finalized()) {
-    return Status::InvalidArgument("graph must be finalized");
-  }
-  if (order.size() != bgp.patterns.size()) {
-    return Status::InvalidArgument("order size does not match pattern count");
-  }
-  std::vector<bool> seen(bgp.patterns.size(), false);
-  for (uint32_t i : order) {
-    if (i >= bgp.patterns.size() || seen[i]) {
-      return Status::InvalidArgument("order is not a permutation of patterns");
-    }
-    seen[i] = true;
-  }
-  return Evaluator(graph, bgp, order, options).Run();
+  RETURN_NOT_OK(CheckJoinOrder(graph, bgp.patterns.size(), order));
+  return DepthFirstEvaluator<Mode::kCount>(graph, bgp, order, options)
+      .Count();
 }
 
 Result<ExecResult> ExecuteBgp(const rdf::Graph& graph, const EncodedBgp& bgp,
@@ -220,6 +193,44 @@ Result<ExecResult> ExecuteBgp(const rdf::Graph& graph, const EncodedBgp& bgp,
   std::vector<uint32_t> order(bgp.patterns.size());
   std::iota(order.begin(), order.end(), 0);
   return ExecuteBgp(graph, bgp, order, options);
+}
+
+Result<ResultTable> ExecuteSelect(const rdf::Graph& graph,
+                                  const ParsedQuery& query,
+                                  const EncodedBgp& bgp,
+                                  const std::vector<uint32_t>& order,
+                                  const ExecOptions& options) {
+  RETURN_NOT_OK(CheckJoinOrder(graph, bgp.patterns.size(), order));
+  return DepthFirstEvaluator<Mode::kRows>(graph, bgp, order, options)
+      .Select(query);
+}
+
+Result<ResultTable> ExecuteSelect(const rdf::Graph& graph,
+                                  const ParsedQuery& query,
+                                  const ExecOptions& options) {
+  EncodedBgp bgp = sparql::EncodeBgp(query, graph.dict());
+  std::vector<uint32_t> order(bgp.patterns.size());
+  std::iota(order.begin(), order.end(), 0);
+  return ExecuteSelect(graph, query, bgp, order, options);
+}
+
+std::string ResultTable::ToString(const rdf::TermDictionary& dict,
+                                  size_t max_rows) const {
+  std::vector<std::string> header;
+  for (const std::string& v : var_names) header.push_back("?" + v);
+  TablePrinter printer(header);
+  size_t shown = 0;
+  for (const auto& row : rows) {
+    if (shown++ >= max_rows) break;
+    std::vector<std::string> cells;
+    for (TermId t : row) cells.push_back(dict.Pretty(t));
+    printer.AddRow(cells);
+  }
+  std::string out = printer.Render();
+  if (rows.size() > max_rows) {
+    out += "... (" + std::to_string(rows.size()) + " rows total)\n";
+  }
+  return out;
 }
 
 }  // namespace shapestats::exec

@@ -1,7 +1,12 @@
-// BGP execution engine. Evaluates a join order with index nested-loop
-// joins over the store (depth-first, streaming, no materialization), and
-// records the true cardinality of every intermediate result — the TZ Card
-// column of Table 2 and the ground truth for the q-error analysis.
+// Depth-first BGP execution. One evaluator (exec/executor.cc) joins the
+// patterns in a given order with index nested loops over the store:
+// streaming, no materialization. It runs in count mode for ExecuteBgp,
+// recording the true cardinality of every intermediate result (the TZ
+// Card column of Table 2, the paper's true plan cost and the ground truth
+// for the q-error analysis), and in row mode for ExecuteSelect
+// (exec/select_executor.h). Probe, scan and row accounting, the timeout,
+// row budget and cancellation checks are the shared WorkMeter
+// (exec/work_meter.h) that the physical executor uses too.
 // This is the stand-in for executing plans in Jena TDB in the paper.
 #pragma once
 

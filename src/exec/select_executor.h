@@ -1,8 +1,10 @@
-// Materializing SELECT executor: evaluates a full SELECT query (BGP +
-// FILTER + DISTINCT + ORDER BY + OFFSET/LIMIT) and returns the solution
-// table. This is the user-facing complement to ExecuteBgp (which counts
-// matches for the benchmark ground truth); the paper's future work —
-// "enable the support of additional SPARQL query operators" — lands here.
+// SELECT execution: evaluates a full SELECT query (BGP + FILTER +
+// DISTINCT + ORDER BY + OFFSET/LIMIT) and returns the solution table. It
+// runs the same depth-first evaluator as ExecuteBgp (exec/executor.cc) in
+// row mode: filters run at the join depth where their variables are
+// bound, and rows stop at OFFSET + LIMIT when neither ORDER BY nor
+// DISTINCT needs the whole result. The paper's future work — "enable the
+// support of additional SPARQL query operators" — lands here.
 #pragma once
 
 #include <string>

@@ -84,8 +84,13 @@ std::string ChromeTracer::ToJson() const {
       out += ",\"args\":{";
       for (size_t i = 0; i < ev.args.size(); ++i) {
         if (i) out += ",";
-        out += "\"" + JsonEscape(ev.args[i].first) + "\":\"" +
-               JsonEscape(ev.args[i].second) + "\"";
+        // Appended piecewise: gcc 12's -Wrestrict fires a false positive
+        // on operator+(const char*, std::string&&) in Release builds.
+        out += "\"";
+        out += JsonEscape(ev.args[i].first);
+        out += "\":\"";
+        out += JsonEscape(ev.args[i].second);
+        out += "\"";
       }
       out += "}";
     }

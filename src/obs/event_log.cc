@@ -19,7 +19,12 @@ std::string FmtNum(double v) {
 }  // namespace
 
 Event& Event::Str(std::string key, const std::string& value) {
-  fields_.emplace_back(std::move(key), "\"" + JsonEscape(value) + "\"");
+  // Built via append: gcc 12's -Wrestrict fires a false positive on
+  // operator+(const char*, std::string&&) in Release builds.
+  std::string quoted = "\"";
+  quoted += JsonEscape(value);
+  quoted += "\"";
+  fields_.emplace_back(std::move(key), std::move(quoted));
   return *this;
 }
 

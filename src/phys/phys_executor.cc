@@ -10,9 +10,8 @@
 #include <vector>
 
 #include "exec/filter_eval.h"
-#include "obs/metrics.h"
+#include "exec/work_meter.h"
 #include "obs/resource_tracker.h"
-#include "util/timer.h"
 
 namespace shapestats::phys {
 
@@ -25,10 +24,6 @@ using sparql::EncodedTerm;
 using sparql::ParsedQuery;
 
 namespace {
-
-// Timeout checks happen every this many work units (index probes + scanned
-// triples); see exec/executor.cc.
-constexpr uint32_t kTimeoutCheckInterval = 1024;
 
 // Sentinel "no left row" for the first-step scan.
 constexpr size_t kNoLeft = static_cast<size_t>(-1);
@@ -48,6 +43,14 @@ struct MatchPair {
   uint32_t left;
   Triple t;
 };
+
+// The join order a physical plan prescribes: steps[k].pattern.
+std::vector<uint32_t> JoinOrder(const PhysicalPlan& pplan) {
+  std::vector<uint32_t> order;
+  order.reserve(pplan.steps.size());
+  for (const PhysicalStep& st : pplan.steps) order.push_back(st.pattern);
+  return order;
+}
 
 // The sorted contiguous index run backing the right side of a merge join on
 // component `join_pos`, selected from the pattern's constants alone (see
@@ -93,48 +96,35 @@ class PhysEvaluator {
         query_(query),
         bgp_(bgp),
         pplan_(pplan),
-        options_(options),
-        trace_(options.trace),
-        resources_(options.resources),
+        meter_(options, pplan.steps.size()),
         account_(options.resources != nullptr ? &options.resources->memory()
                                               : nullptr),
         width_(bgp.NumVars()),
+        order_(JoinOrder(pplan)),
         rows_(obs::CountingAllocator<TermId>(account_)),
         next_rows_(obs::CountingAllocator<TermId>(account_)),
         prefix_bound_(bgp.NumVars(), false),
-        produced_(pplan.steps.size(), 0) {
-    order_.reserve(pplan.steps.size());
-    for (const PhysicalStep& st : pplan.steps) order_.push_back(st.pattern);
-    if (trace_ != nullptr) {
-      trace_->step_probes.assign(order_.size(), 0);
-      trace_->step_rows_scanned.assign(order_.size(), 0);
-      trace_->step_rows_produced.assign(order_.size(), 0);
-      trace_->total_probes = 0;
-      trace_->total_rows_scanned = 0;
-    }
-  }
+        produced_(pplan.steps.size(), 0) {}
 
   Result<exec::ExecResult> RunBgp() {
-    Timer timer;
     filters_.by_depth.resize(order_.size());  // BGP counting: no filters
-    Execute(timer);
+    Execute();
     exec::ExecResult res;
     res.step_cards = produced_;
     res.num_results = produced_.empty() ? 0 : produced_.back();
-    res.timed_out = timed_out_;
-    res.cancelled = cancelled_;
-    res.elapsed_ms = timer.ElapsedMs();
-    Finish();
+    res.timed_out = meter_.timed_out();
+    res.cancelled = meter_.cancelled();
+    res.elapsed_ms = meter_.ElapsedMs();
+    meter_.Finish(exec::RunKind::kPhys);
     return res;
   }
 
   Result<exec::ResultTable> RunSelect() {
-    Timer timer;
     ASSIGN_OR_RETURN(exec::SelectShape shape,
                      exec::PrepareSelectShape(*query_, bgp_));
     shape_ = std::move(shape);
     ASSIGN_OR_RETURN(filters_, exec::EncodeFilters(*query_, bgp_, order_));
-    if (!filters_.unsatisfiable && !order_.empty()) Execute(timer);
+    if (!filters_.unsatisfiable && !order_.empty()) Execute();
     exec::ResultTable table;
     table.var_names = shape_.var_names;
     table.bgp_matches = num_rows_;
@@ -152,10 +142,10 @@ class PhysEvaluator {
     }
     RETURN_NOT_OK(exec::ApplyModifiers(*query_, graph_.dict(), &table.rows,
                                        &order_keys));
-    table.timed_out = timed_out_;
-    table.cancelled = cancelled_;
-    table.elapsed_ms = timer.ElapsedMs();
-    Finish();
+    table.timed_out = meter_.timed_out();
+    table.cancelled = meter_.cancelled();
+    table.elapsed_ms = meter_.ElapsedMs();
+    meter_.Finish(exec::RunKind::kPhys);
     return table;
   }
 
@@ -167,10 +157,10 @@ class PhysEvaluator {
     TermId value;
   };
 
-  void Execute(const Timer& timer) {
+  void Execute() {
     for (size_t k = 0; k < order_.size(); ++k) {
-      Step(k, timer);
-      if (timed_out_) {
+      Step(k);
+      if (meter_.timed_out()) {
         // Rows of an aborted non-final step are an intermediate prefix
         // join, not solutions; the streaming executor would have emitted
         // nothing for them, so neither do we. An abort in the final step
@@ -181,25 +171,24 @@ class PhysEvaluator {
     }
   }
 
-  void Step(size_t k, const Timer& timer) {
-    cur_step_ = static_cast<uint32_t>(k);
+  void Step(size_t k) {
     const PhysicalStep& st = pplan_.steps[k];
     const EncodedPattern& tp = bgp_.patterns[st.pattern];
     next_rows_.clear();
     next_count_ = 0;
     if (!tp.HasMissingConstant()) {
       if (k == 0) {
-        ScanStep(k, tp, timer);
+        ScanStep(k, tp);
       } else if (num_rows_ > 0) {
         switch (st.op) {
           case OpKind::kMerge:
-            MergeStep(k, st, tp, timer);
+            MergeStep(k, st, tp);
             break;
           case OpKind::kHash:
-            HashStep(k, st, tp, timer);
+            HashStep(k, st, tp);
             break;
           default:  // kInlj, kProduct (and kScan mislabels, defensively)
-            InljStep(k, tp, timer);
+            InljStep(k, tp);
             break;
         }
       }
@@ -213,63 +202,52 @@ class PhysEvaluator {
 
   // ---- operators ---------------------------------------------------------
 
-  void ScanStep(size_t k, const EncodedPattern& tp, const Timer& timer) {
-    ++probes_;
-    if (trace_ != nullptr) ++trace_->step_probes[k];
-    if (Tick(timer)) return;
+  void ScanStep(size_t k, const EncodedPattern& tp) {
+    if (meter_.Probe(k)) return;
     for (const Triple& t : graph_.Match(ConstOpt(tp.s), ConstOpt(tp.p),
                                         ConstOpt(tp.o))) {
-      ++scanned_;
-      if (trace_ != nullptr) ++trace_->step_rows_scanned[k];
-      if (Tick(timer)) return;
+      if (meter_.Scan(k)) return;
       Emit(k, kNoLeft, tp, t);
-      if (timed_out_) return;
+      if (meter_.timed_out()) return;
     }
   }
 
-  void InljStep(size_t k, const EncodedPattern& tp, const Timer& timer) {
+  void InljStep(size_t k, const EncodedPattern& tp) {
     for (size_t i = 0; i < num_rows_; ++i) {
       const TermId* lrow = LeftRow(i);
-      ++probes_;
-      if (trace_ != nullptr) ++trace_->step_probes[k];
-      if (Tick(timer)) return;
+      if (meter_.Probe(k)) return;
       for (const Triple& t : graph_.Match(RowOpt(tp.s, lrow),
                                           RowOpt(tp.p, lrow),
                                           RowOpt(tp.o, lrow))) {
-        ++scanned_;
-        if (trace_ != nullptr) ++trace_->step_rows_scanned[k];
-        if (Tick(timer)) return;
+        if (meter_.Scan(k)) return;
         Emit(k, i, tp, t);
-        if (timed_out_) return;
+        if (meter_.timed_out()) return;
       }
     }
   }
 
-  void MergeStep(size_t k, const PhysicalStep& st, const EncodedPattern& tp,
-                 const Timer& timer) {
+  void MergeStep(size_t k, const PhysicalStep& st, const EncodedPattern& tp) {
     const int jp = st.join_pos;
     const sparql::VarId jv = st.join_var;
     // Defensive fallbacks for ill-formed plans (the verifier reports them;
     // execution must still be correct): predicate joins have no run, and a
     // join variable unbound in the prefix cannot drive a merge.
     if ((jp != 0 && jp != 2) || jv >= width_) {
-      InljStep(k, tp, timer);
+      InljStep(k, tp);
       return;
     }
     bool sorted = true;
     for (size_t i = 0; i < num_rows_; ++i) {
       const TermId v = rows_[i * width_ + jv];
       if (v == rdf::kInvalidTermId) {
-        InljStep(k, tp, timer);
+        InljStep(k, tp);
         return;
       }
       if (i > 0 && rows_[(i - 1) * width_ + jv] > v) sorted = false;
     }
 
     const std::span<const Triple> run = MergeRightSpan(graph_, tp, jp);
-    ++probes_;
-    if (trace_ != nullptr) ++trace_->step_probes[k];
-    if (Tick(timer)) return;
+    if (meter_.Probe(k)) return;
 
     // Iterate left rows in ascending join-value order; ties keep row order.
     Counted<uint32_t> idx{obs::CountingAllocator<uint32_t>(account_)};
@@ -297,9 +275,7 @@ class PhysEvaluator {
         lo = hi;
         while (lo < n && Comp(base[lo], jp) < v) {
           ++lo;
-          ++scanned_;
-          if (trace_ != nullptr) ++trace_->step_rows_scanned[k];
-          if (Tick(timer)) return;
+          if (meter_.Scan(k)) return;
         }
         hi = lo;
         while (hi < n && Comp(base[hi], jp) == v) ++hi;
@@ -307,16 +283,14 @@ class PhysEvaluator {
         have_group = true;
       }
       for (size_t j = lo; j < hi; ++j) {
-        ++scanned_;
-        if (trace_ != nullptr) ++trace_->step_rows_scanned[k];
-        if (Tick(timer)) return;
+        if (meter_.Scan(k)) return;
         if (sorted) {
           // Presorted left + sorted run: emission order IS the canonical
           // depth-first order (DESIGN.md §9), so commit directly.
           Emit(k, i, tp, base[j]);
-          if (timed_out_) return;
+          if (meter_.timed_out()) return;
         } else if (ProduceCheck(k, i, tp, base[j])) {
-          if (timed_out_) return;
+          if (meter_.timed_out()) return;
           pairs.push_back({static_cast<uint32_t>(i), base[j]});
         }
       }
@@ -324,23 +298,20 @@ class PhysEvaluator {
     if (!sorted) NormalizeAndCommit(k, tp, &pairs);
   }
 
-  void HashStep(size_t k, const PhysicalStep& st, const EncodedPattern& tp,
-                const Timer& timer) {
+  void HashStep(size_t k, const PhysicalStep& st, const EncodedPattern& tp) {
     const int jp = st.join_pos;
     const sparql::VarId jv = st.join_var;
     if (jp < 0 || jv >= width_) {
-      InljStep(k, tp, timer);
+      InljStep(k, tp);
       return;
     }
     for (size_t i = 0; i < num_rows_; ++i) {
       if (rows_[i * width_ + jv] == rdf::kInvalidTermId) {
-        InljStep(k, tp, timer);
+        InljStep(k, tp);
         return;
       }
     }
-    ++probes_;
-    if (trace_ != nullptr) ++trace_->step_probes[k];
-    if (Tick(timer)) return;
+    if (meter_.Probe(k)) return;
     const std::span<const Triple> span =
         graph_.Match(ConstOpt(tp.s), ConstOpt(tp.p), ConstOpt(tp.o));
 
@@ -362,21 +333,17 @@ class PhysEvaluator {
       std::unordered_map<TermId, std::vector<uint32_t>> ht;
       ht.reserve(span.size());
       for (size_t j = 0; j < span.size(); ++j) {
-        ++scanned_;
-        if (trace_ != nullptr) ++trace_->step_rows_scanned[k];
-        if (Tick(timer)) return;
+        if (meter_.Scan(k)) return;
         ht[Comp(span[j], jp)].push_back(static_cast<uint32_t>(j));
       }
       for (size_t i = 0; i < num_rows_; ++i) {
-        if (Tick(timer)) return;
+        if (meter_.Tick(k)) return;
         auto it = ht.find(rows_[i * width_ + jv]);
         if (it == ht.end()) continue;
         for (uint32_t j : it->second) {
-          ++scanned_;
-          if (trace_ != nullptr) ++trace_->step_rows_scanned[k];
-          if (Tick(timer)) return;
+          if (meter_.Scan(k)) return;
           if (ProduceCheck(k, i, tp, span[j])) {
-            if (timed_out_) return;
+            if (meter_.timed_out()) return;
             pairs.push_back({static_cast<uint32_t>(i), span[j]});
           }
         }
@@ -386,18 +353,16 @@ class PhysEvaluator {
       std::unordered_map<TermId, std::vector<uint32_t>> ht;
       ht.reserve(num_rows_);
       for (size_t i = 0; i < num_rows_; ++i) {
-        if (Tick(timer)) return;
+        if (meter_.Tick(k)) return;
         ht[rows_[i * width_ + jv]].push_back(static_cast<uint32_t>(i));
       }
       for (size_t j = 0; j < span.size(); ++j) {
-        ++scanned_;
-        if (trace_ != nullptr) ++trace_->step_rows_scanned[k];
-        if (Tick(timer)) return;
+        if (meter_.Scan(k)) return;
         auto it = ht.find(Comp(span[j], jp));
         if (it == ht.end()) continue;
         for (uint32_t i : it->second) {
           if (ProduceCheck(k, i, tp, span[j])) {
-            if (timed_out_) return;
+            if (meter_.timed_out()) return;
             pairs.push_back({i, span[j]});
           }
         }
@@ -485,12 +450,7 @@ class PhysEvaluator {
   // intermediate-row abort.
   void CountProduced(size_t k) {
     ++produced_[k];
-    if (trace_ != nullptr) ++trace_->step_rows_produced[k];
-    ++rows_produced_total_;
-    if (options_.max_intermediate_rows != 0 &&
-        rows_produced_total_ > options_.max_intermediate_rows) {
-      timed_out_ = true;
-    }
+    meter_.Produce(k);
   }
 
   // Streaming commit: count the match and append it (in emission order).
@@ -499,7 +459,7 @@ class PhysEvaluator {
     int nb = 0;
     if (!BindCheck(LeftRow(left), tp, t, binds, &nb)) return;
     CountProduced(k);
-    if (timed_out_) return;
+    if (meter_.timed_out()) return;
     AppendRow(k, LeftRow(left), binds, nb);
   }
 
@@ -543,62 +503,14 @@ class PhysEvaluator {
       return;
     }
     ++next_count_;
-    ++appended_rows_;
-  }
-
-  // Amortized wall-clock / cancellation / accounting check on probe + scan
-  // work; see exec/executor.cc.
-  bool Tick(const Timer& timer) {
-    if (options_.timeout_ms <= 0 && resources_ == nullptr) return false;
-    if (++timeout_ticks_ < kTimeoutCheckInterval) return false;
-    timeout_ticks_ = 0;
-    if (resources_ != nullptr) {
-      resources_->Publish(probes_, scanned_, rows_produced_total_,
-                          appended_rows_, cur_step_);
-      if (resources_->cancel_requested()) {
-        resources_->NoteCancelObserved();
-        timed_out_ = true;
-        cancelled_ = true;
-        return true;
-      }
-    }
-    if (options_.timeout_ms > 0 && timer.ElapsedMs() > options_.timeout_ms) {
-      timed_out_ = true;
-      return true;
-    }
-    return false;
-  }
-
-  void Finish() {
-    static obs::Counter* runs =
-        obs::MetricsRegistry::Global().GetCounter("exec.phys_runs");
-    static obs::Counter* probe_counter =
-        obs::MetricsRegistry::Global().GetCounter("exec.index_probes");
-    static obs::Counter* scan_counter =
-        obs::MetricsRegistry::Global().GetCounter("exec.rows_scanned");
-    static obs::Counter* timeouts =
-        obs::MetricsRegistry::Global().GetCounter("exec.timeouts");
-    if (trace_ != nullptr) {
-      trace_->total_probes = probes_;
-      trace_->total_rows_scanned = scanned_;
-    }
-    if (resources_ != nullptr) {
-      resources_->Publish(probes_, scanned_, rows_produced_total_,
-                          appended_rows_, static_cast<uint32_t>(order_.size()));
-    }
-    runs->Add();
-    probe_counter->Add(probes_);
-    scan_counter->Add(scanned_);
-    if (timed_out_) timeouts->Add();
+    meter_.Materialize();
   }
 
   const rdf::Graph& graph_;
   const ParsedQuery* query_;  // null in BGP-counting mode
   const EncodedBgp& bgp_;
   const PhysicalPlan& pplan_;
-  const exec::ExecOptions& options_;
-  obs::ExecTrace* trace_;
-  obs::ResourceTracker* resources_;
+  exec::WorkMeter meter_;
   obs::MemoryAccount* account_;  // null when no tracker is attached
   const size_t width_;  // bindings per row (number of BGP variables)
 
@@ -612,40 +524,17 @@ class PhysEvaluator {
 
   exec::SelectShape shape_;  // select mode only
   exec::FilterPlan filters_;
-  uint64_t rows_produced_total_ = 0;
-  uint64_t appended_rows_ = 0;  // rows materialized into binding tables
-  uint64_t probes_ = 0;
-  uint64_t scanned_ = 0;
-  uint32_t timeout_ticks_ = 0;
-  uint32_t cur_step_ = 0;
-  bool timed_out_ = false;
-  bool cancelled_ = false;
 };
 
 Status ValidatePhysical(const rdf::Graph& graph, const EncodedBgp& bgp,
                         const PhysicalPlan& pplan,
                         const exec::ExecOptions& options) {
-  if (!graph.finalized()) {
-    return Status::InvalidArgument("graph must be finalized");
-  }
   if (options.limit > 0) {
     return Status::InvalidArgument(
         "the physical executor does not support LIMIT pushdown; use the "
         "streaming executor for early termination");
   }
-  if (pplan.steps.size() != bgp.patterns.size()) {
-    return Status::InvalidArgument(
-        "physical plan does not cover every pattern");
-  }
-  std::vector<bool> seen(bgp.patterns.size(), false);
-  for (const PhysicalStep& st : pplan.steps) {
-    if (st.pattern >= bgp.patterns.size() || seen[st.pattern]) {
-      return Status::InvalidArgument(
-          "physical plan order is not a permutation of patterns");
-    }
-    seen[st.pattern] = true;
-  }
-  return Status::OK();
+  return exec::CheckJoinOrder(graph, bgp.patterns.size(), JoinOrder(pplan));
 }
 
 }  // namespace

@@ -12,6 +12,11 @@
 // sequence), which is exactly the order the INLJ probe would have emitted
 // them in (see DESIGN.md §9 for the argument).
 //
+// Probe, scan and row accounting, the timeout, row budget and
+// cancellation checks, the ExecTrace and the exec.* counters go through
+// the same exec::WorkMeter as the depth-first evaluator, so the counters
+// of both executors mean the same thing.
+//
 // Early termination (SPARQL LIMIT pushdown, ASK probes) is deliberately
 // unsupported: those queries profit from the streaming executor and the
 // engine routes them there. ExecOptions::limit > 0 is an error here.

@@ -22,7 +22,12 @@ namespace {
 std::atomic<uint64_t> g_next_request_id{1};
 
 std::string JsonStr(const std::string& s) {
-  return "\"" + obs::JsonEscape(s) + "\"";
+  // Built via append: gcc 12's -Wrestrict fires a false positive on
+  // operator+(const char*, std::string&&) in Release builds.
+  std::string out = "\"";
+  out += obs::JsonEscape(s);
+  out += "\"";
+  return out;
 }
 
 std::string JsonError(const std::string& message) {

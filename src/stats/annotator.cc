@@ -48,9 +48,6 @@ void AnnotateNodeShape(const rdf::Graph& data, std::optional<rdf::TermId> type,
         acc.instances_with += 1;
         acc.min_per = std::min(acc.min_per, run);
         acc.max_per = std::max(acc.max_per, run);
-        // Reserve from the run length so wide classes append without
-        // reallocating inside the hot loop.
-        acc.objects.reserve(acc.objects.size() + run);
         for (size_t k = i; k < j; ++k) acc.objects.push_back(span[k].o);
         i = j;
       }

@@ -166,7 +166,7 @@ TEST_F(TemplateKeyFixture, RandomizedRenameShuffleInvariance) {
       std::string where;
       for (std::string p : pats) {
         for (int v = 0; v < 6; ++v) {
-          std::string from = "?" + std::string(1, char('A' + v));
+          const std::string from = {'?', char('A' + v)};
           size_t pos;
           while ((pos = p.find(from)) != std::string::npos) {
             p.replace(pos, from.size(), names[perm[v]]);

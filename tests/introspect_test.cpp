@@ -215,8 +215,11 @@ TEST(QueryRegistryTest, CompletedRingIsBounded) {
   options.completed_capacity = 4;
   QueryRegistry registry(options);
   for (int i = 0; i < 10; ++i) {
-    QueryRegistry::Registration reg =
-        registry.Register("q" + std::to_string(i), 0, 0, 0);
+    // Built via append: gcc 12's -Wrestrict fires a false positive on
+    // operator+(const char*, std::string&&) in Release builds.
+    std::string query = "q";
+    query += std::to_string(i);
+    QueryRegistry::Registration reg = registry.Register(query, 0, 0, 0);
     reg.Complete("ok", static_cast<uint64_t>(i));
   }
   std::vector<QueryRecord> done = registry.Completed();
@@ -297,9 +300,12 @@ TEST(QueryRegistryTest, ConcurrentRegistrationAndSnapshotsAreRaceFree) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&registry, w]() {
       for (int i = 0; i < kPerWriter; ++i) {
+        std::string query = "q";  // appended: see CompletedRingIsBounded
+        query += std::to_string(w);
+        query += ".";
+        query += std::to_string(i);
         QueryRegistry::Registration reg = registry.Register(
-            "q" + std::to_string(w) + "." + std::to_string(i),
-            static_cast<uint64_t>(w + 1), 0, 0);
+            query, static_cast<uint64_t>(w + 1), 0, 0);
         reg.SetPhase("execute");
         reg.SetTemplate("t:" + std::to_string(w));
         reg.SetStepsTotal(2);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "datagen/lubm.h"
@@ -18,7 +19,10 @@
 #include "obs/chrome_trace.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "obs/resource_tracker.h"
 #include "obs/trace.h"
+#include "phys/phys_executor.h"
+#include "phys/planner.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
 #include "util/thread_pool.h"
@@ -413,11 +417,10 @@ TEST(ExecTrace, PerStepProbesAndScansSumToTotals) {
   EXPECT_GE(trace.total_rows_scanned, r->TrueCost());
 }
 
-TEST(ExecTimeout, FiresOnProbeWorkWithoutProducedRows) {
-  // 3000 subjects each with one ex:p triple; objects never appear as
-  // subjects, so <?x ex:p ?y . ?y ex:p ?z> scans/probes thousands of times
-  // while producing < 4096 depth-0 rows and zero results. The old
-  // rows-produced-only check (every 4096 rows) never fired here.
+// 3000 subjects each with one ex:p triple; objects never appear as
+// subjects, so <?x ex:p ?y . ?y ex:p ?z> scans/probes thousands of times
+// while producing < 4096 depth-0 rows and zero results.
+rdf::Graph ProbeHeavyGraph() {
   rdf::Graph graph;
   for (int i = 0; i < 3000; ++i) {
     graph.Add(rdf::Term::Iri("http://ex/s" + std::to_string(i)),
@@ -425,17 +428,103 @@ TEST(ExecTimeout, FiresOnProbeWorkWithoutProducedRows) {
               rdf::Term::Iri("http://ex/o" + std::to_string(i)));
   }
   graph.Finalize();
-  auto query = sparql::ParseQuery(
-      "PREFIX ex: <http://ex/> SELECT * WHERE { ?x ex:p ?y . ?y ex:p ?z }");
+  return graph;
+}
+
+constexpr const char* kProbeHeavyQuery =
+    "PREFIX ex: <http://ex/> SELECT * WHERE { ?x ex:p ?y . ?y ex:p ?z }";
+
+// The executor entry points that take ExecOptions limits.
+enum class Entry { kBgp, kSelect, kSelectPhysicalHash };
+constexpr Entry kEntries[] = {Entry::kBgp, Entry::kSelect,
+                              Entry::kSelectPhysicalHash};
+
+const char* EntryName(Entry e) {
+  switch (e) {
+    case Entry::kBgp:
+      return "ExecuteBgp";
+    case Entry::kSelect:
+      return "ExecuteSelect";
+    case Entry::kSelectPhysicalHash:
+      return "ExecuteSelectPhysical(hash)";
+  }
+  return "?";
+}
+
+struct EntryRun {
+  bool timed_out = false;
+  bool cancelled = false;
+  uint64_t results = 0;
+};
+
+// Runs `query` in textual order through entry point `e`; the physical run
+// forces every join step to hash.
+EntryRun RunEntry(Entry e, const rdf::Graph& graph,
+                  const sparql::ParsedQuery& query,
+                  const exec::ExecOptions& options) {
+  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, graph.dict());
+  std::vector<uint32_t> order(bgp.patterns.size());
+  std::iota(order.begin(), order.end(), 0);
+  EntryRun run;
+  if (e == Entry::kBgp) {
+    auto r = exec::ExecuteBgp(graph, bgp, order, options);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) run = {r->timed_out, r->cancelled, r->num_results};
+    return run;
+  }
+  opt::Plan plan;
+  plan.order = order;
+  phys::PlannerOptions hash;
+  hash.mode = phys::JoinMode::kHash;
+  Result<exec::ResultTable> r =
+      e == Entry::kSelect
+          ? exec::ExecuteSelect(graph, query, bgp, order, options)
+          : phys::ExecuteSelectPhysical(
+                graph, query, bgp, phys::PlanPhysical(bgp, plan, graph, hash),
+                options);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (r.ok()) run = {r->timed_out, r->cancelled, r->rows.size()};
+  return run;
+}
+
+TEST(ExecTimeout, FiresOnProbeWorkWithoutProducedRows) {
+  // The old rows-produced-only check (every 4096 rows) never fired here.
+  rdf::Graph graph = ProbeHeavyGraph();
+  auto query = sparql::ParseQuery(kProbeHeavyQuery);
   ASSERT_TRUE(query.ok());
-  auto bgp = sparql::EncodeBgp(*query, graph.dict());
 
   exec::ExecOptions options;
   options.timeout_ms = 1e-6;  // expires immediately; granularity is the test
-  auto r = exec::ExecuteBgp(graph, bgp, options);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->timed_out);
-  EXPECT_EQ(r->num_results, 0u);
+  for (Entry e : kEntries) {
+    EntryRun r = RunEntry(e, graph, *query, options);
+    EXPECT_TRUE(r.timed_out) << EntryName(e);
+    EXPECT_FALSE(r.cancelled) << EntryName(e);
+    EXPECT_EQ(r.results, 0u) << EntryName(e);
+  }
+}
+
+TEST(ExecCancel, PreCancelledTrackerStopsEveryEntryPoint) {
+  rdf::Graph graph = ProbeHeavyGraph();
+  auto query = sparql::ParseQuery(kProbeHeavyQuery);
+  ASSERT_TRUE(query.ok());
+
+  for (Entry e : kEntries) {
+    obs::ResourceTracker tracker;
+    tracker.RequestCancel();
+    obs::ExecTrace trace;
+    exec::ExecOptions options;
+    options.resources = &tracker;
+    options.trace = &trace;
+    EntryRun r = RunEntry(e, graph, *query, options);
+    EXPECT_TRUE(r.timed_out) << EntryName(e);
+    EXPECT_TRUE(r.cancelled) << EntryName(e);
+    EXPECT_TRUE(tracker.cancelled()) << EntryName(e);
+    // The final publish leaves the tracker holding the trace's totals.
+    obs::ResourceSnapshot snap = tracker.Snapshot();
+    EXPECT_GT(trace.total_rows_scanned, 0u) << EntryName(e);
+    EXPECT_EQ(snap.index_probes, trace.total_probes) << EntryName(e);
+    EXPECT_EQ(snap.rows_scanned, trace.total_rows_scanned) << EntryName(e);
+  }
 }
 
 TEST(GlobalMetrics, EngineQueryIncrementsCounters) {

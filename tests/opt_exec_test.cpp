@@ -7,7 +7,10 @@
 
 #include "card/estimator.h"
 #include "exec/executor.h"
+#include "exec/select_executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
+#include "phys/planner.h"
 #include "rdf/turtle.h"
 #include "shacl/generator.h"
 #include "sparql/parser.h"
@@ -40,11 +43,15 @@ class PlanExecFixture : public ::testing::Test {
     ASSERT_TRUE(stats::AnnotateShapes(graph_, &shapes_).ok());
   }
 
-  sparql::EncodedBgp Encode(const std::string& body) {
+  sparql::ParsedQuery Parse(const std::string& body) {
     auto q = sparql::ParseQuery("PREFIX ex: <http://ex/>\nSELECT * WHERE {" +
                                 body + "}");
     EXPECT_TRUE(q.ok()) << q.status().ToString();
-    return sparql::EncodeBgp(*q, graph_.dict());
+    return q.ok() ? std::move(q).value() : sparql::ParsedQuery{};
+  }
+
+  sparql::EncodedBgp Encode(const std::string& body) {
+    return sparql::EncodeBgp(Parse(body), graph_.dict());
   }
 
   rdf::Graph graph_;
@@ -160,6 +167,23 @@ TEST_F(PlanExecFixture, RowBudgetTimesOut) {
   auto r = exec::ExecuteBgp(graph_, bgp, opts);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->timed_out);
+
+  // The same budget binds both SELECT entry points.
+  sparql::ParsedQuery q = Parse("?s ?p ?o . ?s2 ?p2 ?o2");
+  auto sel = exec::ExecuteSelect(graph_, q, bgp, {0, 1}, opts);
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  EXPECT_TRUE(sel->timed_out);
+  EXPECT_FALSE(sel->cancelled);
+
+  opt::Plan plan;
+  plan.order = {0, 1};
+  phys::PlannerOptions hash;
+  hash.mode = phys::JoinMode::kHash;
+  auto ph = phys::ExecuteSelectPhysical(
+      graph_, q, bgp, phys::PlanPhysical(bgp, plan, graph_, hash), opts);
+  ASSERT_TRUE(ph.ok()) << ph.status().ToString();
+  EXPECT_TRUE(ph->timed_out);
+  EXPECT_FALSE(ph->cancelled);
 }
 
 TEST_F(PlanExecFixture, RejectsBadOrder) {

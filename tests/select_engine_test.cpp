@@ -302,6 +302,38 @@ TEST(EngineOptionsTest, GlobalStatsAndTextualModes) {
   EXPECT_EQ(tx_result->table.rows.size(), gs_result->table.rows.size());
 }
 
+TEST(EngineLimitsTest, RowCappedCountAndAskAreFlaggedTruncated) {
+  datagen::LubmOptions dopts;
+  dopts.universities = 1;
+  engine::EngineOptions opts;
+  opts.exec.max_intermediate_rows = 10;
+  auto eng = engine::QueryEngine::Open(datagen::GenerateLubm(dopts), opts);
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  const std::string prefix =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n";
+
+  // Hundreds of solutions: the 10-row budget truncates the count.
+  auto count = eng->Execute(
+      prefix +
+      "SELECT (COUNT(*) AS ?n) WHERE { ?x a ub:GraduateStudent . "
+      "?x ub:advisor ?p }");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_TRUE(count->count.has_value());
+  EXPECT_TRUE(count->table.timed_out);
+  EXPECT_FALSE(count->table.cancelled);
+
+  // No solution exists, so the probe exhausts the budget before answering.
+  auto ask = eng->Execute(
+      prefix +
+      "ASK { ?x a ub:GraduateStudent . ?x ub:name ?n . "
+      "FILTER(?n = \"no such name\") }");
+  ASSERT_TRUE(ask.ok()) << ask.status().ToString();
+  ASSERT_TRUE(ask->ask.has_value());
+  EXPECT_FALSE(*ask->ask);
+  EXPECT_TRUE(ask->table.timed_out);
+  EXPECT_FALSE(ask->table.cancelled);
+}
+
 TEST(EngineOpenTest, RejectsUnfinalizedGraph) {
   rdf::Graph g;
   EXPECT_FALSE(engine::QueryEngine::Open(std::move(g)).ok());
