@@ -1,5 +1,5 @@
 // Micro-benchmark of the physical join operators (src/phys) on the three
-// shapes the cost model distinguishes:
+// shapes the cost model distinguishes, plus a hash-build stress shape:
 //
 //   small x large      — a tiny left input joined into a large pattern;
 //                        the tiny-left rule keeps INLJ, and forcing merge
@@ -11,6 +11,10 @@
 //                        order; INLJ pays one index probe per left row
 //                        while hash builds once, so the cost-based
 //                        planner's pick should beat forced INLJ here.
+//   many keys          — the build side is a whole predicate run with about
+//                        one row per distinct key (every person's e-mail
+//                        address), the LUBM case where a hash table pays
+//                        per distinct key rather than per row.
 //
 // Every (shape, mode) run digests the full SELECT table; any divergence
 // across operators is a correctness bug and aborts the benchmark. Writes
@@ -117,6 +121,8 @@ int main() {
        "?x ub:takesCourse ?c . ?c a ub:Course"},
       {"ll_unsorted", "large x large unsorted",
        "?x ub:takesCourse ?c . ?x a ub:UndergraduateStudent"},
+      {"many_keys", "many keys",
+       "?x ub:takesCourse ?c . ?x ub:emailAddress ?e"},
   };
   const std::vector<phys::JoinMode> modes = {
       phys::JoinMode::kInlj, phys::JoinMode::kMerge, phys::JoinMode::kHash,

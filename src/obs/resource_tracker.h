@@ -29,7 +29,7 @@ struct ResourceSnapshot {
   /// (0 for streaming executions, which never materialize).
   uint64_t rows_materialized = 0;
   /// Monotonic total of bytes charged for join state (materialization
-  /// buffers, match-pair staging, sort indexes, hash-table estimates).
+  /// buffers, match-pair staging, sort scratch, hash tables).
   uint64_t build_bytes = 0;
   /// Live charged bytes at snapshot time.
   uint64_t current_bytes = 0;
@@ -114,25 +114,6 @@ class CountingAllocator {
 
  private:
   MemoryAccount* account_ = nullptr;
-};
-
-/// RAII charge for join state that is not vector-backed (hash-table node and
-/// bucket estimates). Released on destruction.
-class ScopedCharge {
- public:
-  ScopedCharge(MemoryAccount* account, size_t bytes)
-      : account_(account), bytes_(bytes) {
-    if (account_ != nullptr && bytes_ > 0) account_->Charge(bytes_);
-  }
-  ~ScopedCharge() {
-    if (account_ != nullptr && bytes_ > 0) account_->Release(bytes_);
-  }
-  ScopedCharge(const ScopedCharge&) = delete;
-  ScopedCharge& operator=(const ScopedCharge&) = delete;
-
- private:
-  MemoryAccount* account_;
-  size_t bytes_;
 };
 
 /// The per-query accounting hub. One tracker lives for one Execute (or

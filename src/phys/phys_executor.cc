@@ -5,13 +5,13 @@
 #include <numeric>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "exec/filter_eval.h"
 #include "exec/work_meter.h"
 #include "obs/resource_tracker.h"
+#include "phys/flat_multimap.h"
 
 namespace shapestats::phys {
 
@@ -38,7 +38,7 @@ OptId ConstOpt(const EncodedTerm& e) {
 }
 
 // One (left row, matching triple) pair of a merge/hash step, held until the
-// canonical-order sort restores the depth-first emission order.
+// canonical-order commit restores the depth-first emission order.
 struct MatchPair {
   uint32_t left;
   Triple t;
@@ -82,10 +82,10 @@ std::span<const Triple> MergeRightSpan(const rdf::Graph& g,
 class PhysEvaluator {
  public:
   // Materialization state (binding tables, match-pair staging, sort
-  // indexes) is allocated through a CountingAllocator charging the query's
-  // MemoryAccount, so build bytes and the peak per-query footprint are
-  // measured where they are spent. A null account makes the allocator a
-  // passthrough; the container types never change.
+  // scratch, hash tables) is allocated through a CountingAllocator charging
+  // the query's MemoryAccount, so build bytes and the peak per-query
+  // footprint are measured where they are spent. A null account makes the
+  // allocator a passthrough; the container types never change.
   template <typename T>
   using Counted = std::vector<T, obs::CountingAllocator<T>>;
 
@@ -295,7 +295,7 @@ class PhysEvaluator {
         }
       }
     }
-    if (!sorted) NormalizeAndCommit(k, tp, &pairs);
+    if (!sorted) NormalizeAndCommit(k, tp, /*grouped=*/false, &pairs);
   }
 
   void HashStep(size_t k, const PhysicalStep& st, const EncodedPattern& tp) {
@@ -314,87 +314,97 @@ class PhysEvaluator {
     if (meter_.Probe(k)) return;
     const std::span<const Triple> span =
         graph_.Match(ConstOpt(tp.s), ConstOpt(tp.p), ConstOpt(tp.o));
+    auto right_key = [&](size_t j) { return Comp(span[j], jp); };
+    auto left_key = [&](size_t i) { return rows_[i * width_ + jv]; };
 
-    // Buckets hold indexes in insertion order (span order / row order), so
-    // the pair set — and after the canonical sort, the output — is fully
-    // deterministic regardless of hash-table iteration order.
-    //
-    // The hash tables are charged as a per-entry estimate (key + bucket
-    // vector header + node pointer + one index slot) scoped to the build:
-    // std::unordered_map has no allocator hook comparable to the binding
-    // tables', and the estimate keeps build-side bytes visible in the
-    // account at the moment they matter — during the join.
-    constexpr size_t kHtEntryBytes = sizeof(TermId) +
-                                     sizeof(std::vector<uint32_t>) +
-                                     sizeof(void*) + sizeof(uint32_t);
+    // A group lists its build-side indexes in insertion order (span order /
+    // row order), so the pair set — and after the canonical-order commit,
+    // the output — is fully deterministic. The table is released before
+    // the commit appends the output rows.
     Counted<MatchPair> pairs{obs::CountingAllocator<MatchPair>(account_)};
-    if (st.build_right) {
-      obs::ScopedCharge ht_charge(account_, span.size() * kHtEntryBytes);
-      std::unordered_map<TermId, std::vector<uint32_t>> ht;
-      ht.reserve(span.size());
-      for (size_t j = 0; j < span.size(); ++j) {
-        if (meter_.Scan(k)) return;
-        ht[Comp(span[j], jp)].push_back(static_cast<uint32_t>(j));
-      }
-      for (size_t i = 0; i < num_rows_; ++i) {
-        if (meter_.Tick(k)) return;
-        auto it = ht.find(rows_[i * width_ + jv]);
-        if (it == ht.end()) continue;
-        for (uint32_t j : it->second) {
-          if (meter_.Scan(k)) return;
-          if (ProduceCheck(k, i, tp, span[j])) {
-            if (meter_.timed_out()) return;
-            pairs.push_back({static_cast<uint32_t>(i), span[j]});
+    {
+      FlatMultimap ht(account_);
+      if (st.build_right) {
+        if (!ht.Build(span.size(), right_key,
+                      [&] { return meter_.Scan(k); })) {
+          return;
+        }
+        for (size_t i = 0; i < num_rows_; ++i) {
+          if (meter_.Tick(k)) return;
+          for (uint32_t j : ht.Find(left_key(i))) {
+            if (meter_.Scan(k)) return;
+            if (ProduceCheck(k, i, tp, span[j])) {
+              if (meter_.timed_out()) return;
+              pairs.push_back({static_cast<uint32_t>(i), span[j]});
+            }
           }
         }
-      }
-    } else {
-      obs::ScopedCharge ht_charge(account_, num_rows_ * kHtEntryBytes);
-      std::unordered_map<TermId, std::vector<uint32_t>> ht;
-      ht.reserve(num_rows_);
-      for (size_t i = 0; i < num_rows_; ++i) {
-        if (meter_.Tick(k)) return;
-        ht[rows_[i * width_ + jv]].push_back(static_cast<uint32_t>(i));
-      }
-      for (size_t j = 0; j < span.size(); ++j) {
-        if (meter_.Scan(k)) return;
-        auto it = ht.find(Comp(span[j], jp));
-        if (it == ht.end()) continue;
-        for (uint32_t i : it->second) {
-          if (ProduceCheck(k, i, tp, span[j])) {
-            if (meter_.timed_out()) return;
-            pairs.push_back({i, span[j]});
+      } else {
+        if (!ht.Build(num_rows_, left_key, [&] { return meter_.Tick(k); })) {
+          return;
+        }
+        for (size_t j = 0; j < span.size(); ++j) {
+          if (meter_.Scan(k)) return;
+          for (uint32_t i : ht.Find(right_key(j))) {
+            if (ProduceCheck(k, i, tp, span[j])) {
+              if (meter_.timed_out()) return;
+              pairs.push_back({i, span[j]});
+            }
           }
         }
       }
     }
-    NormalizeAndCommit(k, tp, &pairs);
+    // Building right probes the left rows in order, so its pairs arrive
+    // grouped by left row already.
+    NormalizeAndCommit(k, tp, /*grouped=*/st.build_right, &pairs);
   }
 
   // ---- canonical-order restoration ---------------------------------------
 
-  // Sorts match pairs into the depth-first emission order — (left row
+  // Brings match pairs into the depth-first emission order — (left row
   // index, then the pattern's free components in Graph::MatchOrder
   // sequence) — and appends them. A component counts as bound when it is a
   // constant or holds a prefix-bound variable; two distinct triples of one
-  // pair group always differ on a free component, so the order is total.
-  void NormalizeAndCommit(size_t k, const EncodedPattern& tp,
+  // left row always differ on a free component, so the order is total and
+  // the result equals one comparison sort over all pairs. It is reached in
+  // linear time: pairs that are not `grouped` by ascending left row first
+  // get a stable counting sort by left row, and then only the left-row
+  // groups that are not already in MatchOrder (checked with std::is_sorted)
+  // are sorted.
+  void NormalizeAndCommit(size_t k, const EncodedPattern& tp, bool grouped,
                           Counted<MatchPair>* pairs) {
+    if (!grouped) GroupByLeft(pairs);
     const bool sb = !tp.s.is_var() || prefix_bound_[tp.s.id];
     const bool pb = !tp.p.is_var() || prefix_bound_[tp.p.id];
     const bool ob = !tp.o.is_var() || prefix_bound_[tp.o.id];
     const std::vector<int> ord = rdf::Graph::MatchOrder(sb, pb, ob);
-    std::sort(pairs->begin(), pairs->end(),
-              [&ord](const MatchPair& a, const MatchPair& b) {
-                if (a.left != b.left) return a.left < b.left;
-                for (int c : ord) {
-                  const TermId ca = Comp(a.t, c);
-                  const TermId cb = Comp(b.t, c);
-                  if (ca != cb) return ca < cb;
-                }
-                return false;
-              });
+    auto match_less = [&ord](const MatchPair& a, const MatchPair& b) {
+      for (int c : ord) {
+        const TermId ca = Comp(a.t, c);
+        const TermId cb = Comp(b.t, c);
+        if (ca != cb) return ca < cb;
+      }
+      return false;
+    };
+    const auto end = pairs->end();
+    for (auto lo = pairs->begin(); lo != end;) {
+      auto hi = lo + 1;
+      while (hi != end && hi->left == lo->left) ++hi;
+      if (!std::is_sorted(lo, hi, match_less)) std::sort(lo, hi, match_less);
+      lo = hi;
+    }
     for (const MatchPair& mp : *pairs) AppendPair(k, mp.left, tp, mp.t);
+  }
+
+  // Stable counting sort of the pairs by left row index: O(pairs + rows).
+  void GroupByLeft(Counted<MatchPair>* pairs) const {
+    Counted<uint32_t> start(num_rows_ + 1, 0u,
+                            obs::CountingAllocator<uint32_t>(account_));
+    for (const MatchPair& mp : *pairs) ++start[mp.left + 1];
+    for (size_t i = 1; i <= num_rows_; ++i) start[i] += start[i - 1];
+    Counted<MatchPair> sorted(pairs->size(), pairs->get_allocator());
+    for (const MatchPair& mp : *pairs) sorted[start[mp.left]++] = mp;
+    pairs->swap(sorted);
   }
 
   // ---- row plumbing ------------------------------------------------------

@@ -8,9 +8,12 @@
 // executor (exec::ExecuteBgp / exec::ExecuteSelect) — same rows in the
 // same order. Merge and hash steps generate (left row, triple) match
 // pairs and restore the canonical depth-first order afterwards: pairs are
-// sorted by (left row index, free pattern components in Graph::MatchOrder
-// sequence), which is exactly the order the INLJ probe would have emitted
-// them in (see DESIGN.md §9 for the argument).
+// committed in (left row index, free pattern components in
+// Graph::MatchOrder sequence) order, which is exactly the order the INLJ
+// probe would have emitted them in. The restoration is linear: a counting
+// sort by left row where the pairs are not grouped already, then a sort of
+// only those left-row groups that are out of MatchOrder (see DESIGN.md §9
+// for the argument).
 //
 // Probe, scan and row accounting, the timeout, row budget and
 // cancellation checks, the ExecTrace and the exec.* counters go through

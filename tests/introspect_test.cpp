@@ -100,17 +100,6 @@ TEST(CountingAllocatorTest, NullAccountIsAPassthrough) {
   EXPECT_EQ(v[99], 7);
 }
 
-TEST(CountingAllocatorTest, ScopedChargeReleasesOnDestruction) {
-  MemoryAccount account;
-  {
-    obs::ScopedCharge charge(&account, 4096);
-    EXPECT_EQ(account.current(), 4096u);
-  }
-  EXPECT_EQ(account.current(), 0u);
-  EXPECT_EQ(account.peak(), 4096u);
-  { obs::ScopedCharge no_account(nullptr, 4096); }  // must not crash
-}
-
 TEST(ResourceSnapshotTest, JsonAndTextRenderings) {
   ResourceTracker tracker;
   tracker.Publish(10, 20, 30, 5, 1);

@@ -15,6 +15,7 @@
 #include "datagen/lubm.h"
 #include "engine/query_engine.h"
 #include "exec/executor.h"
+#include "exec/work_meter.h"
 #include "obs/accuracy_ledger.h"
 #include "obs/chrome_trace.h"
 #include "obs/event_log.h"
@@ -524,6 +525,63 @@ TEST(ExecCancel, PreCancelledTrackerStopsEveryEntryPoint) {
     EXPECT_GT(trace.total_rows_scanned, 0u) << EntryName(e);
     EXPECT_EQ(snap.index_probes, trace.total_probes) << EntryName(e);
     EXPECT_EQ(snap.rows_scanned, trace.total_rows_scanned) << EntryName(e);
+  }
+}
+
+TEST(ExecCancel, PreCancelledTrackerStopsHashBuildOnEitherSide) {
+  // 600 ex:q rows keep the scan step under one work tick, so a cancel
+  // requested before the run is served inside the hash step's build loop:
+  // over the 3000-triple ex:p run when building right, over the 600 left
+  // rows when building left.
+  rdf::Graph graph;
+  for (int i = 0; i < 3000; ++i) {
+    graph.Add(rdf::Term::Iri("http://ex/s" + std::to_string(i)),
+              rdf::Term::Iri("http://ex/p"),
+              rdf::Term::Iri("http://ex/o" + std::to_string(i)));
+  }
+  for (int i = 0; i < 600; ++i) {
+    graph.Add(rdf::Term::Iri("http://ex/t" + std::to_string(i)),
+              rdf::Term::Iri("http://ex/q"),
+              rdf::Term::Iri("http://ex/s" + std::to_string(i)));
+  }
+  graph.Finalize();
+  auto query = sparql::ParseQuery(
+      "PREFIX ex: <http://ex/> SELECT * WHERE { ?x ex:q ?y . ?y ex:p ?z }");
+  ASSERT_TRUE(query.ok());
+  sparql::EncodedBgp bgp = sparql::EncodeBgp(*query, graph.dict());
+  opt::Plan plan;
+  plan.order = {0, 1};
+  phys::PlannerOptions hash;
+  hash.mode = phys::JoinMode::kHash;
+  phys::PhysicalPlan pplan = phys::PlanPhysical(bgp, plan, graph, hash);
+  ASSERT_EQ(pplan.steps[1].op, phys::OpKind::kHash);
+
+  for (bool build_right : {true, false}) {
+    SCOPED_TRACE(build_right ? "build right" : "build left");
+    pplan.steps[1].build_right = build_right;
+    obs::ResourceTracker tracker;
+    tracker.RequestCancel();
+    obs::ExecTrace trace;
+    exec::ExecOptions options;
+    options.resources = &tracker;
+    options.trace = &trace;
+    auto r = phys::ExecuteSelectPhysical(graph, *query, bgp, pplan, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->timed_out);
+    EXPECT_TRUE(r->cancelled);
+    EXPECT_TRUE(r->rows.empty());
+    EXPECT_EQ(trace.step_rows_scanned[0], 600u);  // the scan step completed
+    EXPECT_EQ(trace.step_rows_produced[1], 0u);   // no probe match yet
+    if (build_right) {
+      // Stopped part-way through scanning the build run, on the tick.
+      EXPECT_GT(trace.step_rows_scanned[1], 0u);
+      EXPECT_LT(trace.step_rows_scanned[1], 3000u);
+      EXPECT_EQ(trace.total_probes + trace.total_rows_scanned,
+                exec::kTimeoutCheckInterval);
+    } else {
+      // Stopped while hashing the left rows, before the probe-side scan.
+      EXPECT_EQ(trace.step_rows_scanned[1], 0u);
+    }
   }
 }
 

@@ -1,13 +1,15 @@
 // Tests for src/phys: planner operator selection, the phys.* verifier rule
 // catalog, the physical executor's byte-identical-results contract against
-// the depth-first INLJ executor, and end-to-end forced-operator digest
-// equality over the LUBM workload across thread-pool sizes. The workload
-// sweep runs under the TSan CI job, so it doubles as data-race coverage
-// for the materializing operators.
+// the depth-first INLJ executor (including hand-written plans that flip
+// every hash step's build side), the hash build table, and end-to-end
+// forced-operator digest equality over the LUBM workload across
+// thread-pool sizes. The workload sweep runs under the TSan CI job, so it
+// doubles as data-race coverage for the materializing operators.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,8 @@
 #include "exec/executor.h"
 #include "exec/select_executor.h"
 #include "opt/join_order.h"
+#include "obs/resource_tracker.h"
+#include "phys/flat_multimap.h"
 #include "phys/phys_executor.h"
 #include "phys/physical_plan.h"
 #include "phys/planner.h"
@@ -436,6 +440,197 @@ TEST_F(PhysFixture, TimeoutBeforeFinalStepYieldsNoPartialRows) {
   EXPECT_TRUE(r->timed_out);
   // Rows of an aborted intermediate step are not solutions.
   EXPECT_TRUE(r->rows.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The hash operator's build table.
+
+std::vector<uint32_t> Group(const phys::FlatMultimap& ht, rdf::TermId key) {
+  std::span<const uint32_t> g = ht.Find(key);
+  return std::vector<uint32_t>(g.begin(), g.end());
+}
+
+TEST(FlatMultimapTest, GroupsKeepInsertionOrder) {
+  const std::vector<rdf::TermId> keys = {5, 7, 5, 9, 5, 7};
+  phys::FlatMultimap ht;
+  ASSERT_TRUE(ht.Build(keys.size(), [&](size_t i) { return keys[i]; },
+                       [] { return false; }));
+  EXPECT_EQ(ht.num_groups(), 3u);
+  EXPECT_EQ(Group(ht, 5), (std::vector<uint32_t>{0, 2, 4}));
+  EXPECT_EQ(Group(ht, 7), (std::vector<uint32_t>{1, 5}));
+  EXPECT_EQ(Group(ht, 9), (std::vector<uint32_t>{3}));
+}
+
+TEST(FlatMultimapTest, AbsentKeysFindNothing) {
+  phys::FlatMultimap unbuilt;
+  EXPECT_TRUE(unbuilt.Find(1).empty());
+
+  phys::FlatMultimap empty;
+  ASSERT_TRUE(empty.Build(0, [](size_t) { return rdf::TermId{1}; },
+                          [] { return false; }));
+  EXPECT_EQ(empty.num_groups(), 0u);
+  EXPECT_TRUE(empty.Find(1).empty());
+
+  const std::vector<rdf::TermId> keys = {2, 4, 6};
+  phys::FlatMultimap ht;
+  ASSERT_TRUE(ht.Build(keys.size(), [&](size_t i) { return keys[i]; },
+                       [] { return false; }));
+  for (rdf::TermId absent : {0u, 1u, 3u, 5u, 7u, 1u << 30}) {
+    EXPECT_TRUE(ht.Find(absent).empty()) << absent;
+  }
+}
+
+TEST(FlatMultimapTest, CollidingKeysStayApart) {
+  // Five keys sharing one home slot in a 16-slot table (the capacity for
+  // up to eight keys): four are inserted, the fifth probes past them.
+  constexpr size_t kCapacity = 16;
+  std::vector<rdf::TermId> colliding;
+  for (rdf::TermId key = 1; colliding.size() < 5; ++key) {
+    if (phys::FlatMultimap::HomeSlot(key, kCapacity) ==
+        phys::FlatMultimap::HomeSlot(1, kCapacity)) {
+      colliding.push_back(key);
+    }
+  }
+  const rdf::TermId a = colliding[0], b = colliding[1], c = colliding[2],
+                    d = colliding[3], absent = colliding[4];
+  const std::vector<rdf::TermId> keys = {a, b, a, c, d, b, a};
+  obs::MemoryAccount account;
+  {
+    phys::FlatMultimap ht(&account);
+    ASSERT_TRUE(ht.Build(keys.size(), [&](size_t i) { return keys[i]; },
+                         [] { return false; }));
+    ASSERT_EQ(ht.capacity(), kCapacity);
+    EXPECT_EQ(ht.num_groups(), 4u);
+    EXPECT_EQ(Group(ht, a), (std::vector<uint32_t>{0, 2, 6}));
+    EXPECT_EQ(Group(ht, b), (std::vector<uint32_t>{1, 5}));
+    EXPECT_EQ(Group(ht, c), (std::vector<uint32_t>{3}));
+    EXPECT_EQ(Group(ht, d), (std::vector<uint32_t>{4}));
+    EXPECT_TRUE(ht.Find(absent).empty());
+    // The slots and the placed positions are charged to the account.
+    EXPECT_GE(account.current(),
+              kCapacity * 2 * sizeof(uint32_t) + keys.size() * sizeof(uint32_t));
+  }
+  EXPECT_EQ(account.current(), 0u);
+}
+
+TEST(FlatMultimapTest, StopAbandonsTheBuild) {
+  const std::vector<rdf::TermId> keys = {1, 2, 3, 4};
+  phys::FlatMultimap ht;
+  int calls = 0;
+  EXPECT_FALSE(ht.Build(keys.size(), [&](size_t i) { return keys[i]; },
+                        [&calls] { return ++calls == 3; }));
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(ht.num_groups(), 0u);
+  EXPECT_TRUE(ht.Find(1).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Order restoration on hand-written plans: every combination of build
+// sides over the hash steps must commit exactly the depth-first rows.
+
+// Join keys repeat on both sides (?y = ex:b is known three times and likes
+// two things), and ex:likes lists (subject, object) pairs whose subject
+// order differs from their object order.
+constexpr const char* kOrderData = R"(
+@prefix ex: <http://ex/> .
+ex:a ex:knows ex:b, ex:c .
+ex:d ex:knows ex:b, ex:c .
+ex:e ex:knows ex:b .
+ex:b ex:likes ex:x, ex:y ; ex:uses ex:likes .
+ex:c ex:likes ex:x ; ex:uses ex:knows, ex:likes .
+ex:x ex:likes ex:b .
+)";
+
+// A physical plan in textual order: step k + 1 runs ops[k], joining on the
+// first component of its pattern that holds a variable an earlier pattern
+// binds.
+phys::PhysicalPlan HandPlan(const sparql::EncodedBgp& bgp,
+                            const std::vector<OpKind>& ops) {
+  phys::PhysicalPlan plan;
+  std::vector<bool> bound(bgp.NumVars(), false);
+  for (size_t k = 0; k < bgp.patterns.size(); ++k) {
+    const sparql::EncodedPattern& tp = bgp.patterns[k];
+    phys::PhysicalStep st;
+    st.pattern = static_cast<uint32_t>(k);
+    st.op = k == 0 ? OpKind::kScan : ops[k - 1];
+    const sparql::EncodedTerm* terms[3] = {&tp.s, &tp.p, &tp.o};
+    for (int pos = 0; pos < 3 && k > 0; ++pos) {
+      if (terms[pos]->is_var() && bound[terms[pos]->id]) {
+        st.join_pos = pos;
+        st.join_var = terms[pos]->id;
+        break;
+      }
+    }
+    for (const sparql::EncodedTerm* e : terms) {
+      if (e->is_var()) bound[e->id] = true;
+    }
+    plan.steps.push_back(st);
+  }
+  return plan;
+}
+
+TEST(PhysOrderTest, EveryBuildSideCommitsDepthFirstRows) {
+  rdf::Graph graph;
+  ASSERT_TRUE(rdf::ParseTurtle(kOrderData, &graph).ok());
+  graph.Finalize();
+
+  struct Case {
+    const char* body;
+    std::vector<OpKind> ops;
+  };
+  const std::vector<Case> cases = {
+      // Duplicate join keys on both sides, one and two hash steps.
+      {"?x ex:knows ?y . ?y ex:likes ?z", {OpKind::kHash}},
+      {"?x ex:knows ?y . ?y ex:likes ?z . ?w ex:knows ?y",
+       {OpKind::kHash, OpKind::kHash}},
+      // Two free components after the join: on the subject the run is
+      // already in MatchOrder; on the predicate a left row's group arrives
+      // in (subject, object) order but must commit in (object, subject)
+      // order, so the per-group sort runs.
+      {"?x ex:knows ?p . ?p ?q ?o", {OpKind::kHash}},
+      {"?c ex:uses ?q . ?s ?q ?o", {OpKind::kHash}},
+      {"?x ex:knows ?y . ?y ex:uses ?q . ?s ?q ?o",
+       {OpKind::kHash, OpKind::kHash}},
+      // Merges whose left rows are not sorted on the join variable (the
+      // ex:likes scan orders them by ?z), on object and subject runs.
+      {"?y ex:likes ?z . ?x ex:knows ?y", {OpKind::kMerge}},
+      {"?y ex:likes ?z . ?y ex:uses ?u", {OpKind::kMerge}},
+      {"?y ex:likes ?z . ?x ex:knows ?y . ?y ?q ?o",
+       {OpKind::kMerge, OpKind::kHash}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.body);
+    auto q = sparql::ParseQuery("PREFIX ex: <http://ex/>\nSELECT * WHERE { " +
+                                std::string(c.body) + " }");
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    sparql::EncodedBgp bgp = sparql::EncodeBgp(*q, graph.dict());
+    std::vector<uint32_t> order(bgp.patterns.size());
+    for (size_t k = 0; k < order.size(); ++k) order[k] = k;
+    auto expected_rows = exec::ExecuteSelect(graph, *q, bgp, order);
+    auto expected_cards = exec::ExecuteBgp(graph, bgp, order);
+    ASSERT_TRUE(expected_rows.ok()) << expected_rows.status().ToString();
+    ASSERT_TRUE(expected_cards.ok()) << expected_cards.status().ToString();
+    ASSERT_FALSE(expected_rows->rows.empty());
+
+    phys::PhysicalPlan pplan = HandPlan(bgp, c.ops);
+    std::vector<size_t> hash_steps;
+    for (size_t k = 0; k < pplan.steps.size(); ++k) {
+      ASSERT_TRUE(k == 0 || pplan.steps[k].join_pos >= 0) << "step " << k;
+      if (pplan.steps[k].op == OpKind::kHash) hash_steps.push_back(k);
+    }
+    for (uint32_t mask = 0; mask < (1u << hash_steps.size()); ++mask) {
+      for (size_t h = 0; h < hash_steps.size(); ++h) {
+        pplan.steps[hash_steps[h]].build_right = (mask >> h) & 1u;
+      }
+      SCOPED_TRACE(pplan.Summary());
+      auto rows = phys::ExecuteSelectPhysical(graph, *q, bgp, pplan);
+      auto cards = phys::ExecuteBgpPhysical(graph, bgp, pplan);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      ASSERT_TRUE(cards.ok()) << cards.status().ToString();
+      EXPECT_EQ(rows->rows, expected_rows->rows);
+      EXPECT_EQ(cards->step_cards, expected_cards->step_cards);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
