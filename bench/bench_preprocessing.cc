@@ -10,6 +10,7 @@
 #include "bench_common.h"
 #include "bench_telemetry.h"
 #include "datagen/yago.h"
+#include "rdf/ntriples.h"
 #include "shacl/generator.h"
 #include "shacl/shapes_io.h"
 #include "stats/annotator.h"
@@ -22,9 +23,44 @@ using namespace shapestats;
 
 namespace {
 
-uint64_t Fnv1a(const std::string& s, uint64_t h = 1469598103934665603ull) {
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+uint64_t Fnv1a(std::string_view s, uint64_t h = kFnvOffset) {
   for (char c : s) h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
   return h;
+}
+
+// Byte-order-independent: hashes the id's four bytes low to high.
+uint64_t Fnv1aId(rdf::TermId id, uint64_t h) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    h = (h ^ ((id >> shift) & 0xffu)) * 1099511628211ull;
+  }
+  return h;
+}
+
+// Parses `text` as N-Triples into a fresh graph. Returns the parse time and
+// a digest over the dictionary keys in id order and the finalized SPO
+// array, which pins the ids the loader assigns as well as the triples.
+double TimedLoad(const std::string& text, uint64_t* digest) {
+  rdf::Graph g;
+  Timer timer;
+  Status st = rdf::ParseNTriples(text, &g);
+  const double ms = timer.ElapsedMs();
+  if (!st.ok()) {
+    std::fprintf(stderr, "N-Triples load failed: %s\n", st.ToString().c_str());
+    std::abort();
+  }
+  g.Finalize();
+  uint64_t h = kFnvOffset;
+  for (rdf::TermId id = 1; id <= g.dict().size(); ++id) {
+    h = Fnv1a(g.dict().ToNTriples(id), h);
+    h = Fnv1a("\n", h);
+  }
+  for (const rdf::Triple& t : g.triples()) {
+    h = Fnv1aId(t.o, Fnv1aId(t.p, Fnv1aId(t.s, h)));
+  }
+  *digest = h;
+  return ms;
 }
 
 struct ScalingRun {
@@ -134,6 +170,19 @@ int main() {
     telemetry.Counter("shapes_extended_kb." + ds.name,
                       ds.shapes_extended_bytes / 1024.0);
     telemetry.Timing("annotate_ms." + ds.name, ds.annotate_ms);
+  }
+
+  // Load path: each dataset is serialized as N-Triples (untimed) and parsed
+  // back (timed). The digest catches any change in the ids the loader
+  // assigns, for instance from compiler-dependent interning order.
+  std::printf("\n");
+  for (const bench::Dataset& ds : datasets) {
+    uint64_t digest = 0;
+    const double load_ms = TimedLoad(rdf::WriteNTriples(ds.graph), &digest);
+    std::printf("load digest %s: %016llx (parse %.1f ms)\n", ds.name.c_str(),
+                static_cast<unsigned long long>(digest), load_ms);
+    telemetry.Digest("load." + ds.name, digest);
+    telemetry.Timing("load_ms." + ds.name, load_ms);
   }
 
   // Thread-scaling of the whole preprocessing pipeline on the YAGO-style

@@ -25,7 +25,6 @@
 // 1 if any error-severity diagnostic fired, 2 on usage/load/parse failure.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,6 +43,7 @@
 #include "sparql/parser.h"
 #include "stats/annotator.h"
 #include "stats/global_stats.h"
+#include "util/string_util.h"
 
 using namespace shapestats;
 
@@ -81,14 +81,6 @@ std::vector<std::string> SplitCorpus(const std::string& text) {
   }
   flush();
   return queries;
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 }  // namespace

@@ -25,7 +25,11 @@ TermId TermDictionary::InternLiteral(std::string_view value) {
 }
 
 std::optional<TermId> TermDictionary::Find(const Term& term) const {
-  auto it = index_.find(term.ToNTriples());
+  return FindKey(term.ToNTriples());
+}
+
+std::optional<TermId> TermDictionary::FindKey(std::string_view key) const {
+  auto it = index_.find(key);
   if (it == index_.end()) return std::nullopt;
   return it->second;
 }

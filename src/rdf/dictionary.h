@@ -3,6 +3,7 @@
 // execution) works on TermIds; strings only appear at parse/print time.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -32,6 +33,10 @@ class TermDictionary {
   std::optional<TermId> Find(const Term& term) const;
   std::optional<TermId> FindIri(std::string_view iri) const;
 
+  /// Looks up a canonical N-Triples key (Term::ToNTriples) as given, without
+  /// parsing or building a string; nullopt if no term has exactly this key.
+  std::optional<TermId> FindKey(std::string_view key) const;
+
   /// Decodes an id back to the term. Id must be valid.
   const Term& term(TermId id) const { return terms_[id]; }
 
@@ -45,8 +50,17 @@ class TermDictionary {
   std::string Pretty(TermId id) const;
 
  private:
-  std::unordered_map<std::string, TermId> index_;  // key: canonical NT form
-  std::vector<Term> terms_;                        // terms_[0] is a dummy
+  // Hashes std::string and std::string_view alike, so FindKey can probe
+  // index_ with a view into the input text.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  // key: canonical NT form
+  std::unordered_map<std::string, TermId, KeyHash, std::equal_to<>> index_;
+  std::vector<Term> terms_;  // terms_[0] is a dummy
 };
 
 }  // namespace shapestats::rdf

@@ -62,7 +62,13 @@ void Graph::Add(TermId s, TermId p, TermId o) {
 }
 
 void Graph::Add(const Term& s, const Term& p, const Term& o) {
-  Add(dict_.Intern(s), dict_.Intern(p), dict_.Intern(o));
+  // Sequenced explicitly: argument evaluation order is unspecified, and
+  // interning order decides the ids, so Add(Intern(s), ...) would give
+  // different ids under different compilers.
+  const TermId oid = dict_.Intern(o);
+  const TermId pid = dict_.Intern(p);
+  const TermId sid = dict_.Intern(s);
+  Add(sid, pid, oid);
 }
 
 void Graph::Finalize(util::ThreadPool* pool) {

@@ -47,7 +47,8 @@ class Graph {
   /// Adds a triple by ids. Duplicates are removed at Finalize().
   void Add(TermId s, TermId p, TermId o);
 
-  /// Adds a triple of decoded terms (interns them).
+  /// Adds a triple of decoded terms, interning the object, then the
+  /// predicate, then the subject (the order ParseNTriples uses too).
   void Add(const Term& s, const Term& p, const Term& o);
 
   /// Sorts and deduplicates, builds all indexes. Must be called before any

@@ -1,8 +1,6 @@
 #include "rdf/turtle.h"
 
 #include <cctype>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "rdf/vocab.h"
@@ -84,7 +82,7 @@ class Lexer {
       if (c == '\n') {
         ++line_;
         ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
+      } else if (IsAsciiSpace(c)) {
         ++pos_;
       } else if (c == '#') {
         while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
@@ -395,11 +393,9 @@ Status ParseTurtle(std::string_view text, Graph* graph) {
 }
 
 Status LoadTurtleFile(const std::string& path, Graph* graph) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseTurtle(buf.str(), graph);
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseTurtle(*text, graph);
 }
 
 }  // namespace shapestats::rdf

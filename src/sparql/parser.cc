@@ -22,7 +22,7 @@ struct Cursor {
       if (c == '\n') {
         ++line;
         ++pos;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
+      } else if (IsAsciiSpace(c)) {
         ++pos;
       } else if (c == '#') {
         while (pos < text.size() && text[pos] != '\n') ++pos;

@@ -1,8 +1,8 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 
 namespace shapestats {
 
@@ -17,8 +17,8 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 std::string_view Trim(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && IsAsciiSpace(s[b])) ++b;
+  while (e > b && IsAsciiSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
@@ -102,6 +102,23 @@ std::string UnescapeLiteral(std::string_view escaped) {
       out += escaped[i];
     }
   }
+  return out;
+}
+
+Result<std::string> ReadFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::IOError("cannot open " + path);
+  std::string out;
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);  // regular files only
+  if (!ec) out.resize(size);
+  out.resize(std::fread(out.data(), 1, out.size(), f));
+  // Whatever the size did not cover: pipes, or a file that grew meanwhile.
+  char chunk[1 << 14];
+  for (size_t n; (n = std::fread(chunk, 1, sizeof(chunk), f)) > 0;) out.append(chunk, n);
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) return Status::IOError("read failed: " + path);
   return out;
 }
 

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/status.h"
+
 namespace shapestats {
 
 /// True if `s` starts with `prefix`.
@@ -13,7 +15,12 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// True if `s` ends with `suffix`.
 bool EndsWith(std::string_view s, std::string_view suffix);
 
-/// Strips ASCII whitespace from both ends.
+/// True for the six characters std::isspace accepts in the C locale:
+/// ' ', '\t', '\n', '\v', '\f', '\r'. Inline, and free of the locale call
+/// std::isspace makes, so tokenizers can test every byte with it.
+inline bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Strips ASCII whitespace (IsAsciiSpace) from both ends.
 std::string_view Trim(std::string_view s);
 
 /// Splits on a single character; keeps empty fields.
@@ -33,5 +40,8 @@ std::string EscapeLiteral(std::string_view raw);
 
 /// Reverses EscapeLiteral.
 std::string UnescapeLiteral(std::string_view escaped);
+
+/// Reads a whole file with one read into a string sized from its length.
+Result<std::string> ReadFile(const std::string& path);
 
 }  // namespace shapestats

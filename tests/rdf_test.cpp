@@ -3,8 +3,11 @@
 // binding combinations against a brute-force oracle.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
 
+#include "datagen/lubm.h"
+#include "datagen/yago.h"
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
@@ -12,6 +15,7 @@
 #include "rdf/turtle.h"
 #include "rdf/vocab.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace shapestats::rdf {
 namespace {
@@ -301,6 +305,214 @@ TEST(NTriplesTest, RejectsParseIntoFinalizedGraph) {
   Graph g;
   g.Finalize();
   EXPECT_FALSE(ParseNTriples("<a> <b> <c> .", &g).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Loading: exact ids, the raw-key fast path, and its equivalence to
+// parsing and interning every token.
+
+std::string WriteTempFile(const std::string& name, const std::string& text) {
+  std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path, std::ios::binary) << text;
+  return path;
+}
+
+// Dictionary keys in id order.
+std::vector<std::string> Keys(const TermDictionary& dict) {
+  std::vector<std::string> keys;
+  for (TermId id = 1; id <= dict.size(); ++id) keys.push_back(dict.ToNTriples(id));
+  return keys;
+}
+
+std::vector<Triple> Triples(const Graph& g) {
+  return {g.triples().begin(), g.triples().end()};
+}
+
+// Ids are part of every digest and of the row order of queries without
+// ORDER BY, so they must not depend on the compiler. N-Triples interns each
+// line's object, predicate, subject in that order.
+TEST(LoadIdsTest, NTriplesGoldenIds) {
+  Graph g;
+  ASSERT_TRUE(LoadNTriplesFile(WriteTempFile("golden.nt",
+                                             "<http://x/a> <http://x/p> <http://x/b> .\n"
+                                             "<http://x/b> <http://x/q> \"lit\" .\n"
+                                             "_:n <http://x/p> <http://x/a> .\n"),
+                               &g)
+                  .ok());
+  g.Finalize();
+  EXPECT_EQ(Keys(g.dict()),
+            (std::vector<std::string>{"<http://x/b>", "<http://x/p>", "<http://x/a>",
+                                      "\"lit\"", "<http://x/q>", "_:n"}));
+  EXPECT_EQ(Triples(g), (std::vector<Triple>{{1, 5, 4}, {3, 2, 1}, {6, 2, 3}}));
+}
+
+TEST(LoadIdsTest, AddOfTermsInternsObjectPredicateSubject) {
+  Graph g;
+  g.Add(Term::Iri("http://x/a"), Term::Iri("http://x/p"), Term::Literal("v"));
+  EXPECT_EQ(Keys(g.dict()),
+            (std::vector<std::string>{"\"v\"", "<http://x/p>", "<http://x/a>"}));
+}
+
+// Turtle interns in reading order: subject, predicate, object.
+TEST(LoadIdsTest, TurtleGoldenIds) {
+  Graph g;
+  ASSERT_TRUE(LoadTurtleFile(WriteTempFile("golden.ttl",
+                                           "@prefix ex: <http://x/> .\n"
+                                           "ex:a ex:p ex:b ;\n"
+                                           "     ex:q \"lit\" .\n"
+                                           "_:n ex:p ex:a .\n"),
+                             &g)
+                  .ok());
+  g.Finalize();
+  EXPECT_EQ(Keys(g.dict()),
+            (std::vector<std::string>{"<http://x/a>", "<http://x/p>", "<http://x/b>",
+                                      "<http://x/q>", "\"lit\"", "_:n"}));
+  EXPECT_EQ(Triples(g), (std::vector<Triple>{{1, 2, 3}, {1, 4, 5}, {6, 2, 1}}));
+}
+
+TEST(LoadIdsTest, MissingFileIsAnIoError) {
+  Graph g;
+  Status st = LoadNTriplesFile(::testing::TempDir() + "/no_such_file.nt", &g);
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+}
+
+// A token spelled exactly like an existing key skips ParseTerm; the
+// predicate and subject kind checks must still apply to it.
+TEST(NTriplesFastPathTest, InternedNonIriPredicateIsRejected) {
+  for (const char* line : {"<http://x/s> \"lit\" <http://x/o> .",
+                           "<http://x/s> _:b <http://x/o> ."}) {
+    Graph g;
+    for (const Term& t : {Term::Iri("http://x/s"), Term::Iri("http://x/o"),
+                          Term::Literal("lit"), Term::Blank("b")}) {
+      g.dict().Intern(t);
+    }
+    Status st = ParseNTriples(line, &g);
+    ASSERT_FALSE(st.ok()) << line;
+    EXPECT_NE(st.message().find("predicate must be an IRI"), std::string::npos);
+    EXPECT_EQ(g.dict().size(), 4u);
+  }
+}
+
+TEST(NTriplesFastPathTest, InternedLiteralSubjectIsRejected) {
+  Graph g;
+  g.dict().Intern(Term::Literal("lit"));
+  Status st = ParseNTriples("\"lit\" <http://x/p> <http://x/o> .", &g);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("subject must not be a literal"), std::string::npos);
+  EXPECT_EQ(g.dict().size(), 1u);
+}
+
+// Every term of a line is resolved and checked before any is interned.
+TEST(NTriplesFastPathTest, RejectedLineAddsNoTerm) {
+  const std::string first = "<http://x/s> <http://x/p> <http://x/o> .\n";
+  for (const char* bad : {"<http://x/new1> <http://x/new2> \"open .",
+                          "<http://x/new1> <http://x/new2> <http://x/new3>",
+                          "<http://x/new1> <http://x/new2> .",
+                          "\"new\" <http://x/new2> <http://x/new3> .",
+                          "<http://x/new1> \"new\" <http://x/new3> .",
+                          "<http://x/new1> _:new <http://x/new3> .",
+                          "<http://x/new1> <http://x/new2> bare .",
+                          "<http://x/s> <http://x/p> <http://x/o .",
+                          "<http://x/new1 <http://x/p> <http://x/o> ."}) {
+    Graph g;
+    Status st = ParseNTriples(first + bad, &g);
+    ASSERT_FALSE(st.ok()) << bad;
+    EXPECT_TRUE(StartsWith(st.message(), "line 2: ")) << st.message();
+    EXPECT_EQ(g.dict().size(), 3u) << bad;
+  }
+}
+
+// Raw spellings that are not the canonical key miss the lookup and are
+// canonicalized by ParseTerm + Intern.
+TEST(NTriplesFastPathTest, NonCanonicalLiteralsMapToCanonicalIds) {
+  Graph g;
+  ASSERT_TRUE(ParseNTriples(
+                  "<http://x/s> <http://x/p> \"x\" .\n"
+                  "<http://x/s> <http://x/q> "
+                  "\"x\"^^<http://www.w3.org/2001/XMLSchema#string> .\n"
+                  "<http://x/s> <http://x/p> \"a\\tb\" .\n"
+                  "<http://x/s> <http://x/q> \"a\tb\" .\n"
+                  "<http://x/s> <http://x/p> \"say \\\"hi\\\"\" .\n",
+                  &g)
+                  .ok());
+  const TermId x = *g.dict().Find(Term::Literal("x"));
+  const TermId tab = *g.dict().Find(Term::Literal("a\tb"));
+  EXPECT_EQ(g.dict().size(), 6u);  // s, p, q, "x", "a\tb", "say \"hi\""
+  EXPECT_TRUE(g.dict().Find(Term::Literal("say \"hi\"")).has_value());
+  const TermId s = *g.dict().FindIri("http://x/s");
+  const TermId q = *g.dict().FindIri("http://x/q");
+  g.Finalize();
+  EXPECT_TRUE(g.Contains(s, q, x));
+  EXPECT_TRUE(g.Contains(s, q, tab));
+  EXPECT_EQ(g.dict().ToNTriples(tab), "\"a\\tb\"");
+}
+
+TEST(NTriplesFastPathTest, TabsCrlfCommentsAndNoFinalNewline) {
+  Graph g;
+  ASSERT_TRUE(ParseNTriples("# header\r\n"
+                            "<http://x/s>\t<http://x/p>\t<http://x/o>\t.\r\n"
+                            "   # indented comment\n"
+                            "\r\n"
+                            "\t<http://x/s> <http://x/p>  \"two\twords\"@en .\r\n"
+                            "<http://x/o> <http://x/p> <http://x/s>.",
+                            &g)
+                  .ok());
+  EXPECT_EQ(g.dict().size(), 4u);
+  EXPECT_TRUE(g.dict().Find(Term::Literal("two\twords", "", "en")).has_value());
+  g.Finalize();
+  EXPECT_EQ(g.NumTriples(), 3u);
+}
+
+// Reference loader: Intern(ParseTerm(token)) for every token, object first.
+// Handles only WriteNTriples output, where subject and predicate hold no
+// space and every line ends in " .".
+Graph ReferenceLoad(std::string_view text) {
+  Graph g;
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t eol = text.find('\n', pos);
+    std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    const size_t a = line.find(' ');
+    const size_t b = line.find(' ', a + 1);
+    const TermId o = g.dict().Intern(*ParseTerm(line.substr(b + 1, line.size() - b - 3)));
+    const TermId p = g.dict().Intern(*ParseTerm(line.substr(a + 1, b - a - 1)));
+    const TermId s = g.dict().Intern(*ParseTerm(line.substr(0, a)));
+    g.Add(s, p, o);
+  }
+  g.Finalize();
+  return g;
+}
+
+void ExpectLoadRoundTrip(const Graph& g) {
+  const TermDictionary& dict = g.dict();
+  ASSERT_GT(dict.size(), 0u);
+  for (TermId id = 1; id <= dict.size(); ++id) {
+    const std::string key = dict.ToNTriples(id);
+    ASSERT_EQ(dict.FindKey(key), id) << key;
+    Result<Term> parsed = ParseTerm(key);
+    ASSERT_TRUE(parsed.ok()) << key;
+    ASSERT_EQ(*parsed, dict.term(id)) << key;
+  }
+  const std::string text = WriteNTriples(g);
+  Graph loaded;
+  ASSERT_TRUE(ParseNTriples(text, &loaded).ok());
+  loaded.Finalize();
+  Graph reference = ReferenceLoad(text);
+  EXPECT_EQ(Keys(loaded.dict()), Keys(reference.dict()));
+  EXPECT_EQ(Triples(loaded), Triples(reference));
+  EXPECT_EQ(loaded.NumTriples(), g.NumTriples());
+}
+
+TEST(LoadRoundTripTest, Lubm1) {
+  datagen::LubmOptions opts;
+  opts.universities = 1;
+  ExpectLoadRoundTrip(datagen::GenerateLubm(opts));
+}
+
+TEST(LoadRoundTripTest, SmallYago) {
+  datagen::YagoOptions opts;
+  opts.num_entities = 5000;
+  ExpectLoadRoundTrip(datagen::GenerateYago(opts));
 }
 
 TEST(TurtleTest, PrefixesAndSemicolons) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
+#include <fstream>
 #include <functional>
 #include <numeric>
 #include <thread>
@@ -83,6 +85,25 @@ TEST(StringUtilTest, TrimAndAffixes) {
   EXPECT_FALSE(StartsWith("pre", "prefix"));
   EXPECT_TRUE(EndsWith("file.nt", ".nt"));
   EXPECT_FALSE(EndsWith("nt", ".nt"));
+}
+
+TEST(StringUtilTest, IsAsciiSpaceMatchesCLocaleIsspace) {
+  for (int c = 0; c < 256; ++c) {
+    EXPECT_EQ(IsAsciiSpace(static_cast<char>(c)), std::isspace(c) != 0) << c;
+  }
+  EXPECT_EQ(Trim("\v\f\r x \r\f\v"), "x");
+}
+
+TEST(StringUtilTest, ReadFileReadsEveryByte) {
+  std::string bytes;
+  for (int i = 0; i < 70000; ++i) bytes += static_cast<char>(i % 251);
+  const std::string path = ::testing::TempDir() + "/read_file.bin";
+  std::ofstream(path, std::ios::binary) << bytes;
+  Result<std::string> read = ReadFile(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, bytes);
+  Result<std::string> missing = ReadFile(path + ".missing");
+  EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
 }
 
 TEST(StringUtilTest, SplitJoin) {
