@@ -1,20 +1,23 @@
-// Micro-benchmark of the physical join operators (src/phys) on the three
-// shapes the cost model distinguishes, plus a hash-build stress shape:
+// Micro-benchmark of the physical join operators (src/phys) on five
+// two-pattern shapes:
 //
-//   small x large      — a tiny left input joined into a large pattern;
-//                        the tiny-left rule keeps INLJ, and forcing merge
-//                        or hash shows what the rule avoids.
+//   small x large      — about a thousand left rows (full professors)
+//                        joined into a large pattern: merge gallops to
+//                        each key's group, where hash builds over or scans
+//                        the whole run.
 //   large x large sorted   — the left rows arrive sorted by the join
 //                        variable (it leads the canonical row order), so
 //                        the merge join streams with no sort.
 //   large x large unsorted — the join variable does not lead the row
-//                        order; INLJ pays one index probe per left row
-//                        while hash builds once, so the cost-based
-//                        planner's pick should beat forced INLJ here.
-//   many keys          — the build side is a whole predicate run with about
+//                        order; INLJ pays one index probe per left row,
+//                        while merge radix-sorts the left keys once.
+//   many keys          — the right side is a whole predicate run with about
 //                        one row per distinct key (every person's e-mail
-//                        address), the LUBM case where a hash table pays
-//                        per distinct key rather than per row.
+//                        address), where a hash table pays per distinct key
+//                        rather than per row.
+//   sparse keys        — the left keys (full professors) hit a small share
+//                        of that long e-mail run, so the merge gallops over
+//                        the gaps instead of stepping through them.
 //
 // Every (shape, mode) run digests the full SELECT table; any divergence
 // across operators is a correctness bug and aborts the benchmark. Writes
@@ -123,6 +126,8 @@ int main() {
        "?x ub:takesCourse ?c . ?x a ub:UndergraduateStudent"},
       {"many_keys", "many keys",
        "?x ub:takesCourse ?c . ?x ub:emailAddress ?e"},
+      {"sparse_keys", "sparse keys",
+       "?x a ub:FullProfessor . ?x ub:emailAddress ?e"},
   };
   const std::vector<phys::JoinMode> modes = {
       phys::JoinMode::kInlj, phys::JoinMode::kMerge, phys::JoinMode::kHash,

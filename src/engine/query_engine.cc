@@ -95,8 +95,8 @@ std::string BuildFlightBundle(
       const phys::PhysicalStep& ps = pplan.steps[i];
       if (i) out += ",";
       out += "{\"op\":\"" + std::string(phys::OpName(ps.op)) +
-             "\",\"est_build\":" + FmtNum(ps.est_left) +
-             ",\"est_probe\":" + FmtNum(ps.est_right) + ",\"rationale\":\"" +
+             "\",\"est_build\":" + FmtNum(ps.EstBuild()) +
+             ",\"est_probe\":" + FmtNum(ps.EstProbe()) + ",\"rationale\":\"" +
              obs::JsonEscape(ps.rationale) + "\"}";
     }
     out += "]}";
@@ -386,8 +386,8 @@ void QueryEngine::FillStepTraces(const sparql::ParsedQuery& query,
     if (pplan != nullptr && k < pplan->steps.size()) {
       const phys::PhysicalStep& ps = pplan->steps[k];
       step.join_type = phys::OpName(ps.op);
-      step.est_build = ps.est_left;
-      step.est_probe = ps.est_right;
+      step.est_build = ps.EstBuild();
+      step.est_probe = ps.EstProbe();
     } else if (k == 0) {
       step.join_type = "scan";
     } else {
@@ -1092,8 +1092,9 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
       }
       if (step > 0 && ps.join_pos >= 0) {
         out += "  [build ~" +
-               WithCommas(static_cast<uint64_t>(ps.est_left)) + ", probe ~" +
-               WithCommas(static_cast<uint64_t>(ps.est_right)) + "]";
+               WithCommas(static_cast<uint64_t>(ps.EstBuild())) +
+               ", probe ~" +
+               WithCommas(static_cast<uint64_t>(ps.EstProbe())) + "]";
       }
       if (!ps.rationale.empty()) out += "; " + ps.rationale;
       out += "\n";

@@ -59,8 +59,9 @@ struct StepTrace {
   std::string join_type;
   double tp_est = 0;         // per-pattern estimated cardinality
   double est_card = 0;       // estimated cardinality after this join step
-  double est_build = 0;      // estimated hash build / merge left input rows
-  double est_probe = 0;      // estimated probe-side (pattern) rows
+  double est_build = 0;      // estimated build-side rows (hash table side,
+                             // else the left input; PhysicalStep::EstBuild)
+  double est_probe = 0;      // estimated probe-side rows (the other side)
   uint64_t true_card = 0;    // executor-measured cardinality (step_cards)
   double q_error = 0;        // QError(est_card, true_card)
   uint64_t rows_scanned = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <optional>
 #include <span>
 #include <utility>
@@ -37,7 +36,7 @@ OptId ConstOpt(const EncodedTerm& e) {
   return std::nullopt;
 }
 
-// One (left row, matching triple) pair of a merge/hash step, held until the
+// One (left row, matching triple) pair of a hash step, held until the
 // canonical-order commit restores the depth-first emission order.
 struct MatchPair {
   uint32_t left;
@@ -55,7 +54,7 @@ std::vector<uint32_t> JoinOrder(const PhysicalPlan& pplan) {
 // The sorted contiguous index run backing the right side of a merge join on
 // component `join_pos`, selected from the pattern's constants alone (see
 // MergeRunAvailable). Prefix-bound variables in other positions are checked
-// per emitted pair, not folded into the run.
+// per emitted row, not folded into the run.
 std::span<const Triple> MergeRightSpan(const rdf::Graph& g,
                                        const EncodedPattern& tp,
                                        int join_pos) {
@@ -79,13 +78,49 @@ std::span<const Triple> MergeRightSpan(const rdf::Graph& g,
   return g.triples_by_object();  // OSP
 }
 
+// The first index at or after `from` whose component `pos` is not below
+// `v`, in a run sorted by that component: an exponential search from
+// `from`, then a binary search inside the last step. O(log(result - from)).
+size_t Gallop(std::span<const Triple> run, size_t from, int pos, TermId v) {
+  auto below = [pos, v](const Triple& t) { return Comp(t, pos) < v; };
+  if (from >= run.size() || !below(run[from])) return from;
+  size_t lo = from, step = 1;  // invariant: run[lo] is below v
+  while (lo + step < run.size() && below(run[lo + step])) {
+    lo += step;
+    step *= 2;
+  }
+  const size_t hi = std::min(lo + step, run.size());
+  return std::partition_point(run.begin() + lo + 1, run.begin() + hi, below) -
+         run.begin();
+}
+
+// Stable LSD radix sort of (key << 32 | row) words by their key half, one
+// byte per pass. Passes over key bytes that are zero in every word are
+// skipped. Since the words arrive in row order, the result is in (key, row)
+// order. `spare` is resized and left holding garbage.
+template <typename Vec>
+void RadixSortByKey(Vec* words, Vec* spare) {
+  uint64_t key_bits = 0;
+  for (uint64_t w : *words) key_bits |= w >> 32;
+  spare->resize(words->size());
+  for (int shift = 32; shift < 64 && (key_bits >> (shift - 32)) != 0;
+       shift += 8) {
+    size_t start[257] = {};
+    for (uint64_t w : *words) ++start[((w >> shift) & 0xff) + 1];
+    for (int b = 0; b < 256; ++b) start[b + 1] += start[b];
+    for (uint64_t w : *words) (*spare)[start[(w >> shift) & 0xff]++] = w;
+    words->swap(*spare);
+  }
+}
+
 class PhysEvaluator {
  public:
-  // Materialization state (binding tables, match-pair staging, sort
-  // scratch, hash tables) is allocated through a CountingAllocator charging
-  // the query's MemoryAccount, so build bytes and the peak per-query
-  // footprint are measured where they are spent. A null account makes the
-  // allocator a passthrough; the container types never change.
+  // Materialization state (binding tables, the merge's key and group
+  // arrays, the hash step's match pairs and tables) is allocated through a
+  // CountingAllocator charging the query's MemoryAccount, so build bytes
+  // and the peak per-query footprint are measured where they are spent. A
+  // null account makes the allocator a passthrough; the container types
+  // never change.
   template <typename T>
   using Counted = std::vector<T, obs::CountingAllocator<T>>;
 
@@ -226,76 +261,79 @@ class PhysEvaluator {
     }
   }
 
+  // Merge join with the index run sorted by the join component. Left rows
+  // are visited in join-key order (row order when already sorted, else a
+  // radix sort's order), and each distinct key's run group is found by a
+  // gallop from the previous group's end. Rows are emitted in left-row
+  // order, each group in run order: that is the depth-first order, since
+  // every run is sorted by its free components in MatchOrder sequence
+  // (DESIGN.md §9).
   void MergeStep(size_t k, const PhysicalStep& st, const EncodedPattern& tp) {
     const int jp = st.join_pos;
     const sparql::VarId jv = st.join_var;
+    const std::span<const Triple> run =
+        jp == 0 || jp == 2 ? MergeRightSpan(graph_, tp, jp)
+                           : std::span<const Triple>();
     // Defensive fallbacks for ill-formed plans (the verifier reports them;
     // execution must still be correct): predicate joins have no run, and a
-    // join variable unbound in the prefix cannot drive a merge.
-    if ((jp != 0 && jp != 2) || jv >= width_) {
+    // join variable unbound in the prefix cannot drive a merge. Packed
+    // group bounds need 32-bit run offsets.
+    if ((jp != 0 && jp != 2) || jv >= width_ || run.size() > UINT32_MAX) {
       InljStep(k, tp);
       return;
     }
+    auto key = [&](size_t i) { return rows_[i * width_ + jv]; };
     bool sorted = true;
     for (size_t i = 0; i < num_rows_; ++i) {
-      const TermId v = rows_[i * width_ + jv];
-      if (v == rdf::kInvalidTermId) {
+      if (key(i) == rdf::kInvalidTermId) {
         InljStep(k, tp);
         return;
       }
-      if (i > 0 && rows_[(i - 1) * width_ + jv] > v) sorted = false;
+      if (i > 0 && key(i - 1) > key(i)) sorted = false;
     }
 
-    const std::span<const Triple> run = MergeRightSpan(graph_, tp, jp);
-    if (meter_.Probe(k)) return;
-
-    // Iterate left rows in ascending join-value order; ties keep row order.
-    Counted<uint32_t> idx{obs::CountingAllocator<uint32_t>(account_)};
+    // Unsorted left rows get (key << 32 | row) words sorted into (key, row)
+    // order, and then, per left row, their run group packed as
+    // (lo << 32 | hi) in the sort's spare array.
+    Counted<uint64_t> words{obs::CountingAllocator<uint64_t>(account_)};
+    Counted<uint64_t> groups{obs::CountingAllocator<uint64_t>(account_)};
     if (!sorted) {
-      idx.resize(num_rows_);
-      std::iota(idx.begin(), idx.end(), 0u);
-      std::sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
-        const TermId va = rows_[size_t(a) * width_ + jv];
-        const TermId vb = rows_[size_t(b) * width_ + jv];
-        if (va != vb) return va < vb;
-        return a < b;
-      });
+      words.resize(num_rows_);
+      for (size_t i = 0; i < num_rows_; ++i) {
+        words[i] = uint64_t{key(i)} << 32 | i;
+      }
+      RadixSortByKey(&words, &groups);
     }
+    auto row_at = [&](size_t r) -> size_t {
+      return sorted ? r : static_cast<uint32_t>(words[r]);
+    };
 
-    const Triple* base = run.data();
-    const size_t n = run.size();
-    Counted<MatchPair> pairs{obs::CountingAllocator<MatchPair>(account_)};
-    size_t lo = 0, hi = 0;
-    TermId cur = rdf::kInvalidTermId;
-    bool have_group = false;
-    for (size_t r = 0; r < num_rows_; ++r) {
-      const size_t i = sorted ? r : idx[r];
-      const TermId v = rows_[i * width_ + jv];
-      if (!have_group || v != cur) {
-        lo = hi;
-        while (lo < n && Comp(base[lo], jp) < v) {
-          ++lo;
-          if (meter_.Scan(k)) return;
-        }
-        hi = lo;
-        while (hi < n && Comp(base[hi], jp) == v) ++hi;
-        cur = v;
-        have_group = true;
-      }
+    auto emit_group = [&](size_t i, size_t lo, size_t hi) {
       for (size_t j = lo; j < hi; ++j) {
-        if (meter_.Scan(k)) return;
-        if (sorted) {
-          // Presorted left + sorted run: emission order IS the canonical
-          // depth-first order (DESIGN.md §9), so commit directly.
-          Emit(k, i, tp, base[j]);
-          if (meter_.timed_out()) return;
-        } else if (ProduceCheck(k, i, tp, base[j])) {
-          if (meter_.timed_out()) return;
-          pairs.push_back({static_cast<uint32_t>(i), base[j]});
-        }
+        if (meter_.Scan(k)) return false;
+        Emit(k, i, tp, run[j]);
+        if (meter_.timed_out()) return false;
+      }
+      return true;
+    };
+    size_t lo = 0, hi = 0;
+    for (size_t r = 0; r < num_rows_; ++r) {
+      const size_t i = row_at(r);
+      const TermId v = key(i);
+      if (r == 0 || v != key(row_at(r - 1))) {
+        if (meter_.Probe(k)) return;
+        lo = Gallop(run, hi, jp, v);
+        for (hi = lo; hi < run.size() && Comp(run[hi], jp) == v;) ++hi;
+      }
+      if (!sorted) {
+        groups[i] = uint64_t{lo} << 32 | hi;
+      } else if (!emit_group(i, lo, hi)) {
+        return;
       }
     }
-    if (!sorted) NormalizeAndCommit(k, tp, /*grouped=*/false, &pairs);
+    for (size_t i = 0; !sorted && i < num_rows_; ++i) {
+      if (!emit_group(i, groups[i] >> 32, groups[i] & UINT32_MAX)) return;
+    }
   }
 
   void HashStep(size_t k, const PhysicalStep& st, const EncodedPattern& tp) {
@@ -359,7 +397,7 @@ class PhysEvaluator {
     NormalizeAndCommit(k, tp, /*grouped=*/st.build_right, &pairs);
   }
 
-  // ---- canonical-order restoration ---------------------------------------
+  // ---- canonical-order restoration (hash steps) --------------------------
 
   // Brings match pairs into the depth-first emission order — (left row
   // index, then the pattern's free components in Graph::MatchOrder

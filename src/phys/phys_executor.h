@@ -6,14 +6,13 @@
 // Result contract: for every well-formed physical plan over the same join
 // order, the output is byte-for-byte identical to the depth-first INLJ
 // executor (exec::ExecuteBgp / exec::ExecuteSelect) — same rows in the
-// same order. Merge and hash steps generate (left row, triple) match
-// pairs and restore the canonical depth-first order afterwards: pairs are
-// committed in (left row index, free pattern components in
-// Graph::MatchOrder sequence) order, which is exactly the order the INLJ
-// probe would have emitted them in. The restoration is linear: a counting
-// sort by left row where the pairs are not grouped already, then a sort of
-// only those left-row groups that are out of MatchOrder (see DESIGN.md §9
-// for the argument).
+// same order. A merge step emits its left rows in order, each with its
+// group of the sorted index run in run order, which is already the order
+// the INLJ probe would have produced. A hash step stages (left row, triple)
+// match pairs and restores that order afterwards in linear time: a
+// counting sort by left row where the pairs are not grouped already, then
+// a sort of only those left-row groups that are out of Graph::MatchOrder
+// (see DESIGN.md §9 for both arguments).
 //
 // Probe, scan and row accounting, the timeout, row budget and
 // cancellation checks, the ExecTrace and the exec.* counters go through

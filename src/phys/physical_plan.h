@@ -22,7 +22,7 @@ enum class OpKind : uint8_t {
   kScan,     // step 0: index scan of the first pattern
   kInlj,     // index nested-loop join: one Graph::Match probe per left row
   kMerge,    // merge join of sorted left rows with a sorted index run
-  kHash,     // hash join, build side chosen by estimated cardinality
+  kHash,     // hash join, build side by estimate (forced mode only)
   kProduct,  // Cartesian step (no shared variable with the prefix)
 };
 
@@ -34,7 +34,7 @@ const char* OpName(OpKind op);
 /// Operator selection policy.
 enum class JoinMode : uint8_t {
   kEnv,    // resolve from SHAPESTATS_JOIN (default: kAuto)
-  kAuto,   // cost-based choice per step
+  kAuto,   // rule-based choice per step (merge where a run exists)
   kInlj,   // force index nested-loop joins everywhere
   kMerge,  // force merge joins wherever a sorted run exists (else INLJ)
   kHash,   // force hash joins on every join step
@@ -69,7 +69,13 @@ struct PhysicalStep {
   double est_left = 0;   // estimated left input rows (step k-1 estimate)
   double est_right = 0;  // estimated right input rows (TP estimate)
   double est_out = 0;    // estimated output rows (step k estimate)
-  /// Why the planner picked this operator (costs, forced mode, fallback).
+  /// Estimated build-side rows (hash table, or a merge's or INLJ's left
+  /// input) and probe-side rows: a build=right hash step builds on the
+  /// pattern and probes with the left rows.
+  bool BuildsRight() const { return op == OpKind::kHash && build_right; }
+  double EstBuild() const { return BuildsRight() ? est_right : est_left; }
+  double EstProbe() const { return BuildsRight() ? est_left : est_right; }
+  /// Why the planner picked this operator (rule, forced mode, fallback).
   std::string rationale;
 };
 

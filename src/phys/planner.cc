@@ -1,8 +1,5 @@
 #include "phys/planner.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <optional>
 #include <string>
 
@@ -16,8 +13,6 @@ using sparql::VarId;
 
 namespace {
 
-double Log2Of(double v) { return std::log2(std::max(2.0, v)); }
-
 // The variable at component `pos` of `tp`, if that component is a variable.
 std::optional<VarId> VarAt(const EncodedPattern& tp, int pos) {
   const sparql::EncodedTerm& t = pos == 0 ? tp.s : (pos == 1 ? tp.p : tp.o);
@@ -25,10 +20,24 @@ std::optional<VarId> VarAt(const EncodedPattern& tp, int pos) {
   return std::nullopt;
 }
 
+// The index run MergeRightSpan (phys_executor.cc) reads for a merge on
+// component `pos` of `tp`, named for the rationale.
+std::string MergeRunName(const EncodedPattern& tp, int pos) {
+  const char* index;
+  if (pos == 0) {
+    index = tp.p.is_bound() ? (tp.o.is_bound() ? "POS" : "PSO")
+                            : (tp.o.is_bound() ? "OSP" : "SPO");
+  } else {
+    index = tp.p.is_bound() ? (tp.s.is_bound() ? "SPO" : "POS") : "OSP";
+  }
+  return std::string(index) + " run sorted by " +
+         (pos == 0 ? "subject" : "object");
+}
+
 }  // namespace
 
 PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
-                          const rdf::Graph& graph,
+                          const rdf::Graph& /*graph*/,
                           const PlannerOptions& options) {
   static obs::Counter* plans =
       obs::MetricsRegistry::Global().GetCounter("phys.plans");
@@ -44,9 +53,6 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
   out.mode = ResolveJoinMode(options.mode);
   const bool has_est = plan.step_estimates.size() == plan.order.size() &&
                        plan.tp_estimates.size() == bgp.patterns.size();
-  const double probe_cost =
-      options.probe_log_factor *
-      Log2Of(static_cast<double>(graph.NumTriples()));
 
   // The canonical row order's leading key is the first pattern's first free
   // component (DFS emits rows sorted by it); a later merge on that variable
@@ -99,7 +105,7 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
         st.op = OpKind::kProduct;
         st.rationale = "no shared variable with the join prefix";
       } else {
-        const double l = st.est_left, r = st.est_right, o = st.est_out;
+        const double l = st.est_left, r = st.est_right;
         switch (out.mode) {
           case JoinMode::kInlj:
             st.op = OpKind::kInlj;
@@ -126,66 +132,32 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
             st.rationale = "forced by join mode hash";
             break;
           case JoinMode::kEnv:  // ResolveJoinMode never returns kEnv
-          case JoinMode::kAuto: {
+          case JoinMode::kAuto:
+            // The rule of DESIGN.md §9: INLJ unless a non-tiny left input
+            // can merge with a sorted index run.
             if (!has_est) {
               st.op = OpKind::kInlj;
               set_join(*general);
               st.rationale = "no estimates (textual plan); inlj";
-              break;
-            }
-            if (l <= options.tiny_left) {
+            } else if (l <= options.tiny_left) {
               st.op = OpKind::kInlj;
               set_join(*general);
               st.rationale = "tiny left side (~" + CompactDouble(l) +
                              " rows <= " + CompactDouble(options.tiny_left) +
                              "); inlj";
-              break;
-            }
-            const double cost_inlj = l * probe_cost + o;
-            const bool presorted =
-                st.merge_ok && leading_var && VarAt(tp, *mergeable) &&
-                *VarAt(tp, *mergeable) == *leading_var;
-            const double cost_merge =
-                st.merge_ok ? (presorted ? 0 : l * Log2Of(l)) + l + r +
-                                  (1 + options.materialize_factor) * o
-                            : std::numeric_limits<double>::infinity();
-            const double cost_hash =
-                options.hash_build_factor * std::min(l, r) +
-                options.hash_probe_factor * std::max(l, r) +
-                (1 + options.materialize_factor) * o;
-            std::string costs = "est cost inlj=" + CompactDouble(cost_inlj) +
-                                (st.merge_ok ? " merge=" + CompactDouble(cost_merge)
-                                             : " merge=n/a") +
-                                " hash=" + CompactDouble(cost_hash);
-            if (cost_inlj <= cost_merge && cost_inlj <= cost_hash) {
+            } else if (st.merge_ok) {
+              st.op = OpKind::kMerge;
+              set_join(*mergeable);
+              st.rationale = "left side ~" + CompactDouble(l) +
+                             " rows; merge with the " +
+                             MergeRunName(tp, *mergeable);
+            } else {
               st.op = OpKind::kInlj;
               set_join(*general);
-            } else if (cost_merge <= cost_hash) {
-              st.op = OpKind::kMerge;
-              set_join(*mergeable);
-            } else {
-              st.op = OpKind::kHash;
-              set_join(*general);
-              st.build_right = r <= l;
-            }
-            st.rationale = costs + " -> " + OpName(st.op);
-            // Sort-order-aware tie-break: a presorted merge within epsilon
-            // of the winner takes the step (see PlannerOptions).
-            const double best =
-                std::min(cost_inlj, std::min(cost_merge, cost_hash));
-            if (st.op != OpKind::kMerge && presorted &&
-                cost_merge <= best * (1 + options.tie_break_epsilon)) {
-              const char* beaten = OpName(st.op);
-              st.op = OpKind::kMerge;
-              set_join(*mergeable);
-              st.build_right = false;
-              st.rationale = costs + " -> merge (tie-break: left presorted on "
-                                     "join key, merge within " +
-                             CompactDouble(options.tie_break_epsilon * 100) +
-                             "% of " + beaten + ")";
+              st.rationale =
+                  "no index run sorted by the join component; inlj";
             }
             break;
-          }
         }
       }
     }

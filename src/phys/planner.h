@@ -1,6 +1,7 @@
 // PhysicalPlanner: annotates an opt::Plan join order with a physical
-// operator per step, chosen from the same shape-statistics cardinalities
-// that ordered the joins (DESIGN.md §9 documents the cost model).
+// operator per step. In auto mode the choice is a rule over the
+// shape-statistics estimate of the left input and the sorted index runs
+// the store holds (DESIGN.md §9 documents the rule).
 #pragma once
 
 #include "opt/plan.h"
@@ -13,26 +14,9 @@ namespace shapestats::phys {
 struct PlannerOptions {
   /// Operator policy; kEnv resolves SHAPESTATS_JOIN (default auto).
   JoinMode mode = JoinMode::kEnv;
-  /// Left inputs at or below this many estimated rows always use INLJ —
-  /// a handful of index probes beats building any intermediate structure.
+  /// In auto mode, left inputs at or below this many estimated rows use
+  /// INLJ — a handful of index probes beats materializing anything.
   double tiny_left = 64;
-  /// Estimated cost of one Graph::Match probe, in scanned-triple units,
-  /// per log2(N) of the store size (binary searches on two bounds).
-  double probe_log_factor = 2.0;
-  /// Hash join per-row factors: building is pricier than probing.
-  double hash_build_factor = 2.0;
-  double hash_probe_factor = 1.25;
-  /// Per-output-row cost of materializing + canonical-order restoration,
-  /// charged to merge and hash (INLJ streams in canonical order for free).
-  double materialize_factor = 0.5;
-  /// Sort-order-aware tie-breaking: when a merge join's left input is
-  /// already in join-key order (no sort needed) and its estimated cost is
-  /// within this relative margin of the cheapest operator, prefer the merge
-  /// — estimates that close are noise, and the presorted merge's cost is
-  /// mostly sequential reads while INLJ/hash costs hide probe/build
-  /// constants the model can only approximate. Clear-cut decisions
-  /// (gap above the margin) are never overridden. 0 disables.
-  double tie_break_epsilon = 0.05;
 };
 
 /// Chooses a physical operator for every step of `plan.order` against

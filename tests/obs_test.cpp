@@ -26,6 +26,7 @@
 #include "phys/planner.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "workload/queries.h"
 
@@ -275,6 +276,53 @@ TEST(Explain, GoldenPlanRendering) {
             "       op: inlj  [build ~3, probe ~3]; "
             "tiny left side (~3 rows <= 64); inlj\n"
             "estimated cost: 8\n");
+}
+
+TEST(Explain, HashBuildRightReportsPatternSideAsBuild) {
+  // A build=right hash step builds its table over the pattern's run, so
+  // EXPLAIN and the trace must report the right-side estimate as build.
+  datagen::LubmOptions lubm;
+  lubm.universities = 1;
+  engine::EngineOptions options;
+  options.join_mode = phys::JoinMode::kHash;
+  auto eng = engine::QueryEngine::Open(datagen::GenerateLubm(lubm), options);
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  constexpr char kQuery[] =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+      "SELECT * WHERE { ?x ub:takesCourse ?c . ?y ub:teacherOf ?c . "
+      "?x ub:name ?n }";
+  auto run = eng->Execute(kQuery);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  size_t k = 0;
+  while (k < run->phys.steps.size() &&
+         !(run->phys.steps[k].BuildsRight() &&
+           run->phys.steps[k].est_right < run->phys.steps[k].est_left)) {
+    ++k;
+  }
+  ASSERT_LT(k, run->phys.steps.size()) << run->phys.Summary();
+  const phys::PhysicalStep& st = run->phys.steps[k];
+  EXPECT_EQ(st.EstBuild(), st.est_right);
+  EXPECT_EQ(st.EstProbe(), st.est_left);
+
+  auto text = eng->Explain(kQuery);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  const std::string line =
+      "hash(build=right)  [build ~" +
+      WithCommas(static_cast<uint64_t>(st.est_right)) + ", probe ~" +
+      WithCommas(static_cast<uint64_t>(st.est_left)) + "]";
+  EXPECT_NE(text->find(line), std::string::npos) << *text;
+
+  auto analyzed = eng->ExplainAnalyze(kQuery);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  ASSERT_LT(k, analyzed->trace.steps.size());
+  EXPECT_EQ(analyzed->trace.steps[k].est_build, st.est_right);
+  EXPECT_EQ(analyzed->trace.steps[k].est_probe, st.est_left);
+  char fields[96];
+  std::snprintf(fields, sizeof(fields),
+                "\"est_build\":%.6g,\"est_probe\":%.6g", st.est_right,
+                st.est_left);
+  EXPECT_NE(analyzed->json.find(fields), std::string::npos)
+      << analyzed->json;
 }
 
 // --- ExplainAnalyze --------------------------------------------------------

@@ -211,16 +211,40 @@ TEST_F(PhysFixture, AutoModeTinyLeftPrefersInlj) {
   }
 }
 
-TEST_F(PhysFixture, AutoModeRecordsCostsWhenPastTinyThreshold) {
-  auto bgp = Encode("?x a ex:Student . ?x ex:advisor ?p . ?p ex:teaches ?c");
-  opt::Plan plan = PlanFor(bgp);
+TEST_F(PhysFixture, AutoModeRulePastTinyThreshold) {
+  // Past tiny_left, a step whose join component has a sorted index run is
+  // a merge naming that run, a predicate-position join is an INLJ, and a
+  // textual plan (no estimates) is an INLJ.
+  auto bgp = Encode(
+      "?x ex:advisor ?p . ?y ex:teaches ?p . ?x ex:name ?n . ?s ?n ?o");
+  opt::Plan plan;
+  plan.order = {0, 1, 2, 3};
+  plan.step_estimates = {4, 4, 4, 4};
+  plan.tp_estimates.resize(bgp.patterns.size());
+  for (card::TpEstimate& tp : plan.tp_estimates) tp.card = 4;
   phys::PlannerOptions opts = Forced(JoinMode::kAuto);
-  opts.tiny_left = 0;  // force the cost comparison even on tiny data
+  opts.tiny_left = 0;
   phys::PhysicalPlan pplan = phys::PlanPhysical(bgp, plan, graph_, opts);
-  for (size_t k = 1; k < pplan.steps.size(); ++k) {
-    EXPECT_NE(pplan.steps[k].rationale.find("est cost inlj="),
-              std::string::npos)
-        << pplan.steps[k].rationale;
+  ASSERT_EQ(pplan.steps.size(), 4u);
+  EXPECT_EQ(pplan.steps[1].op, OpKind::kMerge);
+  EXPECT_EQ(pplan.steps[1].join_pos, 2);
+  EXPECT_EQ(pplan.steps[1].rationale,
+            "left side ~4 rows; merge with the POS run sorted by object");
+  EXPECT_EQ(pplan.steps[2].op, OpKind::kMerge);
+  EXPECT_EQ(pplan.steps[2].rationale,
+            "left side ~4 rows; merge with the PSO run sorted by subject");
+  EXPECT_EQ(pplan.steps[3].op, OpKind::kInlj);
+  EXPECT_EQ(pplan.steps[3].join_pos, 1);
+  EXPECT_EQ(pplan.steps[3].rationale,
+            "no index run sorted by the join component; inlj");
+
+  opt::Plan textual;
+  textual.order = plan.order;
+  for (const phys::PhysicalStep& st :
+       phys::PlanPhysical(bgp, textual, graph_, opts).steps) {
+    if (st.op == OpKind::kScan) continue;
+    EXPECT_EQ(st.op, OpKind::kInlj);
+    EXPECT_EQ(st.rationale, "no estimates (textual plan); inlj");
   }
 }
 
@@ -630,6 +654,163 @@ TEST(PhysOrderTest, EveryBuildSideCommitsDepthFirstRows) {
       EXPECT_EQ(rows->rows, expected_rows->rows);
       EXPECT_EQ(cards->step_cards, expected_cards->step_cards);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Merge joins over every index run MergeRightSpan serves: left rows sorted
+// and unsorted on the join key, with and without a second prefix-bound
+// variable in the merged pattern, plus the key-distribution edge cases.
+
+// Nodes ex:n0..ex:n29 are interned right after 250 unused terms, so their
+// ids ascend with the index and straddle 256: key order below is node
+// order, and the merge's radix sort of the left keys needs two passes.
+rdf::Graph MergeGraph() {
+  rdf::Graph g;
+  auto node = [](int i) {
+    return rdf::Term::Iri("http://ex/n" + std::to_string(i % 30));
+  };
+  auto iri = [](const std::string& local) {
+    return rdf::Term::Iri("http://ex/" + local);
+  };
+  for (int f = 0; f < 250; ++f) {
+    g.dict().Intern(rdf::Term::Iri("http://ex/u" + std::to_string(f)));
+  }
+  for (int i = 0; i < 30; ++i) g.dict().Intern(node(i));
+  for (int i = 0; i < 30; ++i) {
+    // ?x ex:drv ?y lists the nodes out of order; ?y ex:drv ?x in order.
+    if (i % 3 != 0) g.Add(node(i), iri("drv"), node(7 * i + 3));
+    g.Add(node(i), iri("w"), node(i + 5));
+    g.Add(node(i), iri("usesPred"), iri(i % 2 == 0 ? "p" : "q"));
+    if (i % 2 == 0) {
+      for (int j : {i + 5, i * i, i + 25}) g.Add(node(i), iri("p"), node(j));
+    }
+    if (i % 5 != 1) g.Add(node(i), iri("q"), node(3 * i));
+    if (i % 4 == 0) g.Add(node(i), iri("p"), iri("o1"));
+    if (i % 6 == 0) g.Add(node(i), iri("q"), iri("o1"));
+    if (i < 10) g.Add(node(i), iri("same"), node(4));
+    if (i >= 10 && i < 20) g.Add(node(i), iri("r"), node(i + 1));
+    g.Add(node(i), iri("self"), node(i % 2 == 0 ? i : i + 1));
+  }
+  g.Finalize();
+  return g;
+}
+
+// Runs `body` in textual order: every step INLJ except the last, a merge on
+// component `join_pos` of the last pattern. Checks the table and the step
+// cardinalities against the depth-first executor and returns the merge
+// step's work counters.
+obs::ExecTrace CheckMergeAgainstInlj(const rdf::Graph& graph,
+                                     const std::string& body, int join_pos) {
+  SCOPED_TRACE(body);
+  obs::ExecTrace trace;
+  auto q = sparql::ParseQuery("PREFIX ex: <http://ex/>\nSELECT * WHERE { " +
+                              body + " }");
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  if (!q.ok()) return trace;
+  sparql::EncodedBgp bgp = sparql::EncodeBgp(*q, graph.dict());
+  std::vector<uint32_t> order(bgp.patterns.size());
+  for (size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::vector<OpKind> ops(order.size() - 1, OpKind::kInlj);
+  ops.back() = OpKind::kMerge;
+  phys::PhysicalPlan pplan = HandPlan(bgp, ops);
+  phys::PhysicalStep& last = pplan.steps.back();
+  const sparql::EncodedPattern& tp = bgp.patterns.back();
+  last.join_pos = join_pos;
+  last.join_var = (join_pos == 0 ? tp.s : tp.o).id;
+  EXPECT_TRUE(phys::MergeRunAvailable(tp, join_pos));
+
+  auto expected_rows = exec::ExecuteSelect(graph, *q, bgp, order);
+  auto expected_cards = exec::ExecuteBgp(graph, bgp, order);
+  EXPECT_TRUE(expected_rows.ok() && expected_cards.ok());
+  if (!expected_rows.ok() || !expected_cards.ok()) return trace;
+  EXPECT_FALSE(expected_rows->rows.empty());
+  exec::ExecOptions opts;
+  opts.trace = &trace;
+  auto rows = phys::ExecuteSelectPhysical(graph, *q, bgp, pplan, opts);
+  auto cards = phys::ExecuteBgpPhysical(graph, bgp, pplan);
+  EXPECT_TRUE(rows.ok() && cards.ok());
+  if (!rows.ok() || !cards.ok()) return trace;
+  EXPECT_EQ(rows->rows, expected_rows->rows);
+  EXPECT_EQ(cards->step_cards, expected_cards->step_cards);
+  return trace;
+}
+
+TEST(PhysMergeTest, EveryRunSignatureEmitsDepthFirstRows) {
+  const rdf::Graph graph = MergeGraph();
+  struct Case {
+    const char* prefix;  // binds ?x, and ?w when the pattern uses it
+    const char* merged;
+    int join_pos;
+  };
+  const std::vector<Case> cases = {
+      // Subject joins: constants {p,o}, {p}, {o}, none.
+      {"", "?x ex:p ex:o1", 0},
+      {"", "?x ex:p ?z", 0},
+      {"?x ex:w ?w .", "?x ex:p ?w", 0},
+      {"", "?x ?q ex:o1", 0},
+      {"?x ex:usesPred ?w .", "?x ?w ex:o1", 0},
+      {"", "?x ?q ?z", 0},
+      {"?x ex:w ?w .", "?x ?q ?w", 0},
+      {"?x ex:usesPred ?w .", "?x ?w ?z", 0},
+      // Object joins: constants {s,p}, {p}, none.
+      {"", "ex:n4 ex:p ?x", 2},
+      {"", "?z ex:p ?x", 2},
+      {"?w ex:w ?x .", "?w ex:p ?x", 2},
+      {"", "?z ?q ?x", 2},
+      {"?w ex:w ?x .", "?w ?q ?x", 2},
+      {"?x ex:usesPred ?w .", "?z ?w ?x", 2},
+  };
+  // Left rows unsorted on ?x (the POS scan leads with ?y), then sorted.
+  for (const char* lead : {"?x ex:drv ?y .", "?y ex:drv ?x ."}) {
+    for (const Case& c : cases) {
+      CheckMergeAgainstInlj(graph,
+                            std::string(lead) + " " + c.prefix + " " +
+                                c.merged,
+                            c.join_pos);
+    }
+  }
+}
+
+TEST(PhysMergeTest, KeyDistributionEdgeCases) {
+  const rdf::Graph graph = MergeGraph();
+  const std::vector<std::string> bodies = {
+      // Duplicate left keys: every ?x repeats once per ex:p object.
+      "?x ex:p ?y . ?x ex:q ?z",
+      "?y ex:p ?x . ?x ex:q ?z",
+      // All-equal left keys.
+      "?y ex:same ?x . ?x ex:p ?z",
+      // Keys absent from the ex:r run (subjects n10..n19), and keys before
+      // its first and after its last triple.
+      "?x ex:drv ?y . ?x ex:r ?z",
+      "?y ex:drv ?x . ?x ex:r ?z",
+      // A single left row.
+      "ex:n1 ex:drv ?x . ?x ex:q ?z",
+      // A repeated variable in the merged pattern.
+      "?x ex:drv ?y . ?x ex:self ?x",
+      "?y ex:drv ?x . ?x ex:self ?x",
+  };
+  for (const std::string& body : bodies) CheckMergeAgainstInlj(graph, body, 0);
+}
+
+TEST(PhysMergeTest, ProbesOncePerDistinctKeyAndSkipsUnmatchedRun) {
+  const rdf::Graph graph = MergeGraph();
+  const rdf::TermId p = *graph.dict().FindIri("http://ex/p");
+  const uint64_t run_size = graph.PredicateBySubject(p).size();
+  // ex:same gives ten left rows with one key, ex:n4: one gallop, and only
+  // n4's three ex:p triples are scanned, once per left row.
+  obs::ExecTrace same =
+      CheckMergeAgainstInlj(graph, "?y ex:same ?x . ?x ex:p ?z", 0);
+  ASSERT_EQ(same.step_probes.size(), 2u);
+  EXPECT_EQ(same.step_probes[1], 1u);
+  EXPECT_EQ(same.step_rows_scanned[1], 10u * 4u);
+  // ex:drv reaches 20 distinct nodes, in and out of key order.
+  for (const char* body :
+       {"?x ex:drv ?y . ?x ex:p ?z", "?y ex:drv ?x . ?x ex:p ?z"}) {
+    obs::ExecTrace t = CheckMergeAgainstInlj(graph, body, 0);
+    ASSERT_EQ(t.step_probes.size(), 2u);
+    EXPECT_EQ(t.step_probes[1], 20u) << body;
+    EXPECT_LT(t.step_rows_scanned[1], run_size) << body;
   }
 }
 
