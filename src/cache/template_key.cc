@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
+#include <charconv>
 #include <numeric>
+
+#include "obs/query_phase.h"
 
 namespace shapestats::cache {
 namespace {
@@ -26,10 +28,16 @@ uint64_t Mix64(uint64_t x) {
 /// Order-sensitive combine (Mix(Mix(h,a),b) != Mix(Mix(h,b),a)).
 uint64_t Mix(uint64_t h, uint64_t v) { return Mix64(h ^ Mix64(v)); }
 
-uint64_t HashBytes(const std::string& s) {
+uint64_t HashBytes(std::string_view s) {
   uint64_t h = kFnvOffset;
   for (unsigned char c : s) h = MixByte(h, c);
   return h;
+}
+
+void AppendUint(std::string* out, uint64_t v) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, end);
 }
 
 /// How one pattern slot enters the canonical form.
@@ -46,14 +54,16 @@ struct Slot {
 };
 
 /// Per-thread working set reused across calls: canonicalization sits on the
-/// cache-hit fast path, so the dozen small vectors it needs are kept warm
-/// instead of reallocated per query.
+/// cache-hit fast path, so the dozen small vectors and the rendered FILTER
+/// strings it needs are kept warm instead of reallocated per query.
 struct Scratch {
   std::vector<std::array<Slot, 3>> slots;
   std::vector<uint32_t> param_ids;  // term id per parameter class
   std::vector<uint64_t> sig, vcol, pcol, pat_color, vacc, pacc, color_scratch;
   std::vector<uint32_t> perm, prev, vcanon, pcanon;
   std::vector<std::array<uint64_t, 6>> exact;
+  std::string term;                  // one constant's N-Triples form
+  std::vector<std::string> filters;  // rendered FILTERs (first n in use)
 };
 
 Scratch& GetScratch() {
@@ -63,28 +73,40 @@ Scratch& GetScratch() {
 
 }  // namespace
 
-std::string CanonicalTemplate::ShortId() const {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "t:%016llx",
-                static_cast<unsigned long long>(hash));
-  return buf;
-}
+std::string CanonicalTemplate::ShortId() const { return obs::TemplateId(hash); }
 
 CanonicalTemplate CanonicalizeTemplate(const sparql::ParsedQuery& query,
                                        const sparql::EncodedBgp& bgp,
                                        rdf::TermId rdf_type_id) {
   CanonicalTemplate out;
+  CanonicalizeTemplate(query, bgp, rdf_type_id, &out);
+  return out;
+}
+
+void CanonicalizeTemplate(const sparql::ParsedQuery& query,
+                          const sparql::EncodedBgp& bgp,
+                          rdf::TermId rdf_type_id, CanonicalTemplate* result) {
+  CanonicalTemplate& out = *result;
+  out.cacheable = false;
+  out.bypass_reason.clear();
+  out.key.clear();
+  out.hash = 0;
+  out.canon_to_instance.clear();
+  out.instance_to_canon.clear();
+  out.var_canon_to_instance.clear();
+  out.var_instance_to_canon.clear();
+  out.num_params = 0;
   const size_t n = bgp.patterns.size();
   if (n == 0) {
     out.bypass_reason = "empty-bgp";
-    return out;
+    return;
   }
   for (const auto& tp : bgp.patterns) {
     if (tp.HasMissingConstant()) {
       // Estimates for missing constants are value-sensitive (they collapse
       // to zero); the static checker short-circuits these queries anyway.
       out.bypass_reason = "missing-constant";
-      return out;
+      return;
     }
   }
 
@@ -168,8 +190,10 @@ CanonicalTemplate CanonicalizeTemplate(const sparql::ParsedQuery& query,
     uint64_t fsig = Mix(kFnvOffset, static_cast<uint64_t>(f.op));
     const sparql::PatternTerm* operands[2] = {&f.lhs, &f.rhs};
     for (int side = 0; side < 2; ++side) {
-      if (!sparql::IsVar(*operands[side]))
-        fsig = Mix(fsig, HashBytes(sparql::AsTerm(*operands[side]).ToNTriples()));
+      if (sparql::IsVar(*operands[side])) continue;
+      sc.term.clear();
+      sparql::AsTerm(*operands[side]).AppendNTriples(&sc.term);
+      fsig = Mix(fsig, HashBytes(sc.term));
     }
     for (int side = 0; side < 2; ++side) {
       if (!sparql::IsVar(*operands[side])) continue;
@@ -309,22 +333,24 @@ CanonicalTemplate CanonicalizeTemplate(const sparql::ParsedQuery& query,
   }
   AssignIds();
 
-  // --- Render the key. Offset/limit are deliberately excluded: they do
-  // not affect the logical plan, the physical plan before the engine's
-  // per-instance ASK/LIMIT pipelining downgrade, or the verdict. ---
-  std::string key;
+  // --- Render the key, straight into the caller's (reused) string.
+  // Offset/limit are deliberately excluded: they do not affect the logical
+  // plan, the physical plan before the engine's per-instance ASK/LIMIT
+  // pipelining downgrade, or the verdict. ---
+  std::string& key = out.key;
   key.reserve(64 + 24 * n);
   key += query.is_ask ? "ask" : query.count_aggregate ? "count" : "sel";
   if (query.distinct) key += ",distinct";
   key += ";proj=";
-  auto AppendVarByName = [&](const std::string& name) {
+  // A variable absent from the BGP (always unbound) keeps its name.
+  auto AppendVarByName = [&](std::string* to, const std::string& name) {
     int v = FindVar(name);
     if (v >= 0) {
-      key += 'v';
-      key += std::to_string(vcanon[v]);
+      *to += 'v';
+      AppendUint(to, vcanon[v]);
     } else {
-      key += "u:";  // variable absent from the BGP (always unbound)
-      key += name;
+      *to += "u:";
+      *to += name;
     }
   };
   if (query.select_all || query.count_aggregate) {
@@ -332,7 +358,7 @@ CanonicalTemplate CanonicalizeTemplate(const sparql::ParsedQuery& query,
   } else {
     for (size_t pi = 0; pi < query.projection.size(); ++pi) {
       if (pi) key += ',';
-      AppendVarByName(query.projection[pi].name);
+      AppendVarByName(&key, query.projection[pi].name);
     }
   }
   key += ";bgp=";
@@ -344,25 +370,28 @@ CanonicalTemplate CanonicalizeTemplate(const sparql::ParsedQuery& query,
       switch (s.cls) {
         case SlotClass::kVar:
           key += 'v';
-          key += std::to_string(vcanon[s.node]);
+          AppendUint(&key, vcanon[s.node]);
           break;
         case SlotClass::kParam:
           key += 'p';
-          key += std::to_string(pcanon[s.node]);
+          AppendUint(&key, pcanon[s.node]);
           break;
         case SlotClass::kConcrete:
           key += 'c';
-          key += std::to_string(s.concrete);
+          AppendUint(&key, s.concrete);
           break;
       }
     }
     key += ')';
   }
   if (!query.filters.empty()) {
-    std::vector<std::string> rendered;
-    rendered.reserve(query.filters.size());
-    for (const auto& f : query.filters) {
-      std::string fs = "f(";
+    const size_t nf = query.filters.size();
+    std::vector<std::string>& rendered = sc.filters;
+    if (rendered.size() < nf) rendered.resize(nf);
+    for (size_t fi = 0; fi < nf; ++fi) {
+      const auto& f = query.filters[fi];
+      std::string& fs = rendered[fi];
+      fs = "f(";
       const sparql::PatternTerm* operands[2] = {&f.lhs, &f.rhs};
       for (int side = 0; side < 2; ++side) {
         if (side) {
@@ -371,35 +400,26 @@ CanonicalTemplate CanonicalizeTemplate(const sparql::ParsedQuery& query,
           fs += ' ';
         }
         if (sparql::IsVar(*operands[side])) {
-          const std::string& name = sparql::AsVar(*operands[side]).name;
-          int v = FindVar(name);
-          if (v >= 0) {
-            fs += 'v';
-            fs += std::to_string(vcanon[v]);
-          } else {
-            fs += "u:" + name;
-          }
+          AppendVarByName(&fs, sparql::AsVar(*operands[side]).name);
         } else {
-          fs += sparql::AsTerm(*operands[side]).ToNTriples();
+          sparql::AsTerm(*operands[side]).AppendNTriples(&fs);
         }
       }
       fs += ')';
-      rendered.push_back(std::move(fs));
     }
-    std::sort(rendered.begin(), rendered.end());
+    std::sort(rendered.begin(), rendered.begin() + nf);
     key += ";filters=";
-    for (const auto& fs : rendered) key += fs;
+    for (size_t fi = 0; fi < nf; ++fi) key += rendered[fi];
   }
   if (query.order_by) {
     key += ";ord=";
-    AppendVarByName(query.order_by->var.name);
+    AppendVarByName(&key, query.order_by->var.name);
     key += query.order_by->descending ? ":desc" : ":asc";
   }
 
   out.cacheable = true;
-  out.key = std::move(key);
   out.hash = HashBytes(out.key);
-  out.canon_to_instance = perm;
+  out.canon_to_instance.assign(perm.begin(), perm.end());
   out.instance_to_canon.assign(n, 0);
   for (uint32_t c = 0; c < n; ++c) out.instance_to_canon[perm[c]] = c;
   out.var_canon_to_instance.assign(num_vars, 0);
@@ -409,7 +429,6 @@ CanonicalTemplate CanonicalizeTemplate(const sparql::ParsedQuery& query,
     out.var_canon_to_instance[vcanon[v]] = static_cast<sparql::VarId>(v);
   }
   out.num_params = static_cast<uint32_t>(num_params);
-  return out;
 }
 
 }  // namespace shapestats::cache

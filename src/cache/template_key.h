@@ -75,4 +75,11 @@ CanonicalTemplate CanonicalizeTemplate(const sparql::ParsedQuery& query,
                                        const sparql::EncodedBgp& bgp,
                                        rdf::TermId rdf_type_id);
 
+/// The same, written into `out`: its key string and index vectors keep
+/// their capacity, so a template reused across queries canonicalizes
+/// without allocating.
+void CanonicalizeTemplate(const sparql::ParsedQuery& query,
+                          const sparql::EncodedBgp& bgp,
+                          rdf::TermId rdf_type_id, CanonicalTemplate* out);
+
 }  // namespace shapestats::cache

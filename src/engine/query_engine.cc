@@ -1,5 +1,6 @@
 #include "engine/query_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -12,7 +13,6 @@
 #include "analysis/query_lint.h"
 #include "card/corrected.h"
 #include "exec/executor.h"
-#include "obs/build_info.h"
 #include "obs/chrome_trace.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
@@ -53,78 +53,111 @@ bool RegistryEnabled(EngineOptions::RegistryMode mode) {
   return obs::QueryRegistry::EnabledByEnv();
 }
 
-std::string FmtNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+/// Per-thread front-end state reused across queries: the one-pass encoder
+/// and the canonical template keep their buffers' capacity, so the front
+/// end of a repeated query shape allocates only what the query keeps.
+/// Query execution never re-enters the engine on the same thread.
+struct Scratch {
+  sparql::BgpEncoder encoder;
+  cache::CanonicalTemplate tmpl;
+};
+
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
 }
 
-/// Assembles a self-contained flight-recorder bundle for one execution:
-/// enough to diagnose the anomaly offline — query text, caller identity,
-/// the logical and physical plan with per-step rationale, the full trace
-/// (per-step est/true cardinalities when the run was traced), the final
-/// resource snapshot, plan-cache and feedback state, and the build info.
-std::string BuildFlightBundle(
-    const char* trigger, std::string_view sparql, const char* outcome,
-    const opt::Plan& plan, const phys::PhysicalPlan& pplan, double total_ms,
-    uint64_t num_results, const obs::QueryTrace* trace,
-    const obs::ResourceSnapshot* resources, const std::string& cache_template,
-    const cache::PlanCache* pcache, uint64_t request_id, uint64_t batch_id,
-    uint32_t slot) {
-  std::string out = "{\"trigger\":\"" + std::string(trigger) + "\"";
-  out += ",\"outcome\":\"" + std::string(outcome) + "\"";
-  if (request_id != 0) out += ",\"request_id\":" + std::to_string(request_id);
-  if (batch_id != 0) {
-    out += ",\"batch_id\":" + std::to_string(batch_id) +
-           ",\"slot\":" + std::to_string(slot);
-  }
-  out += ",\"query\":\"" + obs::JsonEscape(std::string(sparql)) + "\"";
-  out += ",\"total_ms\":" + FmtNum(total_ms);
-  out += ",\"num_results\":" + std::to_string(num_results);
-  out += ",\"plan\":{\"provider\":\"" + obs::JsonEscape(plan.provider) +
-         "\",\"est_cost\":" + FmtNum(plan.total_cost) + ",\"order\":[";
-  for (size_t i = 0; i < plan.order.size(); ++i) {
-    if (i) out += ",";
-    out += std::to_string(plan.order[i]);
-  }
-  out += "]}";
-  if (!pplan.steps.empty()) {
-    out += ",\"phys\":{\"summary\":\"" + obs::JsonEscape(pplan.Summary()) +
-           "\",\"steps\":[";
-    for (size_t i = 0; i < pplan.steps.size(); ++i) {
-      const phys::PhysicalStep& ps = pplan.steps[i];
-      if (i) out += ",";
-      out += "{\"op\":\"" + std::string(phys::OpName(ps.op)) +
-             "\",\"est_build\":" + FmtNum(ps.EstBuild()) +
-             ",\"est_probe\":" + FmtNum(ps.EstProbe()) + ",\"rationale\":\"" +
-             obs::JsonEscape(ps.rationale) + "\"}";
+struct EncodedQuery {
+  sparql::ParsedQuery query;
+  sparql::EncodedBgp bgp;
+};
+
+/// The one-pass front end, for callers that time no phases.
+Result<EncodedQuery> ParseAndEncode(std::string_view sparql,
+                                    const rdf::TermDictionary& dict) {
+  sparql::BgpEncoder& encoder = ThreadScratch().encoder;
+  ASSIGN_OR_RETURN(sparql::ParsedQuery query,
+                   sparql::ParseQuery(sparql, &encoder));
+  return EncodedQuery{std::move(query), encoder.Finish(dict)};
+}
+
+/// Feedback-learned correction factors for `tmpl`, per instance pattern;
+/// empty when every factor is 1. `canon` (optional) receives the factors
+/// in canonical pattern order, empty likewise.
+std::vector<double> InstanceCorrections(const cache::PlanCache& pcache,
+                                        const cache::CanonicalTemplate& tmpl,
+                                        size_t num_patterns,
+                                        std::vector<double>* canon = nullptr) {
+  std::vector<double> factors =
+      pcache.feedback().Factors(tmpl.hash, num_patterns);
+  std::vector<double> instance;
+  if (std::any_of(factors.begin(), factors.end(),
+                  [](double f) { return f != 1.0; })) {
+    instance.resize(num_patterns);
+    for (size_t i = 0; i < num_patterns; ++i) {
+      instance[i] = factors[tmpl.instance_to_canon[i]];
     }
-    out += "]}";
+  } else {
+    factors.clear();
   }
-  if (trace != nullptr) out += ",\"trace\":" + trace->ToJson();
-  if (resources != nullptr) out += ",\"resources\":" + resources->ToJson();
-  out += ",\"cache\":{";
-  out += "\"template\":\"" + obs::JsonEscape(cache_template) + "\"";
-  if (pcache != nullptr) {
-    const cache::PlanCache::StatsSnapshot cs = pcache->stats();
-    out += ",\"hits\":" + std::to_string(cs.hits) +
-           ",\"misses\":" + std::to_string(cs.misses) +
-           ",\"size\":" + std::to_string(cs.size) +
-           ",\"corrections\":" + std::to_string(cs.corrections) +
-           ",\"hit_rate\":" + FmtNum(cs.hit_rate);
-  }
-  if (!plan.correction_factors.empty()) {
-    out += ",\"correction_factors\":[";
-    for (size_t i = 0; i < plan.correction_factors.size(); ++i) {
-      if (i) out += ",";
-      out += FmtNum(plan.correction_factors[i]);
+  if (canon != nullptr) *canon = std::move(factors);
+  return instance;
+}
+
+/// Takes the verdict and plans of a plan-cache hit, which are valid for
+/// every instance of the template (estimates and emptiness rules are
+/// value-independent given the key's concrete predicates, class constants,
+/// and constant-distinctness classes). True when the cached verdict proves
+/// the query empty.
+bool FromCache(const cache::CachedPlan& cached,
+               const cache::CanonicalTemplate& tmpl, bool infer_constraints,
+               QueryLifecycle* life,
+               std::unordered_map<sparql::VarId, rdf::TermId>* inferred_anchors,
+               QueryResult* result) {
+  if (cached.checked) {
+    life->Verdict(cached.verdict, nullptr);
+    if (cached.verdict != analysis::Satisfiability::kSatisfiable &&
+        !cached.lint_errors) {
+      return true;
     }
-    out += "]";
+    if (infer_constraints) {
+      for (const auto& [canon_var, cls] : cached.inferred) {
+        if (canon_var < tmpl.var_canon_to_instance.size()) {
+          (*inferred_anchors)[tmpl.var_canon_to_instance[canon_var]] = cls;
+        }
+      }
+    }
+    life->Enter(obs::Phase::kPlan);
   }
-  out += "}";
-  out += ",\"build\":" + obs::BuildInfoJson();
-  out += "}";
-  return out;
+  result->plan = cache::PlanToInstance(cached.plan, tmpl);
+  result->phys = cache::PhysToInstance(cached.phys, tmpl);
+  return false;
+}
+
+/// The answer to a query proven empty (by the checker or the cache): zero
+/// rows, no optimize or execute.
+void AnswerEmpty(const sparql::ParsedQuery& query,
+                 const sparql::EncodedBgp& bgp, QueryResult* result) {
+  result->plan.provider = "static-empty";
+  if (query.is_ask) {
+    result->ask = false;
+  } else if (query.count_aggregate) {
+    result->count = 0;
+  } else if (query.select_all) {
+    result->table.var_names = bgp.var_names;
+  } else {
+    for (const sparql::Variable& v : query.projection) {
+      result->table.var_names.push_back(v.name);
+    }
+  }
+}
+
+/// The truncation, if any, that stopped a run.
+obs::Outcome OutcomeOf(const exec::ResultTable& table) {
+  if (table.cancelled) return obs::Outcome::kCancelled;
+  if (table.row_capped) return obs::Outcome::kRowCap;
+  if (table.timed_out) return obs::Outcome::kTimeout;
+  return obs::Outcome::kOk;
 }
 
 /// Per-step observed/estimated ratios attributed to the pattern each step
@@ -233,12 +266,12 @@ Result<QueryEngine> QueryEngine::Open(rdf::Graph graph, EngineOptions options) {
     st.plan_cache =
         std::make_unique<cache::PlanCache>(options.plan_cache_options);
   }
-  if (RegistryEnabled(options.registry)) {
-    st.registry = &obs::QueryRegistry::Global();
-  }
-  if (obs::FlightRecorder::Global().active()) {
-    st.flight = &obs::FlightRecorder::Global();
-  }
+  st.sinks = Sinks::Resolve(
+      RegistryEnabled(options.registry) ? &obs::QueryRegistry::Global()
+                                        : nullptr,
+      obs::FlightRecorder::Global().active() ? &obs::FlightRecorder::Global()
+                                             : nullptr,
+      st.plan_cache.get());
   obs::PublishPoolMetrics(pool != nullptr ? *pool : util::ThreadPool::Shared());
   obs::EventLog& log = obs::EventLog::Global();
   if (log.active()) {
@@ -345,10 +378,9 @@ Result<phys::PhysicalPlan> QueryEngine::PlanPhysicalFor(
 }
 
 Result<analysis::Diagnostics> QueryEngine::Lint(std::string_view sparql) const {
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, state_->graph.dict());
+  ASSIGN_OR_RETURN(EncodedQuery q, ParseAndEncode(sparql, state_->graph.dict()));
   analysis::Diagnostics diags =
-      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(bgp);
+      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(q.bgp);
   obs::EventLog& log = obs::EventLog::Global();
   if (!diags.empty() && log.active()) {
     log.Emit(obs::Event("lint")
@@ -360,11 +392,10 @@ Result<analysis::Diagnostics> QueryEngine::Lint(std::string_view sparql) const {
 
 Result<analysis::ShapeCheckResult> QueryEngine::StaticCheck(
     std::string_view sparql) const {
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, state_->graph.dict());
+  ASSIGN_OR_RETURN(EncodedQuery q, ParseAndEncode(sparql, state_->graph.dict()));
   analysis::Diagnostics lint =
-      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(query, bgp);
-  analysis::ShapeCheckResult check = Checker().Check(query, bgp);
+      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(q.query, q.bgp);
+  analysis::ShapeCheckResult check = Checker().Check(q.query, q.bgp);
   check.diagnostics.insert(check.diagnostics.begin(), lint.begin(),
                            lint.end());
   return check;
@@ -439,460 +470,230 @@ void QueryEngine::FillStepTraces(const sparql::ParsedQuery& query,
 
 Result<QueryResult> QueryEngine::Execute(std::string_view sparql,
                                          obs::QueryTrace* trace) const {
-  return ExecuteInternal(sparql, trace, nullptr);
+  return ExecuteInternal(sparql, trace, Caller{});
 }
 
 Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
                                                  obs::QueryTrace* trace,
-                                                 const ExecContext* ctx) const {
-  static obs::Counter* queries =
-      obs::MetricsRegistry::Global().GetCounter("engine.queries");
-  static obs::Histogram* query_ms =
-      obs::MetricsRegistry::Global().GetHistogram("engine.query_ms");
-  obs::EventLog& log = obs::EventLog::Global();
-  obs::TraceSpan span("engine", "query");
-  Timer timer;
-  Timer phase;
-  // Introspection registration: the live record (with its per-query
-  // ResourceTracker) exists from here until a finish path completes it;
-  // early error returns finalize it with outcome "error" via RAII. A
-  // traced execution on a registry-less engine still gets a local tracker
-  // so EXPLAIN ANALYZE-style callers see resource totals.
-  obs::QueryRegistry::Registration reg;
-  std::optional<obs::ResourceTracker> local_tracker;
-  obs::ResourceTracker* tracker = nullptr;
-  if (state_->registry != nullptr) {
-    reg = state_->registry->Register(std::string(sparql),
-                                     ctx != nullptr ? ctx->request_id : 0,
-                                     ctx != nullptr ? ctx->batch_id : 0,
-                                     ctx != nullptr ? ctx->slot : 0);
-    reg.SetPhase("parse");
-    tracker = reg.tracker();
-  } else if (trace != nullptr) {
-    local_tracker.emplace();
-    tracker = &*local_tracker;
-  }
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
-  if (trace != nullptr) {
-    trace->query = std::string(sparql);
-    trace->AddPhase("parse", phase.ElapsedMs());
-    phase.Reset();
-  }
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, state_->graph.dict());
-  if (trace != nullptr) {
-    trace->AddPhase("encode", phase.ElapsedMs());
-    phase.Reset();
-  }
-  reg.SetPhase("analyze");
+                                                 const Caller& caller) const {
+  QueryLifecycle life(state_->sinks, sparql, trace, caller);
+  Scratch& scratch = ThreadScratch();
+  ASSIGN_OR_RETURN(sparql::ParsedQuery query,
+                   sparql::ParseQuery(sparql, &scratch.encoder));
+  life.Enter(obs::Phase::kEncode);
+  const sparql::EncodedBgp bgp = scratch.encoder.Finish(state_->graph.dict());
+  life.Enter(obs::Phase::kAnalyze);
   QueryResult result;
   result.shape = sparql::ClassifyShape(bgp);
-  if (trace != nullptr) {
-    // Shape classification runs on every query regardless of caching, so it
-    // gets its own phase instead of inflating the static-check span.
-    trace->AddPhase("analyze", phase.ElapsedMs());
-    phase.Reset();
-  }
-  if (log.active()) {
-    log.Emit(obs::Event("query.start")
-                 .Str("query_shape", sparql::QueryShapeName(result.shape))
-                 .Uint("patterns", bgp.patterns.size()));
-  }
+  life.Started(result.shape, bgp.patterns.size());
 
-  // Plan-cache lookup: canonicalize the query into its BGP template and
-  // try to reuse the stored verdict + plans. Bypassed (uncacheable)
-  // queries and cache-less engines take the unchanged path below.
+  // The static verdict and the plans come from the plan cache when it
+  // holds the query's template; the lookup belongs to the first phase it
+  // can skip. Bypassed (uncacheable) queries and cache-less engines
+  // compute them.
+  life.Enter(state_->options.static_check ? obs::Phase::kStaticCheck
+                                          : obs::Phase::kPlan);
   cache::PlanCache* pcache = state_->plan_cache.get();
-  cache::CanonicalTemplate tmpl;
-  std::shared_ptr<const cache::CachedPlan> cached;
+  cache::CanonicalTemplate& tmpl = scratch.tmpl;
   bool cache_eligible = false;
+  std::shared_ptr<const cache::CachedPlan> cached;
   if (pcache != nullptr) {
-    tmpl = cache::CanonicalizeTemplate(query, bgp, state_->gs.rdf_type_id);
-    if (tmpl.cacheable) {
-      cache_eligible = true;
+    cache::CanonicalizeTemplate(query, bgp, state_->gs.rdf_type_id, &tmpl);
+    cache_eligible = tmpl.cacheable;
+    if (cache_eligible) {
       cached = pcache->Get(tmpl.key);
+      life.Template(tmpl.hash, cached.get());
     } else {
       pcache->NoteBypass();
     }
   }
-  if (cached != nullptr && trace != nullptr) {
-    trace->plan_cached = true;
-    trace->cache_template = cached->short_id;
-  }
-  // Template identity for the registry record and flight bundles.
-  std::string template_id;
-  if (cached != nullptr) {
-    template_id = cached->short_id;
-  } else if (cache_eligible) {
-    template_id = tmpl.ShortId();
-  }
-  if (!template_id.empty()) reg.SetTemplate(template_id);
-
-  // Answers a provably-empty query with zero rows (verdict from the
-  // checker or the cache), skipping optimize + execute.
-  auto finish_empty = [&]() {
-    static obs::Counter* short_circuits =
-        obs::MetricsRegistry::Global().GetCounter(
-            "static_check.short_circuits");
-    result.plan.provider = "static-empty";
-    if (query.is_ask) {
-      result.ask = false;
-    } else if (query.count_aggregate) {
-      result.count = 0;
-    } else if (query.select_all) {
-      result.table.var_names = bgp.var_names;
-    } else {
-      for (const sparql::Variable& v : query.projection) {
-        result.table.var_names.push_back(v.name);
-      }
-    }
-    result.plan_ms = timer.ElapsedMs();
-    result.total_ms = result.plan_ms;
-    queries->Add();
-    query_ms->Observe(result.total_ms);
-    short_circuits->Add();
-    reg.Complete("static-empty", 0);
-    if (trace != nullptr) {
-      trace->optimizer = result.plan.provider;
-      trace->query_shape = sparql::QueryShapeName(result.shape);
-      trace->num_results = 0;
-      trace->total_ms = result.total_ms;
-    }
-    if (log.active()) {
-      log.Emit(obs::Event("query.finish")
-                   .Str("optimizer", result.plan.provider)
-                   .Str("query_shape", sparql::QueryShapeName(result.shape))
-                   .Uint("results", 0)
-                   .Bool("timed_out", false)
-                   .Num("ms", result.total_ms));
-    }
-    return result;
-  };
-
   std::unordered_map<sparql::VarId, rdf::TermId> inferred_anchors;
+  bool empty = false;
   if (cached != nullptr) {
-    // Cache hit: the stored verdict and plans are valid for every instance
-    // of the template (estimates and emptiness rules are value-independent
-    // given the key's concrete predicates, class constants, and
-    // constant-distinctness classes).
-    if (cached->checked) {
-      if (trace != nullptr) {
-        trace->static_verdict = analysis::SatisfiabilityName(cached->verdict);
-        trace->AddPhase("static-check", phase.ElapsedMs());
-        phase.Reset();
-      }
-      if (cached->verdict != analysis::Satisfiability::kSatisfiable &&
-          !cached->lint_errors) {
-        return finish_empty();
-      }
-      if (state_->options.infer_constraints) {
-        for (const auto& [canon_var, cls] : cached->inferred) {
-          if (canon_var < tmpl.var_canon_to_instance.size()) {
-            inferred_anchors[tmpl.var_canon_to_instance[canon_var]] = cls;
-          }
-        }
-      }
-    }
-    result.plan = cache::PlanToInstance(cached->plan, tmpl);
-    result.phys = cache::PhysToInstance(cached->phys, tmpl);
+    empty = FromCache(*cached, tmpl, state_->options.infer_constraints, &life,
+                      &inferred_anchors, &result);
   } else {
-    // Shape-aware static check: a provably-empty BGP is answered with zero
-    // rows right here, skipping optimize + execute; a satisfiable one may
-    // still contribute inferred class anchors to the estimator.
-    analysis::ShapeCheckResult check;
-    bool lint_errors = false;
-    if (state_->options.static_check) {
-      reg.SetPhase("static-check");
-      check = Checker().Check(query, bgp);
-      if (trace != nullptr) {
-        trace->static_verdict = analysis::SatisfiabilityName(check.verdict);
-        trace->AddPhase("static-check", phase.ElapsedMs());
-        phase.Reset();
-      }
-      if (log.active() &&
-          (check.provably_empty() || !check.inferred.empty())) {
-        log.Emit(obs::Event("query.static")
-                     .Str("verdict",
-                          analysis::SatisfiabilityName(check.verdict))
-                     .Str("rule", check.rule)
-                     .Uint("findings", check.diagnostics.size())
-                     .Uint("inferred", check.inferred.size()));
-      }
-      if (check.provably_empty()) {
-        // Degenerate queries (unbound projection / FILTER / ORDER BY
-        // variables) must keep failing exactly as the executor would fail
-        // them — only clean queries take the short-circuit.
-        analysis::Diagnostics full_lint =
-            analysis::QueryLint(state_->gs, state_->graph.dict())
-                .Lint(query, bgp);
-        lint_errors = analysis::HasErrors(full_lint);
-        if (!lint_errors) {
-          if (cache_eligible) {
-            // Repeated provably-empty templates short-circuit straight
-            // from the cache, skipping even the checker.
-            auto entry = std::make_shared<cache::CachedPlan>();
-            entry->template_hash = tmpl.hash;
-            entry->short_id = tmpl.ShortId();
-            entry->num_patterns = static_cast<uint32_t>(bgp.patterns.size());
-            entry->checked = true;
-            entry->verdict = check.verdict;
-            entry->rule = check.rule;
-            entry->feedback_version = pcache->feedback().Version(tmpl.hash);
-            pcache->Put(tmpl.key, std::move(entry));
-          }
-          return finish_empty();
-        }
-      }
-      if (state_->options.infer_constraints && !check.inferred.empty()) {
-        inferred_anchors = check.InferredAnchors(state_->gs);
-      }
-    }
-
-    // Feedback-learned correction factors for this template, mapped into
-    // instance pattern numbering. The feedback version is read before the
-    // factors so a concurrent publication can only make the entry look
-    // stale (forcing a harmless re-plan), never fresh.
-    std::vector<double> corrections_canon;
-    std::vector<double> corrections_instance;
-    uint64_t feedback_version = 0;
-    if (cache_eligible) {
-      feedback_version = pcache->feedback().Version(tmpl.hash);
-      corrections_canon =
-          pcache->feedback().Factors(tmpl.hash, bgp.patterns.size());
-      bool any = false;
-      for (double f : corrections_canon) any = any || f != 1.0;
-      if (any) {
-        corrections_instance.resize(bgp.patterns.size(), 1.0);
-        for (size_t i = 0; i < bgp.patterns.size(); ++i) {
-          corrections_instance[i] = corrections_canon[tmpl.instance_to_canon[i]];
-        }
-      } else {
-        corrections_canon.clear();
-      }
-    }
-
-    reg.SetPhase("plan");
-    ASSIGN_OR_RETURN(
-        result.plan,
-        PlanQuery(bgp, trace != nullptr ? &trace->planner : nullptr,
-                  &inferred_anchors,
-                  corrections_instance.empty() ? nullptr
-                                               : &corrections_instance));
-    ASSIGN_OR_RETURN(result.phys, PlanPhysicalFor(bgp, result.plan));
-
-    if (cache_eligible) {
-      auto entry = std::make_shared<cache::CachedPlan>();
-      entry->template_hash = tmpl.hash;
-      entry->short_id = tmpl.ShortId();
-      entry->num_patterns = static_cast<uint32_t>(bgp.patterns.size());
-      entry->checked = state_->options.static_check;
-      entry->verdict = check.verdict;
-      entry->rule = check.rule;
-      entry->lint_errors = lint_errors;
-      if (state_->options.infer_constraints) {
-        for (const auto& [var, cls] : inferred_anchors) {
-          entry->inferred.emplace_back(tmpl.var_instance_to_canon[var], cls);
-        }
-      }
-      // The physical plan is cached before any ASK/LIMIT pipelining
-      // downgrade, which is applied per instance below.
-      entry->plan = cache::PlanToCanonical(result.plan, tmpl);
-      entry->phys = cache::PhysToCanonical(result.phys, tmpl);
-      entry->corrections = std::move(corrections_canon);
-      entry->feedback_version = feedback_version;
-      pcache->Put(tmpl.key, std::move(entry));
-    }
+    ASSIGN_OR_RETURN(empty, CheckAndPlan(query, bgp,
+                                         cache_eligible ? &tmpl : nullptr,
+                                         &life, &inferred_anchors, &result));
+  }
+  if (empty) {
+    AnswerEmpty(query, bgp, &result);
+    life.Finish(&result, obs::Outcome::kStaticEmpty, 0, [] {});
+    return result;
   }
 
   exec::ExecOptions eopts = state_->options.exec;
-  // Physical operator selection rides inside the "plan" phase. ASK and
-  // LIMIT queries stay on the streaming depth-first executor (early
+  // ASK and LIMIT queries stay on the streaming depth-first executor (early
   // termination beats materializing), recorded as a per-step downgrade.
-  const bool pipelined =
-      query.is_ask || query.limit.has_value() || eopts.limit > 0;
-  if (pipelined && result.phys.Materializes()) {
+  const bool is_ask = query.is_ask;
+  const bool is_count = query.count_aggregate;
+  const bool has_limit = query.limit.has_value();
+  if ((is_ask || has_limit || eopts.limit > 0) && result.phys.Materializes()) {
     phys::ForceInlj(&result.phys, "pipelined: ASK/LIMIT early termination");
   }
-  result.plan_ms = timer.ElapsedMs();
-  if (trace != nullptr) {
-    trace->AddPhase("plan", phase.ElapsedMs());
-    phase.Reset();
-    trace->optimizer = result.plan.provider;
-    trace->query_shape = sparql::QueryShapeName(result.shape);
-    trace->est_total_cost = result.plan.total_cost;
-    for (double f : result.plan.correction_factors) {
-      if (f != 1.0) trace->est_corrected = true;
-    }
-    eopts.trace = &trace->exec;
-  }
-  if (log.active()) {
-    obs::Event ev("query.plan");
-    ev.Str("optimizer", result.plan.provider)
-        .Num("est_cost", result.plan.total_cost)
-        .Bool("cartesian", result.plan.has_cartesian);
-    std::string order;
-    for (uint32_t tp : result.plan.order) {
-      if (!order.empty()) order += ",";
-      order += std::to_string(tp);
-    }
-    ev.Str("order", order);
-    log.Emit(std::move(ev));
-  }
-  span.Arg("optimizer", result.plan.provider);
-  span.Arg("shape", sparql::QueryShapeName(result.shape));
-  reg.SetStepsTotal(result.plan.order.size());
-  reg.SetPhase("execute");
-  eopts.resources = tracker;
-
-  // Per-pattern estimate provenance, needed to annotate step traces and
-  // feed the accuracy ledger. Only computed for traced executions.
+  life.Planned(&result, &eopts);
+  // Per-pattern estimate provenance annotates the step traces and feeds
+  // the accuracy ledger, so only traced executions compute it.
   std::vector<card::EstimateDetail> details;
   if (trace != nullptr && state_->estimator != nullptr) {
+    life.Enter(obs::Phase::kEstimate);
     details = state_->estimator->EstimateAllDetailed(bgp, &inferred_anchors);
-    trace->AddPhase("estimate", phase.ElapsedMs());
-    phase.Reset();
   }
-
-  auto finish = [&](uint64_t num_results, bool timed_out, bool cancelled) {
-    result.total_ms = timer.ElapsedMs();
-    queries->Add();
-    query_ms->Observe(result.total_ms);
-    // Final resource snapshot: per-query distribution histograms for the
-    // Prometheus plane, the trace's resources block, and the registry's
-    // completed record all read the same numbers.
-    obs::ResourceSnapshot snap;
-    if (tracker != nullptr) {
-      snap = tracker->Snapshot();
-      static obs::Histogram* h_probes =
-          obs::MetricsRegistry::Global().GetHistogram(
-              "exec.query_index_probes");
-      static obs::Histogram* h_scanned =
-          obs::MetricsRegistry::Global().GetHistogram(
-              "exec.query_rows_scanned");
-      static obs::Histogram* h_materialized =
-          obs::MetricsRegistry::Global().GetHistogram(
-              "exec.query_rows_materialized");
-      static obs::Histogram* h_peak =
-          obs::MetricsRegistry::Global().GetHistogram("exec.query_peak_bytes");
-      static obs::Histogram* h_build =
-          obs::MetricsRegistry::Global().GetHistogram(
-              "exec.query_build_bytes");
-      h_probes->Observe(static_cast<double>(snap.index_probes));
-      h_scanned->Observe(static_cast<double>(snap.rows_scanned));
-      h_materialized->Observe(static_cast<double>(snap.rows_materialized));
-      h_peak->Observe(static_cast<double>(snap.peak_bytes));
-      h_build->Observe(static_cast<double>(snap.build_bytes));
-    }
-    if (trace != nullptr) {
-      trace->AddPhase("execute", phase.ElapsedMs());
-      trace->num_results = num_results;
-      trace->timed_out = timed_out;
-      trace->cancelled = cancelled;
-      trace->total_ms = result.total_ms;
-      if (tracker != nullptr) {
-        trace->resources = snap;
-        trace->has_resources = true;
-      }
-      // ASK probes (LIMIT 1) and explicit LIMIT / timeout runs truncate
-      // execution, so their per-step counts are not true cardinalities —
-      // they get step annotations but stay out of the accuracy ledger.
-      bool exact = !query.is_ask && !query.limit.has_value() && !timed_out &&
-                   !trace->exec.step_rows_produced.empty();
-      FillStepTraces(query, bgp, result.plan, &result.phys, details,
-                     trace->exec.step_rows_produced, trace, exact);
-      // Close the feedback loop: exact per-step truths become learned
-      // adjustment factors for this template. A publication bumps the
-      // template's feedback version, so its cached plan re-plans (under
-      // the corrected estimates) on the next lookup.
-      if (exact && cache_eligible && state_->estimator != nullptr) {
-        std::vector<cache::FeedbackStore::Sample> samples =
-            FeedbackSamples(tmpl, result.plan,
-                            trace->exec.step_rows_produced);
-        if (!samples.empty()) pcache->RecordFeedback(tmpl.hash, samples);
-      }
-    }
-    const char* outcome =
-        cancelled ? "cancelled" : (timed_out ? "timeout" : "ok");
-    reg.Complete(outcome, num_results);
-    // Flight-recorder anomaly triggers: cancellation, latency over the
-    // slow threshold, or a per-step q-error over the threshold (traced
-    // runs only — untracked runs have no step annotations to judge).
-    obs::FlightRecorder* fr = state_->flight;
-    if (fr != nullptr) {
-      const char* trigger = nullptr;
-      if (cancelled) {
-        trigger = "cancelled";
-      } else if (fr->slow_ms() >= 0 && result.total_ms >= fr->slow_ms()) {
-        trigger = "slow";
-      } else if (fr->max_q_error() > 0 && trace != nullptr) {
-        for (const obs::StepTrace& s : trace->steps) {
-          if (!std::isnan(s.q_error) && s.q_error > fr->max_q_error()) {
-            trigger = "qerror";
-            break;
-          }
-        }
-      }
-      if (trigger != nullptr) {
-        fr->Record(trigger,
-                   BuildFlightBundle(
-                       trigger, sparql, outcome, result.plan, result.phys,
-                       result.total_ms, num_results, trace,
-                       tracker != nullptr ? &snap : nullptr, template_id,
-                       state_->plan_cache.get(),
-                       ctx != nullptr ? ctx->request_id : 0,
-                       ctx != nullptr ? ctx->batch_id : 0,
-                       ctx != nullptr ? ctx->slot : 0));
-      }
-    }
-    if (log.active()) {
-      log.Emit(obs::Event("query.finish")
-                   .Str("optimizer", result.plan.provider)
-                   .Str("query_shape", sparql::QueryShapeName(result.shape))
-                   .Uint("results", num_results)
-                   .Bool("timed_out", timed_out)
-                   .Num("ms", result.total_ms));
-    }
-  };
+  life.Enter(obs::Phase::kExecute);
+  eopts.resources = life.tracker();
 
   // One execution for every query form: ASK runs as a one-solution probe,
   // COUNT(*) as a SELECT * whose BGP match counter (bag semantics) is the
-  // answer, and SELECT as written.
-  sparql::ParsedQuery rewritten;
-  if (query.is_ask) {
-    rewritten = query;
-    rewritten.limit = 1;
-  } else if (query.count_aggregate) {
-    rewritten = query;
-    rewritten.count_aggregate = false;
-    rewritten.select_all = true;
-    rewritten.projection.clear();
+  // answer, and SELECT as written. The query is rewritten in place: only
+  // the executor reads these fields from here on.
+  if (is_ask) {
+    query.limit = 1;
+  } else if (is_count) {
+    query.count_aggregate = false;
+    query.select_all = true;
+    query.projection.clear();
   }
-  const bool whole_table = !query.is_ask && !query.count_aggregate;
-  const sparql::ParsedQuery& run = whole_table ? query : rewritten;
   exec::ResultTable table;
   if (result.phys.Materializes()) {
-    ASSIGN_OR_RETURN(table, phys::ExecuteSelectPhysical(state_->graph, run,
+    ASSIGN_OR_RETURN(table, phys::ExecuteSelectPhysical(state_->graph, query,
                                                         bgp, result.phys,
                                                         eopts));
   } else {
-    ASSIGN_OR_RETURN(table, exec::ExecuteSelect(state_->graph, run, bgp,
+    ASSIGN_OR_RETURN(table, exec::ExecuteSelect(state_->graph, query, bgp,
                                                 result.plan.order, eopts));
   }
+  const obs::Outcome outcome = OutcomeOf(table);
   uint64_t num_results = table.rows.size();
-  if (query.is_ask) {
+  if (is_ask) {
     result.ask = !table.rows.empty();
-  } else if (query.count_aggregate) {
+  } else if (is_count) {
     num_results = table.bgp_matches;
     result.count = num_results;
   }
-  if (whole_table) {
-    result.table = std::move(table);
-  } else {
-    // A truncated ASK or COUNT must not look exact to the caller.
+  if (is_ask || is_count) {
+    // A truncated COUNT must not look exact to the caller.
     result.table.timed_out = table.timed_out;
     result.table.cancelled = table.cancelled;
+    result.table.row_capped = table.row_capped;
+  } else {
+    result.table = std::move(table);
   }
-  finish(num_results, result.table.timed_out, result.table.cancelled);
+  life.Finish(&result, outcome, num_results, [&] {
+    // ASK probes, LIMIT and truncated runs stop early, so their per-step
+    // counts are not true cardinalities: they get step annotations but
+    // stay out of the accuracy ledger and the feedback loop.
+    const std::vector<uint64_t>& truth = trace->exec.step_rows_produced;
+    const bool exact = !is_ask && !has_limit &&
+                       outcome == obs::Outcome::kOk && !truth.empty();
+    FillStepTraces(query, bgp, result.plan, &result.phys, details, truth,
+                   trace, exact);
+    // Close the feedback loop: exact per-step truths become learned
+    // adjustment factors for this template. A publication bumps the
+    // template's feedback version, so its cached plan re-plans (under the
+    // corrected estimates) on the next lookup.
+    if (exact && cache_eligible && state_->estimator != nullptr) {
+      std::vector<cache::FeedbackStore::Sample> samples =
+          FeedbackSamples(tmpl, result.plan, truth);
+      if (!samples.empty()) pcache->RecordFeedback(tmpl.hash, samples);
+    }
+  });
+  // A truncated ASK that found no solution does not know its answer.
+  if (is_ask && !*result.ask && obs::IsTruncation(outcome)) {
+    return Status::Aborted(std::string("ASK truncated (") +
+                           obs::OutcomeName(outcome) +
+                           ") before any solution was found; the answer is "
+                           "unknown");
+  }
   return result;
+}
+
+Result<bool> QueryEngine::CheckAndPlan(
+    const sparql::ParsedQuery& query, const sparql::EncodedBgp& bgp,
+    const cache::CanonicalTemplate* tmpl, QueryLifecycle* life,
+    std::unordered_map<sparql::VarId, rdf::TermId>* inferred_anchors,
+    QueryResult* result) const {
+  cache::PlanCache* pcache = state_->plan_cache.get();
+  // Shape-aware static check: a provably-empty BGP is answered with zero
+  // rows, skipping optimize + execute; a satisfiable one may still
+  // contribute inferred class anchors to the estimator.
+  analysis::ShapeCheckResult check;
+  bool lint_errors = false;
+  if (state_->options.static_check) {
+    check = Checker().Check(query, bgp);
+    life->Verdict(check.verdict, &check);
+    if (check.provably_empty()) {
+      // Degenerate queries (unbound projection / FILTER / ORDER BY
+      // variables) must keep failing exactly as the executor would fail
+      // them — only clean queries take the short-circuit.
+      lint_errors = analysis::HasErrors(
+          analysis::QueryLint(state_->gs, state_->graph.dict())
+              .Lint(query, bgp));
+      if (!lint_errors) {
+        if (tmpl != nullptr) {
+          // Repeated provably-empty templates short-circuit straight from
+          // the cache, skipping even the checker.
+          auto entry = std::make_shared<cache::CachedPlan>();
+          entry->template_hash = tmpl->hash;
+          entry->short_id = tmpl->ShortId();
+          entry->num_patterns = static_cast<uint32_t>(bgp.patterns.size());
+          entry->checked = true;
+          entry->verdict = check.verdict;
+          entry->rule = check.rule;
+          entry->feedback_version = pcache->feedback().Version(tmpl->hash);
+          pcache->Put(tmpl->key, std::move(entry));
+        }
+        return true;
+      }
+    }
+    if (state_->options.infer_constraints && !check.inferred.empty()) {
+      *inferred_anchors = check.InferredAnchors(state_->gs);
+    }
+    life->Enter(obs::Phase::kPlan);
+  }
+
+  // Feedback-learned correction factors for this template, mapped into
+  // instance pattern numbering. The feedback version is read before the
+  // factors so a concurrent publication can only make the entry look
+  // stale (forcing a harmless re-plan), never fresh.
+  std::vector<double> corrections_canon;
+  std::vector<double> corrections;
+  uint64_t feedback_version = 0;
+  if (tmpl != nullptr) {
+    feedback_version = pcache->feedback().Version(tmpl->hash);
+    corrections = InstanceCorrections(*pcache, *tmpl, bgp.patterns.size(),
+                                      &corrections_canon);
+  }
+  obs::QueryTrace* trace = life->trace();
+  ASSIGN_OR_RETURN(
+      result->plan,
+      PlanQuery(bgp, trace != nullptr ? &trace->planner : nullptr,
+                inferred_anchors, corrections.empty() ? nullptr : &corrections));
+  ASSIGN_OR_RETURN(result->phys, PlanPhysicalFor(bgp, result->plan));
+
+  if (tmpl != nullptr) {
+    auto entry = std::make_shared<cache::CachedPlan>();
+    entry->template_hash = tmpl->hash;
+    entry->short_id = tmpl->ShortId();
+    entry->num_patterns = static_cast<uint32_t>(bgp.patterns.size());
+    entry->checked = state_->options.static_check;
+    entry->verdict = check.verdict;
+    entry->rule = check.rule;
+    entry->lint_errors = lint_errors;
+    if (state_->options.infer_constraints) {
+      for (const auto& [var, cls] : *inferred_anchors) {
+        entry->inferred.emplace_back(tmpl->var_instance_to_canon[var], cls);
+      }
+    }
+    // The physical plan is cached before any ASK/LIMIT pipelining
+    // downgrade, which is applied per instance.
+    entry->plan = cache::PlanToCanonical(result->plan, *tmpl);
+    entry->phys = cache::PhysToCanonical(result->phys, *tmpl);
+    entry->corrections = std::move(corrections_canon);
+    entry->feedback_version = feedback_version;
+    pcache->Put(tmpl->key, std::move(entry));
+  }
+  return false;
 }
 
 BatchResult QueryEngine::ExecuteBatch(const std::vector<std::string>& queries,
@@ -939,9 +740,9 @@ BatchResult QueryEngine::ExecuteBatch(const std::vector<std::string>& queries,
   pool.ParallelFor(0, queries.size(), [&](size_t i) {
     obs::QueryTrace* trace =
         options.collect_traces ? &batch.traces[i] : nullptr;
-    const ExecContext ctx{options.request_id, batch.batch_id,
-                          static_cast<uint32_t>(i)};
-    batch.results[i] = ExecuteInternal(queries[i], trace, &ctx);
+    const Caller caller{options.request_id, batch.batch_id,
+                        static_cast<uint32_t>(i)};
+    batch.results[i] = ExecuteInternal(queries[i], trace, caller);
     if (log.active()) {
       const Result<QueryResult>& r = batch.results[i];
       obs::Event ev("batch.query");
@@ -993,8 +794,9 @@ BatchResult QueryEngine::ExecuteBatch(const std::vector<std::string>& queries,
 }
 
 Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, state_->graph.dict());
+  ASSIGN_OR_RETURN(EncodedQuery q, ParseAndEncode(sparql, state_->graph.dict()));
+  const sparql::ParsedQuery& query = q.query;
+  const sparql::EncodedBgp& bgp = q.bgp;
 
   analysis::ShapeCheckResult check;
   std::unordered_map<sparql::VarId, rdf::TermId> inferred_anchors;
@@ -1016,16 +818,7 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
     tmpl = cache::CanonicalizeTemplate(query, bgp, state_->gs.rdf_type_id);
     if (tmpl.cacheable) {
       centry = pcache->Peek(tmpl.key);
-      std::vector<double> canon =
-          pcache->feedback().Factors(tmpl.hash, bgp.patterns.size());
-      bool any = false;
-      for (double f : canon) any = any || f != 1.0;
-      if (any) {
-        corrections.resize(bgp.patterns.size(), 1.0);
-        for (size_t i = 0; i < bgp.patterns.size(); ++i) {
-          corrections[i] = canon[tmpl.instance_to_canon[i]];
-        }
-      }
+      corrections = InstanceCorrections(*pcache, tmpl, bgp.patterns.size());
     }
   }
   ASSIGN_OR_RETURN(opt::Plan plan,
@@ -1124,13 +917,16 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
 
   Timer total;
   Timer phase;
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
-  trace.AddPhase("parse", phase.ElapsedMs());
-  phase.Reset();
-
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, state_->graph.dict());
-  trace.AddPhase("encode", phase.ElapsedMs());
-  phase.Reset();
+  auto close_phase = [&](obs::Phase done) {
+    trace.AddPhase(done, phase.ElapsedMs());
+    phase.Reset();
+  };
+  sparql::BgpEncoder& encoder = ThreadScratch().encoder;
+  ASSIGN_OR_RETURN(sparql::ParsedQuery query,
+                   sparql::ParseQuery(sparql, &encoder));
+  close_phase(obs::Phase::kParse);
+  const sparql::EncodedBgp bgp = encoder.Finish(state_->graph.dict());
+  close_phase(obs::Phase::kEncode);
 
   // EXPLAIN ANALYZE executes in full even for provably-empty verdicts — the
   // profiling run doubles as a live soundness check of the static analyzer.
@@ -1142,8 +938,7 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
     if (state_->options.infer_constraints) {
       inferred_anchors = check.InferredAnchors(state_->gs);
     }
-    trace.AddPhase("static-check", phase.ElapsedMs());
-    phase.Reset();
+    close_phase(obs::Phase::kStaticCheck);
   }
 
   // Apply any feedback corrections in force for this template so the
@@ -1154,17 +949,9 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
     cache::CanonicalTemplate tmpl =
         cache::CanonicalizeTemplate(query, bgp, state_->gs.rdf_type_id);
     if (tmpl.cacheable) {
-      std::vector<double> canon = state_->plan_cache->feedback().Factors(
-          tmpl.hash, bgp.patterns.size());
-      bool any = false;
-      for (double f : canon) any = any || f != 1.0;
-      if (any) {
-        corrections.resize(bgp.patterns.size(), 1.0);
-        for (size_t i = 0; i < bgp.patterns.size(); ++i) {
-          corrections[i] = canon[tmpl.instance_to_canon[i]];
-        }
-        trace.est_corrected = true;
-      }
+      corrections = InstanceCorrections(*state_->plan_cache, tmpl,
+                                        bgp.patterns.size());
+      trace.est_corrected = !corrections.empty();
     }
   }
   ASSIGN_OR_RETURN(opt::Plan plan,
@@ -1176,8 +963,7 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
   if (state_->options.exec.limit > 0 && pplan.Materializes()) {
     phys::ForceInlj(&pplan, "pipelined: LIMIT early termination");
   }
-  trace.AddPhase("plan", phase.ElapsedMs());
-  phase.Reset();
+  close_phase(obs::Phase::kPlan);
   trace.optimizer = plan.provider;
   trace.query_shape = sparql::QueryShapeName(sparql::ClassifyShape(bgp));
   trace.est_total_cost = plan.total_cost;
@@ -1188,8 +974,7 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
   if (state_->estimator != nullptr) {
     details = state_->estimator->EstimateAllDetailed(bgp, &inferred_anchors);
   }
-  trace.AddPhase("estimate", phase.ElapsedMs());
-  phase.Reset();
+  close_phase(obs::Phase::kEstimate);
 
   // Execute on the profiling executor: true per-step cardinalities (the
   // paper's TZ Card ground truth) plus probe/scan counters. A local
@@ -1207,7 +992,7 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
     ASSIGN_OR_RETURN(
         run, exec::ExecuteBgp(state_->graph, bgp, plan.order, eopts));
   }
-  trace.AddPhase("execute", phase.ElapsedMs());
+  close_phase(obs::Phase::kExecute);
   trace.num_results = run.num_results;
   trace.timed_out = run.timed_out;
   trace.cancelled = run.cancelled;
@@ -1230,14 +1015,13 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
                    .Str("rule", check.rule)
                    .Uint("results", run.num_results));
     }
-    if (state_->flight != nullptr) {
-      state_->flight->Record(
+    if (state_->sinks.flight != nullptr) {
+      state_->sinks.flight->Record(
           "static-violation",
-          BuildFlightBundle("static-violation", sparql, "ok", plan, pplan,
-                            trace.total_ms, run.num_results, &trace,
-                            &trace.resources, /*cache_template=*/"",
-                            state_->plan_cache.get(), /*request_id=*/0,
-                            /*batch_id=*/0, /*slot=*/0));
+          BuildFlightBundle("static-violation", sparql, obs::Outcome::kOk,
+                            plan, pplan, trace.total_ms, run.num_results,
+                            &trace, &trace.resources, /*cache_template=*/"",
+                            state_->plan_cache.get(), Caller{}));
     }
   }
 

@@ -13,6 +13,7 @@
 #include "analysis/shape_check.h"
 #include "cache/plan_cache.h"
 #include "card/estimator.h"
+#include "engine/lifecycle.h"
 #include "exec/select_executor.h"
 #include "obs/accuracy_ledger.h"
 #include "obs/flight_recorder.h"
@@ -164,8 +165,11 @@ class QueryEngine {
   QueryEngine& operator=(QueryEngine&&) = default;
 
   /// Parses, plans, and executes a SELECT query. When `trace` is non-null
-  /// it is filled with per-phase spans (parse, encode, plan, execute),
-  /// planner decision counters, and executor probe/scan counters.
+  /// it is filled with per-phase spans (obs::Phase: parse, encode,
+  /// analyze, static-check, plan, estimate, execute), planner decision
+  /// counters, and executor probe/scan counters. A truncated ASK (timeout,
+  /// row cap or cancellation before any solution was found) fails with an
+  /// Aborted status naming the cause, since its answer is unknown.
   Result<QueryResult> Execute(std::string_view sparql,
                               obs::QueryTrace* trace = nullptr) const;
 
@@ -223,11 +227,11 @@ class QueryEngine {
   /// The live query registry this engine registers executions into, or
   /// null when disabled (EngineOptions::registry resolved against
   /// SHAPESTATS_REGISTRY at Open time). Internally synchronized.
-  obs::QueryRegistry* query_registry() const { return state_->registry; }
+  obs::QueryRegistry* query_registry() const { return state_->sinks.registry; }
 
   /// The process flight recorder when any anomaly trigger is configured
   /// (SHAPESTATS_FLIGHT_DIR / _SLOW_MS / _QERROR), else null.
-  obs::FlightRecorder* flight_recorder() const { return state_->flight; }
+  obs::FlightRecorder* flight_recorder() const { return state_->sinks.flight; }
 
  private:
   struct State {
@@ -241,19 +245,11 @@ class QueryEngine {
     obs::AccuracyLedger ledger;
     // Null when the plan cache is disabled. Internally synchronized.
     std::unique_ptr<cache::PlanCache> plan_cache;
-    // Introspection plane (resolved once at Open): the process query
-    // registry when enabled, and the process flight recorder when any
-    // anomaly trigger is configured. Both null otherwise.
-    obs::QueryRegistry* registry = nullptr;
-    obs::FlightRecorder* flight = nullptr;
-  };
-
-  /// Caller identity of one execution (serving-plane request id, engine
-  /// batch id, slot within the batch), stamped onto the registry record.
-  struct ExecContext {
-    uint64_t request_id = 0;
-    uint64_t batch_id = 0;
-    uint32_t slot = 0;
+    // Telemetry sinks of every query (resolved once at Open): the process
+    // query registry when enabled, the flight recorder when any anomaly
+    // trigger is configured, the event log, the Chrome tracer and the
+    // engine's metrics.
+    Sinks sinks;
   };
 
   QueryEngine() = default;
@@ -262,7 +258,17 @@ class QueryEngine {
   /// ExecuteBatch are thin wrappers.
   Result<QueryResult> ExecuteInternal(std::string_view sparql,
                                       obs::QueryTrace* trace,
-                                      const ExecContext* ctx) const;
+                                      const Caller& caller) const;
+
+  /// The uncached half of planning: the static check (when enabled) and,
+  /// unless it proves the query empty, the join order and physical plan
+  /// into `result` — both stored in the plan cache under `tmpl` when it is
+  /// non-null. Returns true for a provably-empty query.
+  Result<bool> CheckAndPlan(
+      const sparql::ParsedQuery& query, const sparql::EncodedBgp& bgp,
+      const cache::CanonicalTemplate* tmpl, QueryLifecycle* life,
+      std::unordered_map<sparql::VarId, rdf::TermId>* inferred_anchors,
+      QueryResult* result) const;
 
   /// `inferred` optionally carries the static checker's proven class
   /// anchors, merged into the estimator's rdf:type anchors for this query.

@@ -63,6 +63,7 @@ class DepthFirstEvaluator {
     result.step_cards = std::move(step_cards_);
     result.timed_out = meter_.timed_out();
     result.cancelled = meter_.cancelled();
+    result.row_capped = meter_.row_capped();
     result.elapsed_ms = meter_.ElapsedMs();
     meter_.Finish(RunKind::kBgp);
     return result;
@@ -81,6 +82,7 @@ class DepthFirstEvaluator {
                                  &order_keys_));
     table_.timed_out = meter_.timed_out();
     table_.cancelled = meter_.cancelled();
+    table_.row_capped = meter_.row_capped();
     table_.elapsed_ms = meter_.ElapsedMs();
     meter_.Finish(RunKind::kSelect);
     return std::move(table_);

@@ -54,6 +54,9 @@ struct ExecResult {
   /// True when the abort was a served ResourceTracker cancellation (a
   /// cancelled run also sets timed_out: both truncate execution).
   bool cancelled = false;
+  /// True when max_intermediate_rows stopped the run (it also sets
+  /// timed_out).
+  bool row_capped = false;
 };
 
 /// Executes `bgp` joining patterns in the given `order` (indices into

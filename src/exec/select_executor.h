@@ -28,6 +28,9 @@ struct ResultTable {
   /// True when the abort was a served ResourceTracker cancellation (a
   /// cancelled run also sets timed_out: both truncate execution).
   bool cancelled = false;
+  /// True when ExecOptions::max_intermediate_rows stopped the run (it also
+  /// sets timed_out).
+  bool row_capped = false;
   double elapsed_ms = 0;
 
   /// Renders the table (up to max_rows rows) for terminal output.

@@ -56,7 +56,10 @@ class WorkMeter {
   bool Produce(size_t step) {
     ++produced_;
     if (trace_ != nullptr) ++trace_->step_rows_produced[step];
-    if (max_rows_ != 0 && produced_ > max_rows_) timed_out_ = true;
+    if (max_rows_ != 0 && produced_ > max_rows_) {
+      timed_out_ = true;
+      row_capped_ = true;
+    }
     return timed_out_;
   }
 
@@ -74,6 +77,8 @@ class WorkMeter {
   bool timed_out() const { return timed_out_; }
   /// A served ResourceTracker cancellation (always also timed_out()).
   bool cancelled() const { return cancelled_; }
+  /// The intermediate-row budget stopped the run (always also timed_out()).
+  bool row_capped() const { return row_capped_; }
   double ElapsedMs() const { return timer_.ElapsedMs(); }
 
   /// Ends the run: copies the totals into the trace, publishes them to the
@@ -97,6 +102,7 @@ class WorkMeter {
   uint64_t materialized_ = 0;
   bool timed_out_ = false;
   bool cancelled_ = false;
+  bool row_capped_ = false;
   Timer timer_;
 };
 

@@ -3,9 +3,9 @@
 // chrome://tracing and Perfetto (ui.perfetto.dev). Two span sources are
 // wired in by default once tracing is enabled:
 //
-//  * engine spans — QueryEngine emits one span per query (with phase
-//    sub-spans when a QueryTrace is collected), one per batch, and one per
-//    preprocessing stage;
+//  * engine spans — QueryEngine emits one span per query (with one
+//    sub-span per obs::Phase), one per batch, and one per preprocessing
+//    stage;
 //  * pool spans — a util::ThreadPool task-timing hook records every pool
 //    task / ParallelFor chunk on the worker thread that ran it, which makes
 //    pool utilization and stragglers directly visible on the timeline.

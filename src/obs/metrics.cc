@@ -1,7 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <cstdio>
 #include <map>
 
@@ -23,8 +25,11 @@ std::string FmtDouble(double v) {
 
 size_t Histogram::BucketIndex(double value) {
   if (!(value >= 1)) return 0;  // negatives / NaN land in bucket 0
-  int exp = static_cast<int>(std::floor(std::log2(value)));
-  size_t idx = static_cast<size_t>(exp) + 1;
+  // floor(log2(value)) read straight from the IEEE-754 exponent: exact at
+  // every bucket boundary, and cheap enough for per-query observations.
+  static_assert(std::numeric_limits<double>::is_iec559);
+  const uint64_t exp_bits = (std::bit_cast<uint64_t>(value) >> 52) & 0x7ff;
+  const size_t idx = static_cast<size_t>(exp_bits - 1023) + 1;  // inf: 1025
   return std::min(idx, kNumBuckets - 1);
 }
 

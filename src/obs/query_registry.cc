@@ -6,27 +6,32 @@
 #include <string_view>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/process_clock.h"
 
 namespace shapestats::obs {
 
-/// Shared state of one in-flight query. Immutable identity fields are set
-/// at registration; the planner-written fields are guarded by `mu`; the
-/// tracker is atomically updated by the executor.
+/// One in-flight query. A record is owned by the registry and recycled
+/// through its free list. The identity fields and the query text are
+/// written by the registering thread before the record is linked into its
+/// shard (readers see them under the shard lock); phase, template and step
+/// count are atomics the query's own thread updates without a lock; the
+/// tracker is atomically updated by the executor. `prev`/`next` link the
+/// shard's live list (guarded by the shard lock) and the free list (next
+/// only, guarded by the registry's done_mu_).
 struct LiveQuery {
   uint64_t id = 0;
   uint64_t request_id = 0;
   uint64_t batch_id = 0;
   uint32_t slot = 0;
   double started_ms = 0;
-  std::string query;
-  mutable util::Mutex mu;
-  std::string cache_template SHAPESTATS_GUARDED_BY(mu);
-  std::string phase SHAPESTATS_GUARDED_BY(mu);
-  uint64_t steps_total SHAPESTATS_GUARDED_BY(mu) = 0;
-  bool completed SHAPESTATS_GUARDED_BY(mu) = false;
+  std::string query;  // capacity kept across reuses
+  std::atomic<uint8_t> phase{0};
+  std::atomic<bool> has_template{false};
+  std::atomic<uint64_t> template_hash{0};
+  std::atomic<uint64_t> steps_total{0};
   ResourceTracker tracker;
+  LiveQuery* prev = nullptr;
+  LiveQuery* next = nullptr;
 };
 
 namespace {
@@ -38,12 +43,11 @@ QueryRecord Freeze(const LiveQuery& q, double now_ms) {
   r.batch_id = q.batch_id;
   r.slot = q.slot;
   r.query = q.query;
-  {
-    util::MutexLock lock(q.mu);
-    r.cache_template = q.cache_template;
-    r.phase = q.phase;
-    r.steps_total = q.steps_total;
+  if (q.has_template.load(std::memory_order_acquire)) {
+    r.cache_template = TemplateId(q.template_hash.load(std::memory_order_relaxed));
   }
+  r.phase = PhaseName(static_cast<Phase>(q.phase.load(std::memory_order_relaxed)));
+  r.steps_total = q.steps_total.load(std::memory_order_relaxed);
   r.resources = q.tracker.Snapshot();
   r.steps_completed = q.tracker.current_step();
   r.rows_produced = r.resources.rows_produced;
@@ -51,6 +55,9 @@ QueryRecord Freeze(const LiveQuery& q, double now_ms) {
   r.elapsed_ms = now_ms - q.started_ms;
   return r;
 }
+
+constexpr const char* kUncached = "(uncached)";
+constexpr const char* kOther = "(other)";
 
 }  // namespace
 
@@ -80,7 +87,39 @@ std::string QueryRecord::ToJson() const {
   return out + "}";
 }
 
-QueryRegistry::QueryRegistry(Options options) : options_(options) {}
+QueryRecord QueryRegistry::CompletedQuery::ToRecord() const {
+  QueryRecord r;
+  r.id = id;
+  r.request_id = request_id;
+  r.batch_id = batch_id;
+  r.slot = slot;
+  r.query = query;
+  if (has_template) r.cache_template = TemplateId(template_hash);
+  r.phase = PhaseName(Phase::kDone);
+  r.outcome = OutcomeName(outcome);
+  r.steps_total = steps_total;
+  // A finished query completed every step of its plan.
+  r.steps_completed = steps_total;
+  r.rows_produced = resources.rows_produced;
+  r.num_results = num_results;
+  r.started_ms = started_ms;
+  r.elapsed_ms = elapsed_ms;
+  r.resources = resources;
+  return r;
+}
+
+QueryRegistry::QueryRegistry(Options options)
+    : options_(options),
+      inflight_gauge_(MetricsRegistry::Global().GetGauge("registry.inflight")),
+      completed_counter_(
+          MetricsRegistry::Global().GetCounter("registry.completed")),
+      cancels_counter_(
+          MetricsRegistry::Global().GetCounter("registry.cancels")) {
+  util::MutexLock lock(done_mu_);
+  ring_.resize(options_.completed_capacity);
+}
+
+QueryRegistry::~QueryRegistry() = default;
 
 QueryRegistry& QueryRegistry::Global() {
   static QueryRegistry* registry = new QueryRegistry();
@@ -105,135 +144,162 @@ ResourceTracker* QueryRegistry::Registration::tracker() const {
   return rec_ != nullptr ? &rec_->tracker : nullptr;
 }
 
-void QueryRegistry::Registration::SetPhase(const char* phase) {
+void QueryRegistry::Registration::SetPhase(Phase phase) {
   if (rec_ == nullptr) return;
-  util::MutexLock lock(rec_->mu);
-  rec_->phase = phase;
+  rec_->phase.store(static_cast<uint8_t>(phase), std::memory_order_relaxed);
 }
 
-void QueryRegistry::Registration::SetTemplate(
-    const std::string& cache_template) {
+void QueryRegistry::Registration::SetTemplate(uint64_t template_hash) {
   if (rec_ == nullptr) return;
-  util::MutexLock lock(rec_->mu);
-  rec_->cache_template = cache_template;
+  rec_->template_hash.store(template_hash, std::memory_order_relaxed);
+  rec_->has_template.store(true, std::memory_order_release);
 }
 
 void QueryRegistry::Registration::SetStepsTotal(uint64_t steps) {
   if (rec_ == nullptr) return;
-  util::MutexLock lock(rec_->mu);
-  rec_->steps_total = steps;
+  rec_->steps_total.store(steps, std::memory_order_relaxed);
 }
 
-void QueryRegistry::Registration::Complete(const char* outcome,
-                                           uint64_t num_results) {
+void QueryRegistry::Registration::Complete(Outcome outcome,
+                                           uint64_t num_results,
+                                           double finished_ms) {
   if (rec_ == nullptr || registry_ == nullptr) return;
-  registry_->CompleteRecord(rec_, outcome, num_results);
-  rec_.reset();
+  registry_->CompleteRecord(rec_, outcome, num_results, finished_ms);
+  rec_ = nullptr;
   registry_ = nullptr;
-}
-
-void QueryRegistry::Registration::Finalize(const char* outcome) {
-  if (rec_ != nullptr) Complete(outcome, 0);
 }
 
 // ---------------------------------------------------------------------------
 // QueryRegistry
 
-QueryRegistry::Registration QueryRegistry::Register(std::string query,
+QueryRegistry::Registration QueryRegistry::Register(std::string_view query,
                                                     uint64_t request_id,
                                                     uint64_t batch_id,
-                                                    uint32_t slot) {
-  static Gauge* inflight_gauge =
-      MetricsRegistry::Global().GetGauge("registry.inflight");
-  auto rec = std::make_shared<LiveQuery>();
+                                                    uint32_t slot,
+                                                    double started_ms) {
+  LiveQuery* rec;
+  {
+    util::MutexLock lock(done_mu_);
+    if (free_ != nullptr) {
+      rec = free_;
+      free_ = rec->next;
+    } else {
+      records_.push_back(std::make_unique<LiveQuery>());
+      rec = records_.back().get();
+    }
+  }
   rec->id = next_id_.fetch_add(1, std::memory_order_relaxed);
   rec->request_id = request_id;
   rec->batch_id = batch_id;
   rec->slot = slot;
-  rec->started_ms = MonotonicMs();
-  if (query.size() > kMaxQueryBytes) query.resize(kMaxQueryBytes);
-  rec->query = std::move(query);
-  {
-    util::MutexLock lock(rec->mu);
-    rec->phase = "parse";
-  }
+  rec->started_ms = started_ms;
+  rec->query.assign(query.substr(0, kMaxQueryBytes));
+  rec->phase.store(static_cast<uint8_t>(Phase::kParse),
+                   std::memory_order_relaxed);
+  rec->has_template.store(false, std::memory_order_relaxed);
+  rec->template_hash.store(0, std::memory_order_relaxed);
+  rec->steps_total.store(0, std::memory_order_relaxed);
+  rec->tracker.Reset();
   Shard& shard = ShardFor(rec->id);
   {
     util::MutexLock lock(shard.mu);
-    shard.live.emplace(rec->id, rec);
+    rec->prev = nullptr;
+    rec->next = shard.live;
+    if (shard.live != nullptr) shard.live->prev = rec;
+    shard.live = rec;
   }
-  registered_.fetch_add(1, std::memory_order_relaxed);
-  inflight_gauge->Add(1);
+  inflight_gauge_->Add(1);
   Registration reg;
   reg.registry_ = this;
-  reg.rec_ = std::move(rec);
+  reg.rec_ = rec;
   return reg;
 }
 
-void QueryRegistry::CompleteRecord(const std::shared_ptr<LiveQuery>& rec,
-                                   const char* outcome,
-                                   uint64_t num_results) {
-  static Gauge* inflight_gauge =
-      MetricsRegistry::Global().GetGauge("registry.inflight");
-  static Counter* completed_counter =
-      MetricsRegistry::Global().GetCounter("registry.completed");
-  {
-    util::MutexLock lock(rec->mu);
-    if (rec->completed) return;
-    rec->completed = true;
-  }
+size_t QueryRegistry::NumAggregatesLocked() const {
+  return by_template_.size() + (uncached_.executions > 0) +
+         (other_.executions > 0);
+}
+
+void QueryRegistry::CompleteRecord(LiveQuery* rec, Outcome outcome,
+                                   uint64_t num_results, double finished_ms) {
   Shard& shard = ShardFor(rec->id);
   {
     util::MutexLock lock(shard.mu);
-    shard.live.erase(rec->id);
+    if (rec->prev != nullptr) {
+      rec->prev->next = rec->next;
+    } else {
+      shard.live = rec->next;
+    }
+    if (rec->next != nullptr) rec->next->prev = rec->prev;
   }
-  inflight_gauge->Add(-1);
-  completed_counter->Add();
+  inflight_gauge_->Add(-1);
+  completed_counter_->Add();
 
-  QueryRecord frozen = Freeze(*rec, MonotonicMs());
-  frozen.phase = "done";
-  frozen.outcome = outcome;
-  frozen.num_results = num_results;
-  // The executor reports 0-based current step; a finished query completed
-  // every step of its plan.
-  frozen.steps_completed = frozen.steps_total;
+  const ResourceSnapshot resources = rec->tracker.Snapshot();
+  const double elapsed_ms = finished_ms - rec->started_ms;
+  const bool has_template = rec->has_template.load(std::memory_order_relaxed);
+  const uint64_t template_hash =
+      rec->template_hash.load(std::memory_order_relaxed);
 
   util::MutexLock lock(done_mu_);
-  const std::string key =
-      frozen.cache_template.empty() ? "(uncached)" : frozen.cache_template;
-  auto it = by_template_.find(key);
-  if (it == by_template_.end()) {
-    if (by_template_.size() >= options_.max_templates) {
-      it = by_template_.try_emplace("(other)").first;
-      it->second.cache_template = "(other)";
-    } else {
-      it = by_template_.try_emplace(key).first;
-      it->second.cache_template = key;
-    }
+  // New templates beyond max_templates (the uncached bucket included) fold
+  // into the overflow bucket, so a hostile workload cannot grow memory.
+  Aggregate* agg;
+  if (!has_template) {
+    agg = uncached_.executions == 0 &&
+                  NumAggregatesLocked() >= options_.max_templates
+              ? &other_
+              : &uncached_;
+  } else if (auto it = by_template_.find(template_hash);
+             it != by_template_.end()) {
+    agg = &it->second;
+  } else if (NumAggregatesLocked() >= options_.max_templates) {
+    agg = &other_;
+  } else {
+    agg = &by_template_[template_hash];
   }
-  it->second.executions += 1;
-  it->second.rows_produced += frozen.rows_produced;
-  it->second.num_results += num_results;
-  it->second.total_ms += frozen.elapsed_ms;
+  agg->executions += 1;
+  agg->rows_produced += resources.rows_produced;
+  agg->num_results += num_results;
+  agg->total_ms += elapsed_ms;
 
-  if (completed_.size() >= options_.completed_capacity) completed_.pop_front();
-  completed_.push_back(std::move(frozen));
+  if (!ring_.empty()) {
+    CompletedQuery& done = ring_[ring_next_];
+    done.id = rec->id;
+    done.request_id = rec->request_id;
+    done.batch_id = rec->batch_id;
+    done.slot = rec->slot;
+    // The slot takes the record's text and leaves its old buffer for the
+    // record's next query: no copy, no allocation.
+    done.query.swap(rec->query);
+    done.has_template = has_template;
+    done.template_hash = template_hash;
+    done.outcome = outcome;
+    done.steps_total = rec->steps_total.load(std::memory_order_relaxed);
+    done.num_results = num_results;
+    done.started_ms = rec->started_ms;
+    done.elapsed_ms = elapsed_ms;
+    done.resources = resources;
+    ring_next_ = (ring_next_ + 1) % ring_.size();
+    ring_size_ = std::min(ring_size_ + 1, ring_.size());
+  }
+  rec->next = free_;
+  free_ = rec;
 }
 
 bool QueryRegistry::Cancel(uint64_t id) {
-  static Counter* cancels =
-      MetricsRegistry::Global().GetCounter("registry.cancels");
-  std::shared_ptr<LiveQuery> rec;
   {
     const Shard& shard = ShardFor(id);
     util::MutexLock lock(shard.mu);
-    auto it = shard.live.find(id);
-    if (it == shard.live.end()) return false;
-    rec = it->second;
+    LiveQuery* rec = shard.live;
+    while (rec != nullptr && rec->id != id) rec = rec->next;
+    if (rec == nullptr) return false;
+    // Under the shard lock: the record cannot complete and be reused
+    // by another query meanwhile.
+    rec->tracker.RequestCancel();
   }
-  rec->tracker.RequestCancel();
   cancelled_.fetch_add(1, std::memory_order_relaxed);
-  cancels->Add();
+  cancels_counter_->Add();
   return true;
 }
 
@@ -241,7 +307,9 @@ size_t QueryRegistry::NumInflight() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {
     util::MutexLock lock(shard.mu);
-    n += shard.live.size();
+    for (const LiveQuery* rec = shard.live; rec != nullptr; rec = rec->next) {
+      ++n;
+    }
   }
   return n;
 }
@@ -251,7 +319,9 @@ std::vector<QueryRecord> QueryRegistry::Inflight() const {
   std::vector<QueryRecord> out;
   for (const Shard& shard : shards_) {
     util::MutexLock lock(shard.mu);
-    for (const auto& [id, rec] : shard.live) out.push_back(Freeze(*rec, now));
+    for (const LiveQuery* rec = shard.live; rec != nullptr; rec = rec->next) {
+      out.push_back(Freeze(*rec, now));
+    }
   }
   std::sort(out.begin(), out.end(),
             [](const QueryRecord& a, const QueryRecord& b) {
@@ -263,9 +333,11 @@ std::vector<QueryRecord> QueryRegistry::Inflight() const {
 std::vector<QueryRecord> QueryRegistry::Completed(size_t max) const {
   std::vector<QueryRecord> out;
   util::MutexLock lock(done_mu_);
-  for (auto it = completed_.rbegin(); it != completed_.rend(); ++it) {
-    if (max != 0 && out.size() >= max) break;
-    out.push_back(*it);
+  const size_t n = max == 0 ? ring_size_ : std::min(max, ring_size_);
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t at = (ring_next_ + ring_.size() - 1 - i) % ring_.size();
+    out.push_back(ring_[at].ToRecord());
   }
   return out;
 }
@@ -274,8 +346,14 @@ std::vector<TemplateStats> QueryRegistry::TopTemplates(size_t n) const {
   std::vector<TemplateStats> out;
   {
     util::MutexLock lock(done_mu_);
-    out.reserve(by_template_.size());
-    for (const auto& [key, stats] : by_template_) out.push_back(stats);
+    out.reserve(NumAggregatesLocked());
+    auto add = [&out](std::string name, const Aggregate& agg) {
+      out.push_back({std::move(name), agg.executions, agg.rows_produced,
+                     agg.num_results, agg.total_ms});
+    };
+    for (const auto& [hash, agg] : by_template_) add(TemplateId(hash), agg);
+    if (uncached_.executions > 0) add(kUncached, uncached_);
+    if (other_.executions > 0) add(kOther, other_);
   }
   std::sort(out.begin(), out.end(),
             [](const TemplateStats& a, const TemplateStats& b) {

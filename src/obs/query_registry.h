@@ -1,25 +1,37 @@
 // Live query registry: the "what is running right now" half of the
 // introspection plane (DESIGN.md §12). Every engine Execute / ExecuteBatch
 // slot registers a record (query text, request/batch ids, phase, step
-// progress, a ResourceTracker) into a lock-sharded live map for the
-// lifetime of the query; completion moves a frozen QueryRecord into a
-// bounded ring and per-template aggregates. The server's /debug/queries and
-// the shell's .running render snapshots; Cancel(id) flips the record's
-// tracker flag, which the executors observe on their next work tick.
+// progress, a ResourceTracker) into a lock-sharded live list for the
+// lifetime of the query; completion copies it into a bounded ring and
+// per-template aggregates. The server's /debug/queries and the shell's
+// .running render snapshots; Cancel(id) flips the record's tracker flag,
+// which the executors observe on their next work tick.
+//
+// Registration costs no allocation in steady state: records come from a
+// registry-owned free list, the phase, template and step count are atomics
+// (the query's own thread writes them without a lock), the template is
+// kept as its 64-bit hash and rendered as text only when read, the
+// completed ring is preallocated and overwritten in place, and the
+// per-template aggregates are keyed by the hash.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/process_clock.h"
+#include "obs/query_phase.h"
 #include "obs/resource_tracker.h"
 #include "util/thread_annotations.h"
 
 namespace shapestats::obs {
+
+struct LiveQuery;
 
 /// Frozen view of one query, either in flight (snapshot) or completed.
 struct QueryRecord {
@@ -29,8 +41,9 @@ struct QueryRecord {
   uint32_t slot = 0;        // index within the batch
   std::string query;        // SPARQL text (truncated to kMaxQueryBytes)
   std::string cache_template;  // "t:<hash>" when the plan cache saw it
-  std::string phase;  // parse|analyze|static-check|plan|execute|done
-  /// Completed records only: ok | static-empty | timeout | cancelled | error.
+  std::string phase;  // obs::PhaseName: parse|encode|...|execute, or done
+  /// Completed records only, obs::OutcomeName: ok | static-empty |
+  /// timeout | row-cap | cancelled | error.
   std::string outcome;
   uint64_t steps_total = 0;      // join steps in the plan (0 before planning)
   uint64_t steps_completed = 0;  // executor's current step
@@ -69,6 +82,7 @@ class QueryRegistry {
 
   QueryRegistry() : QueryRegistry(Options()) {}
   explicit QueryRegistry(Options options);
+  ~QueryRegistry();
 
   /// Process-wide instance used by the engine unless overridden.
   static QueryRegistry& Global();
@@ -85,15 +99,17 @@ class QueryRegistry {
     Registration(Registration&& other) noexcept { *this = std::move(other); }
     Registration& operator=(Registration&& other) noexcept {
       if (this != &other) {
-        Finalize("error");
+        if (rec_ != nullptr) Complete(Outcome::kError, 0);
         registry_ = other.registry_;
-        rec_ = std::move(other.rec_);
+        rec_ = other.rec_;
         other.registry_ = nullptr;
-        other.rec_.reset();
+        other.rec_ = nullptr;
       }
       return *this;
     }
-    ~Registration() { Finalize("error"); }
+    ~Registration() {
+      if (rec_ != nullptr) Complete(Outcome::kError, 0);
+    }
     Registration(const Registration&) = delete;
     Registration& operator=(const Registration&) = delete;
 
@@ -102,23 +118,28 @@ class QueryRegistry {
     /// The query's resource tracker; null for an empty registration.
     ResourceTracker* tracker() const;
 
-    void SetPhase(const char* phase);
-    void SetTemplate(const std::string& cache_template);
+    void SetPhase(Phase phase);
+    /// The plan-cache template, by its hash (rendered "t:%016llx").
+    void SetTemplate(uint64_t template_hash);
     void SetStepsTotal(uint64_t steps);
 
-    /// Freezes the record into the completed ring and drops it from the
-    /// live map. Idempotent; later setter calls are no-ops.
-    void Complete(const char* outcome, uint64_t num_results);
+    /// Moves the record into the completed ring and drops it from the
+    /// live list, timed as finishing at `finished_ms` (obs::MonotonicMs
+    /// timebase). Idempotent; later setter calls are no-ops.
+    void Complete(Outcome outcome, uint64_t num_results,
+                  double finished_ms = MonotonicMs());
 
    private:
     friend class QueryRegistry;
-    void Finalize(const char* outcome);
     QueryRegistry* registry_ = nullptr;
-    std::shared_ptr<struct LiveQuery> rec_;
+    LiveQuery* rec_ = nullptr;
   };
 
-  Registration Register(std::string query, uint64_t request_id,
-                        uint64_t batch_id, uint32_t slot);
+  /// `started_ms` is the registration time on the obs::MonotonicMs
+  /// timebase; callers that already read the clock pass their reading.
+  Registration Register(std::string_view query, uint64_t request_id,
+                        uint64_t batch_id, uint32_t slot,
+                        double started_ms = MonotonicMs());
 
   /// Requests cooperative cancellation of a live query. False when the id
   /// is unknown or already completed.
@@ -132,7 +153,8 @@ class QueryRegistry {
   std::vector<TemplateStats> TopTemplates(size_t n) const;
 
   uint64_t registered_total() const {
-    return registered_.load(std::memory_order_relaxed);
+    // Ids are handed out from 1, one per registration.
+    return next_id_.load(std::memory_order_relaxed) - 1;
   }
   uint64_t cancelled_total() const {
     return cancelled_.load(std::memory_order_relaxed);
@@ -143,27 +165,68 @@ class QueryRegistry {
   std::string ToJson(size_t completed_max = 32) const;
 
  private:
+  /// One completed query, stored in place in the ring.
+  struct CompletedQuery {
+    uint64_t id = 0;
+    uint64_t request_id = 0;
+    uint64_t batch_id = 0;
+    uint32_t slot = 0;
+    std::string query;
+    bool has_template = false;
+    uint64_t template_hash = 0;
+    Outcome outcome = Outcome::kOk;
+    uint64_t steps_total = 0;
+    uint64_t num_results = 0;
+    double started_ms = 0;
+    double elapsed_ms = 0;
+    ResourceSnapshot resources;
+
+    QueryRecord ToRecord() const;
+  };
+
+  /// Cumulative statistics of one template (or of the uncached / overflow
+  /// buckets); present once `executions` is nonzero.
+  struct Aggregate {
+    uint64_t executions = 0;
+    uint64_t rows_produced = 0;
+    uint64_t num_results = 0;
+    double total_ms = 0;
+  };
+
   struct Shard {
     mutable util::Mutex mu;
-    std::unordered_map<uint64_t, std::shared_ptr<struct LiveQuery>> live
-        SHAPESTATS_GUARDED_BY(mu);
+    LiveQuery* live SHAPESTATS_GUARDED_BY(mu) = nullptr;  // list head
   };
   Shard& ShardFor(uint64_t id) { return shards_[id % kShards]; }
   const Shard& ShardFor(uint64_t id) const { return shards_[id % kShards]; }
 
-  /// Freezes `rec` (already removed from its shard) into the ring.
-  void CompleteRecord(const std::shared_ptr<struct LiveQuery>& rec,
-                      const char* outcome, uint64_t num_results);
+  /// Unlinks `rec` from its shard, copies it into the ring and the
+  /// aggregates, and returns it to the free list.
+  void CompleteRecord(LiveQuery* rec, Outcome outcome, uint64_t num_results,
+                      double finished_ms);
+  size_t NumAggregatesLocked() const SHAPESTATS_REQUIRES(done_mu_);
 
   Options options_;
+  Gauge* inflight_gauge_;
+  Counter* completed_counter_;
+  Counter* cancels_counter_;
   Shard shards_[kShards];
   std::atomic<uint64_t> next_id_{1};
-  std::atomic<uint64_t> registered_{0};
   std::atomic<uint64_t> cancelled_{0};
   mutable util::Mutex done_mu_;
-  std::deque<QueryRecord> completed_ SHAPESTATS_GUARDED_BY(done_mu_);
-  std::unordered_map<std::string, TemplateStats> by_template_
+  /// Every record the registry ever created, and the idle ones.
+  std::vector<std::unique_ptr<LiveQuery>> records_
       SHAPESTATS_GUARDED_BY(done_mu_);
+  LiveQuery* free_ SHAPESTATS_GUARDED_BY(done_mu_) = nullptr;
+  /// The completed ring: `ring_next_` is the slot the next completion
+  /// overwrites, `ring_size_` the number of slots holding a record.
+  std::vector<CompletedQuery> ring_ SHAPESTATS_GUARDED_BY(done_mu_);
+  size_t ring_next_ SHAPESTATS_GUARDED_BY(done_mu_) = 0;
+  size_t ring_size_ SHAPESTATS_GUARDED_BY(done_mu_) = 0;
+  std::unordered_map<uint64_t, Aggregate> by_template_
+      SHAPESTATS_GUARDED_BY(done_mu_);
+  Aggregate uncached_ SHAPESTATS_GUARDED_BY(done_mu_);
+  Aggregate other_ SHAPESTATS_GUARDED_BY(done_mu_);
 };
 
 }  // namespace shapestats::obs

@@ -68,6 +68,12 @@ class MemoryAccount {
   uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
   uint64_t total() const { return total_.load(std::memory_order_relaxed); }
 
+  void Reset() {
+    current_.store(0, std::memory_order_relaxed);
+    peak_.store(0, std::memory_order_relaxed);
+    total_.store(0, std::memory_order_relaxed);
+  }
+
  private:
   std::atomic<uint64_t> current_{0};
   std::atomic<uint64_t> peak_{0};
@@ -153,6 +159,14 @@ class ResourceTracker {
   const MemoryAccount& memory() const { return memory_; }
   uint32_t current_step() const {
     return step_.load(std::memory_order_relaxed);
+  }
+
+  /// Zeroes every counter and flag, for a tracker reused by a new query.
+  void Reset() {
+    Publish(0, 0, 0, 0, 0);
+    cancel_requested_.store(false, std::memory_order_relaxed);
+    cancel_observed_.store(false, std::memory_order_relaxed);
+    memory_.Reset();
   }
 
   ResourceSnapshot Snapshot() const {

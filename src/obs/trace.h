@@ -1,6 +1,7 @@
-// Per-query tracing: phase spans (parse -> encode -> plan -> estimate ->
-// execute), planner decision counters, executor probe/scan counters, and
-// per-join-step records comparing estimated against true cardinalities —
+// Per-query tracing: phase spans (obs::Phase: parse -> encode -> analyze
+// -> static-check -> plan -> estimate -> execute), planner decision
+// counters, executor probe/scan counters, and per-join-step records
+// comparing estimated against true cardinalities —
 // the q-error evidence of the paper's evaluation (Fig. 4c/4d, Table 2),
 // collected for a single query instead of a whole benchmark. Depends only
 // on util so every layer (card, opt, exec, engine) can emit into it.
@@ -10,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/query_phase.h"
 #include "obs/resource_tracker.h"
-#include "util/timer.h"
 
 namespace shapestats::obs {
 
@@ -103,7 +104,9 @@ struct QueryTrace {
   ResourceSnapshot resources;
   bool has_resources = false;
 
-  void AddPhase(const std::string& name, double ms) { phases.push_back({name, ms}); }
+  void AddPhase(Phase phase, double ms) {
+    phases.push_back({PhaseName(phase), ms});
+  }
   /// Time of a named phase; -1 when the phase was not recorded.
   double PhaseMs(const std::string& name) const;
 
@@ -111,23 +114,6 @@ struct QueryTrace {
   std::string ToJson() const;
   /// Human-readable rendering: step table + phase breakdown + totals.
   std::string ToTable() const;
-};
-
-/// RAII phase timer: records a span on destruction (or explicit Stop()).
-class PhaseTimer {
- public:
-  PhaseTimer(QueryTrace* trace, std::string name)
-      : trace_(trace), name_(std::move(name)) {}
-  ~PhaseTimer() { Stop(); }
-  void Stop() {
-    if (trace_ != nullptr) trace_->AddPhase(name_, timer_.ElapsedMs());
-    trace_ = nullptr;
-  }
-
- private:
-  QueryTrace* trace_;
-  std::string name_;
-  Timer timer_;
 };
 
 /// q-error (Section 7): max(max(1,e)/max(1,c), max(1,c)/max(1,e)).

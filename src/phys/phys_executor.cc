@@ -149,6 +149,7 @@ class PhysEvaluator {
     res.num_results = produced_.empty() ? 0 : produced_.back();
     res.timed_out = meter_.timed_out();
     res.cancelled = meter_.cancelled();
+    res.row_capped = meter_.row_capped();
     res.elapsed_ms = meter_.ElapsedMs();
     meter_.Finish(exec::RunKind::kPhys);
     return res;
@@ -179,6 +180,7 @@ class PhysEvaluator {
                                        &order_keys));
     table.timed_out = meter_.timed_out();
     table.cancelled = meter_.cancelled();
+    table.row_capped = meter_.row_capped();
     table.elapsed_ms = meter_.ElapsedMs();
     meter_.Finish(exec::RunKind::kPhys);
     return table;

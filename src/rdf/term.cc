@@ -10,26 +10,39 @@ Term Term::IntLiteral(int64_t v) {
 }
 
 std::string Term::ToNTriples() const {
+  std::string out;
+  // One allocation: brackets, quotes, "^^<" and ">" add at most 6 bytes
+  // (literal escapes may still grow it).
+  out.reserve(lexical.size() + datatype.size() + lang.size() + 6);
+  AppendNTriples(&out);
+  return out;
+}
+
+void Term::AppendNTriples(std::string* out) const {
   switch (kind) {
     case TermKind::kIri:
-      return "<" + lexical + ">";
+      out->push_back('<');
+      out->append(lexical);
+      out->push_back('>');
+      return;
     case TermKind::kBlank:
-      return "_:" + lexical;
-    case TermKind::kLiteral: {
-      // Built via append (not `"literal" + temporary`): gcc 12's -Wrestrict
-      // fires a false positive on operator+(const char*, std::string&&).
-      std::string out = "\"";
-      out += EscapeLiteral(lexical);
-      out += "\"";
+      out->append("_:");
+      out->append(lexical);
+      return;
+    case TermKind::kLiteral:
+      out->push_back('"');
+      out->append(EscapeLiteral(lexical));
+      out->push_back('"');
       if (!lang.empty()) {
-        out += "@" + lang;
+        out->push_back('@');
+        out->append(lang);
       } else if (!datatype.empty() && datatype != vocab::kXsdString) {
-        out += "^^<" + datatype + ">";
+        out->append("^^<");
+        out->append(datatype);
+        out->push_back('>');
       }
-      return out;
-    }
+      return;
   }
-  return "";
 }
 
 Result<Term> ParseTerm(std::string_view text) {

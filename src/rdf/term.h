@@ -50,6 +50,8 @@ struct Term {
 
   /// Canonical N-Triples serialization; also the dictionary key.
   std::string ToNTriples() const;
+  /// Appends ToNTriples() to `out`, reusing its capacity.
+  void AppendNTriples(std::string* out) const;
 
   bool operator==(const Term& other) const {
     return kind == other.kind && lexical == other.lexical &&

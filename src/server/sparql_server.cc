@@ -117,6 +117,8 @@ int StatusCodeForError(const Status& status) {
     case StatusCode::kInvalidArgument:
     case StatusCode::kUnsupported:
       return 400;
+    case StatusCode::kAborted:  // a limit stopped it before it had an answer
+      return 503;
     default:
       return 500;
   }
@@ -447,6 +449,13 @@ HttpResponse SparqlServer::HandleSparql(const HttpRequest& req,
     queries_failed->Add();
     resp = {StatusCodeForError(slot.status()), "application/json",
             JsonError(slot.status().ToString()), {}};
+    // A truncated ASK has no answer to send: the error says why, and the
+    // header marks it as a limit hit like any truncated result.
+    if (slot.status().code() == StatusCode::kAborted) {
+      *timed_out = true;
+      query_timeouts->Add();
+      resp.extra_headers.emplace_back("X-Timed-Out", "true");
+    }
   } else {
     queries_ok->Add();
     if (trace_out != nullptr && !batch.traces.empty()) {
@@ -473,7 +482,8 @@ HttpResponse SparqlServer::HandleSparql(const HttpRequest& req,
         .Uint("batch_id", batch.batch_id)
         .Bool("ok", slot.ok())
         .Num("exec_ms", exec_ms);
-    if (slot.ok()) ev.Uint("results", *result_rows).Bool("timed_out", *timed_out);
+    if (slot.ok()) ev.Uint("results", *result_rows);
+    if (slot.ok() || *timed_out) ev.Bool("timed_out", *timed_out);
     log.Emit(std::move(ev));
   }
 

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rdf/dictionary.h"
@@ -54,6 +55,52 @@ struct EncodedBgp {
   std::vector<std::string> var_names;  // index = VarId
 
   size_t NumVars() const { return var_names.size(); }
+};
+
+/// Builds an EncodedBgp one triple pattern at a time: the per-term encoder
+/// behind both the one-pass parser (ParseQuery(text, &encoder), which feeds
+/// it each pattern as it reads the text) and EncodeBgp (which feeds it a
+/// parsed query's patterns). Variables are numbered by first occurrence in
+/// the order their patterns are added, s, p, o within a pattern — pattern
+/// order only, so projection, FILTER and ORDER BY variables never shift
+/// the numbering. Each distinct constant's N-Triples key is stored once
+/// and resolved against the dictionary once, in Finish. Reset keeps every
+/// buffer's capacity, so an encoder reused across queries allocates only
+/// for the EncodedBgp that Finish returns.
+class BgpEncoder {
+ public:
+  /// Forgets the previous query's patterns, variables and constants.
+  void Reset();
+
+  /// The variable `name` (without '?'), numbered on first sight.
+  EncodedTerm Var(std::string_view name);
+  /// A constant term. Its N-Triples key is rendered into a reused buffer
+  /// and stored once; until Finish the returned term is a placeholder,
+  /// kBound with the constant's index.
+  EncodedTerm Constant(const rdf::Term& term);
+  /// Var or Constant, whichever `term` is.
+  EncodedTerm Encode(const PatternTerm& term);
+
+  void AddPattern(EncodedTerm s, EncodedTerm p, EncodedTerm o);
+
+  /// VarId of the pattern variable `name`, or -1 when no added pattern
+  /// mentions it.
+  int FindVar(std::string_view name) const;
+
+  /// Resolves every distinct constant against `dict` (absent ones become
+  /// kMissing) and returns the encoded BGP. The encoder stays reusable.
+  EncodedBgp Finish(const rdf::TermDictionary& dict);
+
+ private:
+  EncodedTerm Key(std::string_view key);
+
+  std::string names_;               // variable names, concatenated
+  std::vector<uint32_t> name_ends_;  // end offset of VarId i in names_
+  std::string keys_;                // distinct constant keys, concatenated
+  std::vector<uint32_t> key_ends_;   // end offset of constant i in keys_
+  std::string scratch_;             // the key being rendered
+  std::vector<EncodedPattern> patterns_;
+  std::vector<EncodedTerm> resolved_;  // Finish: constant index -> term
 };
 
 /// Encodes `query`'s BGP against `dict`. Constants not present in the

@@ -1,8 +1,8 @@
 #include "sparql/parser.h"
 
-#include <algorithm>
 #include <cctype>
-#include <unordered_map>
+#include <cstdint>
+#include <limits>
 
 #include "rdf/vocab.h"
 #include "util/string_util.h"
@@ -10,6 +10,21 @@
 namespace shapestats::sparql {
 
 namespace {
+
+bool IsWordChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-';
+}
+
+bool EqualsIgnoreCase(std::string_view word, std::string_view keyword) {
+  if (word.size() != keyword.size()) return false;
+  for (size_t i = 0; i < word.size(); ++i) {
+    if (std::toupper(static_cast<unsigned char>(word[i])) !=
+        std::toupper(static_cast<unsigned char>(keyword[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
 
 struct Cursor {
   std::string_view text;
@@ -51,41 +66,62 @@ struct Cursor {
     return false;
   }
 
-  /// Reads a bare word (letters/digits/_/-); empty if none.
-  std::string PeekWord() {
+  /// The bare word (letters/digits/_/-) at the cursor, as a view into the
+  /// text; empty if none.
+  std::string_view PeekWord() {
     SkipWs();
     size_t i = pos;
-    while (i < text.size() && (std::isalnum(static_cast<unsigned char>(text[i])) ||
-                               text[i] == '_' || text[i] == '-')) {
-      ++i;
-    }
-    return std::string(text.substr(pos, i - pos));
+    while (i < text.size() && IsWordChar(text[i])) ++i;
+    return text.substr(pos, i - pos);
   }
 
-  void ConsumeWord(const std::string& w) { pos += w.size(); }
+  void ConsumeWord(std::string_view w) { pos += w.size(); }
 
   /// Case-insensitive keyword match + consume.
   bool ConsumeKeyword(std::string_view kw) {
-    std::string w = PeekWord();
-    if (w.size() != kw.size()) return false;
-    for (size_t i = 0; i < w.size(); ++i) {
-      if (std::toupper(static_cast<unsigned char>(w[i])) !=
-          std::toupper(static_cast<unsigned char>(kw[i]))) {
-        return false;
-      }
-    }
+    std::string_view w = PeekWord();
+    if (!EqualsIgnoreCase(w, kw)) return false;
     ConsumeWord(w);
     return true;
   }
 
-  Status Error(const std::string& msg) {
-    return Status::ParseError("line " + std::to_string(line) + ": " + msg);
+  Status Error(std::string_view msg) {
+    std::string out = "line " + std::to_string(line) + ": ";
+    out += msg;
+    return Status::ParseError(std::move(out));
   }
 };
 
+/// A PREFIX declaration, both parts viewing the query text.
+struct Prefix {
+  std::string_view name;
+  std::string_view iri;
+};
+
+/// Per-thread buffers reused across parses: the prefix table, and the
+/// encoder that numbers pattern variables when the caller brings none.
+struct Scratch {
+  std::vector<Prefix> prefixes;
+  BgpEncoder encoder;
+};
+
+Scratch& GetScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
 class Parser {
  public:
-  explicit Parser(std::string_view text) { cur_.text = text; }
+  /// Every triple pattern is handed to `encoder` as soon as it is read, so
+  /// pattern variables are numbered in pattern order; the projection,
+  /// FILTER and ORDER BY checks look variables up there.
+  Parser(std::string_view text, std::vector<Prefix>* prefixes,
+         BgpEncoder* encoder)
+      : prefixes_(*prefixes), encoder_(*encoder) {
+    cur_.text = text;
+    prefixes_.clear();
+    encoder_.Reset();
+  }
 
   Result<ParsedQuery> Run() {
     RETURN_NOT_OK(ParsePrologue());
@@ -115,16 +151,36 @@ class Parser {
       cur_.SkipWs();
       size_t colon = cur_.text.find(':', cur_.pos);
       if (colon == std::string_view::npos) return cur_.Error("bad PREFIX");
-      std::string name(Trim(cur_.text.substr(cur_.pos, colon - cur_.pos)));
+      const std::string_view name =
+          Trim(cur_.text.substr(cur_.pos, colon - cur_.pos));
       cur_.pos = colon + 1;
       cur_.SkipWs();
       if (cur_.Peek() != '<') return cur_.Error("expected IRI in PREFIX");
       size_t end = cur_.text.find('>', cur_.pos);
       if (end == std::string_view::npos) return cur_.Error("unterminated IRI");
-      prefixes_[name] = std::string(cur_.text.substr(cur_.pos + 1, end - cur_.pos - 1));
+      prefixes_.push_back(
+          {name, cur_.text.substr(cur_.pos + 1, end - cur_.pos - 1)});
       cur_.pos = end + 1;
     }
     return Status::OK();
+  }
+
+  /// The IRI a prefix name stands for; a redeclared prefix resolves to its
+  /// last declaration.
+  const Prefix* FindPrefix(std::string_view name) const {
+    for (size_t i = prefixes_.size(); i-- > 0;) {
+      if (prefixes_[i].name == name) return &prefixes_[i];
+    }
+    return nullptr;
+  }
+
+  /// `?name` at the cursor (the '?' already checked by the caller).
+  Result<std::string_view> ParseVarName(const char* empty_error) {
+    ++cur_.pos;
+    std::string_view name = cur_.PeekWord();
+    if (name.empty()) return cur_.Error(empty_error);
+    cur_.ConsumeWord(name);
+    return name;
   }
 
   Status ParseProjection() {
@@ -144,21 +200,17 @@ class Parser {
       }
       if (!cur_.ConsumeKeyword("AS")) return cur_.Error("expected AS in COUNT");
       if (cur_.Peek() != '?') return cur_.Error("expected alias variable");
-      ++cur_.pos;
-      std::string name = cur_.PeekWord();
-      if (name.empty()) return cur_.Error("empty alias variable");
-      cur_.ConsumeWord(name);
+      ASSIGN_OR_RETURN(std::string_view name,
+                       ParseVarName("empty alias variable"));
       if (!cur_.ConsumeChar(')')) return cur_.Error("expected ')' after alias");
       query_.count_aggregate = true;
-      query_.projection.push_back(Variable{name});
+      query_.projection.push_back(Variable{std::string(name)});
       return Status::OK();
     }
     while (cur_.Peek() == '?') {
-      ++cur_.pos;
-      std::string name = cur_.PeekWord();
-      if (name.empty()) return cur_.Error("empty variable name");
-      cur_.ConsumeWord(name);
-      query_.projection.push_back(Variable{name});
+      ASSIGN_OR_RETURN(std::string_view name,
+                       ParseVarName("empty variable name"));
+      query_.projection.push_back(Variable{std::string(name)});
     }
     if (query_.projection.empty()) {
       return cur_.Error("expected '*' or at least one ?variable");
@@ -169,11 +221,9 @@ class Parser {
   Result<PatternTerm> ParsePatternTerm(bool is_predicate) {
     char c = cur_.Peek();
     if (c == '?') {
-      ++cur_.pos;
-      std::string name = cur_.PeekWord();
-      if (name.empty()) return cur_.Error("empty variable name");
-      cur_.ConsumeWord(name);
-      return PatternTerm(Variable{name});
+      ASSIGN_OR_RETURN(std::string_view name,
+                       ParseVarName("empty variable name"));
+      return PatternTerm(Variable{std::string(name)});
     }
     if (c == '<') {
       size_t end = cur_.text.find('>', cur_.pos);
@@ -183,27 +233,25 @@ class Parser {
       return PatternTerm(rdf::Term::Iri(std::move(iri)));
     }
     if (c == '"') {
-      ++cur_.pos;
-      std::string raw;
+      // The raw (still escaped) value runs to the first unescaped quote.
+      const size_t start = ++cur_.pos;
       while (cur_.pos < cur_.text.size() && cur_.text[cur_.pos] != '"') {
-        if (cur_.text[cur_.pos] == '\\' && cur_.pos + 1 < cur_.text.size()) {
-          raw += cur_.text[cur_.pos];
-          raw += cur_.text[cur_.pos + 1];
-          cur_.pos += 2;
-          continue;
-        }
-        raw += cur_.text[cur_.pos];
-        ++cur_.pos;
+        cur_.pos += cur_.text[cur_.pos] == '\\' &&
+                            cur_.pos + 1 < cur_.text.size()
+                        ? 2
+                        : 1;
       }
       if (cur_.pos >= cur_.text.size()) return cur_.Error("unterminated literal");
+      std::string value =
+          UnescapeLiteral(cur_.text.substr(start, cur_.pos - start));
       ++cur_.pos;  // closing quote
-      std::string value = UnescapeLiteral(raw);
       // Optional @lang or ^^<dt> / ^^pn:local suffix.
       if (cur_.pos < cur_.text.size() && cur_.text[cur_.pos] == '@') {
         ++cur_.pos;
-        std::string lang = cur_.PeekWord();
+        std::string_view lang = cur_.PeekWord();
         cur_.ConsumeWord(lang);
-        return PatternTerm(rdf::Term::Literal(value, "", lang));
+        return PatternTerm(
+            rdf::Term::Literal(std::move(value), "", std::string(lang)));
       }
       if (cur_.pos + 1 < cur_.text.size() && cur_.text[cur_.pos] == '^' &&
           cur_.text[cur_.pos + 1] == '^') {
@@ -212,9 +260,10 @@ class Parser {
         if (IsVar(dt) || !AsTerm(dt).is_iri()) {
           return cur_.Error("datatype must be an IRI");
         }
-        return PatternTerm(rdf::Term::Literal(value, AsTerm(dt).lexical));
+        return PatternTerm(rdf::Term::Literal(
+            std::move(value), std::move(std::get<rdf::Term>(dt).lexical)));
       }
-      return PatternTerm(rdf::Term::Literal(value));
+      return PatternTerm(rdf::Term::Literal(std::move(value)));
     }
     if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' || c == '+') {
       size_t start = cur_.pos;
@@ -232,47 +281,46 @@ class Parser {
           break;
         }
       }
-      std::string num(cur_.text.substr(start, cur_.pos - start));
       return PatternTerm(rdf::Term::Literal(
-          num, decimal ? "http://www.w3.org/2001/XMLSchema#decimal"
-                       : std::string(rdf::vocab::kXsdInteger)));
+          std::string(cur_.text.substr(start, cur_.pos - start)),
+          decimal ? "http://www.w3.org/2001/XMLSchema#decimal"
+                  : std::string(rdf::vocab::kXsdInteger)));
     }
     // Bare word: 'a' (predicate position) or prefixed name.
-    std::string word = cur_.PeekWord();
+    const std::string_view word = cur_.PeekWord();
     if (word == "a" && is_predicate) {
       cur_.ConsumeWord(word);
       return PatternTerm(rdf::Term::Iri(std::string(rdf::vocab::kRdfType)));
     }
-    if (!word.empty()) {
-      for (const char* kw : {"OPTIONAL", "UNION", "GRAPH", "MINUS", "BIND",
-                             "VALUES", "SERVICE"}) {
-        if (cur_.PeekWord() == kw) {
-          return cur_.Error(std::string(kw) + " is not supported (BGP subset)");
-        }
+    for (const char* kw : {"OPTIONAL", "UNION", "GRAPH", "MINUS", "BIND",
+                           "VALUES", "SERVICE"}) {
+      if (word == kw) {
+        return cur_.Error(std::string(kw) + " is not supported (BGP subset)");
       }
     }
     // Prefixed name: word ':' local.
-    cur_.SkipWs();
-    size_t start = cur_.pos;
-    size_t i = cur_.pos;
-    auto pname_char = [&](char d) {
-      return std::isalnum(static_cast<unsigned char>(d)) || d == '_' || d == '-' ||
-             d == ':' || d == '.';
+    const size_t start = cur_.pos;
+    size_t end = start;
+    auto pname_char = [](char d) {
+      return IsWordChar(d) || d == ':' || d == '.';
     };
-    while (i < cur_.text.size() && pname_char(cur_.text[i])) ++i;
-    size_t end = i;
+    while (end < cur_.text.size() && pname_char(cur_.text[end])) ++end;
     while (end > start && cur_.text[end - 1] == '.') --end;  // statement dot
-    std::string pname(cur_.text.substr(start, end - start));
-    size_t colon = pname.find(':');
-    if (pname.empty() || colon == std::string::npos) {
-      return cur_.Error("unexpected token near '" + pname + "'");
+    const std::string_view pname = cur_.text.substr(start, end - start);
+    const size_t colon = pname.find(':');
+    if (pname.empty() || colon == std::string_view::npos) {
+      return cur_.Error("unexpected token near '" + std::string(pname) + "'");
     }
-    auto it = prefixes_.find(pname.substr(0, colon));
-    if (it == prefixes_.end()) {
-      return cur_.Error("undeclared prefix in '" + pname + "'");
+    const Prefix* prefix = FindPrefix(pname.substr(0, colon));
+    if (prefix == nullptr) {
+      return cur_.Error("undeclared prefix in '" + std::string(pname) + "'");
     }
     cur_.pos = end;
-    return PatternTerm(rdf::Term::Iri(it->second + pname.substr(colon + 1)));
+    const std::string_view local = pname.substr(colon + 1);
+    std::string iri;
+    iri.reserve(prefix->iri.size() + local.size());
+    iri.append(prefix->iri).append(local);
+    return PatternTerm(rdf::Term::Iri(std::move(iri)));
   }
 
   // FILTER ( <term> <op> <term> )
@@ -283,7 +331,7 @@ class Parser {
     ASSIGN_OR_RETURN(filter.lhs, ParsePatternTerm(false));
     cur_.SkipWs();
     struct OpSpec {
-      const char* text;
+      std::string_view text;
       CompareOp op;
     };
     // Two-character operators must be tried first.
@@ -293,10 +341,9 @@ class Parser {
     };
     bool matched = false;
     for (const OpSpec& spec : kOps) {
-      size_t len = std::string_view(spec.text).size();
-      if (cur_.text.substr(cur_.pos, len) == spec.text) {
+      if (cur_.text.substr(cur_.pos, spec.text.size()) == spec.text) {
         filter.op = spec.op;
-        cur_.pos += len;
+        cur_.pos += spec.text.size();
         matched = true;
         break;
       }
@@ -312,17 +359,9 @@ class Parser {
   Status ParseBgp() {
     while (true) {
       if (cur_.Peek() == '}') break;
-      {
-        std::string word = cur_.PeekWord();
-        bool is_filter = word.size() == 6;
-        for (size_t i = 0; is_filter && i < 6; ++i) {
-          is_filter = std::toupper(static_cast<unsigned char>(word[i])) ==
-                      "FILTER"[i];
-        }
-        if (is_filter) {
-          RETURN_NOT_OK(ParseFilter());
-          continue;
-        }
+      if (EqualsIgnoreCase(cur_.PeekWord(), "FILTER")) {
+        RETURN_NOT_OK(ParseFilter());
+        continue;
       }
       TriplePattern tp;
       ASSIGN_OR_RETURN(tp.s, ParsePatternTerm(false));
@@ -334,31 +373,39 @@ class Parser {
       if (!IsVar(tp.s) && AsTerm(tp.s).is_literal()) {
         return cur_.Error("subject must not be a literal");
       }
+      const EncodedTerm s = encoder_.Encode(tp.s);
+      const EncodedTerm p = encoder_.Encode(tp.p);
+      const EncodedTerm o = encoder_.Encode(tp.o);
+      encoder_.AddPattern(s, p, o);
       query_.patterns.push_back(std::move(tp));
-      if (!cur_.ConsumeChar('.')) {
-        // SPARQL allows FILTER directly after a pattern without a dot.
-        std::string next = cur_.PeekWord();
-        bool is_filter = next.size() == 6;
-        for (size_t i = 0; is_filter && i < 6; ++i) {
-          is_filter =
-              std::toupper(static_cast<unsigned char>(next[i])) == "FILTER"[i];
-        }
-        if (!is_filter) break;
+      // SPARQL allows FILTER directly after a pattern without a dot.
+      if (!cur_.ConsumeChar('.') &&
+          !EqualsIgnoreCase(cur_.PeekWord(), "FILTER")) {
+        break;
       }
     }
     return Status::OK();
   }
 
   Result<uint64_t> ParseNonNegativeInt(const char* what) {
-    std::string num = cur_.PeekWord();
-    if (num.empty() ||
-        !std::all_of(num.begin(), num.end(), [](char c) {
-          return std::isdigit(static_cast<unsigned char>(c));
-        })) {
+    const std::string_view num = cur_.PeekWord();
+    bool digits = !num.empty();
+    for (char c : num) digits = digits && std::isdigit(static_cast<unsigned char>(c));
+    if (!digits) {
       return cur_.Error(std::string(what) + " expects a non-negative integer");
     }
     cur_.ConsumeWord(num);
-    return std::stoull(num);
+    uint64_t value = 0;
+    constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+    for (char c : num) {
+      const uint64_t digit = static_cast<uint64_t>(c - '0');
+      if (value > (kMax - digit) / 10) {
+        return cur_.Error(std::string(what) + " " + std::string(num) +
+                          " does not fit in 64 bits");
+      }
+      value = value * 10 + digit;
+    }
+    return value;
   }
 
   Status ParseModifiers() {
@@ -373,23 +420,17 @@ class Parser {
       }
       bool parenthesized = cur_.ConsumeChar('(');
       if (cur_.Peek() != '?') return cur_.Error("ORDER BY expects a variable");
-      ++cur_.pos;
-      std::string name = cur_.PeekWord();
-      if (name.empty()) return cur_.Error("empty variable name");
-      cur_.ConsumeWord(name);
-      key.var = Variable{name};
+      ASSIGN_OR_RETURN(std::string_view name,
+                       ParseVarName("empty variable name"));
+      key.var = Variable{std::string(name)};
       if (parenthesized && !cur_.ConsumeChar(')')) {
         return cur_.Error("expected ')' in ORDER BY");
       }
-      bool found = false;
-      for (const Variable& v : query_.AllVariables()) {
-        if (v == key.var) found = true;
-      }
-      if (!found) {
-        return Status::InvalidArgument("ORDER BY variable ?" + name +
+      if (encoder_.FindVar(name) < 0) {
+        return Status::InvalidArgument("ORDER BY variable ?" + key.var.name +
                                        " does not occur in the BGP");
       }
-      query_.order_by = key;
+      query_.order_by = std::move(key);
     }
     for (int i = 0; i < 2; ++i) {
       if (cur_.ConsumeKeyword("LIMIT")) {
@@ -404,16 +445,9 @@ class Parser {
   }
 
   Status CheckProjection() {
-    auto vars = query_.AllVariables();
-    auto in_bgp = [&](const Variable& v) {
-      for (const Variable& w : vars) {
-        if (w == v) return true;
-      }
-      return false;
-    };
     if (!query_.select_all && !query_.count_aggregate) {
       for (const Variable& v : query_.projection) {
-        if (!in_bgp(v)) {
+        if (encoder_.FindVar(v.name) < 0) {
           return Status::InvalidArgument("projected variable ?" + v.name +
                                          " does not occur in the BGP");
         }
@@ -421,7 +455,7 @@ class Parser {
     }
     for (const FilterComparison& f : query_.filters) {
       for (const PatternTerm* t : {&f.lhs, &f.rhs}) {
-        if (IsVar(*t) && !in_bgp(AsVar(*t))) {
+        if (IsVar(*t) && encoder_.FindVar(AsVar(*t).name) < 0) {
           return Status::InvalidArgument("FILTER variable ?" + AsVar(*t).name +
                                          " does not occur in the BGP");
         }
@@ -432,13 +466,19 @@ class Parser {
 
   Cursor cur_;
   ParsedQuery query_;
-  std::unordered_map<std::string, std::string> prefixes_;
+  std::vector<Prefix>& prefixes_;
+  BgpEncoder& encoder_;
 };
 
 }  // namespace
 
 Result<ParsedQuery> ParseQuery(std::string_view text) {
-  return Parser(text).Run();
+  Scratch& scratch = GetScratch();
+  return Parser(text, &scratch.prefixes, &scratch.encoder).Run();
+}
+
+Result<ParsedQuery> ParseQuery(std::string_view text, BgpEncoder* encoder) {
+  return Parser(text, &GetScratch().prefixes, encoder).Run();
 }
 
 }  // namespace shapestats::sparql

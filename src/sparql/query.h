@@ -40,6 +40,8 @@ struct TriplePattern {
 
   /// Human-readable rendering, e.g. "?x <http://...> \"v\"".
   std::string ToString() const;
+
+  bool operator==(const TriplePattern&) const = default;
 };
 
 /// Comparison operator of a FILTER expression.
@@ -54,12 +56,16 @@ struct FilterComparison {
   PatternTerm lhs;
   CompareOp op;
   PatternTerm rhs;
+
+  bool operator==(const FilterComparison&) const = default;
 };
 
 /// ORDER BY key: one variable, ascending or descending.
 struct OrderKey {
   Variable var;
   bool descending = false;
+
+  bool operator==(const OrderKey&) const = default;
 };
 
 /// A parsed query: projection + one BGP + solution modifiers. Besides
@@ -79,6 +85,8 @@ struct ParsedQuery {
 
   /// All distinct variables in pattern order of first occurrence.
   std::vector<Variable> AllVariables() const;
+
+  bool operator==(const ParsedQuery&) const = default;
 };
 
 }  // namespace shapestats::sparql

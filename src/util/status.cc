@@ -16,6 +16,7 @@ const char* StatusCodeName(StatusCode code) {
     case StatusCode::kIOError: return "IOError";
     case StatusCode::kUnsupported: return "Unsupported";
     case StatusCode::kInternal: return "Internal";
+    case StatusCode::kAborted: return "Aborted";
   }
   return "Unknown";
 }

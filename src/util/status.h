@@ -21,6 +21,9 @@ enum class StatusCode : uint8_t {
   kIOError,
   kUnsupported,
   kInternal,
+  /// A limit (timeout, row cap, cancellation) stopped the work before it
+  /// had an answer.
+  kAborted,
 };
 
 /// Returns a human-readable name for a StatusCode ("Ok", "ParseError", ...).
@@ -56,6 +59,9 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
+  }
+  static Status Aborted(std::string msg) {
+    return Status(StatusCode::kAborted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

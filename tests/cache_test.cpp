@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cache/feedback_store.h"
@@ -17,10 +20,13 @@
 #include "cache/template_key.h"
 #include "card/corrected.h"
 #include "datagen/lubm.h"
+#include "datagen/yago.h"
 #include "engine/query_engine.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
+#include "workload/queries.h"
 
 namespace shapestats {
 namespace {
@@ -470,6 +476,326 @@ TEST_F(CacheEngineFixture, ExplainReportsCacheState) {
   auto warm = eng.Explain(q);
   ASSERT_TRUE(warm.ok());
   EXPECT_NE(warm->find("plan: cached (t:"), std::string::npos) << *warm;
+}
+
+// --- One-pass front end ------------------------------------------------------
+// The engine parses and encodes in one pass (sparql::ParseQuery with a
+// BgpEncoder); the layered ParseQuery -> EncodeBgp -> CanonicalizeTemplate
+// functions stay for callers holding only a ParsedQuery. Both must agree on
+// every query, and the template keys must stay what they were before the
+// one-pass front end existed.
+
+/// Lookup-shaped LUBM queries with their anchors drawn (seeded) from `g`,
+/// in every query form, plus the front end's corner cases: a repeated
+/// anchor, constants absent from the data, FILTER between patterns, a
+/// projection order unlike the pattern order, `a`, full IRIs, a variable
+/// predicate, a redeclared prefix, and literals with a language tag, a
+/// datatype and escapes.
+std::vector<std::string> LookupShapedQueries(const rdf::Graph& g) {
+  const std::string ub = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#";
+  const std::string prefix = "PREFIX ub: <" + ub + ">\n";
+  const rdf::TermId type =
+      *g.dict().FindIri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type");
+  std::mt19937_64 rng(20261017);
+  auto draw = [&](const std::string& cls) {
+    auto members = g.Match(std::nullopt, type, *g.dict().FindIri(ub + cls));
+    return g.dict().ToNTriples(members[rng() % members.size()].s);
+  };
+  struct Shape {
+    const char* cls;   // class of the anchor `$`
+    const char* text;  // query after the ub: prefix
+  };
+  const Shape kShapes[] = {
+      {"FullProfessor",
+       "SELECT ?e ?n WHERE { $ a ub:FullProfessor . $ ub:name ?n . "
+       "$ ub:emailAddress ?e }"},
+      {"Department",
+       "SELECT ?v ?x WHERE { ?x ub:worksFor $ FILTER(?v != \"x\") "
+       "?x ub:name ?v . FILTER(?x != $) }"},
+      {"GraduateStudent",
+       "SELECT ?dn ?p WHERE { $ ub:advisor ?p . ?p ub:worksFor ?d . "
+       "?d ub:name ?dn } LIMIT 5"},
+      {"UndergraduateStudent",
+       "ASK { $ ub:takesCourse ?k . ?t ub:teacherOf ?k . ?t ub:name ?tn }"},
+      {"AssistantProfessor",
+       "SELECT (COUNT(*) AS ?c) WHERE { ?s ub:takesCourse ?k . "
+       "$ ub:teacherOf ?k }"},
+      {"Department",
+       "SELECT DISTINCT ?n WHERE { ?x ub:memberOf $ . ?x ub:name ?n } "
+       "ORDER BY DESC(?n) OFFSET 2 LIMIT 3"},
+      {"Department",
+       "SELECT ?x WHERE { ?x ub:name \"no such name\" . ?x ub:worksFor $ }"},
+      {"GraduateStudent",
+       "SELECT ?x WHERE { ?x ub:advisor <http://example.org/missing> . "
+       "$ ub:advisor ?x }"},
+      {"Lecturer",
+       "SELECT ?n WHERE { $ <http://swat.cse.lehigh.edu/onto/"
+       "univ-bench.owl#name> ?n . $ a <http://swat.cse.lehigh.edu/onto/"
+       "univ-bench.owl#Lecturer> }"},
+      {"Course", "SELECT ?p ?o WHERE { $ ?p ?o . ?s ub:takesCourse $ }"},
+      {"University",
+       "SELECT * WHERE { ?d ub:subOrganizationOf $ . ?d ub:name ?n . "
+       "?d ub:name \"caf\\u00e9 \\\"quoted\\\" \\\\ tab\\t\"@en }"},
+      {"AssociateProfessor",
+       "SELECT ?x WHERE { ?x ub:advisor $ . "
+       "?x ub:age \"23\"^^<http://www.w3.org/2001/XMLSchema#integer> . "
+       "?x ub:rank 42 . ?x ub:score -3.5 }"},
+  };
+  std::vector<std::string> out;
+  for (int round = 0; round < 8; ++round) {
+    for (const Shape& s : kShapes) {
+      const std::string anchor = draw(s.cls);
+      std::string text = s.text;
+      for (size_t at = text.find('$'); at != std::string::npos;
+           at = text.find('$', at + anchor.size())) {
+        text.replace(at, 1, anchor);
+      }
+      out.push_back(prefix + text);
+    }
+  }
+  out.push_back(
+      "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n" + prefix +
+      "# a comment line\nSELECT ?x WHERE {\n  ?x ub:age \"7\"^^xsd:integer .\n"
+      "  ?x a ub:GraduateStudent .\n}");
+  out.push_back("PREFIX ub: <http://example.org/wrong#>\n" + prefix +
+                "SELECT ?x WHERE { ?x a ub:FullProfessor }");
+  return out;
+}
+
+/// Splits a query corpus: queries separated by blank lines, '#' comment
+/// lines dropped.
+std::vector<std::string> SplitCorpus(const std::string& text) {
+  std::vector<std::string> queries;
+  std::string current;
+  size_t pos = 0;
+  while (pos <= text.size()) {
+    size_t end = text.find('\n', pos);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) {
+      if (!current.empty()) queries.push_back(current);
+      current.clear();
+    } else if (line[line.find_first_not_of(" \t")] != '#') {
+      current += line + "\n";
+    }
+  }
+  if (!current.empty()) queries.push_back(current);
+  return queries;
+}
+
+/// FNV-1a over one canonicalization outcome.
+uint64_t FoldTemplate(uint64_t h, const cache::CanonicalTemplate& t) {
+  auto bytes = [&h](std::string_view s) {
+    for (unsigned char c : s) h = (h ^ c) * 1099511628211ull;
+    h = (h ^ 0xff) * 1099511628211ull;
+  };
+  bytes(t.cacheable ? "cacheable" : "bypass");
+  bytes(t.bypass_reason);
+  bytes(t.key);
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((t.hash >> (8 * i)) & 0xff)) * 1099511628211ull;
+  }
+  return h;
+}
+
+void ExpectSameBgp(const sparql::EncodedBgp& fused,
+                   const sparql::EncodedBgp& layered) {
+  EXPECT_EQ(fused.var_names, layered.var_names);
+  ASSERT_EQ(fused.patterns.size(), layered.patterns.size());
+  for (size_t i = 0; i < fused.patterns.size(); ++i) {
+    const sparql::EncodedPattern& a = fused.patterns[i];
+    const sparql::EncodedPattern& b = layered.patterns[i];
+    EXPECT_EQ(a.input_index, b.input_index);
+    const sparql::EncodedTerm fa[3] = {a.s, a.p, a.o};
+    const sparql::EncodedTerm fb[3] = {b.s, b.p, b.o};
+    for (int pos = 0; pos < 3; ++pos) {
+      EXPECT_EQ(fa[pos].kind, fb[pos].kind) << "pattern " << i << " pos " << pos;
+      EXPECT_EQ(fa[pos].id, fb[pos].id) << "pattern " << i << " pos " << pos;
+    }
+  }
+}
+
+TEST(FrontEndTest, FusedEqualsLayeredOnPaperAndLookupQueries) {
+  datagen::LubmOptions lopts;
+  lopts.universities = 1;
+  const rdf::Graph lubm = datagen::GenerateLubm(lopts);
+  const rdf::Graph yago = datagen::GenerateYago();
+  std::vector<std::pair<const rdf::Graph*, std::string>> corpus;
+  for (const auto& q : workload::LubmQueries()) corpus.push_back({&lubm, q.text});
+  for (const auto& q : workload::YagoQueries()) corpus.push_back({&yago, q.text});
+  auto file = ReadFile(SHAPESTATS_LUBM_CORPUS);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  for (const std::string& q : SplitCorpus(*file)) corpus.push_back({&lubm, q});
+  for (const std::string& q : LookupShapedQueries(lubm)) {
+    corpus.push_back({&lubm, q});
+  }
+  ASSERT_EQ(corpus.size(), 144u);
+
+  uint64_t digest = 1469598103934665603ull;
+  size_t cacheable = 0;
+  sparql::BgpEncoder encoder;
+  for (const auto& [graph, text] : corpus) {
+    SCOPED_TRACE(text);
+    const rdf::TermId type =
+        graph->dict()
+            .FindIri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+            .value_or(rdf::kInvalidTermId);
+    auto layered = sparql::ParseQuery(text);
+    auto fused = sparql::ParseQuery(text, &encoder);
+    ASSERT_TRUE(layered.ok()) << layered.status().ToString();
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+    EXPECT_TRUE(*fused == *layered);
+    const sparql::EncodedBgp fused_bgp = encoder.Finish(graph->dict());
+    const sparql::EncodedBgp layered_bgp =
+        sparql::EncodeBgp(*layered, graph->dict());
+    ExpectSameBgp(fused_bgp, layered_bgp);
+    const cache::CanonicalTemplate a =
+        cache::CanonicalizeTemplate(*fused, fused_bgp, type);
+    const cache::CanonicalTemplate b =
+        cache::CanonicalizeTemplate(*layered, layered_bgp, type);
+    EXPECT_EQ(a.cacheable, b.cacheable);
+    EXPECT_EQ(a.key, b.key);
+    EXPECT_EQ(a.hash, b.hash);
+    cacheable += b.cacheable;
+    digest = FoldTemplate(digest, b);
+  }
+  // Keys and hashes as the two-pass front end produced them.
+  EXPECT_EQ(cacheable, 110u);
+  EXPECT_EQ(digest, 0x1129ee55373cf181ull);
+}
+
+TEST(FrontEndTest, RepeatedAnchorIsOneConstant) {
+  datagen::LubmOptions lopts;
+  lopts.universities = 1;
+  const rdf::Graph lubm = datagen::GenerateLubm(lopts);
+  const std::vector<std::string> queries = LookupShapedQueries(lubm);
+  sparql::BgpEncoder encoder;
+  // The first shape names its anchor in all three patterns, one variable
+  // per pattern, and projects them in reverse order.
+  auto q = sparql::ParseQuery(queries[0], &encoder);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const sparql::EncodedBgp bgp = encoder.Finish(lubm.dict());
+  ASSERT_EQ(bgp.patterns.size(), 3u);
+  for (const sparql::EncodedPattern& p : bgp.patterns) {
+    EXPECT_TRUE(p.s.is_bound());
+    EXPECT_EQ(p.s.id, bgp.patterns[0].s.id);
+  }
+  EXPECT_EQ(bgp.var_names, (std::vector<std::string>{"n", "e"}));
+  EXPECT_EQ(q->projection[0].name, "e");
+}
+
+TEST(FrontEndTest, MalformedInputsKeepTheirErrors) {
+  // Error texts as the two-pass front end reported them.
+  const std::pair<const char*, const char*> kCases[] = {
+    {"",
+     "ParseError: line 1: expected SELECT or ASK"},
+    {"SELECT",
+     "ParseError: line 1: expected '*' or at least one ?variable"},
+    {"SELECT ?x",
+     "ParseError: line 1: expected '{'"},
+    {"SELECT ?x WHERE",
+     "ParseError: line 1: expected '{'"},
+    {"SELECT ?x WHERE { ?x ?p ?o",
+     "ParseError: line 1: expected '}'"},
+    {"CONSTRUCT { ?s ?p ?o } WHERE { ?s ?p ?o }",
+     "ParseError: line 1: expected SELECT or ASK"},
+    {"SELECT WHERE { ?s ?p ?o }",
+     "ParseError: line 1: expected '*' or at least one ?variable"},
+    {"SELECT ? WHERE { ?s ?p ?o }",
+     "InvalidArgument: projected variable ?WHERE does not occur in the BGP"},
+    {"SELECT ?x WHERE { }",
+     "ParseError: line 1: empty basic graph pattern"},
+    {"SELECT ?x WHERE { ?x ?p ?o } trailing",
+     "ParseError: line 1: trailing content after query"},
+    {"SELECT ?y WHERE { ?x ?p ?o }",
+     "InvalidArgument: projected variable ?y does not occur in the BGP"},
+    {"SELECT ?x WHERE { ?x ?p ?o FILTER(?z = 1) }",
+     "InvalidArgument: FILTER variable ?z does not occur in the BGP"},
+    {"SELECT ?x WHERE { ?x ?p ?o } ORDER BY ?z",
+     "InvalidArgument: ORDER BY variable ?z does not occur in the BGP"},
+    {"SELECT ?x WHERE { ?x ?p ?o } ORDER BY",
+     "ParseError: line 1: ORDER BY expects a variable"},
+    {"SELECT ?x WHERE { ?x ?p ?o } ORDER ?x",
+     "ParseError: line 1: expected BY after ORDER"},
+    {"SELECT ?x WHERE { ?x ?p ?o } ORDER BY DESC(?x",
+     "ParseError: line 1: expected ')' in ORDER BY"},
+    {"SELECT ?x WHERE { ?x ?p ?o } LIMIT -1",
+     "ParseError: line 1: LIMIT expects a non-negative integer"},
+    {"SELECT ?x WHERE { ?x ?p ?o } LIMIT abc",
+     "ParseError: line 1: LIMIT expects a non-negative integer"},
+    {"SELECT ?x WHERE { ?x ?p ?o } OFFSET",
+     "ParseError: line 1: OFFSET expects a non-negative integer"},
+    {"SELECT ?x WHERE { ?x foo:bar ?o }",
+     "ParseError: line 1: undeclared prefix in 'foo:bar'"},
+    {"PREFIX ex <http://ex/> SELECT ?x WHERE { ?x ?p ?o }",
+     "ParseError: line 1: expected IRI in PREFIX"},
+    {"PREFIX ex: http://ex/ SELECT ?x WHERE { ?x ?p ?o }",
+     "ParseError: line 1: expected IRI in PREFIX"},
+    {"PREFIX ex: <http://ex/ SELECT ?x WHERE { ?x ?p ?o }",
+     "ParseError: line 1: unterminated IRI"},
+    {"PREFIX SELECT ?x WHERE { ?x ?p ?o }",
+     "ParseError: line 1: bad PREFIX"},
+    {"SELECT ?x WHERE { ?x <http://ex/p ?o }",
+     "ParseError: line 1: unterminated IRI"},
+    {"SELECT ?x WHERE { ?x ?p \"abc }",
+     "ParseError: line 1: unterminated literal"},
+    {"SELECT ?x WHERE { \"lit\" ?p ?x }",
+     "ParseError: line 1: subject must not be a literal"},
+    {"SELECT ?x WHERE { ?x \"p\" ?o }",
+     "ParseError: line 1: predicate must be an IRI or variable"},
+    {"SELECT ?x WHERE { ?x ?p \"v\"^^\"dt\" }",
+     "ParseError: line 1: datatype must be an IRI"},
+    {"SELECT ?x WHERE { ?x ?p ?o OPTIONAL { ?x ?q ?r } }",
+     "ParseError: line 1: expected '}'"},
+    {"SELECT ?x WHERE { ?x ?p ?o . UNION }",
+     "ParseError: line 1: UNION is not supported (BGP subset)"},
+    {"SELECT ?x WHERE { ?x ?p ?o . BIND }",
+     "ParseError: line 1: BIND is not supported (BGP subset)"},
+    {"SELECT ?x WHERE { ?x ?p ?o FILTER ?x = 1 }",
+     "ParseError: line 1: expected '(' after FILTER"},
+    {"SELECT ?x WHERE { ?x ?p ?o FILTER(?x ~ 1) }",
+     "ParseError: line 1: expected comparison operator in FILTER"},
+    {"SELECT ?x WHERE { ?x ?p ?o FILTER(?x = 1 }",
+     "ParseError: line 1: expected ')' closing FILTER"},
+    {"SELECT (SUM(?x) AS ?s) WHERE { ?x ?p ?o }",
+     "ParseError: line 1: only the COUNT(*) aggregate is supported"},
+    {"SELECT (COUNT(?x) AS ?s) WHERE { ?x ?p ?o }",
+     "ParseError: line 1: expected (*) after COUNT"},
+    {"SELECT (COUNT(*) ?s) WHERE { ?x ?p ?o }",
+     "ParseError: line 1: expected AS in COUNT"},
+    {"SELECT (COUNT(*) AS s) WHERE { ?x ?p ?o }",
+     "ParseError: line 1: expected alias variable"},
+    {"SELECT (COUNT(*) AS ?) WHERE { ?x ?p ?o }",
+     "ParseError: line 1: empty alias variable"},
+    {"SELECT (COUNT(*) AS ?s WHERE { ?x ?p ?o }",
+     "ParseError: line 1: expected ')' after alias"},
+    {"ASK ?x { ?x ?p ?o }",
+     "ParseError: line 1: expected '{'"},
+    {"SELECT ?x WHERE {\n  ?x ?p ?o .\n  ?x ?q\n}",
+     "ParseError: line 4: unexpected token near ''"},
+    {"SELECT ?x WHERE { ?x ?p ?o . ?x ?q . }",
+     "ParseError: line 1: unexpected token near ''"},
+    {"SELECT ?x WHERE { ?x a ?o }",
+     "OK"},
+    {"SELECT ?x WHERE { a ?p ?o }",
+     "ParseError: line 1: unexpected token near 'a'"}
+  };
+  sparql::BgpEncoder encoder;
+  for (const auto& [text, expected] : kCases) {
+    SCOPED_TRACE(text);
+    auto layered = sparql::ParseQuery(text);
+    auto fused = sparql::ParseQuery(text, &encoder);
+    if (std::string_view(expected) == "OK") {
+      EXPECT_TRUE(layered.ok());
+      EXPECT_TRUE(fused.ok());
+      continue;
+    }
+    ASSERT_FALSE(layered.ok());
+    ASSERT_FALSE(fused.ok());
+    EXPECT_EQ(layered.status().ToString(), expected);
+    EXPECT_EQ(fused.status().ToString(), expected);
+  }
 }
 
 }  // namespace

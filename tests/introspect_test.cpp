@@ -122,8 +122,8 @@ TEST(QueryRegistryTest, LifecycleFromRegisterToCompleted) {
   ASSERT_TRUE(static_cast<bool>(reg));
   EXPECT_EQ(registry.NumInflight(), 1u);
 
-  reg.SetPhase("plan");
-  reg.SetTemplate("t:00000000deadbeef");
+  reg.SetPhase(obs::Phase::kPlan);
+  reg.SetTemplate(0xdeadbeef);
   reg.SetStepsTotal(4);
   std::vector<QueryRecord> live = registry.Inflight();
   ASSERT_EQ(live.size(), 1u);
@@ -134,7 +134,7 @@ TEST(QueryRegistryTest, LifecycleFromRegisterToCompleted) {
   EXPECT_EQ(live[0].steps_total, 4u);
   EXPECT_TRUE(live[0].outcome.empty());
 
-  reg.Complete("ok", 123);
+  reg.Complete(obs::Outcome::kOk, 123);
   EXPECT_EQ(registry.NumInflight(), 0u);
   std::vector<QueryRecord> done = registry.Completed();
   ASSERT_EQ(done.size(), 1u);
@@ -156,8 +156,8 @@ TEST(QueryRegistryTest, DroppedRegistrationFinalizesAsError) {
 TEST(QueryRegistryTest, CompleteIsIdempotent) {
   QueryRegistry registry;
   QueryRegistry::Registration reg = registry.Register("q", 0, 0, 0);
-  reg.Complete("ok", 1);
-  reg.Complete("error", 9);  // no-op: the record is already frozen
+  reg.Complete(obs::Outcome::kOk, 1);
+  reg.Complete(obs::Outcome::kError, 9);  // no-op: the record is already frozen
   std::vector<QueryRecord> done = registry.Completed();
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].outcome, "ok");
@@ -174,7 +174,7 @@ TEST(QueryRegistryTest, CancelFlipsTrackerFlagOnlyForLiveIds) {
   EXPECT_EQ(registry.cancelled_total(), 1u);
   EXPECT_FALSE(registry.Cancel(reg.id() + 1000));  // unknown id
   uint64_t id = reg.id();
-  reg.Complete("cancelled", 0);
+  reg.Complete(obs::Outcome::kCancelled, 0);
   EXPECT_FALSE(registry.Cancel(id));  // already completed
 }
 
@@ -183,10 +183,10 @@ TEST(QueryRegistryTest, EmptyRegistrationIsSafe) {
   EXPECT_FALSE(static_cast<bool>(reg));
   EXPECT_EQ(reg.tracker(), nullptr);
   EXPECT_EQ(reg.id(), 0u);
-  reg.SetPhase("execute");
-  reg.SetTemplate("t");
+  reg.SetPhase(obs::Phase::kExecute);
+  reg.SetTemplate(1);
   reg.SetStepsTotal(3);
-  reg.Complete("ok", 1);  // all no-ops, must not crash
+  reg.Complete(obs::Outcome::kOk, 1);  // all no-ops, must not crash
 }
 
 TEST(QueryRegistryTest, QueryTextTruncatedToCap) {
@@ -196,7 +196,7 @@ TEST(QueryRegistryTest, QueryTextTruncatedToCap) {
   std::vector<QueryRecord> live = registry.Inflight();
   ASSERT_EQ(live.size(), 1u);
   EXPECT_EQ(live[0].query.size(), QueryRegistry::kMaxQueryBytes);
-  reg.Complete("ok", 0);
+  reg.Complete(obs::Outcome::kOk, 0);
 }
 
 TEST(QueryRegistryTest, CompletedRingIsBounded) {
@@ -209,7 +209,7 @@ TEST(QueryRegistryTest, CompletedRingIsBounded) {
     std::string query = "q";
     query += std::to_string(i);
     QueryRegistry::Registration reg = registry.Register(query, 0, 0, 0);
-    reg.Complete("ok", static_cast<uint64_t>(i));
+    reg.Complete(obs::Outcome::kOk, static_cast<uint64_t>(i));
   }
   std::vector<QueryRecord> done = registry.Completed();
   ASSERT_EQ(done.size(), 4u);
@@ -224,25 +224,25 @@ TEST(QueryRegistryTest, TemplateAggregatesAccumulateAndFold) {
   QueryRegistry registry(options);
   for (int i = 0; i < 3; ++i) {
     QueryRegistry::Registration reg = registry.Register("a", 0, 0, 0);
-    reg.SetTemplate("t:aaaa");
-    reg.Complete("ok", 10);
+    reg.SetTemplate(0xaaaa);
+    reg.Complete(obs::Outcome::kOk, 10);
   }
   {
     QueryRegistry::Registration reg = registry.Register("b", 0, 0, 0);
-    reg.SetTemplate("t:bbbb");
-    reg.Complete("ok", 1);
+    reg.SetTemplate(0xbbbb);
+    reg.Complete(obs::Outcome::kOk, 1);
   }
   // A third distinct template exceeds max_templates and folds into "(other)".
   {
     QueryRegistry::Registration reg = registry.Register("c", 0, 0, 0);
-    reg.SetTemplate("t:cccc");
-    reg.Complete("ok", 1);
+    reg.SetTemplate(0xcccc);
+    reg.Complete(obs::Outcome::kOk, 1);
   }
   std::vector<obs::TemplateStats> top = registry.TopTemplates(0);
   ASSERT_EQ(top.size(), 3u);  // t:aaaa, t:bbbb, (other)
   bool found_fold = false;
   for (const obs::TemplateStats& t : top) {
-    if (t.cache_template == "t:aaaa") {
+    if (t.cache_template == "t:000000000000aaaa") {
       EXPECT_EQ(t.executions, 3u);
       EXPECT_EQ(t.num_results, 30u);
     }
@@ -256,7 +256,7 @@ TEST(QueryRegistryTest, ToJsonCarriesBothSections) {
   QueryRegistry::Registration live = registry.Register("live \"q\"", 5, 0, 0);
   {
     QueryRegistry::Registration done = registry.Register("done q", 0, 0, 0);
-    done.Complete("ok", 2);
+    done.Complete(obs::Outcome::kOk, 2);
   }
   std::string json = registry.ToJson();
   EXPECT_NE(json.find("\"inflight\":[{"), std::string::npos);
@@ -264,7 +264,7 @@ TEST(QueryRegistryTest, ToJsonCarriesBothSections) {
   EXPECT_NE(json.find("\"registered\":2"), std::string::npos);
   EXPECT_NE(json.find("live \\\"q\\\""), std::string::npos);  // escaped
   EXPECT_NE(json.find("\"outcome\":\"ok\""), std::string::npos);
-  live.Complete("ok", 0);
+  live.Complete(obs::Outcome::kOk, 0);
 }
 
 // Registration/completion/cancellation racing snapshot readers: the TSan CI
@@ -295,11 +295,12 @@ TEST(QueryRegistryTest, ConcurrentRegistrationAndSnapshotsAreRaceFree) {
         query += std::to_string(i);
         QueryRegistry::Registration reg = registry.Register(
             query, static_cast<uint64_t>(w + 1), 0, 0);
-        reg.SetPhase("execute");
-        reg.SetTemplate("t:" + std::to_string(w));
+        reg.SetPhase(obs::Phase::kExecute);
+        reg.SetTemplate(static_cast<uint64_t>(w));
         reg.SetStepsTotal(2);
         reg.tracker()->Publish(10, 10, 1, 0, 1);
-        reg.Complete(i % 3 == 0 ? "timeout" : "ok", 1);
+        reg.Complete(i % 3 == 0 ? obs::Outcome::kTimeout : obs::Outcome::kOk,
+                     1);
       }
     });
   }

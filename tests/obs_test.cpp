@@ -878,6 +878,40 @@ TEST(ChromeTraceTest, SpanRecordsCompleteEventWithArgs) {
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
 }
 
+// The query lifecycle: one Chrome sub-span per phase, named from the same
+// table as the QueryTrace phases, and a query.finish event carrying the
+// outcome.
+TEST(ChromeTraceTest, QueryEmitsOneSubSpanPerPhase) {
+  engine::QueryEngine eng = OpenTiny();
+  obs::ChromeTracer& tracer = obs::ChromeTracer::Global();
+  obs::EventLog& log = obs::EventLog::Global();
+  std::mutex mu;
+  std::vector<obs::Event> finishes;
+  uint64_t token = log.Subscribe([&](const obs::Event& e) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (e.type() == "query.finish") finishes.push_back(e);
+  });
+  tracer.Clear();
+  tracer.Enable();
+  obs::QueryTrace trace;
+  auto result = eng.Execute(kTinyQuery, &trace);
+  tracer.Disable();
+  log.Unsubscribe(token);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string json = tracer.ToJson();
+  tracer.Clear();
+
+  EXPECT_NE(json.find("\"name\":\"query\""), std::string::npos);
+  ASSERT_FALSE(trace.phases.empty());
+  for (const obs::PhaseSpan& p : trace.phases) {
+    EXPECT_NE(json.find("\"name\":\"" + p.name + "\""), std::string::npos)
+        << p.name;
+  }
+  ASSERT_EQ(finishes.size(), 1u);
+  EXPECT_EQ(finishes[0].FieldJson("outcome"), "\"ok\"");
+  EXPECT_EQ(finishes[0].FieldJson("timed_out"), "false");
+}
+
 TEST(ChromeTraceTest, PoolHookRecordsWorkerTimelines) {
   obs::ChromeTracer& tracer = obs::ChromeTracer::Global();
   tracer.Clear();

@@ -785,6 +785,35 @@ TEST_F(SparqlServerFixture, DebugCancelValidatesPathIdAndMethod) {
 
 // A long-running request is visible at /debug/queries while in flight, and
 // POST /debug/queries/<id>/cancel stops it within one executor work tick.
+// An ASK stopped by a limit before it found a solution has no answer: the
+// server says so with a non-500 error marked X-Timed-Out instead of
+// {"boolean": false}.
+TEST(SparqlServerLimitsTest, TruncatedAskIsAnErrorNotFalse) {
+  datagen::LubmOptions lubm;
+  lubm.universities = 1;
+  engine::EngineOptions eopts;
+  eopts.exec.max_intermediate_rows = 10;
+  engine::QueryEngine eng =
+      std::move(engine::QueryEngine::Open(datagen::GenerateLubm(lubm), eopts))
+          .value();
+  SparqlServerOptions opts;
+  opts.http = TestHttpOptions(/*threads=*/2);
+  SparqlServer srv(&eng, opts);
+  ASSERT_TRUE(srv.Start().ok());
+  const std::string ask =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "
+      "ASK { ?x a ub:GraduateStudent . ?x ub:name ?n . "
+      "FILTER(?n = \"no such name\") }";
+  ClientResponse resp = Get(srv.port(), "/sparql?query=" + UrlEncode(ask));
+  EXPECT_EQ(resp.status, 503);
+  EXPECT_EQ(resp.Header("x-timed-out"), "true");
+  EXPECT_NE(resp.body.find("Aborted: ASK truncated (row-cap)"),
+            std::string::npos)
+      << resp.body;
+  EXPECT_EQ(resp.body.find("\"boolean\""), std::string::npos);
+  srv.Stop();
+}
+
 TEST(SparqlServerIntrospectionTest, InflightQueryVisibleAndCancellable) {
   datagen::LubmOptions lubm;
   lubm.universities = 1;

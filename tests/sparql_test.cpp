@@ -93,6 +93,25 @@ TEST(ParserTest, Errors) {
   }
 }
 
+// LIMIT / OFFSET values past 64 bits are parse errors, not exceptions.
+TEST(ParserTest, LimitAndOffsetRangeChecked) {
+  auto max = MustParse("SELECT * WHERE { ?s ?p ?o } LIMIT 18446744073709551615");
+  ASSERT_TRUE(max.limit.has_value());
+  EXPECT_EQ(*max.limit, 18446744073709551615ull);
+  for (const char* bad : {
+           "SELECT * WHERE { ?s ?p ?o } LIMIT 18446744073709551616",
+           "SELECT * WHERE { ?s ?p ?o } LIMIT 99999999999999999999999",
+           "SELECT * WHERE { ?s ?p ?o } OFFSET 1844674407370955161600000",
+       }) {
+    auto q = ParseQuery(bad);
+    ASSERT_FALSE(q.ok()) << bad;
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError) << bad;
+    EXPECT_NE(q.status().message().find("does not fit in 64 bits"),
+              std::string::npos)
+        << q.status().ToString();
+  }
+}
+
 TEST(ParserTest, AllVariablesInFirstOccurrenceOrder) {
   auto q = MustParse("SELECT * WHERE { ?b ?a ?c . ?c ?a ?d }");
   auto vars = q.AllVariables();

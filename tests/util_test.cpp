@@ -38,7 +38,7 @@ TEST(StatusTest, AllCodesHaveNames) {
                     StatusCode::kParseError, StatusCode::kNotFound,
                     StatusCode::kAlreadyExists, StatusCode::kOutOfRange,
                     StatusCode::kIOError, StatusCode::kUnsupported,
-                    StatusCode::kInternal}) {
+                    StatusCode::kInternal, StatusCode::kAborted}) {
     EXPECT_STRNE(StatusCodeName(code), "Unknown");
   }
 }
