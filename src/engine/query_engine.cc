@@ -480,6 +480,17 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
   Scratch& scratch = ThreadScratch();
   ASSIGN_OR_RETURN(sparql::ParsedQuery query,
                    sparql::ParseQuery(sparql, &scratch.encoder));
+  // LIMIT and OFFSET apply to COUNT(*)'s single solution (SPARQL 1.1), not
+  // to the rows it counts. A QueryResult cannot hold an aggregate with no
+  // solution, so the forms that drop it are rejected.
+  if (query.count_aggregate) {
+    if (query.limit == 0u || query.offset > 0) {
+      return Status::InvalidArgument(
+          "COUNT(*) with LIMIT 0 or OFFSET >= 1 has no solution, and a "
+          "count cannot express an empty result");
+    }
+    query.limit.reset();
+  }
   life.Enter(obs::Phase::kEncode);
   const sparql::EncodedBgp bgp = scratch.encoder.Finish(state_->graph.dict());
   life.Enter(obs::Phase::kAnalyze);

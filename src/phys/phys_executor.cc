@@ -24,9 +24,6 @@ using sparql::ParsedQuery;
 
 namespace {
 
-// Sentinel "no left row" for the first-step scan.
-constexpr size_t kNoLeft = static_cast<size_t>(-1);
-
 TermId Comp(const Triple& t, int pos) {
   return pos == 0 ? t.s : (pos == 1 ? t.p : t.o);
 }
@@ -35,6 +32,50 @@ OptId ConstOpt(const EncodedTerm& e) {
   if (e.is_bound()) return e.id;
   return std::nullopt;
 }
+
+// What a step does with one component of every triple it emits. All rows
+// of step k carry the same bound set (the variables of steps 0..k-1), so
+// the choice is made once per step, not per triple (DESIGN.md §9).
+enum class BindOp : uint8_t {
+  kConst,  // the component must equal a constant
+  kLeft,   // ... must equal a prefix-bound column of the left row
+  kSame,   // ... must equal an earlier component (a repeated free variable)
+  kWrite,  // ... binds a free variable's column
+};
+
+// A step's bind program: per component an op and its argument (the
+// constant, the left-row column, the earlier position or the column to
+// write). It keeps every check, also those the index run already implies.
+struct BindProgram {
+  BindOp op[3];
+  TermId arg[3];
+
+  bool Check(const TermId* lrow, const Triple& t) const {
+    for (int pos = 0; pos < 3; ++pos) {
+      const TermId v = Comp(t, pos);
+      switch (op[pos]) {
+        case BindOp::kConst:
+          if (v != arg[pos]) return false;
+          break;
+        case BindOp::kLeft:
+          if (v != lrow[arg[pos]]) return false;
+          break;
+        case BindOp::kSame:
+          if (v != Comp(t, static_cast<int>(arg[pos]))) return false;
+          break;
+        case BindOp::kWrite:
+          break;
+      }
+    }
+    return true;
+  }
+
+  void Write(const Triple& t, TermId* row) const {
+    for (int pos = 0; pos < 3; ++pos) {
+      if (op[pos] == BindOp::kWrite) row[arg[pos]] = Comp(t, pos);
+    }
+  }
+};
 
 // One (left row, matching triple) pair of a hash step, held until the
 // canonical-order commit restores the depth-first emission order.
@@ -187,13 +228,6 @@ class PhysEvaluator {
   }
 
  private:
-  // A variable bound by the current pattern's triple (repeated variables
-  // within one pattern resolve against earlier components first).
-  struct LocalBind {
-    sparql::VarId var;
-    TermId value;
-  };
-
   void Execute() {
     for (size_t k = 0; k < order_.size(); ++k) {
       Step(k);
@@ -211,9 +245,9 @@ class PhysEvaluator {
   void Step(size_t k) {
     const PhysicalStep& st = pplan_.steps[k];
     const EncodedPattern& tp = bgp_.patterns[st.pattern];
-    next_rows_.clear();
     next_count_ = 0;
     if (!tp.HasMissingConstant()) {
+      prog_ = Compile(tp);
       if (k == 0) {
         ScanStep(k, tp);
       } else if (num_rows_ > 0) {
@@ -241,24 +275,18 @@ class PhysEvaluator {
 
   void ScanStep(size_t k, const EncodedPattern& tp) {
     if (meter_.Probe(k)) return;
-    for (const Triple& t : graph_.Match(ConstOpt(tp.s), ConstOpt(tp.p),
-                                        ConstOpt(tp.o))) {
-      if (meter_.Scan(k)) return;
-      Emit(k, kNoLeft, tp, t);
-      if (meter_.timed_out()) return;
-    }
+    EmitSpan(k, nullptr,
+             graph_.Match(ConstOpt(tp.s), ConstOpt(tp.p), ConstOpt(tp.o)));
   }
 
   void InljStep(size_t k, const EncodedPattern& tp) {
     for (size_t i = 0; i < num_rows_; ++i) {
       const TermId* lrow = LeftRow(i);
       if (meter_.Probe(k)) return;
-      for (const Triple& t : graph_.Match(RowOpt(tp.s, lrow),
+      if (!EmitSpan(k, lrow, graph_.Match(RowOpt(tp.s, lrow),
                                           RowOpt(tp.p, lrow),
-                                          RowOpt(tp.o, lrow))) {
-        if (meter_.Scan(k)) return;
-        Emit(k, i, tp, t);
-        if (meter_.timed_out()) return;
+                                          RowOpt(tp.o, lrow)))) {
+        return;
       }
     }
   }
@@ -311,12 +339,7 @@ class PhysEvaluator {
     };
 
     auto emit_group = [&](size_t i, size_t lo, size_t hi) {
-      for (size_t j = lo; j < hi; ++j) {
-        if (meter_.Scan(k)) return false;
-        Emit(k, i, tp, run[j]);
-        if (meter_.timed_out()) return false;
-      }
-      return true;
+      return EmitSpan(k, LeftRow(i), run.subspan(lo, hi - lo));
     };
     size_t lo = 0, hi = 0;
     for (size_t r = 0; r < num_rows_; ++r) {
@@ -373,7 +396,7 @@ class PhysEvaluator {
           if (meter_.Tick(k)) return;
           for (uint32_t j : ht.Find(left_key(i))) {
             if (meter_.Scan(k)) return;
-            if (ProduceCheck(k, i, tp, span[j])) {
+            if (ProduceCheck(k, LeftRow(i), span[j])) {
               if (meter_.timed_out()) return;
               pairs.push_back({static_cast<uint32_t>(i), span[j]});
             }
@@ -386,7 +409,7 @@ class PhysEvaluator {
         for (size_t j = 0; j < span.size(); ++j) {
           if (meter_.Scan(k)) return;
           for (uint32_t i : ht.Find(right_key(j))) {
-            if (ProduceCheck(k, i, tp, span[j])) {
+            if (ProduceCheck(k, LeftRow(i), span[j])) {
               if (meter_.timed_out()) return;
               pairs.push_back({i, span[j]});
             }
@@ -433,7 +456,10 @@ class PhysEvaluator {
       if (!std::is_sorted(lo, hi, match_less)) std::sort(lo, hi, match_less);
       lo = hi;
     }
-    for (const MatchPair& mp : *pairs) AppendPair(k, mp.left, tp, mp.t);
+    TermId* out = RowsFor(pairs->size());
+    for (const MatchPair& mp : *pairs) {
+      if (AppendRow(k, LeftRow(mp.left), mp.t, out)) out += width_;
+    }
   }
 
   // Stable counting sort of the pairs by left row index: O(pairs + rows).
@@ -450,7 +476,7 @@ class PhysEvaluator {
   // ---- row plumbing ------------------------------------------------------
 
   const TermId* LeftRow(size_t left) const {
-    return left == kNoLeft ? nullptr : rows_.data() + left * width_;
+    return rows_.data() + left * width_;
   }
 
   OptId RowOpt(const EncodedTerm& e, const TermId* lrow) const {
@@ -462,98 +488,76 @@ class PhysEvaluator {
     return std::nullopt;
   }
 
-  // Checks triple `t` against the pattern given the left row: constants
-  // must match, prefix-bound and repeated variables must agree, and free
-  // variables collect their bindings into `binds`.
-  bool BindCheck(const TermId* row, const EncodedPattern& tp, const Triple& t,
-                 LocalBind binds[3], int* nb) const {
-    *nb = 0;
+  // The step's bind program, from the pattern and prefix_bound_.
+  BindProgram Compile(const EncodedPattern& tp) const {
+    BindProgram prog{};
     const EncodedTerm* terms[3] = {&tp.s, &tp.p, &tp.o};
-    const TermId vals[3] = {t.s, t.p, t.o};
     for (int pos = 0; pos < 3; ++pos) {
       const EncodedTerm& e = *terms[pos];
-      if (e.is_bound()) {
-        if (e.id != vals[pos]) return false;
-        continue;
-      }
-      if (e.is_missing()) return false;
-      TermId bound = rdf::kInvalidTermId;
-      for (int i = 0; i < *nb; ++i) {
-        if (binds[i].var == e.id) {
-          bound = binds[i].value;
-          break;
+      prog.op[pos] = e.is_var() ? BindOp::kWrite : BindOp::kConst;
+      prog.arg[pos] = e.id;
+      if (!e.is_var()) continue;
+      if (prefix_bound_[e.id]) prog.op[pos] = BindOp::kLeft;
+      for (int q = 0; q < pos && prog.op[pos] == BindOp::kWrite; ++q) {
+        if (terms[q]->is_var() && terms[q]->id == e.id) {
+          prog.op[pos] = BindOp::kSame;
+          prog.arg[pos] = static_cast<TermId>(q);
         }
       }
-      if (bound == rdf::kInvalidTermId && row != nullptr) bound = row[e.id];
-      if (bound != rdf::kInvalidTermId) {
-        if (bound != vals[pos]) return false;
-      } else {
-        binds[*nb].var = e.id;
-        binds[(*nb)++].value = vals[pos];
-      }
     }
-    return true;
+    return prog;
   }
 
-  // Counts one BindCheck-passing match (post-bind, pre-filter — the
-  // depth-first executor's step_rows_produced semantics) and applies the
-  // intermediate-row abort.
-  void CountProduced(size_t k) {
+  // Runs the bind program's checks on `t`; a passing match is counted
+  // (post-bind, pre-filter — the depth-first executor's step_rows_produced
+  // semantics) and applies the intermediate-row abort.
+  bool ProduceCheck(size_t k, const TermId* lrow, const Triple& t) {
+    if (!prog_.Check(lrow, t)) return false;
     ++produced_[k];
     meter_.Produce(k);
-  }
-
-  // Streaming commit: count the match and append it (in emission order).
-  void Emit(size_t k, size_t left, const EncodedPattern& tp, const Triple& t) {
-    LocalBind binds[3];
-    int nb = 0;
-    if (!BindCheck(LeftRow(left), tp, t, binds, &nb)) return;
-    CountProduced(k);
-    if (meter_.timed_out()) return;
-    AppendRow(k, LeftRow(left), binds, nb);
-  }
-
-  // Pair-path production check: counts the match but defers the append to
-  // the canonical-order commit.
-  bool ProduceCheck(size_t k, size_t left, const EncodedPattern& tp,
-                    const Triple& t) {
-    LocalBind binds[3];
-    int nb = 0;
-    if (!BindCheck(LeftRow(left), tp, t, binds, &nb)) return false;
-    CountProduced(k);
     return true;
   }
 
-  // Pair-path append (the pair already passed ProduceCheck).
-  void AppendPair(size_t k, size_t left, const EncodedPattern& tp,
-                  const Triple& t) {
-    LocalBind binds[3];
-    int nb = 0;
-    if (!BindCheck(LeftRow(left), tp, t, binds, &nb)) return;
-    AppendRow(k, LeftRow(left), binds, nb);
+  // Streaming commit of a probe span or merge group: room for every triple
+  // is made once, then each bound row is written in place (in emission
+  // order). False when the run must stop.
+  bool EmitSpan(size_t k, const TermId* lrow, std::span<const Triple> span) {
+    TermId* out = RowsFor(span.size());
+    for (const Triple& t : span) {
+      if (meter_.Scan(k)) return false;
+      if (!ProduceCheck(k, lrow, t)) continue;
+      if (meter_.timed_out()) return false;
+      if (AppendRow(k, lrow, t, out)) out += width_;
+    }
+    return true;
   }
 
-  void AppendRow(size_t k, const TermId* lrow, const LocalBind* binds,
-                 int nb) {
-    const size_t base = next_count_ * width_;
-    if (next_rows_.capacity() < base + width_) {
-      next_rows_.reserve(std::max(base + width_, next_rows_.capacity() * 2));
+  // Room for `n` more rows of the next table; returns where the next row
+  // goes. The table only grows, so later steps reuse its capacity.
+  TermId* RowsFor(size_t n) {
+    const size_t need = (next_count_ + n) * width_;
+    if (next_rows_.size() < need) {
+      next_rows_.resize(std::max(need, next_rows_.size() * 2));
     }
-    next_rows_.resize(base + width_);
-    TermId* row = next_rows_.data() + base;
+    return next_rows_.data() + next_count_ * width_;
+  }
+
+  // Writes the left row and `t`'s bindings at `row` and keeps the row when
+  // the step's filters pass.
+  bool AppendRow(size_t k, const TermId* lrow, const Triple& t, TermId* row) {
     if (lrow != nullptr) {
       std::copy(lrow, lrow + width_, row);
     } else {
       std::fill(row, row + width_, rdf::kInvalidTermId);
     }
-    for (int i = 0; i < nb; ++i) row[binds[i].var] = binds[i].value;
+    prog_.Write(t, row);
     if (!filters_.by_depth[k].empty() &&
         !exec::FiltersPass(filters_.by_depth[k], row, graph_.dict())) {
-      next_rows_.resize(base);
-      return;
+      return false;
     }
     ++next_count_;
     meter_.Materialize();
+    return true;
   }
 
   const rdf::Graph& graph_;
@@ -570,6 +574,7 @@ class PhysEvaluator {
   Counted<TermId> next_rows_;         // next step's output table
   size_t next_count_ = 0;
   std::vector<bool> prefix_bound_;    // variables bound by steps 0..k-1
+  BindProgram prog_{};                // the current step's bind program
   std::vector<uint64_t> produced_;    // per-step true cardinality
 
   exec::SelectShape shape_;  // select mode only

@@ -3,14 +3,13 @@
 // execution) works on TermIds; strings only appear at parse/print time.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "rdf/term.h"
+#include "util/string_util.h"
 
 namespace shapestats::rdf {
 
@@ -50,16 +49,8 @@ class TermDictionary {
   std::string Pretty(TermId id) const;
 
  private:
-  // Hashes std::string and std::string_view alike, so FindKey can probe
-  // index_ with a view into the input text.
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view key) const {
-      return std::hash<std::string_view>{}(key);
-    }
-  };
-  // key: canonical NT form
-  std::unordered_map<std::string, TermId, KeyHash, std::equal_to<>> index_;
+  // key: canonical NT form; FindKey probes it with a view into the input.
+  StringMap<TermId> index_;
   std::vector<Term> terms_;  // terms_[0] is a dummy
 };
 

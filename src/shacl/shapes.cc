@@ -14,7 +14,12 @@ Status ShapesGraph::Add(NodeShape shape) {
     return Status::AlreadyExists("a node shape already targets class " +
                                  shape.target_class);
   }
-  by_class_.emplace(shape.target_class, shapes_.size());
+  const auto pos = static_cast<uint32_t>(shapes_.size());
+  by_class_.emplace(shape.target_class, pos);
+  for (const PropertyShape& ps : shape.properties) {
+    std::vector<uint32_t>& owners = by_path_[ps.path];
+    if (owners.empty() || owners.back() != pos) owners.push_back(pos);
+  }
   shapes_.push_back(std::move(shape));
   return Status::OK();
 }
@@ -26,7 +31,7 @@ size_t ShapesGraph::NumPropertyShapes() const {
 }
 
 const NodeShape* ShapesGraph::FindByClass(std::string_view cls) const {
-  auto it = by_class_.find(std::string(cls));
+  auto it = by_class_.find(cls);
   if (it == by_class_.end()) return nullptr;
   return &shapes_[it->second];
 }
@@ -40,9 +45,10 @@ const PropertyShape* ShapesGraph::FindProperty(std::string_view cls,
 std::vector<const NodeShape*> ShapesGraph::CandidatesForPath(
     std::string_view path) const {
   std::vector<const NodeShape*> out;
-  for (const NodeShape& s : shapes_) {
-    if (s.FindProperty(path) != nullptr) out.push_back(&s);
-  }
+  auto it = by_path_.find(path);
+  if (it == by_path_.end()) return out;
+  out.reserve(it->second.size());
+  for (uint32_t pos : it->second) out.push_back(&shapes_[pos]);
   return out;
 }
 

@@ -7,10 +7,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace shapestats::shacl {
 
@@ -48,7 +48,9 @@ struct NodeShape {
   const PropertyShape* FindProperty(std::string_view path) const;
 };
 
-/// A shapes graph: node shapes with class- and path-based lookup.
+/// A shapes graph: node shapes with class- and path-based lookup. Both
+/// lookups are indexed when a shape is added, so target classes and
+/// property paths must not change through mutable_shapes().
 class ShapesGraph {
  public:
   /// Adds a node shape. Fails if a shape already targets the same class
@@ -67,8 +69,9 @@ class ShapesGraph {
   const PropertyShape* FindProperty(std::string_view cls,
                                     std::string_view path) const;
 
-  /// All node shapes owning a property shape with the given path
-  /// (candidate shapes for a triple pattern keyed by predicate, Section 6.1).
+  /// All node shapes owning a property shape with the given path, in
+  /// shapes() order (candidate shapes for a triple pattern keyed by
+  /// predicate, Section 6.1).
   std::vector<const NodeShape*> CandidatesForPath(std::string_view path) const;
 
   /// True if every node and property shape carries statistics.
@@ -79,7 +82,9 @@ class ShapesGraph {
 
  private:
   std::vector<NodeShape> shapes_;
-  std::unordered_map<std::string, size_t> by_class_;
+  // Positions into shapes_, not pointers, so copies stay valid.
+  StringMap<size_t> by_class_;
+  StringMap<std::vector<uint32_t>> by_path_;  // ascending positions
 };
 
 }  // namespace shapestats::shacl

@@ -1,13 +1,29 @@
 // Small string helpers shared across parsers and table printers.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
 
 namespace shapestats {
+
+/// Hashes std::string and std::string_view alike, so a StringMap can be
+/// probed with a view and no temporary std::string.
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view key) const {
+    return std::hash<std::string_view>{}(key);
+  }
+};
+
+/// A std::string-keyed hash map with heterogeneous (string_view) lookup.
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);

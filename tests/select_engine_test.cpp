@@ -5,6 +5,7 @@
 #include "datagen/lubm.h"
 #include "engine/query_engine.h"
 #include "exec/select_executor.h"
+#include "phys/physical_plan.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
 
@@ -332,6 +333,45 @@ TEST(EngineLimitsTest, RowCappedCountAndAskAreFlaggedTruncated) {
   EXPECT_EQ(ask.status().code(), StatusCode::kAborted);
   EXPECT_NE(ask.status().message().find("row-cap"), std::string::npos)
       << ask.status().ToString();
+}
+
+// LIMIT and OFFSET apply to COUNT(*)'s one solution row, never to the rows
+// it counts: LIMIT >= 1 keeps the full count, and the forms that drop the
+// row are rejected rather than answered with a truncated count.
+TEST(EngineCountTest, LimitAndOffsetApplyToTheAggregateRow) {
+  datagen::LubmOptions dopts;
+  dopts.universities = 1;
+  const std::string where =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+      "SELECT (COUNT(*) AS ?c) WHERE { ?x a ub:GraduateStudent . "
+      "?x ub:advisor ?p }";
+  for (phys::JoinMode mode : {phys::JoinMode::kAuto, phys::JoinMode::kInlj,
+                              phys::JoinMode::kMerge, phys::JoinMode::kHash}) {
+    SCOPED_TRACE(phys::JoinModeName(mode));
+    engine::EngineOptions opts;
+    opts.join_mode = mode;
+    auto eng = engine::QueryEngine::Open(datagen::GenerateLubm(dopts), opts);
+    ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+    auto full = eng->Execute(where);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_TRUE(full->count.has_value());
+    EXPECT_GT(*full->count, 5u);
+
+    for (const char* modifier : {" LIMIT 1", " LIMIT 5", " LIMIT 1 OFFSET 0"}) {
+      SCOPED_TRACE(modifier);
+      auto r = eng->Execute(where + modifier);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_TRUE(r->count.has_value());
+      EXPECT_EQ(*r->count, *full->count);
+      EXPECT_FALSE(r->table.timed_out);
+    }
+    for (const char* modifier : {" LIMIT 0", " OFFSET 1", " LIMIT 5 OFFSET 1"}) {
+      SCOPED_TRACE(modifier);
+      auto r = eng->Execute(where + modifier);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(EngineOpenTest, RejectsUnfinalizedGraph) {

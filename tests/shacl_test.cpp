@@ -2,6 +2,11 @@
 // validator.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "rdf/turtle.h"
 #include "shacl/generator.h"
 #include "shacl/shapes.h"
@@ -41,19 +46,54 @@ TEST(ShapesGraphTest, TargetClassMustBeInjective) {
   EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
 }
 
+// Target classes of the candidate shapes, in the order returned.
+std::vector<std::string> CandidateClasses(const ShapesGraph& g,
+                                          std::string_view path) {
+  std::vector<std::string> out;
+  for (const NodeShape* ns : g.CandidatesForPath(path)) {
+    out.push_back(ns->target_class);
+  }
+  return out;
+}
+
 TEST(ShapesGraphTest, CandidatesForPath) {
   ShapesGraph g;
-  for (const char* cls : {"A", "B", "C"}) {
+  for (const char* cls : {"A", "B", "C", "D", "E"}) {
     NodeShape ns = MakeShape(cls);
-    if (std::string(cls) != "C") {
+    const std::string c = cls;
+    if (c != "C") {
       PropertyShape ps;
       ps.path = "http://ex/shared";
+      ns.properties.push_back(ps);
+      // A path listed twice in one shape still names the shape once.
+      if (c == "D") ns.properties.push_back(ps);
+    }
+    if (c == "B" || c == "C") {
+      PropertyShape ps;
+      ps.path = "http://ex/some";
       ns.properties.push_back(ps);
     }
     ASSERT_TRUE(g.Add(std::move(ns)).ok());
   }
-  EXPECT_EQ(g.CandidatesForPath("http://ex/shared").size(), 2u);
+  const std::vector<std::string> shared = {"http://ex/A", "http://ex/B",
+                                           "http://ex/D", "http://ex/E"};
+  const std::vector<std::string> some = {"http://ex/B", "http://ex/C"};
+  EXPECT_EQ(CandidateClasses(g, "http://ex/shared"), shared);
+  EXPECT_EQ(CandidateClasses(g, "http://ex/some"), some);
   EXPECT_TRUE(g.CandidatesForPath("http://ex/other").empty());
+
+  // A copy answers from its own shapes, also after the original is gone.
+  auto original = std::make_unique<ShapesGraph>(g);
+  const ShapesGraph copy = *original;
+  original.reset();
+  EXPECT_EQ(CandidateClasses(copy, "http://ex/shared"), shared);
+  EXPECT_EQ(CandidateClasses(copy, "http://ex/some"), some);
+  for (const NodeShape* ns : copy.CandidatesForPath("http://ex/shared")) {
+    EXPECT_GE(ns, copy.shapes().data());
+    EXPECT_LT(ns, copy.shapes().data() + copy.shapes().size());
+  }
+  EXPECT_EQ(copy.FindByClass("http://ex/C"), &copy.shapes()[2]);
+  EXPECT_EQ(copy.FindByClass("http://ex/F"), nullptr);
 }
 
 TEST(ShapesGraphTest, FullyAnnotated) {
