@@ -14,6 +14,7 @@
 #include "shacl/generator.h"
 #include "shacl/shapes_io.h"
 #include "stats/annotator.h"
+#include "util/random.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -61,6 +62,87 @@ double TimedLoad(const std::string& text, uint64_t* digest) {
   }
   *digest = h;
   return ms;
+}
+
+// One Graph::Match probe; unset positions are wildcards.
+struct Probe {
+  rdf::OptId s, p, o;
+};
+
+// A seeded probe set over every bound signature. Bound values come from
+// sampled triples, so most probes hit; each signature also gets probes whose
+// values are absent from the probed position: kInvalidTermId, ids past the
+// dictionary (including the largest 32-bit id), and ids drawn from another
+// position of a sampled triple. Raw mt19937_64 output keeps the set the same
+// on every standard library.
+std::vector<Probe> MatchProbes(const rdf::Graph& g, uint64_t seed) {
+  std::vector<Probe> probes;
+  std::span<const rdf::Triple> triples = g.triples();
+  if (triples.empty()) return probes;
+  Rng rng(seed);
+  auto sample = [&]() -> const rdf::Triple& {
+    return triples[rng.engine()() % triples.size()];
+  };
+  const rdf::TermId past = static_cast<rdf::TermId>(g.dict().size()) + 1;
+  const rdf::TermId absent[] = {rdf::kInvalidTermId, past, past + 1000,
+                                ~rdf::TermId{0}};
+  probes.push_back({});  // the full scan
+  for (int mask = 1; mask < 8; ++mask) {
+    const bool bs = mask & 4, bp = mask & 2, bo = mask & 1;
+    auto sampled = [&] {
+      const rdf::Triple& t = sample();
+      return Probe{bs ? rdf::OptId(t.s) : std::nullopt,
+                   bp ? rdf::OptId(t.p) : std::nullopt,
+                   bo ? rdf::OptId(t.o) : std::nullopt};
+    };
+    // (?,P,?) runs are large; a few probes cover every predicate run often.
+    const int hits = mask == 2 ? 64 : 2000;
+    for (int i = 0; i < hits; ++i) probes.push_back(sampled());
+    for (int pos = 0; pos < 3; ++pos) {
+      if (!(mask & (4 >> pos))) continue;
+      auto with = [&](rdf::TermId id) {
+        Probe probe = sampled();
+        (pos == 0 ? probe.s : pos == 1 ? probe.p : probe.o) = id;
+        probes.push_back(probe);
+      };
+      for (rdf::TermId id : absent) with(id);
+      // Ids from the other two positions: usually absent from this one.
+      for (int i = 0; i < 100; ++i) {
+        const rdf::Triple& t = sample();
+        const rdf::TermId ids[] = {t.s, t.p, t.o};
+        with(ids[(pos + 1 + i % 2) % 3]);
+      }
+    }
+  }
+  return probes;
+}
+
+// Digest over the contents and order of every probe's span (sizes included,
+// so an empty span is not confused with a missing one), and the mean time of
+// one Match call over the probe set.
+uint64_t MatchDigest(const rdf::Graph& g, const std::vector<Probe>& probes,
+                     double* ns_per_probe) {
+  uint64_t h = kFnvOffset;
+  for (const Probe& probe : probes) {
+    std::span<const rdf::Triple> run = g.Match(probe.s, probe.p, probe.o);
+    h = Fnv1aId(static_cast<rdf::TermId>(run.size()), h);
+    for (const rdf::Triple& t : run) {
+      h = Fnv1aId(t.o, Fnv1aId(t.p, Fnv1aId(t.s, h)));
+    }
+  }
+  constexpr int kRounds = 20;
+  uint64_t sink = 0;
+  Timer timer;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const Probe& probe : probes) {
+      sink += g.Match(probe.s, probe.p, probe.o).size();
+    }
+  }
+  const double ms = timer.ElapsedMs();
+  // Uses the sum, so the timed calls cannot be optimized away.
+  if (sink == 0) std::printf("(no probe matched)\n");
+  *ns_per_probe = ms * 1e6 / (static_cast<double>(probes.size()) * kRounds);
+  return h;
 }
 
 struct ScalingRun {
@@ -170,6 +252,22 @@ int main() {
     telemetry.Counter("shapes_extended_kb." + ds.name,
                       ds.shapes_extended_bytes / 1024.0);
     telemetry.Timing("annotate_ms." + ds.name, ds.annotate_ms);
+  }
+
+  // Index lookups: a seeded probe set over every bound signature, absent
+  // ids included. The digest pins the contents and order of every span
+  // Graph::Match returns, so an index change that moves a single triple (or
+  // depends on the pool size) shows up here.
+  std::printf("\n");
+  for (const bench::Dataset& ds : datasets) {
+    double ns = 0;
+    const uint64_t digest =
+        MatchDigest(ds.graph, MatchProbes(ds.graph, /*seed=*/18), &ns);
+    std::printf("match digest %s: %016llx\n", ds.name.c_str(),
+                static_cast<unsigned long long>(digest));
+    std::printf("match time %s: %.1f ns per probe\n", ds.name.c_str(), ns);
+    telemetry.Digest("match." + ds.name, digest);
+    telemetry.Timing("match_ns." + ds.name, ns);
   }
 
   // Load path: each dataset is serialized as N-Triples (untimed) and parsed

@@ -234,7 +234,13 @@ Result<QueryEngine> QueryEngine::Open(rdf::Graph graph, EngineOptions options) {
 
   switch (options.optimizer) {
     case EngineOptions::Optimizer::kShapeStats: {
-      auto shapes = shacl::GenerateShapes(st.graph);
+      phase.Reset();
+      Result<shacl::ShapesGraph> shapes = [&] {
+        obs::TraceSpan span("engine", "preprocess:generate_shapes");
+        return shacl::GenerateShapes(st.graph);
+      }();
+      obs::MetricsRegistry::Global().Observe(
+          "engine.preprocess.generate_shapes_ms", phase.ElapsedMs());
       // Data without rdf:type triples cannot anchor shapes; degrade to
       // global statistics rather than failing.
       if (shapes.ok()) {
@@ -278,6 +284,7 @@ Result<QueryEngine> QueryEngine::Open(rdf::Graph graph, EngineOptions options) {
     log.Emit(obs::Event("engine.open")
                  .Str("optimizer", OptimizerName(options.optimizer))
                  .Uint("triples", st.graph.NumTriples())
+                 .Uint("index_bytes", st.graph.IndexBytes())
                  .Uint("shapes", st.shapes.NumNodeShapes())
                  .Num("ms", open_timer.ElapsedMs()));
   }

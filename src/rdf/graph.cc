@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
 
 namespace shapestats::rdf {
 
@@ -39,18 +41,48 @@ struct LessPSO {
   }
 };
 
-constexpr TermId kMin = 0;
-constexpr TermId kMax = ~TermId{0};
+// The head of an index grouped by `get`: head[x] is the offset of the first
+// triple whose leading id is >= x, sized from the largest leading id + 2 so
+// that the run of every id up to it is [head[x], head[x + 1]).
+template <typename Get>
+std::vector<uint32_t> BuildHead(const std::vector<Triple>& index, Get get) {
+  const size_t ids = index.empty() ? 1 : size_t{get(index.back())} + 1;
+  std::vector<uint32_t> head(ids + 1);
+  size_t i = 0;
+  for (size_t x = 0; x <= ids; ++x) {
+    while (i < index.size() && get(index[i]) < x) ++i;
+    head[x] = static_cast<uint32_t>(i);
+  }
+  return head;
+}
 
-template <typename Less>
-std::span<const Triple> Range(const std::vector<Triple>& index, const Triple& lo,
-                              const Triple& hi) {
-  auto begin = std::lower_bound(index.begin(), index.end(), lo, Less{});
-  auto end = std::upper_bound(begin, index.end(), hi, Less{});
-  // Build the span from the base pointer: dereferencing `begin` would be UB
-  // whenever the match range is empty or begin is the end iterator.
-  return {index.data() + (begin - index.begin()),
-          static_cast<size_t>(end - begin)};
+// The run of `id` in an index with head `head`; ids past the head (and the
+// never-assigned kInvalidTermId) get an empty span at the index's end.
+std::span<const Triple> Run(const std::vector<Triple>& index,
+                            const std::vector<uint32_t>& head, TermId id) {
+  if (id >= head.size() - 1) return {index.data() + index.size(), 0};
+  return {index.data() + head[id], size_t{head[id + 1]} - head[id]};
+}
+
+// The sub-run of `run` (sorted by `key` first) whose key equals `value`.
+template <typename Key, typename Value>
+std::span<const Triple> SubRun(std::span<const Triple> run, Key key,
+                               const Value& value) {
+  auto lo = std::lower_bound(
+      run.begin(), run.end(), value,
+      [&](const Triple& t, const Value& v) { return key(t) < v; });
+  auto hi = std::upper_bound(
+      lo, run.end(), value,
+      [&](const Value& v, const Triple& t) { return v < key(t); });
+  return run.subspan(static_cast<size_t>(lo - run.begin()),
+                     static_cast<size_t>(hi - lo));
+}
+
+// Non-empty runs in a head: the distinct leading ids of its index.
+uint64_t CountRuns(const std::vector<uint32_t>& head) {
+  uint64_t count = 0;
+  for (size_t x = 0; x + 1 < head.size(); ++x) count += head[x + 1] != head[x];
+  return count;
 }
 
 }  // namespace
@@ -77,40 +109,46 @@ void Graph::Finalize(util::ThreadPool* pool) {
   // The SPO sort + dedup must finish first: the three secondary indexes are
   // copies of the deduplicated triple set. Every comparator orders all three
   // components, so equal elements are identical and the chunked parallel
-  // sort produces byte-for-byte the std::sort result.
+  // sort produces byte-for-byte the std::sort result. Each head is built in
+  // the task that sorts its index; PSO shares the POS predicate head.
   util::ParallelSort(spo_, LessSPO{}, tp);
   spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
   spo_.shrink_to_fit();
-  if (tp.num_threads() > 1) {
-    std::vector<Triple>* targets[] = {&pos_, &osp_, &pso_};
-    tp.ParallelFor(0, 3, [&](size_t i) {
-      *targets[i] = spo_;
-      switch (i) {
-        case 0: std::sort(pos_.begin(), pos_.end(), LessPOS{}); break;
-        case 1: std::sort(osp_.begin(), osp_.end(), LessOSP{}); break;
-        case 2: std::sort(pso_.begin(), pso_.end(), LessPSO{}); break;
-      }
-    });
-  } else {
-    pos_ = spo_;
-    std::sort(pos_.begin(), pos_.end(), LessPOS{});
-    osp_ = spo_;
-    std::sort(osp_.begin(), osp_.end(), LessOSP{});
-    pso_ = spo_;
-    std::sort(pso_.begin(), pso_.end(), LessPSO{});
+  if (spo_.size() > kMaxTriples) {
+    // The triples come from outside input, so this holds in every build.
+    std::fprintf(stderr,
+                 "Fatal: %zu distinct triples; a graph holds at most %zu\n",
+                 spo_.size(), kMaxTriples);
+    std::abort();
   }
+  s_head_ = BuildHead(spo_, [](const Triple& t) { return t.s; });
+  // A 1-thread pool runs the three tasks inline, in order.
+  tp.ParallelFor(0, 3, [&](size_t i) {
+    switch (i) {
+      case 0:
+        pos_ = spo_;
+        std::sort(pos_.begin(), pos_.end(), LessPOS{});
+        p_head_ = BuildHead(pos_, [](const Triple& t) { return t.p; });
+        break;
+      case 1:
+        osp_ = spo_;
+        std::sort(osp_.begin(), osp_.end(), LessOSP{});
+        o_head_ = BuildHead(osp_, [](const Triple& t) { return t.o; });
+        break;
+      case 2:
+        pso_ = spo_;
+        std::sort(pso_.begin(), pso_.end(), LessPSO{});
+        break;
+    }
+  });
   finalized_ = true;
 }
 
 std::vector<TermId> Graph::Predicates() const {
   assert(finalized_);
-  // One pass over the PSO run boundaries, galloping to each run's end with
-  // upper_bound — O(P log N) instead of a std::set insert per triple.
   std::vector<TermId> preds;
-  auto it = pso_.begin();
-  while (it != pso_.end()) {
-    preds.push_back(it->p);
-    it = std::upper_bound(it, pso_.end(), Triple{kMax, it->p, kMax}, LessPSO{});
+  for (size_t p = 0; p + 1 < p_head_.size(); ++p) {
+    if (p_head_[p + 1] != p_head_[p]) preds.push_back(static_cast<TermId>(p));
   }
   return preds;
 }
@@ -119,26 +157,32 @@ std::span<const Triple> Graph::Match(OptId s, OptId p, OptId o) const {
   assert(finalized_ && "Match before Finalize");
   const bool bs = s.has_value(), bp = p.has_value(), bo = o.has_value();
   if (bs) {
+    std::span<const Triple> run = Run(spo_, s_head_, *s);
     if (bp) {
-      // (S,P,?) or (S,P,O) — SPO prefix.
-      return Range<LessSPO>(spo_, Triple{*s, *p, bo ? *o : kMin},
-                            Triple{*s, *p, bo ? *o : kMax});
+      if (!bo) {
+        // (S,P,?) — p inside s's SPO run.
+        return SubRun(run, [](const Triple& t) { return t.p; }, *p);
+      }
+      // (S,P,O) — (p, o) inside s's SPO run.
+      return SubRun(run, [](const Triple& t) { return std::pair(t.p, t.o); },
+                    std::pair(*p, *o));
     }
     if (bo) {
-      // (S,?,O) — OSP prefix (o, s).
-      return Range<LessOSP>(osp_, Triple{*s, kMin, *o}, Triple{*s, kMax, *o});
+      // (S,?,O) — s inside o's OSP run.
+      return SubRun(Run(osp_, o_head_, *o), [](const Triple& t) { return t.s; },
+                    *s);
     }
-    // (S,?,?) — SPO prefix.
-    return Range<LessSPO>(spo_, Triple{*s, kMin, kMin}, Triple{*s, kMax, kMax});
+    // (S,?,?) — s's SPO run.
+    return run;
   }
   if (bp) {
-    // (?,P,O) or (?,P,?) — POS prefix.
-    return Range<LessPOS>(pos_, Triple{kMin, *p, bo ? *o : kMin},
-                          Triple{kMax, *p, bo ? *o : kMax});
+    std::span<const Triple> run = Run(pos_, p_head_, *p);
+    // (?,P,O) — o inside p's POS run; (?,P,?) — p's POS run.
+    return bo ? SubRun(run, [](const Triple& t) { return t.o; }, *o) : run;
   }
   if (bo) {
-    // (?,?,O) — OSP prefix.
-    return Range<LessOSP>(osp_, Triple{kMin, kMin, *o}, Triple{kMax, kMax, *o});
+    // (?,?,O) — o's OSP run.
+    return Run(osp_, o_head_, *o);
   }
   return {spo_.data(), spo_.size()};
 }
@@ -175,12 +219,12 @@ void Graph::ForEachMatch(OptId s, OptId p, OptId o,
 
 std::span<const Triple> Graph::PredicateBySubject(TermId p) const {
   assert(finalized_);
-  return Range<LessPSO>(pso_, Triple{kMin, p, kMin}, Triple{kMax, p, kMax});
+  return Run(pso_, p_head_, p);
 }
 
 std::span<const Triple> Graph::PredicateByObject(TermId p) const {
   assert(finalized_);
-  return Range<LessPOS>(pos_, Triple{kMin, p, kMin}, Triple{kMax, p, kMax});
+  return Run(pos_, p_head_, p);
 }
 
 uint64_t Graph::CountDistinctSubjects(TermId p) const {
@@ -211,33 +255,19 @@ uint64_t Graph::CountDistinctObjects(TermId p) const {
 
 uint64_t Graph::CountDistinctSubjects() const {
   assert(finalized_);
-  uint64_t count = 0;
-  TermId prev = kInvalidTermId;
-  for (const Triple& t : spo_) {
-    if (t.s != prev) {
-      ++count;
-      prev = t.s;
-    }
-  }
-  return count;
+  return CountRuns(s_head_);
 }
 
 uint64_t Graph::CountDistinctObjects() const {
   assert(finalized_);
-  uint64_t count = 0;
-  TermId prev = kInvalidTermId;
-  for (const Triple& t : osp_) {
-    if (t.o != prev) {
-      ++count;
-      prev = t.o;
-    }
-  }
-  return count;
+  return CountRuns(o_head_);
 }
 
 size_t Graph::IndexBytes() const {
   return (spo_.capacity() + pos_.capacity() + osp_.capacity() + pso_.capacity()) *
-         sizeof(Triple);
+             sizeof(Triple) +
+         (s_head_.capacity() + o_head_.capacity() + p_head_.capacity()) *
+             sizeof(uint32_t);
 }
 
 }  // namespace shapestats::rdf

@@ -8,6 +8,16 @@
 //   POS  — patterns binding P or (P,O)
 //   OSP  — patterns binding O or (O,S)
 //   PSO  — distinct-subject walks per predicate (annotator, global stats)
+//
+// Heads: every index is grouped by its leading component, and a head array
+// maps each id to the offset of its group, so the run of id x is
+// [head[x], head[x + 1]). There are three heads — subjects over SPO,
+// objects over OSP, and one predicate head shared by POS and PSO (both sort
+// by p first, so p's run has the same bounds in each). Match() reads the
+// leading bound component's run from its head in O(1) and binary-searches
+// only inside that run. A head holds one uint32_t offset per id up to the
+// largest id in its position, plus two; offsets being 32-bit caps a graph
+// at kMaxTriples triples.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +35,9 @@ namespace shapestats::rdf {
 
 /// One component of a triple pattern: either a bound TermId or a wildcard.
 using OptId = std::optional<TermId>;
+
+/// The most triples a graph can hold: head offsets are 32-bit.
+inline constexpr size_t kMaxTriples = 0xFFFFFFFFu;
 
 /// Mutable-until-finalized RDF graph. Usage:
 ///   Graph g;
@@ -51,10 +64,12 @@ class Graph {
   /// predicate, then the subject (the order ParseNTriples uses too).
   void Add(const Term& s, const Term& p, const Term& o);
 
-  /// Sorts and deduplicates, builds all indexes. Must be called before any
-  /// Match/Count query; Add after Finalize is an error. The SPO sort and the
-  /// three secondary index builds run on `pool` (the shared pool when null);
-  /// the resulting indexes are identical for every pool size.
+  /// Sorts and deduplicates, builds all indexes and their heads. Must be
+  /// called before any Match/Count query; Add after Finalize is an error.
+  /// The SPO sort and the three secondary index builds run on `pool` (the
+  /// shared pool when null), each head in the task that sorts its index; the
+  /// resulting indexes and heads are identical for every pool size. Aborts,
+  /// in every build, when there are more than kMaxTriples distinct triples.
   void Finalize(util::ThreadPool* pool = nullptr);
 
   bool finalized() const { return finalized_; }
@@ -66,8 +81,8 @@ class Graph {
   /// All triples in OSP order (objects grouped; distinct-object scans).
   std::span<const Triple> triples_by_object() const { return osp_; }
 
-  /// The distinct predicates of the graph, in ascending id order, read off
-  /// the PSO run boundaries in one pass.
+  /// The distinct predicates of the graph, in ascending id order: the ids
+  /// whose predicate-head run is non-empty.
   std::vector<TermId> Predicates() const;
 
   /// Triples matching a pattern, as a contiguous span of one index.
@@ -94,7 +109,11 @@ class Graph {
   /// MatchOrder() returns this component sequence programmatically. The
   /// contract holds for empty ranges too: a pattern with no matches yields
   /// an empty span (never an unsorted or non-contiguous view), and the
-  /// span's data pointer is valid for pointer arithmetic even then.
+  /// span's data pointer is valid for pointer arithmetic even then — also
+  /// for kInvalidTermId and for ids past the largest id in a position.
+  ///
+  /// Cost: O(1) for one bound position (a head read), and a binary search
+  /// inside the leading component's run for two or three.
   std::span<const Triple> Match(OptId s, OptId p, OptId o) const;
 
   /// The free-component sort order of the span Match() returns for a given
@@ -118,7 +137,7 @@ class Graph {
   uint64_t CountDistinctSubjects(TermId p) const;
   /// Distinct objects among triples with predicate `p`.
   uint64_t CountDistinctObjects(TermId p) const;
-  /// Distinct subjects / objects over the whole graph.
+  /// Distinct subjects / objects over the whole graph (non-empty head runs).
   uint64_t CountDistinctSubjects() const;
   uint64_t CountDistinctObjects() const;
 
@@ -127,7 +146,8 @@ class Graph {
   /// The POS index span for predicate `p` (sorted by object, then subject).
   std::span<const Triple> PredicateByObject(TermId p) const;
 
-  /// Approximate heap footprint of the triple indexes in bytes.
+  /// Approximate heap footprint of the triple indexes and their heads in
+  /// bytes.
   size_t IndexBytes() const;
 
  private:
@@ -137,6 +157,11 @@ class Graph {
   std::vector<Triple> pos_;
   std::vector<Triple> osp_;
   std::vector<Triple> pso_;
+  // Run offsets per leading id (see the file comment): subjects over spo_,
+  // objects over osp_, predicates over pos_ and pso_ alike.
+  std::vector<uint32_t> s_head_;
+  std::vector<uint32_t> o_head_;
+  std::vector<uint32_t> p_head_;
 };
 
 }  // namespace shapestats::rdf

@@ -1,48 +1,18 @@
 #include "stats/global_stats.h"
 
-#include <atomic>
-
 #include "rdf/vocab.h"
 
 namespace shapestats::stats {
-
-namespace {
-
-// Distinct values of one triple component over an index sorted by that
-// component: a position counts when its value differs from its predecessor,
-// so chunks can be scanned independently (the cross-chunk comparison reads
-// the immutable previous element).
-template <typename Get>
-uint64_t CountDistinctSorted(std::span<const rdf::Triple> index, Get get,
-                             util::ThreadPool& tp) {
-  if (index.empty()) return 0;
-  std::atomic<uint64_t> total{0};
-  tp.ParallelForChunks(0, index.size(), size_t{1} << 15,
-                       [&](size_t lo, size_t hi) {
-                         uint64_t count = 0;
-                         for (size_t i = lo; i < hi; ++i) {
-                           if (i == 0 || get(index[i]) != get(index[i - 1])) {
-                             ++count;
-                           }
-                         }
-                         total.fetch_add(count, std::memory_order_relaxed);
-                       });
-  return total.load(std::memory_order_relaxed);
-}
-
-}  // namespace
 
 GlobalStats GlobalStats::Compute(const rdf::Graph& graph,
                                  util::ThreadPool* pool) {
   util::ThreadPool& tp = pool != nullptr ? *pool : util::ThreadPool::Shared();
   GlobalStats out;
   out.num_triples = graph.NumTriples();
-  out.num_distinct_subjects = CountDistinctSorted(
-      graph.triples(), [](const rdf::Triple& t) { return t.s; }, tp);
-  out.num_distinct_objects = CountDistinctSorted(
-      graph.triples_by_object(), [](const rdf::Triple& t) { return t.o; }, tp);
+  out.num_distinct_subjects = graph.CountDistinctSubjects();
+  out.num_distinct_objects = graph.CountDistinctObjects();
 
-  // Predicates come off the PSO run boundaries (no per-triple set insert);
+  // Predicates come off the predicate head (no per-triple set insert);
   // each predicate's count/DSC/DOC scans only its own contiguous PSO/POS
   // runs, so the fan-out is embarrassingly parallel. The map is filled
   // sequentially in ascending predicate order afterwards, which keeps the

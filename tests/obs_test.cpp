@@ -648,6 +648,40 @@ TEST(GlobalMetrics, EngineQueryIncrementsCounters) {
   EXPECT_EQ(reg.GetCounter("exec.select_runs")->value(), runs_before + 1);
 }
 
+// Every timed set-up phase of Open lands in its own histogram, exported on
+// /metrics, and the engine.open event reports the index footprint.
+TEST(GlobalMetrics, EngineOpenRecordsEveryPreprocessPhase) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const char* phases[] = {"engine.preprocess.global_stats_ms",
+                          "engine.preprocess.generate_shapes_ms",
+                          "engine.preprocess.annotate_ms"};
+  std::vector<uint64_t> before;
+  for (const char* name : phases) {
+    before.push_back(reg.GetHistogram(name)->Snap().count);
+  }
+  obs::EventLog& log = obs::EventLog::Global();
+  std::mutex mu;
+  std::vector<obs::Event> opens;
+  uint64_t token = log.Subscribe([&](const obs::Event& e) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (e.type() == "engine.open") opens.push_back(e);
+  });
+  engine::QueryEngine eng = OpenTiny();
+  log.Unsubscribe(token);
+
+  for (size_t i = 0; i < std::size(phases); ++i) {
+    EXPECT_EQ(reg.GetHistogram(phases[i])->Snap().count, before[i] + 1)
+        << phases[i];
+  }
+  EXPECT_NE(reg.ToPrometheus().find("engine_preprocess_generate_shapes_ms"),
+            std::string::npos);
+  ASSERT_EQ(opens.size(), 1u);
+  EXPECT_EQ(opens[0].FieldJson("index_bytes"),
+            std::to_string(eng.graph().IndexBytes()));
+  EXPECT_GT(eng.graph().IndexBytes(),
+            4 * eng.graph().NumTriples() * sizeof(rdf::Triple));
+}
+
 TEST(ExecuteTrace, ThreadedThroughSelectPath) {
   engine::QueryEngine eng = OpenTiny();
   obs::QueryTrace trace;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "datagen/lubm.h"
@@ -57,6 +58,24 @@ TEST(ParallelFinalizeTest, IndexesIdenticalAcrossThreadCounts) {
     ASSERT_EQ(c.size(), d.size());
     EXPECT_TRUE(std::equal(c.begin(), c.end(), d.begin()));
   }
+  // Head arrays: the run of every id in every leading position has the
+  // same bounds, which pins each head entry (runs are laid out in id order).
+  // Ids past the dictionary probe the end of each head.
+  const rdf::TermId past = static_cast<rdf::TermId>(seq.dict().size()) + 2;
+  for (rdf::TermId id = 0; id <= past; ++id) {
+    const rdf::OptId none;
+    for (auto [s, p, o] : {std::tuple(rdf::OptId(id), none, none),
+                           std::tuple(none, rdf::OptId(id), none),
+                           std::tuple(none, none, rdf::OptId(id))}) {
+      auto a = seq.Match(s, p, o);
+      auto b = par.Match(s, p, o);
+      ASSERT_EQ(a.size(), b.size()) << "id " << id;
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "id " << id;
+    }
+  }
+  EXPECT_EQ(seq.CountDistinctSubjects(), par.CountDistinctSubjects());
+  EXPECT_EQ(seq.CountDistinctObjects(), par.CountDistinctObjects());
+  EXPECT_EQ(seq.IndexBytes(), par.IndexBytes());
 }
 
 TEST(ParallelStatsTest, GlobalStatsIdenticalAcrossThreadCounts) {

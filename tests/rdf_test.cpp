@@ -3,14 +3,18 @@
 // binding combinations against a brute-force oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <set>
+#include <span>
 
 #include "datagen/lubm.h"
 #include "datagen/yago.h"
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
+#include "rdf/snapshot.h"
 #include "rdf/term.h"
 #include "rdf/turtle.h"
 #include "rdf/vocab.h"
@@ -196,8 +200,45 @@ TEST_F(GraphFixture, ForEachMatchVisitsAll) {
 
 TEST_F(GraphFixture, IndexBytesNonZero) { EXPECT_GT(g.IndexBytes(), 0u); }
 
+// The triples of `truth` matching a pattern, in the order Match promises:
+// sorted by the free components that MatchOrder lists.
+std::vector<Triple> OracleMatch(const std::vector<Triple>& truth, OptId s,
+                                OptId p, OptId o) {
+  std::vector<Triple> out;
+  for (const Triple& t : truth) {
+    if ((!s || *s == t.s) && (!p || *p == t.p) && (!o || *o == t.o)) {
+      out.push_back(t);
+    }
+  }
+  const std::vector<int> order =
+      Graph::MatchOrder(s.has_value(), p.has_value(), o.has_value());
+  auto key = [&](const Triple& t) {
+    std::vector<TermId> k;
+    for (int pos : order) k.push_back(pos == 0 ? t.s : pos == 1 ? t.p : t.o);
+    return k;
+  };
+  std::sort(out.begin(), out.end(),
+            [&](const Triple& a, const Triple& b) { return key(a) < key(b); });
+  return out;
+}
+
+// Match's span equals the oracle's triples in the same order; an empty span
+// on a non-empty graph still points into the graph's storage.
+void ExpectMatchesOracle(const Graph& g, const std::vector<Triple>& truth,
+                         OptId s, OptId p, OptId o) {
+  auto show = [](OptId id) { return id ? std::to_string(*id) : "?"; };
+  std::span<const Triple> run = g.Match(s, p, o);
+  EXPECT_EQ(std::vector<Triple>(run.begin(), run.end()),
+            OracleMatch(truth, s, p, o))
+      << "pattern (" << show(s) << ", " << show(p) << ", " << show(o) << ")";
+  if (run.empty() && g.NumTriples() > 0) {
+    EXPECT_NE(run.data(), nullptr);
+  }
+}
+
 // Property test: every binding combination must agree with a brute-force
-// filter over a random graph.
+// filter over a random graph, in contents and order — for ids present in
+// the graph and for ids absent from the probed position.
 struct PatternCase {
   bool bind_s, bind_p, bind_o;
 };
@@ -226,6 +267,8 @@ TEST_P(MatchOracleTest, AgreesWithBruteForce) {
   for (const Triple& t : truth) uniq.emplace(t.s, t.p, t.o);
   g.Finalize();
   ASSERT_EQ(g.NumTriples(), uniq.size());
+  truth.clear();
+  for (const auto& [ts, tp, to] : uniq) truth.push_back(Triple{ts, tp, to});
 
   const PatternCase& pc = GetParam();
   for (int trial = 0; trial < 30; ++trial) {
@@ -235,14 +278,20 @@ TEST_P(MatchOracleTest, AgreesWithBruteForce) {
                         : std::nullopt;
     OptId o = pc.bind_o ? OptId(objects[rng.Uniform(0, objects.size() - 1)])
                         : std::nullopt;
-    uint64_t expect = 0;
-    for (const auto& [ts, tp, to] : uniq) {
-      if ((!s || *s == ts) && (!p || *p == tp) && (!o || *o == to)) ++expect;
-    }
-    EXPECT_EQ(g.CountMatches(s, p, o), expect);
-    // Every returned triple must actually match the pattern.
-    for (const Triple& t : g.Match(s, p, o)) {
-      EXPECT_TRUE((!s || *s == t.s) && (!p || *p == t.p) && (!o || *o == t.o));
+    ExpectMatchesOracle(g, truth, s, p, o);
+    EXPECT_EQ(g.CountMatches(s, p, o), OracleMatch(truth, s, p, o).size());
+
+    // The same probe with one bound position replaced by the invalid id, ids
+    // past the dictionary, or an id drawn from each position (absent from
+    // the other two).
+    const TermId past = static_cast<TermId>(g.dict().size()) + 1;
+    for (TermId absent : {kInvalidTermId, past, past + 100, ~TermId{0},
+                          subjects[trial % subjects.size()],
+                          preds[trial % preds.size()],
+                          objects[trial % objects.size()]}) {
+      if (s) ExpectMatchesOracle(g, truth, absent, p, o);
+      if (p) ExpectMatchesOracle(g, truth, s, absent, o);
+      if (o) ExpectMatchesOracle(g, truth, s, p, absent);
     }
   }
 }
@@ -702,6 +751,95 @@ TEST(MatchOrderTest, EmptyRangesAreValidSpans) {
   EXPECT_EQ(empty.begin(), empty.end());
   // The non-empty case still matches.
   EXPECT_EQ(g.Match(s, p, o).size(), 1u);
+}
+
+// Every pattern over ids 0..max_id + 2 in each position, plus the largest
+// 32-bit id, against the oracle (the bound values of two- and three-position
+// patterns come from the same id list, so most of them miss).
+void ExpectAllProbesMatchOracle(const Graph& g, TermId max_id) {
+  std::vector<Triple> truth(g.triples().begin(), g.triples().end());
+  std::vector<TermId> ids;
+  for (TermId id = 0; id <= max_id + 2; ++id) ids.push_back(id);
+  ids.push_back(~TermId{0});
+  ExpectMatchesOracle(g, truth, std::nullopt, std::nullopt, std::nullopt);
+  for (TermId a : ids) {
+    ExpectMatchesOracle(g, truth, a, std::nullopt, std::nullopt);
+    ExpectMatchesOracle(g, truth, std::nullopt, a, std::nullopt);
+    ExpectMatchesOracle(g, truth, std::nullopt, std::nullopt, a);
+    for (TermId b : ids) {
+      ExpectMatchesOracle(g, truth, a, b, std::nullopt);
+      ExpectMatchesOracle(g, truth, a, std::nullopt, b);
+      ExpectMatchesOracle(g, truth, std::nullopt, a, b);
+      for (TermId c : ids) ExpectMatchesOracle(g, truth, a, b, c);
+    }
+  }
+}
+
+TEST(GraphHeadTest, LargestIdOnlyAsObject) {
+  // Raw ids: subjects 1-3, predicates 4-5, and the largest id, 12, occurs
+  // only as an object; 7-11 occur nowhere.
+  Graph g;
+  g.Add(1, 4, 2);
+  g.Add(1, 4, 12);
+  g.Add(2, 5, 3);
+  g.Add(3, 4, 12);
+  g.Add(3, 5, 1);
+  g.Add(1, 5, 6);
+  g.Finalize();
+  ExpectAllProbesMatchOracle(g, 12);
+  EXPECT_EQ(g.Predicates(), (std::vector<TermId>{4, 5}));
+  EXPECT_EQ(g.CountDistinctSubjects(), 3u);
+  EXPECT_EQ(g.CountDistinctObjects(), 5u);  // 1, 2, 3, 6, 12
+  EXPECT_EQ(g.Match(std::nullopt, std::nullopt, 12).size(), 2u);
+  EXPECT_TRUE(g.Match(12, std::nullopt, std::nullopt).empty());
+  EXPECT_TRUE(g.PredicateBySubject(12).empty());
+  EXPECT_TRUE(g.PredicateByObject(kInvalidTermId).empty());
+}
+
+TEST(GraphHeadTest, EmptyGraphAnswersEveryProbeEmpty) {
+  Graph g;
+  g.Finalize();
+  EXPECT_EQ(g.NumTriples(), 0u);
+  ExpectAllProbesMatchOracle(g, 3);
+  EXPECT_TRUE(g.Predicates().empty());
+  EXPECT_EQ(g.CountDistinctSubjects(), 0u);
+  EXPECT_EQ(g.CountDistinctObjects(), 0u);
+  EXPECT_TRUE(g.PredicateBySubject(1).empty());
+  EXPECT_TRUE(g.PredicateByObject(1).empty());
+}
+
+TEST(GraphHeadTest, MatchIsUnchangedBySnapshotRoundTrip) {
+  Graph g;
+  Rng rng(18);
+  for (int i = 0; i < 300; ++i) {
+    g.Add(Term::Iri("http://x/n" + std::to_string(rng.Uniform(0, 40))),
+          Term::Iri("http://x/p" + std::to_string(rng.Uniform(0, 4))),
+          Term::Iri("http://x/n" + std::to_string(rng.Uniform(0, 60))));
+  }
+  g.Finalize();
+  const std::string path = ::testing::TempDir() + "/graph_head_snapshot.bin";
+  ASSERT_TRUE(SaveSnapshot(g, path).ok());
+  auto loaded = LoadSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  const TermId max_id = static_cast<TermId>(g.dict().size());
+  std::vector<OptId> ids = {std::nullopt};
+  for (TermId id = 0; id <= max_id + 1; ++id) ids.push_back(id);
+  for (OptId s : ids) {
+    for (OptId p : ids) {
+      for (OptId o : ids) {
+        auto a = g.Match(s, p, o);
+        auto b = loaded->Match(s, p, o);
+        ASSERT_EQ(std::vector<Triple>(a.begin(), a.end()),
+                  std::vector<Triple>(b.begin(), b.end()));
+      }
+    }
+  }
+  EXPECT_EQ(loaded->Predicates(), g.Predicates());
+  EXPECT_EQ(loaded->CountDistinctSubjects(), g.CountDistinctSubjects());
+  EXPECT_EQ(loaded->CountDistinctObjects(), g.CountDistinctObjects());
+  EXPECT_EQ(loaded->IndexBytes(), g.IndexBytes());
 }
 
 TEST(TurtleTest, NestedBlankNodes) {
