@@ -3,8 +3,8 @@
 //
 //   small x large      — about a thousand left rows (full professors)
 //                        joined into a large pattern: merge gallops to
-//                        each key's group, where hash builds over or scans
-//                        the whole run.
+//                        each key's group instead of stepping through the
+//                        whole run.
 //   large x large sorted   — the left rows arrive sorted by the join
 //                        variable (it leads the canonical row order), so
 //                        the merge join streams with no sort.
@@ -13,8 +13,7 @@
 //                        while merge radix-sorts the left keys once.
 //   many keys          — the right side is a whole predicate run with about
 //                        one row per distinct key (every person's e-mail
-//                        address), where a hash table pays per distinct key
-//                        rather than per row.
+//                        address), so the merge finds a group per left key.
 //   sparse keys        — the left keys (full professors) hit a small share
 //                        of that long e-mail run, so the merge gallops over
 //                        the gaps instead of stepping through them.
@@ -106,7 +105,7 @@ struct Shape {
 
 int main() {
   bench::BenchTelemetry telemetry("joins");
-  std::printf("=== Physical join operators: INLJ vs merge vs hash ===\n\n");
+  std::printf("=== Physical join operators: INLJ vs merge ===\n\n");
 
   datagen::LubmOptions lubm;
   lubm.universities = 10;
@@ -130,12 +129,11 @@ int main() {
        "?x a ub:FullProfessor . ?x ub:emailAddress ?e"},
   };
   const std::vector<phys::JoinMode> modes = {
-      phys::JoinMode::kInlj, phys::JoinMode::kMerge, phys::JoinMode::kHash,
-      phys::JoinMode::kAuto};
+      phys::JoinMode::kInlj, phys::JoinMode::kMerge, phys::JoinMode::kAuto};
   const int reps = 5;
 
-  TablePrinter table({"shape", "rows", "inlj (ms)", "merge (ms)", "hash (ms)",
-                      "auto (ms)", "auto picks"});
+  TablePrinter table(
+      {"shape", "rows", "inlj (ms)", "merge (ms)", "auto (ms)", "auto picks"});
   double unsorted_inlj_ms = 0, unsorted_auto_ms = 0;
 
   for (const Shape& shape : shapes) {

@@ -164,9 +164,8 @@ Diagnostics PlanVerifier::Verify(const phys::PhysicalPlan& pplan,
                          phys::OpName(st.op)});
     }
 
-    const bool is_join = st.op == phys::OpKind::kInlj ||
-                         st.op == phys::OpKind::kMerge ||
-                         st.op == phys::OpKind::kHash;
+    const bool is_join =
+        st.op == phys::OpKind::kInlj || st.op == phys::OpKind::kMerge;
     if (k > 0 && is_join && st.join_pos >= 0 && st.join_pos <= 2) {
       const sparql::EncodedTerm& jt =
           st.join_pos == 0 ? tp.s : (st.join_pos == 1 ? tp.p : tp.o);
@@ -209,20 +208,6 @@ Diagnostics PlanVerifier::Verify(const phys::PhysicalPlan& pplan,
                        StepSubject(k),
                        std::string("step labeled ") + phys::OpName(st.op) +
                            " but shares no variable with the join prefix"});
-      }
-    }
-
-    if (st.op == phys::OpKind::kHash &&
-        (st.est_left > 0 || st.est_right > 0)) {
-      const bool want_right = st.est_right <= st.est_left;
-      if (st.build_right != want_right) {
-        out.push_back({Severity::kError, "phys.build-side", StepSubject(k),
-                       "hash build side is " +
-                           std::string(st.build_right ? "right" : "left") +
-                           " but estimates (left " +
-                           CompactDouble(st.est_left) + ", right " +
-                           CompactDouble(st.est_right) +
-                           ") favor the other side"});
       }
     }
 

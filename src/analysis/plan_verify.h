@@ -27,7 +27,6 @@
 //                              the join component (MergeRunAvailable)
 //   phys.product-mislabel      product step that shares a variable with the
 //                              prefix, or a join step that shares none
-//   phys.build-side            hash build side contradicts the estimates
 //   phys.nonfinite-estimate    negative, NaN or infinite operator estimate
 #pragma once
 
@@ -46,9 +45,9 @@ class PlanVerifier {
   Diagnostics Verify(const opt::Plan& plan, const sparql::EncodedBgp& bgp) const;
 
   /// Verifies the physical plan `pplan` against the logical `plan` it
-  /// annotates: operator/sort-order prerequisites, build-side consistency
-  /// and estimate sanity (the phys.* rule catalog above). Structural
-  /// problems of the logical plan itself are the other overload's job.
+  /// annotates: operator/sort-order prerequisites and estimate sanity (the
+  /// phys.* rule catalog above). Structural problems of the logical plan
+  /// itself are the other overload's job.
   /// Publishes analysis.phys_verifications / analysis.phys_violations.
   Diagnostics Verify(const phys::PhysicalPlan& pplan, const opt::Plan& plan,
                      const sparql::EncodedBgp& bgp) const;

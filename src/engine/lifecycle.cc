@@ -261,8 +261,8 @@ std::string BuildFlightBundle(const char* trigger, std::string_view sparql,
       const phys::PhysicalStep& ps = pplan.steps[i];
       if (i) out += ",";
       out += "{\"op\":\"" + std::string(phys::OpName(ps.op)) +
-             "\",\"est_build\":" + FmtNum(ps.EstBuild()) +
-             ",\"est_probe\":" + FmtNum(ps.EstProbe()) + ",\"rationale\":\"" +
+             "\",\"est_build\":" + FmtNum(ps.est_left) +
+             ",\"est_probe\":" + FmtNum(ps.est_right) + ",\"rationale\":\"" +
              obs::JsonEscape(ps.rationale) + "\"}";
     }
     out += "]}";

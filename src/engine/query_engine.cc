@@ -424,8 +424,8 @@ void QueryEngine::FillStepTraces(const sparql::ParsedQuery& query,
     if (pplan != nullptr && k < pplan->steps.size()) {
       const phys::PhysicalStep& ps = pplan->steps[k];
       step.join_type = phys::OpName(ps.op);
-      step.est_build = ps.EstBuild();
-      step.est_probe = ps.EstProbe();
+      step.est_build = ps.est_left;
+      step.est_probe = ps.est_right;
     } else if (k == 0) {
       step.join_type = "scan";
     } else {
@@ -895,17 +895,14 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
     if (step < pplan.steps.size()) {
       const phys::PhysicalStep& ps = pplan.steps[step];
       out += "       op: " + std::string(phys::OpName(ps.op));
-      if (ps.op == phys::OpKind::kHash) {
-        out += std::string("(build=") + (ps.build_right ? "right" : "left") +
-               ")";
-      } else if (ps.op == phys::OpKind::kMerge && !ps.left_presorted) {
+      if (ps.op == phys::OpKind::kMerge && !ps.left_presorted) {
         out += "(sort-left)";
       }
       if (step > 0 && ps.join_pos >= 0) {
         out += "  [build ~" +
-               WithCommas(static_cast<uint64_t>(ps.EstBuild())) +
+               WithCommas(static_cast<uint64_t>(ps.est_left)) +
                ", probe ~" +
-               WithCommas(static_cast<uint64_t>(ps.EstProbe())) + "]";
+               WithCommas(static_cast<uint64_t>(ps.est_right)) + "]";
       }
       if (!ps.rationale.empty()) out += "; " + ps.rationale;
       out += "\n";

@@ -59,7 +59,7 @@ struct EngineOptions {
   /// optimizer has no shape statistics.
   bool infer_constraints = true;
   /// Physical join-operator policy (phys::PlanPhysical). The default kEnv
-  /// resolves SHAPESTATS_JOIN (auto | inlj | merge | hash) at plan time;
+  /// resolves SHAPESTATS_JOIN (auto | inlj | merge) at plan time;
   /// tests force modes here to stay env-independent. Every mode produces
   /// byte-identical results — only the work profile changes. ASK and LIMIT
   /// queries always run on the streaming INLJ executor (early termination

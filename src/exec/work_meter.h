@@ -66,14 +66,6 @@ class WorkMeter {
   /// Counts one row appended to a materialized binding table.
   void Materialize() { ++materialized_; }
 
-  /// The amortized tick on its own, for work that is neither a probe nor
-  /// a scan (hash-table build and lookup loops). True when the run must
-  /// stop: the timeout expired or a cancellation was served.
-  bool Tick(size_t step) {
-    if (!armed_ || ++ticks_ < kTimeoutCheckInterval) return false;
-    return TickSlow(step);
-  }
-
   bool timed_out() const { return timed_out_; }
   /// A served ResourceTracker cancellation (always also timed_out()).
   bool cancelled() const { return cancelled_; }
@@ -86,6 +78,12 @@ class WorkMeter {
   void Finish(RunKind kind);
 
  private:
+  // The amortized tick behind Probe and Scan. True when the run must stop:
+  // the timeout expired or a cancellation was served.
+  bool Tick(size_t step) {
+    if (!armed_ || ++ticks_ < kTimeoutCheckInterval) return false;
+    return TickSlow(step);
+  }
   bool TickSlow(size_t step);
   void Publish(size_t step) const;
 

@@ -23,7 +23,7 @@ struct AccuracyKey {
   std::string optimizer;    // plan provider label ("SS", "GS", ...)
   std::string query_shape;  // star | path | snowflake | complex
   std::string source;       // statistics source ("shape", "global", ...)
-  /// Physical operator of the step: scan | inlj | merge | hash | product
+  /// Physical operator of the step: scan | inlj | merge | product
   /// (phys::OpName), or the legacy "join" for textual plans executed
   /// without physical annotations.
   std::string join_type;

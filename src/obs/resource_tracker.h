@@ -29,7 +29,7 @@ struct ResourceSnapshot {
   /// (0 for streaming executions, which never materialize).
   uint64_t rows_materialized = 0;
   /// Monotonic total of bytes charged for join state (materialization
-  /// buffers, match-pair staging, sort scratch, hash tables).
+  /// buffers and the merge's sort scratch).
   uint64_t build_bytes = 0;
   /// Live charged bytes at snapshot time.
   uint64_t current_bytes = 0;

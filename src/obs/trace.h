@@ -54,15 +54,14 @@ struct StepTrace {
   std::string pattern_text;  // pretty-printed triple pattern
   std::string source;        // statistics source: "shape" | "global" | "textual"
   std::string formula;       // Table-1 case that produced the TP estimate
-  /// Physical operator: "scan" (first step) | "inlj" | "merge" | "hash" |
-  /// "product" (see phys::OpName). Textual fallbacks without a physical
-  /// plan report "join" for every non-first, non-Cartesian step.
+  /// Physical operator: "scan" (first step) | "inlj" | "merge" | "product"
+  /// (see phys::OpName). Textual fallbacks without a physical plan report
+  /// "join" for every non-first, non-Cartesian step.
   std::string join_type;
   double tp_est = 0;         // per-pattern estimated cardinality
   double est_card = 0;       // estimated cardinality after this join step
-  double est_build = 0;      // estimated build-side rows (hash table side,
-                             // else the left input; PhysicalStep::EstBuild)
-  double est_probe = 0;      // estimated probe-side rows (the other side)
+  double est_build = 0;      // estimated left input rows (est_left)
+  double est_probe = 0;      // estimated right pattern rows (est_right)
   uint64_t true_card = 0;    // executor-measured cardinality (step_cards)
   double q_error = 0;        // QError(est_card, true_card)
   uint64_t rows_scanned = 0;

@@ -10,7 +10,6 @@
 #include "exec/filter_eval.h"
 #include "exec/work_meter.h"
 #include "obs/resource_tracker.h"
-#include "phys/flat_multimap.h"
 
 namespace shapestats::phys {
 
@@ -75,13 +74,6 @@ struct BindProgram {
       if (op[pos] == BindOp::kWrite) row[arg[pos]] = Comp(t, pos);
     }
   }
-};
-
-// One (left row, matching triple) pair of a hash step, held until the
-// canonical-order commit restores the depth-first emission order.
-struct MatchPair {
-  uint32_t left;
-  Triple t;
 };
 
 // The join order a physical plan prescribes: steps[k].pattern.
@@ -157,11 +149,10 @@ void RadixSortByKey(Vec* words, Vec* spare) {
 class PhysEvaluator {
  public:
   // Materialization state (binding tables, the merge's key and group
-  // arrays, the hash step's match pairs and tables) is allocated through a
-  // CountingAllocator charging the query's MemoryAccount, so build bytes
-  // and the peak per-query footprint are measured where they are spent. A
-  // null account makes the allocator a passthrough; the container types
-  // never change.
+  // arrays) is allocated through a CountingAllocator charging the query's
+  // MemoryAccount, so build bytes and the peak per-query footprint are
+  // measured where they are spent. A null account makes the allocator a
+  // passthrough; the container types never change.
   template <typename T>
   using Counted = std::vector<T, obs::CountingAllocator<T>>;
 
@@ -250,18 +241,11 @@ class PhysEvaluator {
       prog_ = Compile(tp);
       if (k == 0) {
         ScanStep(k, tp);
+      } else if (num_rows_ > 0 && st.op == OpKind::kMerge) {
+        MergeStep(k, st, tp);
       } else if (num_rows_ > 0) {
-        switch (st.op) {
-          case OpKind::kMerge:
-            MergeStep(k, st, tp);
-            break;
-          case OpKind::kHash:
-            HashStep(k, st, tp);
-            break;
-          default:  // kInlj, kProduct (and kScan mislabels, defensively)
-            InljStep(k, tp);
-            break;
-        }
+        // kInlj, kProduct (and any other op, defensively) probe per row.
+        InljStep(k, tp);
       }
     }
     rows_.swap(next_rows_);
@@ -359,118 +343,6 @@ class PhysEvaluator {
     for (size_t i = 0; !sorted && i < num_rows_; ++i) {
       if (!emit_group(i, groups[i] >> 32, groups[i] & UINT32_MAX)) return;
     }
-  }
-
-  void HashStep(size_t k, const PhysicalStep& st, const EncodedPattern& tp) {
-    const int jp = st.join_pos;
-    const sparql::VarId jv = st.join_var;
-    if (jp < 0 || jv >= width_) {
-      InljStep(k, tp);
-      return;
-    }
-    for (size_t i = 0; i < num_rows_; ++i) {
-      if (rows_[i * width_ + jv] == rdf::kInvalidTermId) {
-        InljStep(k, tp);
-        return;
-      }
-    }
-    if (meter_.Probe(k)) return;
-    const std::span<const Triple> span =
-        graph_.Match(ConstOpt(tp.s), ConstOpt(tp.p), ConstOpt(tp.o));
-    auto right_key = [&](size_t j) { return Comp(span[j], jp); };
-    auto left_key = [&](size_t i) { return rows_[i * width_ + jv]; };
-
-    // A group lists its build-side indexes in insertion order (span order /
-    // row order), so the pair set — and after the canonical-order commit,
-    // the output — is fully deterministic. The table is released before
-    // the commit appends the output rows.
-    Counted<MatchPair> pairs{obs::CountingAllocator<MatchPair>(account_)};
-    {
-      FlatMultimap ht(account_);
-      if (st.build_right) {
-        if (!ht.Build(span.size(), right_key,
-                      [&] { return meter_.Scan(k); })) {
-          return;
-        }
-        for (size_t i = 0; i < num_rows_; ++i) {
-          if (meter_.Tick(k)) return;
-          for (uint32_t j : ht.Find(left_key(i))) {
-            if (meter_.Scan(k)) return;
-            if (ProduceCheck(k, LeftRow(i), span[j])) {
-              if (meter_.timed_out()) return;
-              pairs.push_back({static_cast<uint32_t>(i), span[j]});
-            }
-          }
-        }
-      } else {
-        if (!ht.Build(num_rows_, left_key, [&] { return meter_.Tick(k); })) {
-          return;
-        }
-        for (size_t j = 0; j < span.size(); ++j) {
-          if (meter_.Scan(k)) return;
-          for (uint32_t i : ht.Find(right_key(j))) {
-            if (ProduceCheck(k, LeftRow(i), span[j])) {
-              if (meter_.timed_out()) return;
-              pairs.push_back({i, span[j]});
-            }
-          }
-        }
-      }
-    }
-    // Building right probes the left rows in order, so its pairs arrive
-    // grouped by left row already.
-    NormalizeAndCommit(k, tp, /*grouped=*/st.build_right, &pairs);
-  }
-
-  // ---- canonical-order restoration (hash steps) --------------------------
-
-  // Brings match pairs into the depth-first emission order — (left row
-  // index, then the pattern's free components in Graph::MatchOrder
-  // sequence) — and appends them. A component counts as bound when it is a
-  // constant or holds a prefix-bound variable; two distinct triples of one
-  // left row always differ on a free component, so the order is total and
-  // the result equals one comparison sort over all pairs. It is reached in
-  // linear time: pairs that are not `grouped` by ascending left row first
-  // get a stable counting sort by left row, and then only the left-row
-  // groups that are not already in MatchOrder (checked with std::is_sorted)
-  // are sorted.
-  void NormalizeAndCommit(size_t k, const EncodedPattern& tp, bool grouped,
-                          Counted<MatchPair>* pairs) {
-    if (!grouped) GroupByLeft(pairs);
-    const bool sb = !tp.s.is_var() || prefix_bound_[tp.s.id];
-    const bool pb = !tp.p.is_var() || prefix_bound_[tp.p.id];
-    const bool ob = !tp.o.is_var() || prefix_bound_[tp.o.id];
-    const std::vector<int> ord = rdf::Graph::MatchOrder(sb, pb, ob);
-    auto match_less = [&ord](const MatchPair& a, const MatchPair& b) {
-      for (int c : ord) {
-        const TermId ca = Comp(a.t, c);
-        const TermId cb = Comp(b.t, c);
-        if (ca != cb) return ca < cb;
-      }
-      return false;
-    };
-    const auto end = pairs->end();
-    for (auto lo = pairs->begin(); lo != end;) {
-      auto hi = lo + 1;
-      while (hi != end && hi->left == lo->left) ++hi;
-      if (!std::is_sorted(lo, hi, match_less)) std::sort(lo, hi, match_less);
-      lo = hi;
-    }
-    TermId* out = RowsFor(pairs->size());
-    for (const MatchPair& mp : *pairs) {
-      if (AppendRow(k, LeftRow(mp.left), mp.t, out)) out += width_;
-    }
-  }
-
-  // Stable counting sort of the pairs by left row index: O(pairs + rows).
-  void GroupByLeft(Counted<MatchPair>* pairs) const {
-    Counted<uint32_t> start(num_rows_ + 1, 0u,
-                            obs::CountingAllocator<uint32_t>(account_));
-    for (const MatchPair& mp : *pairs) ++start[mp.left + 1];
-    for (size_t i = 1; i <= num_rows_; ++i) start[i] += start[i - 1];
-    Counted<MatchPair> sorted(pairs->size(), pairs->get_allocator());
-    for (const MatchPair& mp : *pairs) sorted[start[mp.left]++] = mp;
-    pairs->swap(sorted);
   }
 
   // ---- row plumbing ------------------------------------------------------

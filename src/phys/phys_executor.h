@@ -1,18 +1,14 @@
 // Physical-plan executor: runs a join order step by step with the
-// operators a PhysicalPlan prescribes (index nested-loop, merge over
-// sorted index runs, hash with a chosen build side), materializing the
-// intermediate binding table between steps.
+// operators a PhysicalPlan prescribes (index nested-loop or merge over
+// sorted index runs), materializing the intermediate binding table between
+// steps.
 //
 // Result contract: for every well-formed physical plan over the same join
 // order, the output is byte-for-byte identical to the depth-first INLJ
 // executor (exec::ExecuteBgp / exec::ExecuteSelect) — same rows in the
 // same order. A merge step emits its left rows in order, each with its
 // group of the sorted index run in run order, which is already the order
-// the INLJ probe would have produced. A hash step stages (left row, triple)
-// match pairs and restores that order afterwards in linear time: a
-// counting sort by left row where the pairs are not grouped already, then
-// a sort of only those left-row groups that are out of Graph::MatchOrder
-// (see DESIGN.md §9 for both arguments).
+// the INLJ probe would have produced (see DESIGN.md §9 for the argument).
 //
 // Probe, scan and row accounting, the timeout, row budget and
 // cancellation checks, the ExecTrace and the exec.* counters go through

@@ -22,7 +22,6 @@ const char* JoinModeName(JoinMode mode) {
     case JoinMode::kAuto: return "auto";
     case JoinMode::kInlj: return "inlj";
     case JoinMode::kMerge: return "merge";
-    case JoinMode::kHash: return "hash";
   }
   return "?";
 }
@@ -32,7 +31,6 @@ JoinMode JoinModeFromEnv() {
   if (v == nullptr) return JoinMode::kAuto;
   if (std::strcmp(v, "inlj") == 0) return JoinMode::kInlj;
   if (std::strcmp(v, "merge") == 0) return JoinMode::kMerge;
-  if (std::strcmp(v, "hash") == 0) return JoinMode::kHash;
   return JoinMode::kAuto;
 }
 
@@ -42,7 +40,7 @@ JoinMode ResolveJoinMode(JoinMode mode) {
 
 bool PhysicalPlan::Materializes() const {
   for (const PhysicalStep& s : steps) {
-    if (s.op == OpKind::kMerge || s.op == OpKind::kHash) return true;
+    if (s.op == OpKind::kMerge) return true;
   }
   return false;
 }
@@ -52,9 +50,7 @@ std::string PhysicalPlan::Summary() const {
   for (const PhysicalStep& s : steps) {
     if (!out.empty()) out += ", ";
     out += OpName(s.op);
-    if (s.op == OpKind::kHash) {
-      out += s.build_right ? "(build=right)" : "(build=left)";
-    } else if (s.op == OpKind::kMerge && !s.left_presorted) {
+    if (s.op == OpKind::kMerge && !s.left_presorted) {
       out += "(sort-left)";
     }
   }
@@ -82,7 +78,7 @@ bool MergeRunAvailable(const sparql::EncodedPattern& tp, int join_pos) {
 
 void ForceInlj(PhysicalPlan* plan, const std::string& why) {
   for (PhysicalStep& s : plan->steps) {
-    if (s.op == OpKind::kMerge || s.op == OpKind::kHash) {
+    if (s.op == OpKind::kMerge) {
       s.op = OpKind::kInlj;
       s.rationale = why;
     }

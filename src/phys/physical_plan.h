@@ -1,12 +1,11 @@
 // Physical plan: the operator-level companion of opt::Plan. The optimizer
 // decides the join *order* from shape-statistics cardinalities; the
 // physical planner (planner.h) decides, for every step of that order,
-// which join *algorithm* executes it — index nested-loop, merge over
-// sorted index runs, or hash with the build on the estimated-smaller side
-// — and records the estimates and rationale behind each choice. The
-// physical executor (phys_executor.h) runs the annotated plan and is
-// required to produce byte-identical results to the depth-first INLJ
-// executor for every operator assignment (DESIGN.md §9).
+// which join *algorithm* executes it — index nested-loop or merge over
+// sorted index runs — and records the estimates and rationale behind each
+// choice. The physical executor (phys_executor.h) runs the annotated plan
+// and is required to produce byte-identical results to the depth-first
+// INLJ executor for every operator assignment (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -22,13 +21,17 @@ enum class OpKind : uint8_t {
   kScan,     // step 0: index scan of the first pattern
   kInlj,     // index nested-loop join: one Graph::Match probe per left row
   kMerge,    // merge join of sorted left rows with a sorted index run
-  kHash,     // hash join, build side by estimate (forced mode only)
+  /// No planner, cache or parser produces this operator, and the executor
+  /// runs it as INLJ. It stays only because the frozen benchmark
+  /// (shapebench/main.cc:496) counts it for phys.steps.hash; the next
+  /// [benchmark] revision removes it.
+  kHash,
   kProduct,  // Cartesian step (no shared variable with the prefix)
 };
 
-/// Stable lower-case operator name ("scan", "inlj", "merge", "hash",
-/// "product") — the value StepTrace::join_type carries into the
-/// AccuracyLedger and the EXPLAIN output.
+/// Stable lower-case operator name ("scan", "inlj", "merge", "product") —
+/// the value StepTrace::join_type carries into the AccuracyLedger and the
+/// EXPLAIN output.
 const char* OpName(OpKind op);
 
 /// Operator selection policy.
@@ -37,13 +40,12 @@ enum class JoinMode : uint8_t {
   kAuto,   // rule-based choice per step (merge where a run exists)
   kInlj,   // force index nested-loop joins everywhere
   kMerge,  // force merge joins wherever a sorted run exists (else INLJ)
-  kHash,   // force hash joins on every join step
 };
 
 const char* JoinModeName(JoinMode mode);
 
-/// Reads SHAPESTATS_JOIN (auto | inlj | merge | hash). Unset or
-/// unrecognized values mean kAuto.
+/// Reads SHAPESTATS_JOIN (auto | inlj | merge). Unset or unrecognized
+/// values, including the retired "hash", mean kAuto.
 JoinMode JoinModeFromEnv();
 
 /// Resolves kEnv to the environment's mode; other values pass through.
@@ -64,17 +66,9 @@ struct PhysicalStep {
   /// Left rows arrive already sorted by the join variable (it leads the
   /// canonical row order), so a merge needs no left-side sort.
   bool left_presorted = false;
-  /// Hash build side: true = build on the right (index run) side.
-  bool build_right = false;
   double est_left = 0;   // estimated left input rows (step k-1 estimate)
   double est_right = 0;  // estimated right input rows (TP estimate)
   double est_out = 0;    // estimated output rows (step k estimate)
-  /// Estimated build-side rows (hash table, or a merge's or INLJ's left
-  /// input) and probe-side rows: a build=right hash step builds on the
-  /// pattern and probes with the left rows.
-  bool BuildsRight() const { return op == OpKind::kHash && build_right; }
-  double EstBuild() const { return BuildsRight() ? est_right : est_left; }
-  double EstProbe() const { return BuildsRight() ? est_left : est_right; }
   /// Why the planner picked this operator (rule, forced mode, fallback).
   std::string rationale;
 };
@@ -85,12 +79,12 @@ struct PhysicalPlan {
   /// The resolved mode that produced the plan (never kEnv).
   JoinMode mode = JoinMode::kAuto;
 
-  /// True when any step materializes intermediates (merge or hash) — the
+  /// True when any step materializes intermediates (a merge) — the
   /// engine's signal to route execution through the physical executor
   /// instead of the streaming depth-first one.
   bool Materializes() const;
 
-  /// Compact one-line rendering, e.g. "scan, hash(build=right), merge".
+  /// Compact one-line rendering, e.g. "scan, merge(sort-left), inlj".
   std::string Summary() const;
 };
 
@@ -105,7 +99,7 @@ struct PhysicalPlan {
 /// selection — they become per-row checks during the merge.
 bool MergeRunAvailable(const sparql::EncodedPattern& tp, int join_pos);
 
-/// Downgrades every merge/hash step to INLJ in place, stamping `why` as
+/// Downgrades every merge step to INLJ in place, stamping `why` as
 /// the rationale — used when the engine must keep the streaming executor
 /// (ASK probes and LIMIT queries profit from early termination).
 void ForceInlj(PhysicalPlan* plan, const std::string& why);

@@ -43,8 +43,6 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
       obs::MetricsRegistry::Global().GetCounter("phys.plans");
   static obs::Counter* merge_steps =
       obs::MetricsRegistry::Global().GetCounter("phys.merge_steps");
-  static obs::Counter* hash_steps =
-      obs::MetricsRegistry::Global().GetCounter("phys.hash_steps");
   static obs::Counter* inlj_steps =
       obs::MetricsRegistry::Global().GetCounter("phys.inlj_steps");
   plans->Add();
@@ -105,7 +103,7 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
         st.op = OpKind::kProduct;
         st.rationale = "no shared variable with the join prefix";
       } else {
-        const double l = st.est_left, r = st.est_right;
+        const double l = st.est_left;
         switch (out.mode) {
           case JoinMode::kInlj:
             st.op = OpKind::kInlj;
@@ -124,12 +122,6 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
                   "merge unavailable: no index run sorted by the join "
                   "component; fell back to inlj";
             }
-            break;
-          case JoinMode::kHash:
-            st.op = OpKind::kHash;
-            set_join(*general);
-            st.build_right = r <= l;
-            st.rationale = "forced by join mode hash";
             break;
           case JoinMode::kEnv:  // ResolveJoinMode never returns kEnv
           case JoinMode::kAuto:
@@ -164,7 +156,6 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
 
     switch (st.op) {
       case OpKind::kMerge: merge_steps->Add(); break;
-      case OpKind::kHash: hash_steps->Add(); break;
       case OpKind::kInlj: inlj_steps->Add(); break;
       default: break;
     }

@@ -278,13 +278,13 @@ TEST(Explain, GoldenPlanRendering) {
             "estimated cost: 8\n");
 }
 
-TEST(Explain, HashBuildRightReportsPatternSideAsBuild) {
-  // A build=right hash step builds its table over the pattern's run, so
-  // EXPLAIN and the trace must report the right-side estimate as build.
+TEST(Explain, MergeStepReportsLeftInputAsBuild) {
+  // EXPLAIN, the trace and the flight bundle report a join step's left
+  // input estimate as "build" and its pattern estimate as "probe".
   datagen::LubmOptions lubm;
   lubm.universities = 1;
   engine::EngineOptions options;
-  options.join_mode = phys::JoinMode::kHash;
+  options.join_mode = phys::JoinMode::kMerge;
   auto eng = engine::QueryEngine::Open(datagen::GenerateLubm(lubm), options);
   ASSERT_TRUE(eng.ok()) << eng.status().ToString();
   constexpr char kQuery[] =
@@ -295,34 +295,44 @@ TEST(Explain, HashBuildRightReportsPatternSideAsBuild) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   size_t k = 0;
   while (k < run->phys.steps.size() &&
-         !(run->phys.steps[k].BuildsRight() &&
-           run->phys.steps[k].est_right < run->phys.steps[k].est_left)) {
+         run->phys.steps[k].op != phys::OpKind::kMerge) {
     ++k;
   }
   ASSERT_LT(k, run->phys.steps.size()) << run->phys.Summary();
   const phys::PhysicalStep& st = run->phys.steps[k];
-  EXPECT_EQ(st.EstBuild(), st.est_right);
-  EXPECT_EQ(st.EstProbe(), st.est_left);
+  // Distinct sides, so a swapped pair would show.
+  ASSERT_NE(static_cast<uint64_t>(st.est_left),
+            static_cast<uint64_t>(st.est_right));
 
   auto text = eng->Explain(kQuery);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   const std::string line =
-      "hash(build=right)  [build ~" +
-      WithCommas(static_cast<uint64_t>(st.est_right)) + ", probe ~" +
-      WithCommas(static_cast<uint64_t>(st.est_left)) + "]";
+      std::string("       op: merge") +
+      (st.left_presorted ? "" : "(sort-left)") + "  [build ~" +
+      WithCommas(static_cast<uint64_t>(st.est_left)) + ", probe ~" +
+      WithCommas(static_cast<uint64_t>(st.est_right)) + "]; " +
+      st.rationale + "\n";
   EXPECT_NE(text->find(line), std::string::npos) << *text;
 
   auto analyzed = eng->ExplainAnalyze(kQuery);
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   ASSERT_LT(k, analyzed->trace.steps.size());
-  EXPECT_EQ(analyzed->trace.steps[k].est_build, st.est_right);
-  EXPECT_EQ(analyzed->trace.steps[k].est_probe, st.est_left);
+  EXPECT_EQ(analyzed->trace.steps[k].join_type, "merge");
+  EXPECT_EQ(analyzed->trace.steps[k].est_build, st.est_left);
+  EXPECT_EQ(analyzed->trace.steps[k].est_probe, st.est_right);
   char fields[96];
   std::snprintf(fields, sizeof(fields),
-                "\"est_build\":%.6g,\"est_probe\":%.6g", st.est_right,
-                st.est_left);
+                "\"est_build\":%.6g,\"est_probe\":%.6g", st.est_left,
+                st.est_right);
   EXPECT_NE(analyzed->json.find(fields), std::string::npos)
       << analyzed->json;
+
+  const std::string bundle = engine::BuildFlightBundle(
+      "slow", kQuery, obs::Outcome::kOk, run->plan, run->phys, run->total_ms,
+      run->table.rows.size(), nullptr, nullptr, "", nullptr, {});
+  const std::string step = "{\"op\":\"merge\"," + std::string(fields) +
+                           ",\"rationale\":\"" + st.rationale + "\"}";
+  EXPECT_NE(bundle.find(step), std::string::npos) << bundle;
 }
 
 // --- ExplainAnalyze --------------------------------------------------------
@@ -484,9 +494,9 @@ constexpr const char* kProbeHeavyQuery =
     "PREFIX ex: <http://ex/> SELECT * WHERE { ?x ex:p ?y . ?y ex:p ?z }";
 
 // The executor entry points that take ExecOptions limits.
-enum class Entry { kBgp, kSelect, kSelectPhysicalHash };
+enum class Entry { kBgp, kSelect, kSelectPhysicalMerge };
 constexpr Entry kEntries[] = {Entry::kBgp, Entry::kSelect,
-                              Entry::kSelectPhysicalHash};
+                              Entry::kSelectPhysicalMerge};
 
 const char* EntryName(Entry e) {
   switch (e) {
@@ -494,8 +504,8 @@ const char* EntryName(Entry e) {
       return "ExecuteBgp";
     case Entry::kSelect:
       return "ExecuteSelect";
-    case Entry::kSelectPhysicalHash:
-      return "ExecuteSelectPhysical(hash)";
+    case Entry::kSelectPhysicalMerge:
+      return "ExecuteSelectPhysical(merge)";
   }
   return "?";
 }
@@ -507,7 +517,7 @@ struct EntryRun {
 };
 
 // Runs `query` in textual order through entry point `e`; the physical run
-// forces every join step to hash.
+// forces every join step to merge.
 EntryRun RunEntry(Entry e, const rdf::Graph& graph,
                   const sparql::ParsedQuery& query,
                   const exec::ExecOptions& options) {
@@ -523,13 +533,13 @@ EntryRun RunEntry(Entry e, const rdf::Graph& graph,
   }
   opt::Plan plan;
   plan.order = order;
-  phys::PlannerOptions hash;
-  hash.mode = phys::JoinMode::kHash;
+  phys::PlannerOptions merge;
+  merge.mode = phys::JoinMode::kMerge;
   Result<exec::ResultTable> r =
       e == Entry::kSelect
           ? exec::ExecuteSelect(graph, query, bgp, order, options)
           : phys::ExecuteSelectPhysical(
-                graph, query, bgp, phys::PlanPhysical(bgp, plan, graph, hash),
+                graph, query, bgp, phys::PlanPhysical(bgp, plan, graph, merge),
                 options);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   if (r.ok()) run = {r->timed_out, r->cancelled, r->rows.size()};
@@ -577,10 +587,11 @@ TEST(ExecCancel, PreCancelledTrackerStopsEveryEntryPoint) {
 }
 
 TEST(ExecCancel, PreCancelledTrackerStopsHashBuildOnEitherSide) {
-  // 600 ex:q rows keep the scan step under one work tick, so a cancel
-  // requested before the run is served inside the hash step's build loop:
-  // over the 3000-triple ex:p run when building right, over the 600 left
-  // rows when building left.
+  // 600 left rows keep the scan step under one work tick, so a cancel
+  // requested before the run is served inside the merge step, on the
+  // tick's 1024th unit of work. The scan orders its rows by ?x, so the
+  // merge's left input is sorted on the join key ?y (ex:r rows) or not
+  // (ex:q rows, which reach ex:s0..s599 in a stride-7 order).
   rdf::Graph graph;
   for (int i = 0; i < 3000; ++i) {
     graph.Add(rdf::Term::Iri("http://ex/s" + std::to_string(i)),
@@ -588,25 +599,29 @@ TEST(ExecCancel, PreCancelledTrackerStopsHashBuildOnEitherSide) {
               rdf::Term::Iri("http://ex/o" + std::to_string(i)));
   }
   for (int i = 0; i < 600; ++i) {
-    graph.Add(rdf::Term::Iri("http://ex/t" + std::to_string(i)),
+    graph.Add(rdf::Term::Iri("http://ex/s" + std::to_string(i * 7 % 600)),
               rdf::Term::Iri("http://ex/q"),
-              rdf::Term::Iri("http://ex/s" + std::to_string(i)));
+              rdf::Term::Iri("http://ex/t" + std::to_string(i)));
+    graph.Add(rdf::Term::Iri("http://ex/s" + std::to_string(i)),
+              rdf::Term::Iri("http://ex/r"),
+              rdf::Term::Iri("http://ex/t" + std::to_string(i)));
   }
   graph.Finalize();
-  auto query = sparql::ParseQuery(
-      "PREFIX ex: <http://ex/> SELECT * WHERE { ?x ex:q ?y . ?y ex:p ?z }");
-  ASSERT_TRUE(query.ok());
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(*query, graph.dict());
-  opt::Plan plan;
-  plan.order = {0, 1};
-  phys::PlannerOptions hash;
-  hash.mode = phys::JoinMode::kHash;
-  phys::PhysicalPlan pplan = phys::PlanPhysical(bgp, plan, graph, hash);
-  ASSERT_EQ(pplan.steps[1].op, phys::OpKind::kHash);
 
-  for (bool build_right : {true, false}) {
-    SCOPED_TRACE(build_right ? "build right" : "build left");
-    pplan.steps[1].build_right = build_right;
+  for (bool sorted : {true, false}) {
+    SCOPED_TRACE(sorted ? "sorted left" : "unsorted left");
+    auto query = sparql::ParseQuery(
+        std::string("PREFIX ex: <http://ex/> SELECT * WHERE { ?y ") +
+        (sorted ? "ex:r" : "ex:q") + " ?x . ?y ex:p ?z }");
+    ASSERT_TRUE(query.ok());
+    sparql::EncodedBgp bgp = sparql::EncodeBgp(*query, graph.dict());
+    opt::Plan plan;
+    plan.order = {0, 1};
+    phys::PlannerOptions merge;
+    merge.mode = phys::JoinMode::kMerge;
+    phys::PhysicalPlan pplan = phys::PlanPhysical(bgp, plan, graph, merge);
+    ASSERT_EQ(pplan.steps[1].op, phys::OpKind::kMerge);
+
     obs::ResourceTracker tracker;
     tracker.RequestCancel();
     obs::ExecTrace trace;
@@ -617,18 +632,22 @@ TEST(ExecCancel, PreCancelledTrackerStopsHashBuildOnEitherSide) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r->timed_out);
     EXPECT_TRUE(r->cancelled);
-    EXPECT_TRUE(r->rows.empty());
     EXPECT_EQ(trace.step_rows_scanned[0], 600u);  // the scan step completed
-    EXPECT_EQ(trace.step_rows_produced[1], 0u);   // no probe match yet
-    if (build_right) {
-      // Stopped part-way through scanning the build run, on the tick.
-      EXPECT_GT(trace.step_rows_scanned[1], 0u);
-      EXPECT_LT(trace.step_rows_scanned[1], 3000u);
-      EXPECT_EQ(trace.total_probes + trace.total_rows_scanned,
-                exec::kTimeoutCheckInterval);
+    EXPECT_EQ(trace.total_probes + trace.total_rows_scanned,
+              exec::kTimeoutCheckInterval);
+    // The merge stopped part-way through its 600 keys.
+    EXPECT_GT(trace.step_probes[1], 0u);
+    EXPECT_LT(trace.step_probes[1], 600u);
+    if (sorted) {
+      // Sorted keys emit each group as it is found, so the rows before
+      // the cancel stay as partial final-step results.
+      EXPECT_GT(trace.step_rows_produced[1], 0u);
+      EXPECT_EQ(r->rows.size(), trace.step_rows_produced[1]);
     } else {
-      // Stopped while hashing the left rows, before the probe-side scan.
+      // Unsorted keys locate every group before emitting any.
       EXPECT_EQ(trace.step_rows_scanned[1], 0u);
+      EXPECT_EQ(trace.step_rows_produced[1], 0u);
+      EXPECT_TRUE(r->rows.empty());
     }
   }
 }

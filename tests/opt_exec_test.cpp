@@ -177,10 +177,10 @@ TEST_F(PlanExecFixture, RowBudgetTimesOut) {
 
   opt::Plan plan;
   plan.order = {0, 1};
-  phys::PlannerOptions hash;
-  hash.mode = phys::JoinMode::kHash;
+  phys::PlannerOptions merge;
+  merge.mode = phys::JoinMode::kMerge;
   auto ph = phys::ExecuteSelectPhysical(
-      graph_, q, bgp, phys::PlanPhysical(bgp, plan, graph_, hash), opts);
+      graph_, q, bgp, phys::PlanPhysical(bgp, plan, graph_, merge), opts);
   ASSERT_TRUE(ph.ok()) << ph.status().ToString();
   EXPECT_TRUE(ph->timed_out);
   EXPECT_FALSE(ph->cancelled);

@@ -1,15 +1,14 @@
 // Tests for src/phys: planner operator selection, the phys.* verifier rule
 // catalog, the physical executor's byte-identical-results contract against
-// the depth-first INLJ executor (including hand-written plans that flip
-// every hash step's build side), the hash build table, and end-to-end
-// forced-operator digest equality over the LUBM workload across
-// thread-pool sizes. The workload sweep runs under the TSan CI job, so it
-// doubles as data-race coverage for the materializing operators.
+// the depth-first INLJ executor (including hand-written merge and INLJ
+// plans the planner would not emit), and end-to-end forced-operator digest
+// equality over the LUBM workload across thread-pool sizes. The workload
+// sweep runs under the TSan CI job, so it doubles as data-race coverage
+// for the materializing merge operator.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -20,8 +19,6 @@
 #include "exec/executor.h"
 #include "exec/select_executor.h"
 #include "opt/join_order.h"
-#include "obs/resource_tracker.h"
-#include "phys/flat_multimap.h"
 #include "phys/phys_executor.h"
 #include "phys/physical_plan.h"
 #include "phys/planner.h"
@@ -45,12 +42,10 @@ TEST(PhysPlanTest, OperatorAndModeNames) {
   EXPECT_STREQ(phys::OpName(OpKind::kScan), "scan");
   EXPECT_STREQ(phys::OpName(OpKind::kInlj), "inlj");
   EXPECT_STREQ(phys::OpName(OpKind::kMerge), "merge");
-  EXPECT_STREQ(phys::OpName(OpKind::kHash), "hash");
   EXPECT_STREQ(phys::OpName(OpKind::kProduct), "product");
   EXPECT_STREQ(phys::JoinModeName(JoinMode::kAuto), "auto");
   EXPECT_STREQ(phys::JoinModeName(JoinMode::kInlj), "inlj");
   EXPECT_STREQ(phys::JoinModeName(JoinMode::kMerge), "merge");
-  EXPECT_STREQ(phys::JoinModeName(JoinMode::kHash), "hash");
 }
 
 TEST(PhysPlanTest, JoinModeFromEnvParsesValues) {
@@ -59,12 +54,13 @@ TEST(PhysPlanTest, JoinModeFromEnvParsesValues) {
   EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kMerge);
   EXPECT_EQ(phys::ResolveJoinMode(JoinMode::kEnv), JoinMode::kMerge);
   // Explicit modes pass through untouched.
-  EXPECT_EQ(phys::ResolveJoinMode(JoinMode::kHash), JoinMode::kHash);
-  ::setenv("SHAPESTATS_JOIN", "hash", 1);
-  EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kHash);
+  EXPECT_EQ(phys::ResolveJoinMode(JoinMode::kInlj), JoinMode::kInlj);
   ::setenv("SHAPESTATS_JOIN", "inlj", 1);
   EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kInlj);
   ::setenv("SHAPESTATS_JOIN", "bogus", 1);
+  EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kAuto);
+  // The retired hash mode is just another unrecognized value.
+  ::setenv("SHAPESTATS_JOIN", "hash", 1);
   EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kAuto);
   ::unsetenv("SHAPESTATS_JOIN");
   EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kAuto);
@@ -188,15 +184,6 @@ TEST_F(PhysFixture, ForcedModesAnnotateEveryJoinStep) {
   }
   EXPECT_GT(merges, 0u);
   EXPECT_TRUE(merge.Materializes());
-
-  phys::PhysicalPlan hash =
-      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kHash));
-  for (size_t k = 1; k < hash.steps.size(); ++k) {
-    const phys::PhysicalStep& st = hash.steps[k];
-    ASSERT_EQ(st.op, OpKind::kHash) << "step " << k;
-    EXPECT_EQ(st.build_right, st.est_right <= st.est_left) << "step " << k;
-  }
-  EXPECT_TRUE(hash.Materializes());
 }
 
 TEST_F(PhysFixture, AutoModeTinyLeftPrefersInlj) {
@@ -263,7 +250,7 @@ TEST_F(PhysFixture, CartesianStepIsLabeledProduct) {
   auto bgp = Encode("?x ex:takes ?c . ?p a ex:Prof");
   opt::Plan plan = PlanFor(bgp);
   phys::PhysicalPlan pplan =
-      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kHash));
+      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kMerge));
   ASSERT_EQ(pplan.steps.size(), 2u);
   EXPECT_EQ(pplan.steps[1].op, OpKind::kProduct);
   EXPECT_EQ(pplan.steps[1].join_pos, -1);
@@ -273,7 +260,7 @@ TEST_F(PhysFixture, ForceInljDowngradesMaterializingSteps) {
   auto bgp = Encode("?x a ex:Student . ?x ex:advisor ?p . ?p ex:teaches ?c");
   opt::Plan plan = PlanFor(bgp);
   phys::PhysicalPlan pplan =
-      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kHash));
+      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kMerge));
   ASSERT_TRUE(pplan.Materializes());
   phys::ForceInlj(&pplan, "pipelined: ASK/LIMIT early termination");
   EXPECT_FALSE(pplan.Materializes());
@@ -293,8 +280,7 @@ TEST_F(PhysFixture, VerifierAcceptsPlannerOutputInEveryMode) {
       "?x a ex:Student . ?x ex:takes ?c . ?p ex:teaches ?c . ?x ex:advisor ?p");
   opt::Plan plan = PlanFor(bgp);
   analysis::PlanVerifier verifier;
-  for (JoinMode mode : {JoinMode::kAuto, JoinMode::kInlj, JoinMode::kMerge,
-                        JoinMode::kHash}) {
+  for (JoinMode mode : {JoinMode::kAuto, JoinMode::kInlj, JoinMode::kMerge}) {
     phys::PhysicalPlan pplan =
         phys::PlanPhysical(bgp, plan, graph_, Forced(mode));
     analysis::Diagnostics diags = verifier.Verify(pplan, plan, bgp);
@@ -309,7 +295,7 @@ TEST_F(PhysFixture, VerifierFlagsCorruptedPlans) {
   opt::Plan plan = PlanFor(bgp);
   analysis::PlanVerifier verifier;
   phys::PhysicalPlan good =
-      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kHash));
+      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kMerge));
 
   {
     phys::PhysicalPlan bad = good;
@@ -334,16 +320,7 @@ TEST_F(PhysFixture, VerifierFlagsCorruptedPlans) {
   }
   {
     phys::PhysicalPlan bad = good;
-    bad.steps[1].build_right = !bad.steps[1].build_right;
-    EXPECT_EQ(analysis::CountRule(verifier.Verify(bad, plan, bgp),
-                                  "phys.build-side"),
-              1u);
-  }
-  {
-    phys::PhysicalPlan bad = good;
     bad.steps[1].est_right = std::numeric_limits<double>::quiet_NaN();
-    // The corrupted estimate also breaks the build-side consistency rule;
-    // the nonfinite rule is the one under test.
     EXPECT_GE(analysis::CountRule(verifier.Verify(bad, plan, bgp),
                                   "phys.nonfinite-estimate"),
               1u);
@@ -394,8 +371,7 @@ TEST_F(PhysFixture, BgpResultsMatchDepthFirstExecutorInEveryMode) {
     opt::Plan plan = PlanFor(bgp);
     auto expected = exec::ExecuteBgp(graph_, bgp, plan.order);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    for (JoinMode mode : {JoinMode::kAuto, JoinMode::kInlj, JoinMode::kMerge,
-                          JoinMode::kHash}) {
+    for (JoinMode mode : {JoinMode::kAuto, JoinMode::kInlj, JoinMode::kMerge}) {
       SCOPED_TRACE(phys::JoinModeName(mode));
       phys::PhysicalPlan pplan =
           phys::PlanPhysical(bgp, plan, graph_, Forced(mode));
@@ -426,8 +402,7 @@ TEST_F(PhysFixture, SelectRowsAreByteIdenticalInEveryMode) {
     opt::Plan plan = PlanFor(bgp);
     auto expected = exec::ExecuteSelect(graph_, *q, bgp, plan.order);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    for (JoinMode mode : {JoinMode::kAuto, JoinMode::kInlj, JoinMode::kMerge,
-                          JoinMode::kHash}) {
+    for (JoinMode mode : {JoinMode::kAuto, JoinMode::kInlj, JoinMode::kMerge}) {
       SCOPED_TRACE(phys::JoinModeName(mode));
       phys::PhysicalPlan pplan =
           phys::PlanPhysical(bgp, plan, graph_, Forced(mode));
@@ -444,7 +419,7 @@ TEST_F(PhysFixture, LimitPushdownIsRejected) {
   auto bgp = Encode("?x ex:advisor ?p . ?p ex:teaches ?c");
   opt::Plan plan = PlanFor(bgp);
   phys::PhysicalPlan pplan =
-      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kHash));
+      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kMerge));
   exec::ExecOptions opts;
   opts.limit = 1;
   auto r = phys::ExecuteSelectPhysical(graph_, query_, bgp, pplan, opts);
@@ -456,7 +431,7 @@ TEST_F(PhysFixture, TimeoutBeforeFinalStepYieldsNoPartialRows) {
   auto bgp = Encode("?x ex:takes ?c . ?c a ex:Course . ?x a ex:Student");
   opt::Plan plan = PlanFor(bgp);
   phys::PhysicalPlan pplan =
-      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kHash));
+      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kMerge));
   exec::ExecOptions opts;
   opts.max_intermediate_rows = 1;  // abort inside an early step
   auto r = phys::ExecuteSelectPhysical(graph_, query_, bgp, pplan, opts);
@@ -467,90 +442,8 @@ TEST_F(PhysFixture, TimeoutBeforeFinalStepYieldsNoPartialRows) {
 }
 
 // ---------------------------------------------------------------------------
-// The hash operator's build table.
-
-std::vector<uint32_t> Group(const phys::FlatMultimap& ht, rdf::TermId key) {
-  std::span<const uint32_t> g = ht.Find(key);
-  return std::vector<uint32_t>(g.begin(), g.end());
-}
-
-TEST(FlatMultimapTest, GroupsKeepInsertionOrder) {
-  const std::vector<rdf::TermId> keys = {5, 7, 5, 9, 5, 7};
-  phys::FlatMultimap ht;
-  ASSERT_TRUE(ht.Build(keys.size(), [&](size_t i) { return keys[i]; },
-                       [] { return false; }));
-  EXPECT_EQ(ht.num_groups(), 3u);
-  EXPECT_EQ(Group(ht, 5), (std::vector<uint32_t>{0, 2, 4}));
-  EXPECT_EQ(Group(ht, 7), (std::vector<uint32_t>{1, 5}));
-  EXPECT_EQ(Group(ht, 9), (std::vector<uint32_t>{3}));
-}
-
-TEST(FlatMultimapTest, AbsentKeysFindNothing) {
-  phys::FlatMultimap unbuilt;
-  EXPECT_TRUE(unbuilt.Find(1).empty());
-
-  phys::FlatMultimap empty;
-  ASSERT_TRUE(empty.Build(0, [](size_t) { return rdf::TermId{1}; },
-                          [] { return false; }));
-  EXPECT_EQ(empty.num_groups(), 0u);
-  EXPECT_TRUE(empty.Find(1).empty());
-
-  const std::vector<rdf::TermId> keys = {2, 4, 6};
-  phys::FlatMultimap ht;
-  ASSERT_TRUE(ht.Build(keys.size(), [&](size_t i) { return keys[i]; },
-                       [] { return false; }));
-  for (rdf::TermId absent : {0u, 1u, 3u, 5u, 7u, 1u << 30}) {
-    EXPECT_TRUE(ht.Find(absent).empty()) << absent;
-  }
-}
-
-TEST(FlatMultimapTest, CollidingKeysStayApart) {
-  // Five keys sharing one home slot in a 16-slot table (the capacity for
-  // up to eight keys): four are inserted, the fifth probes past them.
-  constexpr size_t kCapacity = 16;
-  std::vector<rdf::TermId> colliding;
-  for (rdf::TermId key = 1; colliding.size() < 5; ++key) {
-    if (phys::FlatMultimap::HomeSlot(key, kCapacity) ==
-        phys::FlatMultimap::HomeSlot(1, kCapacity)) {
-      colliding.push_back(key);
-    }
-  }
-  const rdf::TermId a = colliding[0], b = colliding[1], c = colliding[2],
-                    d = colliding[3], absent = colliding[4];
-  const std::vector<rdf::TermId> keys = {a, b, a, c, d, b, a};
-  obs::MemoryAccount account;
-  {
-    phys::FlatMultimap ht(&account);
-    ASSERT_TRUE(ht.Build(keys.size(), [&](size_t i) { return keys[i]; },
-                         [] { return false; }));
-    ASSERT_EQ(ht.capacity(), kCapacity);
-    EXPECT_EQ(ht.num_groups(), 4u);
-    EXPECT_EQ(Group(ht, a), (std::vector<uint32_t>{0, 2, 6}));
-    EXPECT_EQ(Group(ht, b), (std::vector<uint32_t>{1, 5}));
-    EXPECT_EQ(Group(ht, c), (std::vector<uint32_t>{3}));
-    EXPECT_EQ(Group(ht, d), (std::vector<uint32_t>{4}));
-    EXPECT_TRUE(ht.Find(absent).empty());
-    // The slots and the placed positions are charged to the account.
-    EXPECT_GE(account.current(),
-              kCapacity * 2 * sizeof(uint32_t) + keys.size() * sizeof(uint32_t));
-  }
-  EXPECT_EQ(account.current(), 0u);
-}
-
-TEST(FlatMultimapTest, StopAbandonsTheBuild) {
-  const std::vector<rdf::TermId> keys = {1, 2, 3, 4};
-  phys::FlatMultimap ht;
-  int calls = 0;
-  EXPECT_FALSE(ht.Build(keys.size(), [&](size_t i) { return keys[i]; },
-                        [&calls] { return ++calls == 3; }));
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(ht.num_groups(), 0u);
-  EXPECT_TRUE(ht.Find(1).empty());
-}
-
-// ---------------------------------------------------------------------------
-// Order restoration on hand-written plans: every combination of build
-// sides over the hash steps must commit exactly the depth-first rows.
+// Emission order on hand-written plans: every query commits exactly the
+// depth-first rows, with its join steps as merges and as INLJs.
 
 // Join keys repeat on both sides (?y = ex:b is known three times and likes
 // two things), and ex:likes lists (subject, object) pairs whose subject
@@ -603,24 +496,24 @@ TEST(PhysOrderTest, EveryBuildSideCommitsDepthFirstRows) {
     std::vector<OpKind> ops;
   };
   const std::vector<Case> cases = {
-      // Duplicate join keys on both sides, one and two hash steps.
-      {"?x ex:knows ?y . ?y ex:likes ?z", {OpKind::kHash}},
+      // Duplicate join keys on both sides, one and two join steps.
+      {"?x ex:knows ?y . ?y ex:likes ?z", {OpKind::kMerge}},
       {"?x ex:knows ?y . ?y ex:likes ?z . ?w ex:knows ?y",
-       {OpKind::kHash, OpKind::kHash}},
-      // Two free components after the join: on the subject the run is
-      // already in MatchOrder; on the predicate a left row's group arrives
-      // in (subject, object) order but must commit in (object, subject)
-      // order, so the per-group sort runs.
-      {"?x ex:knows ?p . ?p ?q ?o", {OpKind::kHash}},
-      {"?c ex:uses ?q . ?s ?q ?o", {OpKind::kHash}},
+       {OpKind::kMerge, OpKind::kMerge}},
+      // Two free components after the join: on the subject the SPO run is
+      // already in MatchOrder; a predicate join has no sorted run, so the
+      // merge falls back to INLJ, whose probe commits in (object, subject)
+      // order.
+      {"?x ex:knows ?p . ?p ?q ?o", {OpKind::kMerge}},
+      {"?c ex:uses ?q . ?s ?q ?o", {OpKind::kMerge}},
       {"?x ex:knows ?y . ?y ex:uses ?q . ?s ?q ?o",
-       {OpKind::kHash, OpKind::kHash}},
+       {OpKind::kMerge, OpKind::kMerge}},
       // Merges whose left rows are not sorted on the join variable (the
       // ex:likes scan orders them by ?z), on object and subject runs.
       {"?y ex:likes ?z . ?x ex:knows ?y", {OpKind::kMerge}},
       {"?y ex:likes ?z . ?y ex:uses ?u", {OpKind::kMerge}},
       {"?y ex:likes ?z . ?x ex:knows ?y . ?y ?q ?o",
-       {OpKind::kMerge, OpKind::kHash}},
+       {OpKind::kMerge, OpKind::kMerge}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.body);
@@ -636,15 +529,11 @@ TEST(PhysOrderTest, EveryBuildSideCommitsDepthFirstRows) {
     ASSERT_TRUE(expected_cards.ok()) << expected_cards.status().ToString();
     ASSERT_FALSE(expected_rows->rows.empty());
 
-    phys::PhysicalPlan pplan = HandPlan(bgp, c.ops);
-    std::vector<size_t> hash_steps;
-    for (size_t k = 0; k < pplan.steps.size(); ++k) {
-      ASSERT_TRUE(k == 0 || pplan.steps[k].join_pos >= 0) << "step " << k;
-      if (pplan.steps[k].op == OpKind::kHash) hash_steps.push_back(k);
-    }
-    for (uint32_t mask = 0; mask < (1u << hash_steps.size()); ++mask) {
-      for (size_t h = 0; h < hash_steps.size(); ++h) {
-        pplan.steps[hash_steps[h]].build_right = (mask >> h) & 1u;
+    const std::vector<OpKind> inlj(c.ops.size(), OpKind::kInlj);
+    for (const std::vector<OpKind>* ops : {&c.ops, &inlj}) {
+      phys::PhysicalPlan pplan = HandPlan(bgp, *ops);
+      for (size_t k = 1; k < pplan.steps.size(); ++k) {
+        ASSERT_GE(pplan.steps[k].join_pos, 0) << "step " << k;
       }
       SCOPED_TRACE(pplan.Summary());
       auto rows = phys::ExecuteSelectPhysical(graph, *q, bgp, pplan);
@@ -852,8 +741,7 @@ void ExpectDepthFirstRows(const rdf::Graph& graph, const std::string& body,
   ASSERT_TRUE(expected_cards.ok()) << expected_cards.status().ToString();
 
   std::vector<phys::PhysicalPlan> plans;
-  for (JoinMode mode : {JoinMode::kAuto, JoinMode::kInlj, JoinMode::kMerge,
-                        JoinMode::kHash}) {
+  for (JoinMode mode : {JoinMode::kAuto, JoinMode::kInlj, JoinMode::kMerge}) {
     phys::PlannerOptions o;
     o.mode = mode;
     plans.push_back(phys::PlanPhysical(bgp, plan, graph, o));
@@ -894,7 +782,7 @@ class PhysBindTest : public ::testing::Test {
 
 TEST_F(PhysBindTest, VariableRepeatedInAllThreePositions) {
   ExpectDepthFirstRows(graph_, "?x ?x ?x");
-  for (OpKind op : {OpKind::kInlj, OpKind::kMerge, OpKind::kHash}) {
+  for (OpKind op : {OpKind::kInlj, OpKind::kMerge}) {
     const std::string body = "?x ex:p ?y . ?y ?y ?y";
     phys::PhysicalPlan hand = Hand(body, op);
     ExpectDepthFirstRows(graph_, body, &hand);
@@ -907,7 +795,7 @@ TEST_F(PhysBindTest, RepeatedVariableFreeThenPrefixBound) {
   for (const char* body : {"?x ex:p ?x . ?x ?p ?x", "?x ?p ?o . ?o ?p ?x",
                            "?y ex:q ?x . ?x ?x ?x . ?x ex:p ?x"}) {
     ExpectDepthFirstRows(graph_, body);
-    for (OpKind op : {OpKind::kInlj, OpKind::kMerge, OpKind::kHash}) {
+    for (OpKind op : {OpKind::kInlj, OpKind::kMerge}) {
       phys::PhysicalPlan hand = Hand(body, op);
       ExpectDepthFirstRows(graph_, body, &hand);
     }
@@ -927,7 +815,7 @@ TEST_F(PhysBindTest, FilterAtAnIntermediateStep) {
        {"?x ex:p ?y . ?y ex:r ?v . FILTER(?v > 1) . ?y ex:q ?z",
         "?x ex:p ?y . ?y ex:r ?v . ?x ex:p ?z FILTER(?v != 2)"}) {
     ExpectDepthFirstRows(graph_, body);
-    for (OpKind op : {OpKind::kInlj, OpKind::kMerge, OpKind::kHash}) {
+    for (OpKind op : {OpKind::kInlj, OpKind::kMerge}) {
       phys::PhysicalPlan hand = Hand(body, op);
       ExpectDepthFirstRows(graph_, body, &hand);
     }
@@ -1038,7 +926,6 @@ uint64_t TableDigest(const exec::ResultTable& table) {
 struct ModeRun {
   std::vector<uint64_t> digests;  // per query
   size_t merge_steps = 0;
-  size_t hash_steps = 0;
 };
 
 ModeRun RunWorkload(const engine::QueryEngine& eng,
@@ -1060,7 +947,6 @@ ModeRun RunWorkload(const engine::QueryEngine& eng,
     run.digests.push_back(TableDigest(r->table));
     for (const phys::PhysicalStep& st : r->phys.steps) {
       if (st.op == OpKind::kMerge) ++run.merge_steps;
-      if (st.op == OpKind::kHash) ++run.hash_steps;
     }
   }
   return run;
@@ -1079,8 +965,7 @@ TEST(PhysWorkloadTest, ForcedOperatorsMatchInljDigestsAcrossPoolSizes) {
   util::ThreadPool four(4);
 
   std::vector<uint64_t> baseline;
-  for (JoinMode mode : {JoinMode::kInlj, JoinMode::kAuto, JoinMode::kMerge,
-                        JoinMode::kHash}) {
+  for (JoinMode mode : {JoinMode::kInlj, JoinMode::kAuto, JoinMode::kMerge}) {
     SCOPED_TRACE(phys::JoinModeName(mode));
     engine::EngineOptions opts;
     opts.join_mode = mode;
@@ -1093,18 +978,15 @@ TEST(PhysWorkloadTest, ForcedOperatorsMatchInljDigestsAcrossPoolSizes) {
 
     if (mode == JoinMode::kInlj) {
       baseline = seq.digests;
-      EXPECT_EQ(seq.merge_steps + seq.hash_steps, 0u);
+      EXPECT_EQ(seq.merge_steps, 0u);
     } else {
       EXPECT_EQ(seq.digests, baseline)
           << "operator choice changed result bytes";
     }
-    // Forced modes must actually exercise the materializing operators —
+    // Forced merge must actually exercise the materializing operator —
     // otherwise the digest equality above is vacuous.
     if (mode == JoinMode::kMerge) {
       EXPECT_GT(seq.merge_steps, 0u);
-    }
-    if (mode == JoinMode::kHash) {
-      EXPECT_GT(seq.hash_steps, 0u);
     }
   }
 }

@@ -346,7 +346,7 @@ TEST(EngineCountTest, LimitAndOffsetApplyToTheAggregateRow) {
       "SELECT (COUNT(*) AS ?c) WHERE { ?x a ub:GraduateStudent . "
       "?x ub:advisor ?p }";
   for (phys::JoinMode mode : {phys::JoinMode::kAuto, phys::JoinMode::kInlj,
-                              phys::JoinMode::kMerge, phys::JoinMode::kHash}) {
+                              phys::JoinMode::kMerge}) {
     SCOPED_TRACE(phys::JoinModeName(mode));
     engine::EngineOptions opts;
     opts.join_mode = mode;

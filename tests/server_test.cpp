@@ -540,19 +540,19 @@ TEST_F(SparqlServerFixture, AccuracyEndpointServesLedgerJson) {
 }
 
 TEST_F(SparqlServerFixture, AccuracyBucketsSplitByPhysicalOperator) {
-  // An engine forced to hash joins records its traced executions under the
+  // An engine forced to merge joins records its traced executions under the
   // physical operator name, so /accuracy exposes per-operator q-error
   // buckets instead of one generic "join" population.
   datagen::LubmOptions lubm;
   lubm.universities = 1;
   engine::EngineOptions eng_opts;
-  eng_opts.join_mode = phys::JoinMode::kHash;
-  auto hashed =
+  eng_opts.join_mode = phys::JoinMode::kMerge;
+  auto merged =
       engine::QueryEngine::Open(datagen::GenerateLubm(lubm), eng_opts);
-  ASSERT_TRUE(hashed.ok()) << hashed.status().ToString();
-  hashed->ResetAccuracyLedger();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  merged->ResetAccuracyLedger();
 
-  SparqlServer srv(&*hashed, ServerOptions());
+  SparqlServer srv(&*merged, ServerOptions());
   ASSERT_TRUE(srv.Start().ok());
   // No LIMIT: truncated executions are excluded from the ledger.
   constexpr char kExact[] =
@@ -565,7 +565,7 @@ TEST_F(SparqlServerFixture, AccuracyBucketsSplitByPhysicalOperator) {
   EXPECT_EQ(resp.status, 200);
   EXPECT_NE(resp.body.find("\"join_type\":\"scan\""), std::string::npos)
       << resp.body;
-  EXPECT_NE(resp.body.find("\"join_type\":\"hash\""), std::string::npos)
+  EXPECT_NE(resp.body.find("\"join_type\":\"merge\""), std::string::npos)
       << resp.body;
   EXPECT_EQ(resp.body.find("\"join_type\":\"join\""), std::string::npos)
       << resp.body;
