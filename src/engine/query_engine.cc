@@ -294,11 +294,14 @@ Result<QueryEngine> QueryEngine::Open(rdf::Graph graph, EngineOptions options) {
 Result<QueryEngine> QueryEngine::FromNTriplesFile(const std::string& path,
                                                   EngineOptions options) {
   rdf::Graph graph;
+  Timer phase;
   {
     obs::TraceSpan span("engine", "preprocess:load");
     RETURN_NOT_OK(rdf::LoadNTriplesFile(path, &graph));
   }
-  Timer phase;
+  obs::MetricsRegistry::Global().Observe("engine.preprocess.load_ms",
+                                         phase.ElapsedMs());
+  phase.Reset();
   {
     obs::TraceSpan span("engine", "preprocess:finalize");
     graph.Finalize(options.pool);

@@ -1,18 +1,86 @@
 #include "rdf/dictionary.h"
 
+#include <cstdint>
+#include <cstring>
+
 namespace shapestats::rdf {
 
-TermDictionary::TermDictionary() {
-  terms_.emplace_back();  // slot 0: invalid
+namespace {
+
+// A 32-bit hash of a key: 8-byte words folded by multiply/xorshift, then the
+// splitmix64 finalizer, whose low bits are well mixed for slot selection.
+// Ids never depend on it (they follow interning order), only slot positions.
+uint32_t HashTag(std::string_view key) {
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  uint64_t h = key.size() * kMul;
+  const char* p = key.data();
+  size_t n = key.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    h = (h ^ w) * kMul;
+    h ^= h >> 32;
+  }
+  if (n > 0) {
+    uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    h = (h ^ w) * kMul;
+  }
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBULL;
+  h ^= h >> 31;
+  return static_cast<uint32_t>(h);
+}
+
+}  // namespace
+
+TermDictionary::TermDictionary()
+    : slots_(kInitialSlots, Slot{0, kInvalidTermId}),
+      keys_(Term().ToNTriples()),
+      key_offset_{0, keys_.size()},
+      terms_(1) {}  // id 0: the invalid dummy term, keyed but never indexed
+
+size_t TermDictionary::Probe(std::string_view key, uint32_t tag) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = tag & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kInvalidTermId || (slot.tag == tag && Key(slot.id) == key)) {
+      return i;
+    }
+  }
+}
+
+void TermDictionary::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.size() * 2, Slot{0, kInvalidTermId});
+  const size_t mask = slots_.size() - 1;
+  // Keys are distinct, so each one takes the first empty slot from its home.
+  for (const Slot& slot : old) {
+    if (slot.id == kInvalidTermId) continue;
+    size_t i = slot.tag & mask;
+    while (slots_[i].id != kInvalidTermId) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
 }
 
 TermId TermDictionary::Intern(const Term& term) {
-  std::string key = term.ToNTriples();
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  TermId id = static_cast<TermId>(terms_.size());
+  // The key is written straight into the arena and dropped again on a hit.
+  const size_t start = keys_.size();
+  term.AppendNTriples(&keys_);
+  const std::string_view key(keys_.data() + start, keys_.size() - start);
+  const uint32_t tag = HashTag(key);
+  Slot& slot = slots_[Probe(key, tag)];
+  if (slot.id != kInvalidTermId) {
+    keys_.resize(start);
+    return slot.id;
+  }
+  const TermId id = static_cast<TermId>(terms_.size());
   terms_.push_back(term);
-  index_.emplace(std::move(key), id);
+  key_offset_.push_back(keys_.size());
+  slot = Slot{tag, id};
+  if (2 * size() > slots_.size()) Grow();
   return id;
 }
 
@@ -29,9 +97,9 @@ std::optional<TermId> TermDictionary::Find(const Term& term) const {
 }
 
 std::optional<TermId> TermDictionary::FindKey(std::string_view key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  const Slot& slot = slots_[Probe(key, HashTag(key))];
+  if (slot.id == kInvalidTermId) return std::nullopt;
+  return slot.id;
 }
 
 std::optional<TermId> TermDictionary::FindIri(std::string_view iri) const {

@@ -1,15 +1,22 @@
 // Term dictionary: bidirectional mapping between RDF terms and dense
 // TermIds. The whole pipeline (store, SPARQL encoding, statistics,
 // execution) works on TermIds; strings only appear at parse/print time.
+//
+// Layout: the canonical keys (Term::ToNTriples) of all terms are stored back
+// to back in one arena, in id order, with a per-id offset array. The index is
+// a flat open-addressing table of (32-bit hash tag, TermId) slots with
+// power-of-two capacity, linear probing and load at most 1/2; a slot whose
+// tag matches is confirmed against the key in the arena. Growth re-slots by
+// tag alone, never re-reading or re-hashing a key.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "rdf/term.h"
-#include "util/string_util.h"
 
 namespace shapestats::rdf {
 
@@ -17,6 +24,9 @@ namespace shapestats::rdf {
 /// (kInvalidTermId = 0 is never assigned). Not thread-safe for writes.
 class TermDictionary {
  public:
+  /// Slots of an empty dictionary's index; it doubles as terms are added.
+  static constexpr size_t kInitialSlots = 1024;
+
   TermDictionary();
 
   /// Interns a term, returning its id (existing or fresh).
@@ -43,15 +53,32 @@ class TermDictionary {
   size_t size() const { return terms_.size() - 1; }
 
   /// Canonical N-Triples rendering of a term id.
-  std::string ToNTriples(TermId id) const { return term(id).ToNTriples(); }
+  std::string ToNTriples(TermId id) const { return std::string(Key(id)); }
 
   /// Short human-readable rendering (IRI local name / literal value).
   std::string Pretty(TermId id) const;
 
  private:
-  // key: canonical NT form; FindKey probes it with a view into the input.
-  StringMap<TermId> index_;
-  std::vector<Term> terms_;  // terms_[0] is a dummy
+  // One index slot; id kInvalidTermId marks it empty.
+  struct Slot {
+    uint32_t tag;
+    TermId id;
+  };
+
+  // The canonical key of an id, as stored in the arena.
+  std::string_view Key(TermId id) const {
+    return {keys_.data() + key_offset_[id],
+            key_offset_[id + 1] - key_offset_[id]};
+  }
+  // The slot holding `key` (tag `tag`), or the empty slot it would go in.
+  size_t Probe(std::string_view key, uint32_t tag) const;
+  // Doubles the slot table.
+  void Grow();
+
+  std::vector<Slot> slots_;
+  std::string keys_;                // every key back to back, in id order
+  std::vector<size_t> key_offset_;  // id's key is [key_offset_[id], [id + 1])
+  std::vector<Term> terms_;         // terms_[0] is a dummy
 };
 
 }  // namespace shapestats::rdf

@@ -10,49 +10,30 @@ namespace shapestats::rdf {
 
 namespace {
 
-// Component-order comparators. Ids are compared as unsigned integers; the
-// sort order carries no semantics beyond index lookup.
-struct LessSPO {
-  bool operator()(const Triple& a, const Triple& b) const {
-    if (a.s != b.s) return a.s < b.s;
-    if (a.p != b.p) return a.p < b.p;
-    return a.o < b.o;
-  }
-};
-struct LessPOS {
-  bool operator()(const Triple& a, const Triple& b) const {
-    if (a.p != b.p) return a.p < b.p;
-    if (a.o != b.o) return a.o < b.o;
-    return a.s < b.s;
-  }
-};
-struct LessOSP {
-  bool operator()(const Triple& a, const Triple& b) const {
-    if (a.o != b.o) return a.o < b.o;
-    if (a.s != b.s) return a.s < b.s;
-    return a.p < b.p;
-  }
-};
-struct LessPSO {
-  bool operator()(const Triple& a, const Triple& b) const {
-    if (a.p != b.p) return a.p < b.p;
-    if (a.s != b.s) return a.s < b.s;
-    return a.o < b.o;
-  }
-};
+// The exclusive prefix sums of the `Key` component counts of `in`, with
+// `buckets` = largest key + 2 entries: the head of an index of `in` grouped
+// by `Key`, whose group x is [head[x], head[x + 1]).
+template <TermId Triple::*Key, typename Offset>
+std::vector<Offset> Head(std::span<const Triple> in, size_t buckets) {
+  std::vector<Offset> head(buckets, 0);
+  for (const Triple& t : in) ++head[size_t{t.*Key} + 1];
+  for (size_t x = 1; x < buckets; ++x) head[x] += head[x - 1];
+  return head;
+}
 
-// The head of an index grouped by `get`: head[x] is the offset of the first
-// triple whose leading id is >= x, sized from the largest leading id + 2 so
-// that the run of every id up to it is [head[x], head[x + 1]).
-template <typename Get>
-std::vector<uint32_t> BuildHead(const std::vector<Triple>& index, Get get) {
-  const size_t ids = index.empty() ? 1 : size_t{get(index.back())} + 1;
-  std::vector<uint32_t> head(ids + 1);
-  size_t i = 0;
-  for (size_t x = 0; x <= ids; ++x) {
-    while (i < index.size() && get(index[i]) < x) ++i;
-    head[x] = static_cast<uint32_t>(i);
-  }
+// Stable counting sort of `in` by component `Key` into `out` (sized like
+// `in`); returns the head of `out`. Stability is what makes it an index
+// build: scattering by k an array sorted by (a, b) yields one sorted by
+// (k, a, b).
+template <TermId Triple::*Key, typename Offset>
+std::vector<Offset> Scatter(std::span<const Triple> in, size_t buckets,
+                            std::span<Triple> out) {
+  std::vector<Offset> head = Head<Key, Offset>(in, buckets);
+  // Placing each triple bumps its group's start, which leaves head[x] at
+  // the start of group x + 1; shifting by one restores the starts.
+  for (const Triple& t : in) out[head[t.*Key]++] = t;
+  std::move_backward(head.begin(), head.end() - 1, head.end());
+  head[0] = 0;
   return head;
 }
 
@@ -106,14 +87,24 @@ void Graph::Add(const Term& s, const Term& p, const Term& o) {
 void Graph::Finalize(util::ThreadPool* pool) {
   assert(!finalized_);
   util::ThreadPool& tp = pool != nullptr ? *pool : util::ThreadPool::Shared();
-  // The SPO sort + dedup must finish first: the three secondary indexes are
-  // copies of the deduplicated triple set. Every comparator orders all three
-  // components, so equal elements are identical and the chunked parallel
-  // sort produces byte-for-byte the std::sort result. Each head is built in
-  // the task that sorts its index; PSO shares the POS predicate head.
-  util::ParallelSort(spo_, LessSPO{}, tp);
-  spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
-  spo_.shrink_to_fit();
+  // Every head (and every scatter's histogram) has one slot per id up to the
+  // largest id in its position, plus two; deduplication removes no id.
+  size_t s_buckets = 2, p_buckets = 2, o_buckets = 2;
+  for (const Triple& t : spo_) {
+    s_buckets = std::max(s_buckets, size_t{t.s} + 2);
+    p_buckets = std::max(p_buckets, size_t{t.p} + 2);
+    o_buckets = std::max(o_buckets, size_t{t.o} + 2);
+  }
+  // SPO: three LSD passes over the staged triples (by o, then p, then s),
+  // counted in size_t since duplicates may push them past kMaxTriples.
+  {
+    std::vector<Triple> tmp(spo_.size());
+    Scatter<&Triple::o, size_t>(spo_, o_buckets, tmp);
+    Scatter<&Triple::p, size_t>(tmp, p_buckets, spo_);
+    Scatter<&Triple::s, size_t>(spo_, s_buckets, tmp);
+    const auto last = std::unique(tmp.begin(), tmp.end());
+    spo_ = std::vector<Triple>(tmp.begin(), last);
+  }
   if (spo_.size() > kMaxTriples) {
     // The triples come from outside input, so this holds in every build.
     std::fprintf(stderr,
@@ -121,24 +112,20 @@ void Graph::Finalize(util::ThreadPool* pool) {
                  spo_.size(), kMaxTriples);
     std::abort();
   }
-  s_head_ = BuildHead(spo_, [](const Triple& t) { return t.s; });
-  // A 1-thread pool runs the three tasks inline, in order.
-  tp.ParallelFor(0, 3, [&](size_t i) {
-    switch (i) {
-      case 0:
-        pos_ = spo_;
-        std::sort(pos_.begin(), pos_.end(), LessPOS{});
-        p_head_ = BuildHead(pos_, [](const Triple& t) { return t.p; });
-        break;
-      case 1:
-        osp_ = spo_;
-        std::sort(osp_.begin(), osp_.end(), LessOSP{});
-        o_head_ = BuildHead(osp_, [](const Triple& t) { return t.o; });
-        break;
-      case 2:
-        pso_ = spo_;
-        std::sort(pso_.begin(), pso_.end(), LessPSO{});
-        break;
+  s_head_ = Head<&Triple::s, uint32_t>(spo_, s_buckets);
+  // OSP = SPO by o, POS = OSP by p, PSO = SPO by p; each index's head is its
+  // scatter's prefix sum, and PSO's equals POS's. A 1-thread pool runs the
+  // two tasks inline, in order.
+  const size_t n = spo_.size();
+  osp_.resize(n);
+  pos_.resize(n);
+  pso_.resize(n);
+  tp.ParallelFor(0, 2, [&](size_t i) {
+    if (i == 0) {
+      o_head_ = Scatter<&Triple::o, uint32_t>(spo_, o_buckets, osp_);
+      p_head_ = Scatter<&Triple::p, uint32_t>(osp_, p_buckets, pos_);
+    } else {
+      Scatter<&Triple::p, uint32_t>(spo_, p_buckets, pso_);
     }
   });
   finalized_ = true;

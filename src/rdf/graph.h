@@ -66,9 +66,12 @@ class Graph {
 
   /// Sorts and deduplicates, builds all indexes and their heads. Must be
   /// called before any Match/Count query; Add after Finalize is an error.
-  /// The SPO sort and the three secondary index builds run on `pool` (the
-  /// shared pool when null), each head in the task that sorts its index; the
-  /// resulting indexes and heads are identical for every pool size. Aborts,
+  /// Every index is built by stable counting-sort scatters, in time linear
+  /// in the triples plus the largest id: SPO by three passes over the staged
+  /// triples (by o, then p, then s) and a dedup, then OSP = SPO by o,
+  /// POS = OSP by p and PSO = SPO by p, each head being its scatter's prefix
+  /// sum. OSP→POS and PSO run as two tasks on `pool` (the shared pool when
+  /// null); the indexes and heads are identical for every pool size. Aborts,
   /// in every build, when there are more than kMaxTriples distinct triples.
   void Finalize(util::ThreadPool* pool = nullptr);
 

@@ -1,8 +1,10 @@
 #include "shacl/generator.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "rdf/vocab.h"
 
@@ -21,20 +23,20 @@ Result<ShapesGraph> GenerateShapes(const rdf::Graph& data,
     return Status::InvalidArgument("data graph has no rdf:type triples");
   }
 
-  // Collect classes in deterministic (IRI) order.
-  std::map<std::string, rdf::TermId> classes;
-  {
-    std::set<rdf::TermId> seen;
-    for (const rdf::Triple& t : data.PredicateByObject(*type)) {
-      if (seen.insert(t.o).second) {
-        const rdf::Term& cls = dict.term(t.o);
-        if (cls.is_iri()) classes.emplace(cls.lexical, t.o);
-      }
-    }
+  // Collect classes in deterministic (IRI) order. The rdf:type run of POS is
+  // grouped by object, so each class shows up as one run of equal objects.
+  std::vector<std::pair<std::string_view, rdf::TermId>> classes;
+  rdf::TermId prev_cls = rdf::kInvalidTermId;
+  for (const rdf::Triple& t : data.PredicateByObject(*type)) {
+    if (t.o == prev_cls) continue;
+    prev_cls = t.o;
+    const rdf::Term& cls = dict.term(t.o);
+    if (cls.is_iri()) classes.emplace_back(cls.lexical, t.o);
   }
   if (classes.empty()) {
     return Status::InvalidArgument("no classes found in data graph");
   }
+  std::sort(classes.begin(), classes.end());
 
   ShapesGraph shapes;
   for (const auto& [cls_iri, cls_id] : classes) {
@@ -50,43 +52,57 @@ Result<ShapesGraph> GenerateShapes(const rdf::Graph& data,
       std::string common_datatype;   // "" until first literal; "-" if mixed
       rdf::TermId common_class = rdf::kInvalidTermId;  // 0 until first; ~0 mixed
     };
-    std::map<std::string, PredInfo> preds;  // keyed by predicate IRI
+    std::unordered_map<rdf::TermId, PredInfo> preds;  // keyed by predicate
     uint64_t num_instances = 0;
     for (const rdf::Triple& inst : data.Match(std::nullopt, *type, cls_id)) {
       ++num_instances;
-      std::set<rdf::TermId> seen_preds;
+      // The subject's SPO run is grouped by predicate: each new predicate
+      // starts a group, counted once for this instance.
+      PredInfo* info = nullptr;
+      rdf::TermId prev_pred = rdf::kInvalidTermId;
       for (const rdf::Triple& t : data.Match(inst.s, std::nullopt, std::nullopt)) {
         if (t.p == *type) continue;
-        const rdf::Term& pred = dict.term(t.p);
-        PredInfo& info = preds[pred.lexical];
-        if (seen_preds.insert(t.p).second) ++info.instances_with;
+        if (t.p != prev_pred) {
+          prev_pred = t.p;
+          info = &preds[t.p];
+          ++info->instances_with;
+        }
         const rdf::Term& obj = dict.term(t.o);
         if (obj.is_literal()) {
-          info.objects_all_iris = false;
-          std::string dt =
-              obj.datatype.empty() ? std::string(vocab::kXsdString) : obj.datatype;
-          if (info.common_datatype.empty()) {
-            info.common_datatype = dt;
-          } else if (info.common_datatype != dt) {
-            info.common_datatype = "-";
+          info->objects_all_iris = false;
+          const std::string_view dt =
+              obj.datatype.empty() ? vocab::kXsdString : obj.datatype;
+          if (info->common_datatype.empty()) {
+            info->common_datatype = dt;
+          } else if (info->common_datatype != dt) {
+            info->common_datatype = "-";
           }
         } else {
-          info.objects_all_literals = false;
+          info->objects_all_literals = false;
           auto obj_types = data.Match(t.o, *type, std::nullopt);
           rdf::TermId obj_cls =
               obj_types.empty() ? static_cast<rdf::TermId>(~0u) : obj_types.front().o;
-          if (info.common_class == rdf::kInvalidTermId) {
-            info.common_class = obj_cls;
-          } else if (info.common_class != obj_cls) {
-            info.common_class = static_cast<rdf::TermId>(~0u);
+          if (info->common_class == rdf::kInvalidTermId) {
+            info->common_class = obj_cls;
+          } else if (info->common_class != obj_cls) {
+            info->common_class = static_cast<rdf::TermId>(~0u);
           }
         }
       }
     }
 
-    for (const auto& [pred_iri, info] : preds) {
+    // Properties in predicate-IRI order.
+    std::vector<std::pair<std::string_view, rdf::TermId>> by_iri;
+    by_iri.reserve(preds.size());
+    for (const auto& [pred, info] : preds) {
+      by_iri.emplace_back(dict.term(pred).lexical, pred);
+    }
+    std::sort(by_iri.begin(), by_iri.end());
+    for (const auto& [pred_iri, pred] : by_iri) {
+      const PredInfo& info = preds.at(pred);
       PropertyShape ps;
-      ps.iri = ns.iri + "-" + pred_iri.substr(pred_iri.find_last_of("#/") + 1);
+      ps.iri = ns.iri + "-";
+      ps.iri += pred_iri.substr(pred_iri.find_last_of("#/") + 1);
       ps.path = pred_iri;
       if (options.infer_datatype && info.objects_all_literals &&
           !info.common_datatype.empty() && info.common_datatype != "-") {

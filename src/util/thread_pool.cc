@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace shapestats::util {

@@ -19,8 +19,6 @@
 //    obs::MetricsRegistry by obs::PublishSharedPoolMetrics().
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -136,45 +134,5 @@ class ThreadPool {
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<uint64_t> peak_queue_depth_{0};
 };
-
-/// Sorts `v` with the pool: sorts contiguous chunks in parallel, then merges
-/// adjacent chunks in parallel rounds. `less` must induce a total order over
-/// equal-comparing elements being interchangeable (true for component-wise
-/// triple comparators), which makes the result identical to std::sort.
-template <typename T, typename Less>
-void ParallelSort(std::vector<T>& v, Less less, ThreadPool& pool) {
-  // Below this size the chunk bookkeeping costs more than it saves.
-  constexpr size_t kMinChunk = size_t{1} << 14;
-  const size_t n = v.size();
-  if (pool.num_threads() <= 1 || n < 2 * kMinChunk) {
-    std::sort(v.begin(), v.end(), less);
-    return;
-  }
-  size_t chunks = std::min<size_t>(pool.num_threads(), n / kMinChunk);
-  std::vector<size_t> bounds(chunks + 1);
-  for (size_t c = 0; c <= chunks; ++c) bounds[c] = c * n / chunks;
-  pool.ParallelFor(0, chunks, [&](size_t c) {
-    std::sort(v.begin() + static_cast<ptrdiff_t>(bounds[c]),
-              v.begin() + static_cast<ptrdiff_t>(bounds[c + 1]), less);
-  });
-  // Merge adjacent sorted runs, halving the run count each round.
-  while (bounds.size() > 2) {
-    std::vector<size_t> next;
-    next.push_back(bounds.front());
-    std::vector<std::array<size_t, 3>> merges;
-    for (size_t c = 0; c + 2 < bounds.size(); c += 2) {
-      merges.push_back({bounds[c], bounds[c + 1], bounds[c + 2]});
-      next.push_back(bounds[c + 2]);
-    }
-    if (bounds.size() % 2 == 0) next.push_back(bounds.back());
-    pool.ParallelFor(0, merges.size(), [&](size_t m) {
-      auto [lo, mid, hi] = merges[m];
-      std::inplace_merge(v.begin() + static_cast<ptrdiff_t>(lo),
-                         v.begin() + static_cast<ptrdiff_t>(mid),
-                         v.begin() + static_cast<ptrdiff_t>(hi), less);
-    });
-    bounds = std::move(next);
-  }
-}
 
 }  // namespace shapestats::util

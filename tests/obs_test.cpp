@@ -24,6 +24,7 @@
 #include "obs/trace.h"
 #include "phys/phys_executor.h"
 #include "phys/planner.h"
+#include "rdf/ntriples.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
 #include "util/string_util.h"
@@ -699,6 +700,35 @@ TEST(GlobalMetrics, EngineOpenRecordsEveryPreprocessPhase) {
             std::to_string(eng.graph().IndexBytes()));
   EXPECT_GT(eng.graph().IndexBytes(),
             4 * eng.graph().NumTriples() * sizeof(rdf::Triple));
+}
+
+// FromNTriplesFile times the two phases before Open: loading the file and
+// finalizing the graph.
+TEST(GlobalMetrics, FromNTriplesFileRecordsLoadAndFinalize) {
+  rdf::Graph tiny;
+  ASSERT_TRUE(rdf::ParseTurtle(kTinyData, &tiny).ok());
+  tiny.Finalize();
+  const std::string path = ::testing::TempDir() + "/obs_tiny.nt";
+  ASSERT_TRUE(rdf::SaveNTriplesFile(tiny, path).ok());
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const char* phases[] = {"engine.preprocess.load_ms",
+                          "engine.preprocess.finalize_ms"};
+  std::vector<uint64_t> before;
+  for (const char* name : phases) {
+    before.push_back(reg.GetHistogram(name)->Snap().count);
+  }
+  auto eng = engine::QueryEngine::FromNTriplesFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  EXPECT_EQ(eng->graph().NumTriples(), tiny.NumTriples());
+  for (size_t i = 0; i < std::size(phases); ++i) {
+    EXPECT_EQ(reg.GetHistogram(phases[i])->Snap().count, before[i] + 1)
+        << phases[i];
+  }
+  const std::string prometheus = reg.ToPrometheus();
+  EXPECT_NE(prometheus.find("engine_preprocess_load_ms"), std::string::npos);
+  EXPECT_NE(prometheus.find("engine_preprocess_finalize_ms"), std::string::npos);
 }
 
 TEST(ExecuteTrace, ThreadedThroughSelectPath) {

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <set>
 #include <span>
+#include <tuple>
 
 #include "datagen/lubm.h"
 #include "datagen/yago.h"
@@ -20,6 +21,7 @@
 #include "rdf/vocab.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace shapestats::rdf {
 namespace {
@@ -124,6 +126,83 @@ TEST(DictionaryTest, PrettyUsesLocalName) {
   EXPECT_EQ(dict.Pretty(b), "Course");
   TermId l = dict.InternLiteral("value");
   EXPECT_EQ(dict.Pretty(l), "value");
+}
+
+// The i-th term of the growth test: IRIs, literals and blank nodes whose
+// keys are often prefixes of one another ("<http://g/1>", "<http://g/10>").
+Term GrowthTerm(size_t i) {
+  switch (i % 3) {
+    case 0:
+      return Term::Iri("http://g/" + std::to_string(i));
+    case 1:
+      return Term::Literal(std::to_string(i), i % 2 ? "" : "http://g/dt");
+    default:
+      return Term::Blank(std::string("b").append(std::to_string(i)));
+  }
+}
+
+TEST(DictionaryTest, GrowthKeepsEveryKeyFindable) {
+  TermDictionary dict;
+  const size_t n = 4 * TermDictionary::kInitialSlots + 37;
+  std::vector<std::string> keys;
+  // The index doubles whenever it gets more than half full.
+  size_t slots = TermDictionary::kInitialSlots;
+  size_t growths = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Term term = GrowthTerm(i);
+    ASSERT_EQ(dict.Intern(term), i + 1) << "ids are dense in interning order";
+    keys.push_back(term.ToNTriples());
+    if (2 * dict.size() <= slots) continue;
+    slots *= 2;
+    ++growths;
+    for (size_t k = 0; k < keys.size(); ++k) {
+      ASSERT_EQ(dict.FindKey(keys[k]), OptId(k + 1)) << keys[k];
+    }
+  }
+  EXPECT_GE(growths, 3u);
+  ASSERT_EQ(dict.size(), n);
+  for (size_t k = 0; k < n; ++k) {
+    const Term term = GrowthTerm(k);
+    EXPECT_EQ(dict.Intern(term), k + 1) << "re-interning returns the old id";
+    EXPECT_EQ(dict.Find(term), OptId(k + 1));
+    EXPECT_EQ(dict.ToNTriples(k + 1), keys[k]);
+    EXPECT_EQ(dict.term(k + 1), term);
+    // Extensions of a present key are absent, and so are its proper
+    // prefixes (a blank label's prefix may be another label).
+    EXPECT_FALSE(dict.FindKey(keys[k] + "#").has_value()) << keys[k];
+    EXPECT_FALSE(dict.FindKey(keys[k] + " ").has_value()) << keys[k];
+    if (term.is_blank()) continue;
+    for (size_t len = 0; len < keys[k].size(); ++len) {
+      EXPECT_FALSE(dict.FindKey(std::string_view(keys[k]).substr(0, len))
+                       .has_value())
+          << keys[k] << " cut to " << len;
+    }
+  }
+  EXPECT_EQ(dict.size(), n);
+  for (std::string_view absent :
+       {"", "<", "<>", "<http://g/>", "\"\"", "_:", "_:b", "<http://g/1",
+        "http://g/1", "<http://g/999999>"}) {
+    EXPECT_FALSE(dict.FindKey(absent).has_value()) << absent;
+  }
+  EXPECT_FALSE(dict.FindIri("http://g/1").has_value());  // a literal, not IRI
+  EXPECT_EQ(dict.FindIri("http://g/0"), OptId(1));
+}
+
+TEST(DictionaryTest, EqualLengthKeysWithEqualTagsStayApart) {
+  // 2^18 keys of one length: by the birthday bound, several pairs share a
+  // 32-bit hash tag, and only the key comparison in the arena tells them
+  // apart.
+  TermDictionary dict;
+  constexpr size_t kKeys = size_t{1} << 18;
+  auto iri = [](size_t i) {
+    std::string digits = std::to_string(i);
+    return "http://g/" + std::string(7 - digits.size(), '0') + digits;
+  };
+  for (size_t i = 0; i < kKeys; ++i) ASSERT_EQ(dict.InternIri(iri(i)), i + 1);
+  for (size_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(dict.FindIri(iri(i)), OptId(i + 1)) << iri(i);
+  }
+  EXPECT_EQ(dict.size(), kKeys);
 }
 
 class GraphFixture : public ::testing::Test {
@@ -840,6 +919,148 @@ TEST(GraphHeadTest, MatchIsUnchangedBySnapshotRoundTrip) {
   EXPECT_EQ(loaded->CountDistinctSubjects(), g.CountDistinctSubjects());
   EXPECT_EQ(loaded->CountDistinctObjects(), g.CountDistinctObjects());
   EXPECT_EQ(loaded->IndexBytes(), g.IndexBytes());
+}
+
+// The four indexes as comparison sorts define them: `staged` sorted and
+// deduplicated by each component order.
+struct ReferenceIndexes {
+  std::vector<Triple> spo, pos, osp, pso;
+};
+
+ReferenceIndexes SortedReference(const std::vector<Triple>& staged) {
+  auto sorted = [&](int a, int b, int c) {
+    auto key = [&](const Triple& t) {
+      const TermId parts[3] = {t.s, t.p, t.o};
+      return std::tuple(parts[a], parts[b], parts[c]);
+    };
+    std::vector<Triple> out = staged;
+    std::sort(out.begin(), out.end(), [&](const Triple& x, const Triple& y) {
+      return key(x) < key(y);
+    });
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  };
+  return {sorted(0, 1, 2), sorted(1, 2, 0), sorted(2, 0, 1), sorted(1, 0, 2)};
+}
+
+// The triples of `index` whose components in the given positions equal the
+// given ids, in index order.
+std::vector<Triple> Filter(const std::vector<Triple>& index, OptId s, OptId p,
+                           OptId o) {
+  std::vector<Triple> out;
+  for (const Triple& t : index) {
+    if ((!s || *s == t.s) && (!p || *p == t.p) && (!o || *o == t.o)) {
+      out.push_back(t);
+    }
+  }
+  return out;
+}
+
+std::vector<Triple> Vec(std::span<const Triple> run) {
+  return {run.begin(), run.end()};
+}
+
+// Finalizes `staged` on pools of 1, 2 and 4 threads and checks every index
+// span, head-derived count and IndexBytes() against the comparison-sort
+// reference.
+void ExpectFinalizeMatchesSortReference(const std::vector<Triple>& staged) {
+  const ReferenceIndexes ref = SortedReference(staged);
+  TermId max_s = 0, max_p = 0, max_o = 0;
+  for (const Triple& t : staged) {
+    max_s = std::max(max_s, t.s);
+    max_p = std::max(max_p, t.p);
+    max_o = std::max(max_o, t.o);
+  }
+  const TermId max_id = std::max({max_s, max_p, max_o});
+  std::vector<TermId> ids;
+  for (TermId id = 0; id <= max_id + 2; ++id) ids.push_back(id);
+  ids.push_back(~TermId{0});
+  std::set<TermId> subjects, preds, objects;
+  for (const Triple& t : ref.spo) {
+    subjects.insert(t.s);
+    preds.insert(t.p);
+    objects.insert(t.o);
+  }
+
+  for (unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    Graph g;
+    for (const Triple& t : staged) g.Add(t.s, t.p, t.o);
+    g.Finalize(&pool);
+    ASSERT_EQ(g.NumTriples(), ref.spo.size());
+    EXPECT_EQ(Vec(g.triples()), ref.spo);
+    EXPECT_EQ(Vec(g.triples_by_object()), ref.osp);
+    EXPECT_EQ(Vec(g.Match(std::nullopt, std::nullopt, std::nullopt)), ref.spo);
+    for (TermId a : ids) {
+      ASSERT_EQ(Vec(g.Match(a, std::nullopt, std::nullopt)),
+                Filter(ref.spo, a, std::nullopt, std::nullopt)) << a;
+      ASSERT_EQ(Vec(g.Match(std::nullopt, a, std::nullopt)),
+                Filter(ref.pos, std::nullopt, a, std::nullopt)) << a;
+      ASSERT_EQ(Vec(g.Match(std::nullopt, std::nullopt, a)),
+                Filter(ref.osp, std::nullopt, std::nullopt, a)) << a;
+      ASSERT_EQ(Vec(g.PredicateByObject(a)), Filter(ref.pos, std::nullopt, a,
+                                                    std::nullopt)) << a;
+      ASSERT_EQ(Vec(g.PredicateBySubject(a)), Filter(ref.pso, std::nullopt, a,
+                                                     std::nullopt)) << a;
+      std::set<TermId> s_of_p, o_of_p;
+      for (const Triple& t : Filter(ref.spo, std::nullopt, a, std::nullopt)) {
+        s_of_p.insert(t.s);
+        o_of_p.insert(t.o);
+      }
+      EXPECT_EQ(g.CountDistinctSubjects(a), s_of_p.size()) << a;
+      EXPECT_EQ(g.CountDistinctObjects(a), o_of_p.size()) << a;
+    }
+    // Two- and three-position probes at every present triple.
+    for (const Triple& t : ref.spo) {
+      ASSERT_EQ(Vec(g.Match(t.s, t.p, std::nullopt)),
+                Filter(ref.spo, t.s, t.p, std::nullopt));
+      ASSERT_EQ(Vec(g.Match(t.s, std::nullopt, t.o)),
+                Filter(ref.osp, t.s, std::nullopt, t.o));
+      ASSERT_EQ(Vec(g.Match(std::nullopt, t.p, t.o)),
+                Filter(ref.pos, std::nullopt, t.p, t.o));
+      ASSERT_EQ(Vec(g.Match(t.s, t.p, t.o)), std::vector<Triple>{t});
+    }
+    EXPECT_EQ(g.Predicates(), std::vector<TermId>(preds.begin(), preds.end()));
+    EXPECT_EQ(g.CountDistinctSubjects(), subjects.size());
+    EXPECT_EQ(g.CountDistinctObjects(), objects.size());
+    // Four exactly-sized indexes, and heads of (largest id in their
+    // position + 2) offsets each.
+    EXPECT_EQ(g.IndexBytes(),
+              4 * ref.spo.size() * sizeof(Triple) +
+                  (size_t{max_s} + size_t{max_p} + size_t{max_o} + 6) *
+                      sizeof(uint32_t));
+  }
+}
+
+TEST(FinalizeTest, RandomTriplesWithManyDuplicates) {
+  Rng rng(20);
+  std::vector<Triple> staged;
+  for (int i = 0; i < 3000; ++i) {
+    staged.push_back(Triple{static_cast<TermId>(rng.Uniform(1, 40)),
+                            static_cast<TermId>(rng.Uniform(1, 6)),
+                            static_cast<TermId>(rng.Uniform(1, 50))});
+  }
+  ExpectFinalizeMatchesSortReference(staged);
+}
+
+TEST(FinalizeTest, SparseRawIdsPastTheDictionary) {
+  // The dictionary is empty: every id is raw, most ids occur nowhere, and
+  // each position has a different largest id.
+  Rng rng(21);
+  std::vector<Triple> staged;
+  for (int i = 0; i < 400; ++i) {
+    staged.push_back(Triple{static_cast<TermId>(rng.Uniform(1, 30) * 97),
+                            static_cast<TermId>(rng.Uniform(1, 4) * 300),
+                            static_cast<TermId>(rng.Uniform(1, 60) * 41)});
+  }
+  ExpectFinalizeMatchesSortReference(staged);
+}
+
+TEST(FinalizeTest, EmptyOneTripleAndAllDuplicates) {
+  ExpectFinalizeMatchesSortReference({});
+  ExpectFinalizeMatchesSortReference({Triple{3, 2, 1}});
+  ExpectFinalizeMatchesSortReference(std::vector<Triple>(500, Triple{5, 7, 6}));
 }
 
 TEST(TurtleTest, NestedBlankNodes) {

@@ -256,17 +256,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(sum.load(), 2016u);
 }
 
-TEST(ThreadPoolTest, ParallelSortMatchesStdSort) {
-  util::ThreadPool pool(4);
-  Rng rng(99);
-  std::vector<uint64_t> v(200000);
-  for (auto& x : v) x = rng.Uniform(0, 1000);  // many duplicates
-  std::vector<uint64_t> expected = v;
-  std::sort(expected.begin(), expected.end());
-  util::ParallelSort(v, std::less<uint64_t>{}, pool);
-  EXPECT_EQ(v, expected);
-}
-
 TEST(ThreadPoolTest, StatsCountTasks) {
   util::ThreadPool pool(4);
   pool.ParallelFor(0, 100, [](size_t) {});
