@@ -1,17 +1,14 @@
 // Tests for the extension features: Extended Characteristic Sets (pair
-// statistics), the sampling estimator, binary snapshots, and ASK/COUNT.
+// statistics) and ASK/COUNT.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "baselines/charsets/char_pairs.h"
-#include "baselines/sampling/wander_join.h"
 #include "datagen/lubm.h"
 #include "engine/query_engine.h"
 #include "exec/executor.h"
 #include "opt/join_order.h"
-#include "rdf/snapshot.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
 
@@ -103,99 +100,6 @@ TEST_F(ChainFixture, PairPlansExecuteCorrectly) {
   auto r = exec::ExecuteBgp(graph_, bgp, plan.order);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 4u);
-}
-
-TEST_F(ChainFixture, SamplingEstimatorConvergesOnExactCounts) {
-  baselines::SamplingEstimator::Options opts;
-  opts.num_walks = 2000;
-  baselines::SamplingEstimator sampler(graph_, opts);
-  EXPECT_EQ(sampler.name(), "Sampling");
-
-  // Single patterns are exact.
-  auto bgp1 = Encode("?x ex:takes ?c");
-  auto est = sampler.EstimateAll(bgp1);
-  EXPECT_DOUBLE_EQ(est[0].card, 4.0);
-
-  // The chain estimate must be near the truth (4) — walks are unbiased and
-  // this graph is tiny, so 2000 walks converge tightly.
-  auto bgp = Encode("?x ex:takes ?c . ?c ex:taughtBy ?p");
-  double walked = sampler.EstimateResultCardinality(bgp);
-  EXPECT_NEAR(walked, 4.0, 0.5);
-}
-
-TEST_F(ChainFixture, SamplingHandlesEmptyAndMissing) {
-  baselines::SamplingEstimator sampler(graph_);
-  auto bgp = Encode("?x ex:ghost ?c . ?c ex:taughtBy ?p");
-  EXPECT_DOUBLE_EQ(sampler.EstimateResultCardinality(bgp), 0.0);
-}
-
-TEST_F(ChainFixture, SamplingPlansExecuteCorrectly) {
-  baselines::SamplingEstimator sampler(graph_);
-  auto bgp = Encode("?x a ex:Student . ?x ex:takes ?c . ?c ex:taughtBy ?p");
-  auto plan = opt::PlanJoinOrder(bgp, sampler);
-  auto r = exec::ExecuteBgp(graph_, bgp, plan.order);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->num_results, 4u);
-}
-
-// ----------------------------------------------------------------- snapshot
-
-TEST(SnapshotTest, RoundTripsGraphAndIds) {
-  datagen::LubmOptions opts;
-  opts.universities = 1;
-  rdf::Graph g = datagen::GenerateLubm(opts);
-  std::string path = ::testing::TempDir() + "/snap.bin";
-  ASSERT_TRUE(rdf::SaveSnapshot(g, path).ok());
-
-  auto loaded = rdf::LoadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->NumTriples(), g.NumTriples());
-  EXPECT_EQ(loaded->dict().size(), g.dict().size());
-  // Ids round-trip: the same triples with the same ids.
-  for (size_t i = 0; i < g.NumTriples(); i += 997) {
-    EXPECT_EQ(loaded->triples()[i], g.triples()[i]);
-  }
-  // Decoded terms round-trip.
-  for (rdf::TermId id = 1; id <= g.dict().size(); id += 501) {
-    EXPECT_EQ(loaded->dict().term(id), g.dict().term(id));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, RejectsGarbageAndTruncation) {
-  std::string path = ::testing::TempDir() + "/garbage.bin";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    std::fputs("not a snapshot at all", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(rdf::LoadSnapshot(path).ok());
-  EXPECT_FALSE(rdf::LoadSnapshot("/no/such/snapshot.bin").ok());
-  std::remove(path.c_str());
-
-  // Truncate a valid snapshot.
-  rdf::Graph g;
-  g.dict().InternIri("http://x/a");
-  g.Add(1, 1, 1);
-  g.Finalize();
-  std::string valid = ::testing::TempDir() + "/valid.bin";
-  ASSERT_TRUE(rdf::SaveSnapshot(g, valid).ok());
-  {
-    std::FILE* f = std::fopen(valid.c_str(), "rb");
-    char buf[64];
-    size_t n = std::fread(buf, 1, sizeof(buf), f);
-    std::fclose(f);
-    f = std::fopen(valid.c_str(), "wb");
-    std::fwrite(buf, 1, n / 2, f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(rdf::LoadSnapshot(valid).ok());
-  std::remove(valid.c_str());
-}
-
-TEST(SnapshotTest, RequiresFinalizedGraph) {
-  rdf::Graph g;
-  EXPECT_FALSE(rdf::SaveSnapshot(g, "/tmp/x.bin").ok());
 }
 
 // --------------------------------------------------------------- ASK/COUNT

@@ -587,7 +587,7 @@ TEST(ExecCancel, PreCancelledTrackerStopsEveryEntryPoint) {
   }
 }
 
-TEST(ExecCancel, PreCancelledTrackerStopsHashBuildOnEitherSide) {
+TEST(ExecCancel, PreCancelledTrackerStopsMergeOnSortedAndUnsortedLeft) {
   // 600 left rows keep the scan step under one work tick, so a cancel
   // requested before the run is served inside the merge step, on the
   // tick's 1024th unit of work. The scan orders its rows by ?x, so the

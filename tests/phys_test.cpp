@@ -486,7 +486,7 @@ phys::PhysicalPlan HandPlan(const sparql::EncodedBgp& bgp,
   return plan;
 }
 
-TEST(PhysOrderTest, EveryBuildSideCommitsDepthFirstRows) {
+TEST(PhysOrderTest, EveryOperatorCommitsDepthFirstRows) {
   rdf::Graph graph;
   ASSERT_TRUE(rdf::ParseTurtle(kOrderData, &graph).ok());
   graph.Finalize();

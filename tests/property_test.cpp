@@ -3,7 +3,6 @@
 //  * Executor vs a brute-force enumeration oracle on random BGPs.
 //  * Estimator sanity: non-negative, finite, join estimate bounded by the
 //    Cartesian product.
-//  * ShEx weight derivation: monotone in constraints, terminates.
 //  * PlanVerifier: every plan the greedy planner emits (global and shape
 //    statistics alike) passes structural verification; generated
 //    statistics pass the StatsAuditor.
@@ -15,14 +14,12 @@
 #include "analysis/plan_verify.h"
 #include "analysis/shape_check.h"
 #include "analysis/stats_audit.h"
-#include "baselines/shex/shex_heuristic.h"
 #include "card/estimator.h"
 #include "datagen/lubm.h"
 #include "engine/query_engine.h"
 #include "exec/executor.h"
 #include "opt/join_order.h"
 #include "rdf/graph.h"
-#include "rdf/turtle.h"
 #include "rdf/vocab.h"
 #include "shacl/generator.h"
 #include "sparql/encoded_bgp.h"
@@ -428,85 +425,6 @@ TEST(ShapeCheckerSoundnessTest, EngineShortCircuitPreservesResults) {
       }
     }
   }
-}
-
-TEST(ShexWeightsTest, PropagatesAlongMandatoryLinks) {
-  shacl::ShapesGraph shapes;
-  // instructor --teaches(min 2)--> course: courses outweigh instructors.
-  shacl::NodeShape instructor;
-  instructor.iri = "http://s/I";
-  instructor.target_class = "http://ex/Instructor";
-  shacl::PropertyShape teaches;
-  teaches.path = "http://ex/teaches";
-  teaches.node_class = "http://ex/Course";
-  teaches.min_count = 2;
-  teaches.max_count = 2;
-  instructor.properties.push_back(teaches);
-  ASSERT_TRUE(shapes.Add(std::move(instructor)).ok());
-  shacl::NodeShape course;
-  course.iri = "http://s/C";
-  course.target_class = "http://ex/Course";
-  ASSERT_TRUE(shapes.Add(std::move(course)).ok());
-
-  auto weights = baselines::ShexWeights::Derive(shapes);
-  EXPECT_GT(weights.ClassWeight("http://ex/Course"),
-            weights.ClassWeight("http://ex/Instructor"));
-  EXPECT_DOUBLE_EQ(weights.ClassWeight("http://ex/Unknown"), 1.0);
-}
-
-TEST(ShexWeightsTest, CyclicConstraintsTerminate) {
-  shacl::ShapesGraph shapes;
-  for (const char* cls : {"A", "B"}) {
-    shacl::NodeShape ns;
-    ns.iri = std::string("http://s/") + cls;
-    ns.target_class = std::string("http://ex/") + cls;
-    shacl::PropertyShape ps;
-    ps.path = "http://ex/link";
-    ps.node_class = std::string("http://ex/") + (cls[0] == 'A' ? "B" : "A");
-    ps.min_count = 2;  // A -> 2B, B -> 2A: unbounded without the cap
-    ns.properties.push_back(ps);
-    ASSERT_TRUE(shapes.Add(std::move(ns)).ok());
-  }
-  auto weights = baselines::ShexWeights::Derive(shapes);
-  // Capped fixpoint: finite weights despite the amplifying cycle.
-  EXPECT_LE(weights.ClassWeight("http://ex/A"), 1e4 + 1);
-  EXPECT_LE(weights.ClassWeight("http://ex/B"), 1e4 + 1);
-}
-
-TEST(ShexProviderTest, OrdersTypePatternsByConstraintWeight) {
-  rdf::Graph g;
-  ASSERT_TRUE(rdf::ParseTurtle(
-      "@prefix ex: <http://ex/> . ex:i a ex:Instructor ; ex:teaches ex:c1, "
-      "ex:c2 . ex:c1 a ex:Course . ex:c2 a ex:Course .",
-      &g).ok());
-  g.Finalize();
-  stats::GlobalStats gs = stats::GlobalStats::Compute(g);
-
-  shacl::ShapesGraph shapes;
-  shacl::NodeShape instructor;
-  instructor.iri = "http://s/I";
-  instructor.target_class = "http://ex/Instructor";
-  shacl::PropertyShape teaches;
-  teaches.path = "http://ex/teaches";
-  teaches.node_class = "http://ex/Course";
-  teaches.min_count = 2;
-  instructor.properties.push_back(teaches);
-  ASSERT_TRUE(shapes.Add(std::move(instructor)).ok());
-  shacl::NodeShape course;
-  course.iri = "http://s/C";
-  course.target_class = "http://ex/Course";
-  ASSERT_TRUE(shapes.Add(std::move(course)).ok());
-
-  baselines::ShexHeuristicProvider provider(shapes, g.dict(), gs.rdf_type_id);
-  auto q = sparql::ParseQuery(
-      "PREFIX ex: <http://ex/> SELECT * WHERE "
-      "{ ?c a ex:Course . ?i a ex:Instructor . ?i ex:teaches ?c }");
-  ASSERT_TRUE(q.ok());
-  auto bgp = sparql::EncodeBgp(*q, g.dict());
-  auto est = provider.EstimateAll(bgp);
-  // Courses inferred more numerous than instructors.
-  EXPECT_GT(est[0].card, est[1].card);
-  EXPECT_EQ(provider.name(), "ShEx");
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <span>
@@ -15,7 +14,6 @@
 #include "rdf/dictionary.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
-#include "rdf/snapshot.h"
 #include "rdf/term.h"
 #include "rdf/turtle.h"
 #include "rdf/vocab.h"
@@ -885,40 +883,6 @@ TEST(GraphHeadTest, EmptyGraphAnswersEveryProbeEmpty) {
   EXPECT_EQ(g.CountDistinctObjects(), 0u);
   EXPECT_TRUE(g.PredicateBySubject(1).empty());
   EXPECT_TRUE(g.PredicateByObject(1).empty());
-}
-
-TEST(GraphHeadTest, MatchIsUnchangedBySnapshotRoundTrip) {
-  Graph g;
-  Rng rng(18);
-  for (int i = 0; i < 300; ++i) {
-    g.Add(Term::Iri("http://x/n" + std::to_string(rng.Uniform(0, 40))),
-          Term::Iri("http://x/p" + std::to_string(rng.Uniform(0, 4))),
-          Term::Iri("http://x/n" + std::to_string(rng.Uniform(0, 60))));
-  }
-  g.Finalize();
-  const std::string path = ::testing::TempDir() + "/graph_head_snapshot.bin";
-  ASSERT_TRUE(SaveSnapshot(g, path).ok());
-  auto loaded = LoadSnapshot(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  const TermId max_id = static_cast<TermId>(g.dict().size());
-  std::vector<OptId> ids = {std::nullopt};
-  for (TermId id = 0; id <= max_id + 1; ++id) ids.push_back(id);
-  for (OptId s : ids) {
-    for (OptId p : ids) {
-      for (OptId o : ids) {
-        auto a = g.Match(s, p, o);
-        auto b = loaded->Match(s, p, o);
-        ASSERT_EQ(std::vector<Triple>(a.begin(), a.end()),
-                  std::vector<Triple>(b.begin(), b.end()));
-      }
-    }
-  }
-  EXPECT_EQ(loaded->Predicates(), g.Predicates());
-  EXPECT_EQ(loaded->CountDistinctSubjects(), g.CountDistinctSubjects());
-  EXPECT_EQ(loaded->CountDistinctObjects(), g.CountDistinctObjects());
-  EXPECT_EQ(loaded->IndexBytes(), g.IndexBytes());
 }
 
 // The four indexes as comparison sorts define them: `staged` sorted and
