@@ -3,8 +3,12 @@
 // SumRDF summaries) and the artifact sizes. The paper reports e.g. LUBM:
 // annotator 16 min vs CS 6.2 h vs SumRDF 4.5 min-but-GB-sized, and a
 // 45 KB -> 68 KB shapes file; the *ratios* are the reproduction target.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "bench_common.h"
@@ -46,15 +50,16 @@ struct LoadRun {
   uint64_t digest = 0;
 };
 
-// Parses `text` as N-Triples into a fresh graph and finalizes it on the
+// Loads N-Triples into a fresh graph with `load` and finalizes it on the
 // shared pool, timing both. The digest covers the dictionary keys in id
 // order and the finalized SPO array, which pins the ids the loader assigns
 // as well as the triples.
-LoadRun TimedLoad(const std::string& text) {
+template <typename Load>
+LoadRun TimedLoad(Load load) {
   LoadRun run;
   rdf::Graph g;
   Timer timer;
-  Status st = rdf::ParseNTriples(text, &g);
+  Status st = load(&g);
   run.parse_ms = timer.ElapsedMs();
   if (!st.ok()) {
     std::fprintf(stderr, "N-Triples load failed: %s\n", st.ToString().c_str());
@@ -281,17 +286,39 @@ int main() {
     telemetry.Timing("match_ns." + ds.name, ns);
   }
 
-  // Load path: each dataset is serialized as N-Triples (untimed) and parsed
-  // back (timed). The digest catches any change in the ids the loader
-  // assigns, for instance from compiler-dependent interning order.
+  // Load path: each dataset is serialized as N-Triples (untimed), parsed
+  // back from memory and loaded from a file holding the same text (both
+  // timed). The digest catches any change in the ids the loader assigns, for
+  // instance from compiler-dependent interning order; the file load must
+  // reproduce it.
   std::printf("\n");
   for (const bench::Dataset& ds : datasets) {
-    const LoadRun run = TimedLoad(rdf::WriteNTriples(ds.graph));
-    std::printf("load digest %s: %016llx (parse %.1f ms, finalize %.1f ms)\n",
-                ds.name.c_str(), static_cast<unsigned long long>(run.digest),
-                run.parse_ms, run.finalize_ms);
+    const std::string text = rdf::WriteNTriples(ds.graph);
+    const LoadRun run =
+        TimedLoad([&](rdf::Graph* g) { return rdf::ParseNTriples(text, g); });
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("shapestats_load_" + ds.name + "_" + std::to_string(getpid()) + ".nt"))
+            .string();
+    std::ofstream(path, std::ios::binary) << text;
+    const LoadRun file_run =
+        TimedLoad([&](rdf::Graph* g) { return rdf::LoadNTriplesFile(path, g); });
+    std::filesystem::remove(path);
+    std::printf("load digest %s: %016llx\n", ds.name.c_str(),
+                static_cast<unsigned long long>(run.digest));
+    std::printf("load time %s: parse %.1f ms, file %.1f ms, finalize %.1f ms\n",
+                ds.name.c_str(), run.parse_ms, file_run.parse_ms, run.finalize_ms);
+    if (file_run.digest != run.digest) {
+      std::fprintf(stderr,
+                   "FATAL: loading %s from a file gave digest %016llx, not "
+                   "%016llx\n",
+                   ds.name.c_str(), static_cast<unsigned long long>(file_run.digest),
+                   static_cast<unsigned long long>(run.digest));
+      return 1;
+    }
     telemetry.Digest("load." + ds.name, run.digest);
     telemetry.Timing("load_ms." + ds.name, run.parse_ms);
+    telemetry.Timing("load_file_ms." + ds.name, file_run.parse_ms);
     telemetry.Timing("finalize_ms." + ds.name, run.finalize_ms);
   }
 

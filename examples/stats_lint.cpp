@@ -43,6 +43,7 @@
 #include "sparql/parser.h"
 #include "stats/annotator.h"
 #include "stats/global_stats.h"
+#include "util/file_view.h"
 #include "util/string_util.h"
 
 using namespace shapestats;
@@ -128,12 +129,12 @@ int main(int argc, char** argv) {
   // Load shapes from a file, or generate + annotate them from the data.
   shacl::ShapesGraph shapes;
   if (positional.size() == 2) {
-    auto text = ReadFile(positional[1]);
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
+    auto file = FileView::Open(positional[1]);
+    if (!file.ok()) {
+      std::fprintf(stderr, "%s\n", file.status().ToString().c_str());
       return 2;
     }
-    auto parsed = shacl::ReadShapesTurtle(*text);
+    auto parsed = shacl::ReadShapesTurtle(file->text());
     if (!parsed.ok()) {
       std::fprintf(stderr, "failed to parse %s: %s\n", positional[1].c_str(),
                    parsed.status().ToString().c_str());

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "rdf/vocab.h"
+#include "util/file_view.h"
 #include "util/string_util.h"
 
 namespace shapestats::rdf {
@@ -393,9 +394,9 @@ Status ParseTurtle(std::string_view text, Graph* graph) {
 }
 
 Status LoadTurtleFile(const std::string& path, Graph* graph) {
-  Result<std::string> text = ReadFile(path);
-  if (!text.ok()) return text.status();
-  return ParseTurtle(*text, graph);
+  Result<FileView> file = FileView::Open(path);
+  if (!file.ok()) return file.status();
+  return ParseTurtle(file->text(), graph);
 }
 
 }  // namespace shapestats::rdf

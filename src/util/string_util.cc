@@ -2,7 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
+
+#include "util/file_view.h"
 
 namespace shapestats {
 
@@ -106,20 +107,9 @@ std::string UnescapeLiteral(std::string_view escaped) {
 }
 
 Result<std::string> ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  std::string out;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);  // regular files only
-  if (!ec) out.resize(size);
-  out.resize(std::fread(out.data(), 1, out.size(), f));
-  // Whatever the size did not cover: pipes, or a file that grew meanwhile.
-  char chunk[1 << 14];
-  for (size_t n; (n = std::fread(chunk, 1, sizeof(chunk), f)) > 0;) out.append(chunk, n);
-  const bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return Status::IOError("read failed: " + path);
-  return out;
+  Result<FileView> view = FileView::Open(path);
+  if (!view.ok()) return view.status();
+  return std::string(view->text());
 }
 
 }  // namespace shapestats

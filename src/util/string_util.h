@@ -57,7 +57,7 @@ std::string EscapeLiteral(std::string_view raw);
 /// Reverses EscapeLiteral.
 std::string UnescapeLiteral(std::string_view escaped);
 
-/// Reads a whole file with one read into a string sized from its length.
+/// Reads a whole file into a string: a copy of its FileView (util/file_view.h).
 Result<std::string> ReadFile(const std::string& path);
 
 }  // namespace shapestats

@@ -2,11 +2,14 @@
 // Turtle parsing. Includes a parameterized sweep over all 8 triple-pattern
 // binding combinations against a brute-force oracle.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <span>
+#include <thread>
 #include <tuple>
 
 #include "datagen/lubm.h"
@@ -639,6 +642,244 @@ TEST(LoadRoundTripTest, SmallYago) {
   datagen::YagoOptions opts;
   opts.num_entities = 5000;
   ExpectLoadRoundTrip(datagen::GenerateYago(opts));
+}
+
+// ---------------------------------------------------------------------------
+// Differential check: the loader against a line-by-line reference of the
+// same language, on randomly mutated real lines.
+
+// The N-Triples language spelled out with no shortcut: per line Trim, skip
+// blank and '#' lines, require the terminating '.', split three tokens (a
+// quoted literal runs to its closing unescaped quote, each of the first two
+// tokens then up to the next whitespace, the object to the end of the line),
+// then ParseTerm each, check the kinds, and only then Intern object,
+// predicate, subject.
+Status ReferenceParse(std::string_view text, Graph* g) {
+  size_t line_no = 0;
+  for (size_t pos = 0; pos < text.size();) {
+    size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    const std::string_view line = Trim(text.substr(pos, eol - pos));
+    pos = eol + 1;
+    const std::string where = "line " + std::to_string(++line_no) + ": ";
+    if (line.empty() || line.front() == '#') continue;
+    if (line.back() != '.') {
+      return Status::ParseError(where + "missing terminating '.': " + std::string(line));
+    }
+    std::string_view rest = Trim(line.substr(0, line.size() - 1));
+    std::string_view tok[3];
+    for (int k = 0; k < 3; ++k) {
+      while (!rest.empty() && IsAsciiSpace(rest.front())) rest.remove_prefix(1);
+      if (rest.empty()) return Status::ParseError(where + "truncated triple");
+      size_t end = rest.size();
+      if (k < 2) {
+        end = 0;
+        if (rest.front() == '"') {
+          for (end = 1; end < rest.size() && rest[end] != '"';) end += rest[end] == '\\' ? 2 : 1;
+          end = std::min(end + 1, rest.size());
+        }
+        while (end < rest.size() && !IsAsciiSpace(rest[end])) ++end;
+      }
+      tok[k] = rest.substr(0, end);
+      rest.remove_prefix(end);
+    }
+    std::vector<Term> terms;
+    for (std::string_view t : tok) {
+      Result<Term> term = ParseTerm(t);
+      if (!term.ok()) return Status::ParseError(where + term.status().message());
+      terms.push_back(*term);
+    }
+    if (!terms[1].is_iri()) return Status::ParseError(where + "predicate must be an IRI");
+    if (terms[0].is_literal()) {
+      return Status::ParseError(where + "subject must not be a literal");
+    }
+    const TermId o = g->dict().Intern(terms[2]);
+    const TermId p = g->dict().Intern(terms[1]);
+    const TermId s = g->dict().Intern(terms[0]);
+    g->Add(s, p, o);
+  }
+  return Status::OK();
+}
+
+// One WriteNTriples line ("S P O .") with at most one random mutation: a
+// changed separator, line end or token, an escape or suffix in a literal,
+// a control byte, a cut, a comment. Literal values come from a small pool
+// so that different spellings of one term meet in a document.
+std::string Mutate(const std::string& line, Rng& rng) {
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng.Uniform(0, n - 1)); };
+  const size_t a = line.find(' ');
+  const size_t b = line.find(' ', a + 1);
+  std::string s = line.substr(0, a);
+  std::string p = line.substr(a + 1, b - a - 1);
+  std::string o = line.substr(b + 1, line.size() - b - 3);
+  std::string sep1 = " ", sep2 = " ", tail = " .";
+  const std::string value = "v" + std::to_string(pick(8));
+  auto joined = [&] { return s + sep1 + p + sep2 + o + tail; };
+  switch (pick(24)) {
+    case 0: (pick(2) ? sep1 : sep2) = pick(2) ? "\t" : "\v"; break;
+    case 1: tail += "\r"; break;
+    case 2: (pick(2) ? sep1 : sep2) = "  "; break;
+    case 3: {
+      std::string r = joined();
+      r.insert(pick(r.size() + 1), 1, static_cast<char>(pick(2) ? 1 + pick(31) : 0x7f));
+      return r;
+    }
+    case 4: {
+      const char* kEscapes[] = {"\\t", "\\\"", "\\\\", "\\n", "\\r", "\\x", "\t", "\r", "\\"};
+      o = "\"" + value + kEscapes[pick(9)] + "\"";
+      break;
+    }
+    case 5: {
+      const char* kLangs[] = {"@en", "@", "@en-GB", "@en fr"};
+      o = "\"" + value + "\"" + kLangs[pick(4)];
+      break;
+    }
+    case 6: o = "\"" + value + "\"^^<http://www.w3.org/2001/XMLSchema#string>"; break;
+    case 7: o = "\"" + value + "\"^^<>"; break;
+    case 8: o = "\"" + value + "\"^^<http://www.w3.org/2001/XMLSchema#integer>"; break;
+    case 9: tail = pick(2) ? " " : ""; break;
+    case 10: {
+      std::string r = joined();
+      r.resize(pick(r.size()));
+      return r;
+    }
+    case 11: return pick(2) ? "#" + line : "  # " + line;
+    case 12: return (pick(2) ? " " : "\t") + line;
+    case 13: tail += pick(2) ? " " : "\t "; break;
+    case 14: {
+      const char* kTails[] = {".", "  .", "\t.", " . ."};
+      tail = kTails[pick(4)];
+      break;
+    }
+    case 15: std::swap(s, o); break;
+    case 16: p = pick(2) ? "_:b" + std::to_string(pick(3)) : "\"" + value + "\""; break;
+    case 17: return pick(2) ? "" : " \t ";
+    case 18: o = "\"" + value + (pick(2) ? " two  words\"" : "\""); break;
+    case 19: o = o.back() == '>' ? o.substr(0, o.size() - 1) : "bare"; break;
+    case 20: s = pick(2) ? "\"" + value + " x\"" : "_:n" + std::to_string(pick(4)); break;
+    case 21: {  // spaces at every offset from the line's end
+      o = "\"";
+      for (size_t n = pick(16); n > 0; --n) o += "ab "[pick(3)];
+      o += "\"";
+      break;
+    }
+    default: break;  // unchanged
+  }
+  return joined();
+}
+
+// Loads `docs` mutated documents cut from `g`'s N-Triples with both loaders
+// and requires the same status text, the same terms and keys in id order
+// and the same triples in the order they were added.
+void ExpectLoaderMatchesReference(const Graph& g, uint64_t seed, int docs) {
+  const std::vector<std::string> lines = Split(Trim(WriteNTriples(g)), '\n');
+  Rng rng(seed);
+  int failed = 0;
+  size_t loaded = 0;
+  for (int d = 0; d < docs; ++d) {
+    std::string doc;
+    const size_t first = static_cast<size_t>(rng.Uniform(0, lines.size() - 1));
+    for (size_t i = first; i < std::min(first + 30, lines.size()); ++i) {
+      doc += rng.Chance(0.15) ? Mutate(lines[i], rng) : lines[i];
+      doc += '\n';
+    }
+    if (rng.Chance(0.3)) doc.pop_back();
+    SCOPED_TRACE(doc);
+    Graph actual, reference;
+    const Status got = ParseNTriples(doc, &actual);
+    const Status want = ReferenceParse(doc, &reference);
+    ASSERT_EQ(got.ToString(), want.ToString());
+    ASSERT_EQ(Keys(actual.dict()), Keys(reference.dict()));
+    for (TermId id = 1; id <= actual.dict().size(); ++id) {
+      ASSERT_EQ(actual.dict().term(id), reference.dict().term(id));
+    }
+    ASSERT_EQ(Triples(actual), Triples(reference));
+    failed += got.ok() ? 0 : 1;
+    loaded += actual.triples().size();
+  }
+  // Both outcomes, and thousands of lines, must have been exercised.
+  EXPECT_GT(failed, docs / 10);
+  EXPECT_LT(failed, docs * 9 / 10);
+  EXPECT_GT(loaded, static_cast<size_t>(docs) * 10);
+}
+
+TEST(NTriplesDifferentialTest, MutatedLubmLines) {
+  datagen::LubmOptions opts;
+  opts.universities = 1;
+  ExpectLoaderMatchesReference(datagen::GenerateLubm(opts), /*seed=*/22, /*docs=*/800);
+}
+
+TEST(NTriplesDifferentialTest, MutatedYagoLines) {
+  datagen::YagoOptions opts;
+  opts.num_entities = 2000;
+  ExpectLoaderMatchesReference(datagen::GenerateYago(opts), /*seed=*/23, /*docs=*/800);
+}
+
+// ---------------------------------------------------------------------------
+// LoadNTriplesFile maps a regular non-empty file and reads anything else; a
+// file parses exactly like its text.
+
+void ExpectFileLoadsLikeText(const std::string& path, const std::string& text) {
+  Graph from_file, from_text;
+  const Status got = LoadNTriplesFile(path, &from_file);
+  ASSERT_TRUE(got.ok()) << got.ToString();
+  ASSERT_TRUE(ParseNTriples(text, &from_text).ok());
+  EXPECT_EQ(Keys(from_file.dict()), Keys(from_text.dict()));
+  EXPECT_EQ(Triples(from_file), Triples(from_text));
+}
+
+TEST(LoadFileTest, EmptyFile) {
+  const std::string path = WriteTempFile("load_empty.nt", "");
+  ExpectFileLoadsLikeText(path, "");
+  Graph g;
+  ASSERT_TRUE(LoadNTriplesFile(path, &g).ok());
+  EXPECT_EQ(g.dict().size(), 0u);
+}
+
+TEST(LoadFileTest, NoFinalNewline) {
+  const std::string text = "<http://x/a> <http://x/p> <http://x/b> .\n"
+                           "<http://x/b> <http://x/p> \"end\" .";
+  ExpectFileLoadsLikeText(WriteTempFile("load_no_newline.nt", text), text);
+}
+
+TEST(LoadFileTest, LastLineIsAComment) {
+  for (const char* text : {"<http://x/a> <http://x/p> <http://x/b> .\n# end",
+                           "<http://x/a> <http://x/p> <http://x/b> .\n# end\n",
+                           "<http://x/a> <http://x/p> <http://x/b> .\n#"}) {
+    ExpectFileLoadsLikeText(WriteTempFile("load_comment.nt", text), text);
+  }
+}
+
+// A FIFO has no size to map: the loader reads it to its end, across many
+// reads.
+TEST(LoadFileTest, FifoIsReadToItsEnd) {
+  const std::string path = ::testing::TempDir() + "/load_fifo.nt";
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  std::string text;
+  for (int i = 0; i < 3000; ++i) {
+    text += "<http://x/s" + std::to_string(i % 700) + "> <http://x/p> \"v" +
+            std::to_string(i) + "\" .\n";
+  }
+  ASSERT_GT(text.size(), 1u << 16);
+  std::thread writer([&] { std::ofstream(path, std::ios::binary) << text; });
+  Graph from_fifo;
+  const Status st = LoadNTriplesFile(path, &from_fifo);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  Graph from_text;
+  ASSERT_TRUE(ParseNTriples(text, &from_text).ok());
+  EXPECT_EQ(Keys(from_fifo.dict()), Keys(from_text.dict()));
+  EXPECT_EQ(Triples(from_fifo), Triples(from_text));
+}
+
+TEST(LoadFileTest, MissingFileNamesThePath) {
+  const std::string path = ::testing::TempDir() + "/no_such_file.nt";
+  Graph g;
+  const Status st = LoadNTriplesFile(path, &g);
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_EQ(st.message(), "cannot open " + path);
 }
 
 TEST(TurtleTest, PrefixesAndSemicolons) {

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <thread>
 
+#include "util/file_view.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -104,6 +105,29 @@ TEST(StringUtilTest, ReadFileReadsEveryByte) {
   EXPECT_EQ(*read, bytes);
   Result<std::string> missing = ReadFile(path + ".missing");
   EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
+}
+
+// A regular file is mapped; the mapping moves with the view and an empty
+// file reads as empty text.
+TEST(FileViewTest, MapsAFileAndMovesWithIt) {
+  std::string bytes;
+  for (int i = 0; i < 70000; ++i) bytes += static_cast<char>(i % 253);
+  const std::string path = ::testing::TempDir() + "/file_view.bin";
+  std::ofstream(path, std::ios::binary) << bytes;
+  Result<FileView> view = FileView::Open(path);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->text(), bytes);
+  FileView moved = std::move(view).value();
+  EXPECT_EQ(moved.text(), bytes);
+  const std::string empty_path = ::testing::TempDir() + "/file_view_empty.bin";
+  std::ofstream(empty_path, std::ios::binary).flush();
+  Result<FileView> empty = FileView::Open(empty_path);
+  ASSERT_TRUE(empty.ok());
+  moved = std::move(empty).value();
+  EXPECT_TRUE(moved.text().empty());
+  Result<FileView> missing = FileView::Open(path + ".missing");
+  EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(missing.status().message(), "cannot open " + path + ".missing");
 }
 
 TEST(StringUtilTest, SplitJoin) {
