@@ -10,9 +10,13 @@
 //   .help                show help
 //   .stats               dataset and statistics summary
 //   .shapes [class]      list node shapes (or one shape's statistics)
-//   .explain <query>     show the optimized plan without executing
-//   .analyze <query>     EXPLAIN ANALYZE: execute and show per-step
-//                        estimated vs true cardinality, q-error, timings
+//   .explain <query>     show the plan and operators the query would run
+//                        (ASK/LIMIT pipelined on INLJ), without executing
+//   .analyze <query>     EXPLAIN ANALYZE: execute the query as a query
+//                        runs (.running lists it) and show per-step
+//                        estimated vs true cardinality, q-error, timings;
+//                        ASK/LIMIT step counts stop early, and a provably
+//                        empty query is checked on the INLJ oracle
 //   .lint <query>        static analysis only: unknown predicates/classes,
 //                        guaranteed-empty patterns, forced Cartesian products
 //   .check <query>       shape-aware satisfiability verdict (satisfiable /

@@ -28,7 +28,28 @@
 
 namespace shapestats::engine {
 
+/// What planning decides on a plan-cache miss (QueryEngine::PlanUncached).
+struct FreshPlan {
+  /// The checker's result; satisfiable with no findings when the static
+  /// check is off.
+  analysis::ShapeCheckResult check;
+  /// A provably-empty verdict that lint errors keep from short-circuiting.
+  bool lint_errors = false;
+  /// The query is provably empty: it is answered without a plan.
+  bool empty = false;
+  std::unordered_map<sparql::VarId, rdf::TermId> inferred_anchors;
+  /// The template's feedback version and, in canonical pattern order, the
+  /// correction factors planned under (empty when every factor is 1).
+  uint64_t feedback_version = 0;
+  std::vector<double> corrections_canon;
+  opt::Plan plan;
+  phys::PhysicalPlan phys;
+};
+
 namespace {
+
+/// The plan provider of a query answered from its static verdict alone.
+constexpr char kStaticEmpty[] = "static-empty";
 
 /// Resolves EngineOptions::plan_cache against SHAPESTATS_PLAN_CACHE.
 bool PlanCacheEnabled(EngineOptions::PlanCacheMode mode) {
@@ -82,12 +103,12 @@ Result<EncodedQuery> ParseAndEncode(std::string_view sparql,
 }
 
 /// Feedback-learned correction factors for `tmpl`, per instance pattern;
-/// empty when every factor is 1. `canon` (optional) receives the factors
-/// in canonical pattern order, empty likewise.
+/// empty when every factor is 1. `canon` receives the factors in canonical
+/// pattern order, empty likewise.
 std::vector<double> InstanceCorrections(const cache::PlanCache& pcache,
                                         const cache::CanonicalTemplate& tmpl,
                                         size_t num_patterns,
-                                        std::vector<double>* canon = nullptr) {
+                                        std::vector<double>* canon) {
   std::vector<double> factors =
       pcache.feedback().Factors(tmpl.hash, num_patterns);
   std::vector<double> instance;
@@ -100,8 +121,34 @@ std::vector<double> InstanceCorrections(const cache::PlanCache& pcache,
   } else {
     factors.clear();
   }
-  if (canon != nullptr) *canon = std::move(factors);
+  *canon = std::move(factors);
   return instance;
+}
+
+/// The plan-cache entry for a freshly planned template: its verdict and,
+/// unless that short-circuits the query, its anchors and plans in canonical
+/// numbering. The physical plan is cached before any ASK/LIMIT pipelining
+/// downgrade, which is applied per instance.
+std::shared_ptr<cache::CachedPlan> CacheEntry(
+    const cache::CanonicalTemplate& tmpl, size_t num_patterns, bool checked,
+    const FreshPlan& fresh) {
+  auto entry = std::make_shared<cache::CachedPlan>();
+  entry->template_hash = tmpl.hash;
+  entry->short_id = tmpl.ShortId();
+  entry->num_patterns = static_cast<uint32_t>(num_patterns);
+  entry->checked = checked;
+  entry->verdict = fresh.check.verdict;
+  entry->rule = fresh.check.rule;
+  entry->feedback_version = fresh.feedback_version;
+  if (fresh.empty) return entry;
+  entry->lint_errors = fresh.lint_errors;
+  for (const auto& [var, cls] : fresh.inferred_anchors) {
+    entry->inferred.emplace_back(tmpl.var_instance_to_canon[var], cls);
+  }
+  entry->plan = cache::PlanToCanonical(fresh.plan, tmpl);
+  entry->phys = cache::PhysToCanonical(fresh.phys, tmpl);
+  entry->corrections = fresh.corrections_canon;
+  return entry;
 }
 
 /// Takes the verdict and plans of a plan-cache hit, which are valid for
@@ -138,7 +185,7 @@ bool FromCache(const cache::CachedPlan& cached,
 /// rows, no optimize or execute.
 void AnswerEmpty(const sparql::ParsedQuery& query,
                  const sparql::EncodedBgp& bgp, QueryResult* result) {
-  result->plan.provider = "static-empty";
+  result->plan.provider = kStaticEmpty;
   if (query.is_ask) {
     result->ask = false;
   } else if (query.count_aggregate) {
@@ -149,6 +196,26 @@ void AnswerEmpty(const sparql::ParsedQuery& query,
     for (const sparql::Variable& v : query.projection) {
       result->table.var_names.push_back(v.name);
     }
+  }
+}
+
+/// COUNT(*) runs as the SELECT * whose BGP matches it counts.
+void CountAsSelectAll(sparql::ParsedQuery* query) {
+  query->count_aggregate = false;
+  query->select_all = true;
+  query->projection.clear();
+}
+
+/// ASK and LIMIT queries stay on the streaming depth-first executor (early
+/// termination beats materializing): a plan that would materialize is
+/// downgraded to INLJ, recorded in each downgraded step's rationale. A
+/// COUNT(*)'s LIMIT bounds its one solution, not the rows it counts.
+void PipelineEarlyStop(const sparql::ParsedQuery& query,
+                       phys::PhysicalPlan* pplan) {
+  const bool stops_early =
+      query.is_ask || (query.limit.has_value() && !query.count_aggregate);
+  if (stops_early && pplan->Materializes()) {
+    phys::ForceInlj(pplan, "pipelined: ASK/LIMIT early termination");
   }
 }
 
@@ -215,6 +282,11 @@ const char* OptimizerName(EngineOptions::Optimizer opt) {
 Result<QueryEngine> QueryEngine::Open(rdf::Graph graph, EngineOptions options) {
   if (!graph.finalized()) {
     return Status::InvalidArgument("graph must be finalized before Open");
+  }
+  if (options.exec.limit != 0) {
+    return Status::InvalidArgument(
+        "EngineOptions::exec.limit is not supported; limit results with the "
+        "query's SPARQL LIMIT");
   }
   Timer open_timer;
   obs::TraceSpan open_span("engine", "open");
@@ -412,9 +484,8 @@ Result<analysis::ShapeCheckResult> QueryEngine::StaticCheck(
 }
 
 void QueryEngine::FillStepTraces(const sparql::ParsedQuery& query,
-                                 const sparql::EncodedBgp& bgp,
                                  const opt::Plan& plan,
-                                 const phys::PhysicalPlan* pplan,
+                                 const phys::PhysicalPlan& pplan,
                                  const std::vector<card::EstimateDetail>& details,
                                  const std::vector<uint64_t>& true_cards,
                                  obs::QueryTrace* trace, bool record) const {
@@ -424,20 +495,11 @@ void QueryEngine::FillStepTraces(const sparql::ParsedQuery& query,
     step.step = static_cast<uint32_t>(k + 1);
     step.pattern = tp;
     step.pattern_text = query.patterns[tp].ToString();
-    if (pplan != nullptr && k < pplan->steps.size()) {
-      const phys::PhysicalStep& ps = pplan->steps[k];
+    if (k < pplan.steps.size()) {
+      const phys::PhysicalStep& ps = pplan.steps[k];
       step.join_type = phys::OpName(ps.op);
       step.est_build = ps.est_left;
       step.est_probe = ps.est_right;
-    } else if (k == 0) {
-      step.join_type = "scan";
-    } else {
-      bool joins = false;
-      for (size_t j = 0; j < k && !joins; ++j) {
-        joins = sparql::Joinable(bgp.patterns[plan.order[j]],
-                                 bgp.patterns[plan.order[k]]);
-      }
-      step.join_type = joins ? "join" : "product";
     }
     if (tp < details.size()) {
       step.source = details[tp].source;
@@ -534,9 +596,17 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
     empty = FromCache(*cached, tmpl, state_->options.infer_constraints, &life,
                       &inferred_anchors, &result);
   } else {
-    ASSIGN_OR_RETURN(empty, CheckAndPlan(query, bgp,
-                                         cache_eligible ? &tmpl : nullptr,
-                                         &life, &inferred_anchors, &result));
+    ASSIGN_OR_RETURN(FreshPlan fresh,
+                     PlanUncached(query, bgp, cache_eligible ? &tmpl : nullptr,
+                                  &life));
+    if (cache_eligible) {
+      pcache->Put(tmpl.key, CacheEntry(tmpl, bgp.patterns.size(),
+                                       state_->options.static_check, fresh));
+    }
+    empty = fresh.empty;
+    inferred_anchors = std::move(fresh.inferred_anchors);
+    result.plan = std::move(fresh.plan);
+    result.phys = std::move(fresh.phys);
   }
   if (empty) {
     AnswerEmpty(query, bgp, &result);
@@ -545,14 +615,10 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
   }
 
   exec::ExecOptions eopts = state_->options.exec;
-  // ASK and LIMIT queries stay on the streaming depth-first executor (early
-  // termination beats materializing), recorded as a per-step downgrade.
   const bool is_ask = query.is_ask;
   const bool is_count = query.count_aggregate;
   const bool has_limit = query.limit.has_value();
-  if ((is_ask || has_limit || eopts.limit > 0) && result.phys.Materializes()) {
-    phys::ForceInlj(&result.phys, "pipelined: ASK/LIMIT early termination");
-  }
+  PipelineEarlyStop(query, &result.phys);
   life.Planned(&result, &eopts);
   // Per-pattern estimate provenance annotates the step traces and feeds
   // the accuracy ledger, so only traced executions compute it.
@@ -571,9 +637,7 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
   if (is_ask) {
     query.limit = 1;
   } else if (is_count) {
-    query.count_aggregate = false;
-    query.select_all = true;
-    query.projection.clear();
+    CountAsSelectAll(&query);
   }
   exec::ResultTable table;
   if (result.phys.Materializes()) {
@@ -607,8 +671,8 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
     const std::vector<uint64_t>& truth = trace->exec.step_rows_produced;
     const bool exact = !is_ask && !has_limit &&
                        outcome == obs::Outcome::kOk && !truth.empty();
-    FillStepTraces(query, bgp, result.plan, &result.phys, details, truth,
-                   trace, exact);
+    FillStepTraces(query, result.plan, result.phys, details, truth, trace,
+                   exact);
     // Close the feedback loop: exact per-step truths become learned
     // adjustment factors for this template. A publication bumps the
     // template's feedback version, so its cached plan re-plans (under the
@@ -629,92 +693,55 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
   return result;
 }
 
-Result<bool> QueryEngine::CheckAndPlan(
+Result<FreshPlan> QueryEngine::PlanUncached(
     const sparql::ParsedQuery& query, const sparql::EncodedBgp& bgp,
-    const cache::CanonicalTemplate* tmpl, QueryLifecycle* life,
-    std::unordered_map<sparql::VarId, rdf::TermId>* inferred_anchors,
-    QueryResult* result) const {
+    const cache::CanonicalTemplate* tmpl, QueryLifecycle* life) const {
+  FreshPlan fresh;
   cache::PlanCache* pcache = state_->plan_cache.get();
+  // The feedback version is read before the factors so a concurrent
+  // publication can only make the cached entry look stale (forcing a
+  // harmless re-plan), never fresh.
+  if (tmpl != nullptr) {
+    fresh.feedback_version = pcache->feedback().Version(tmpl->hash);
+  }
   // Shape-aware static check: a provably-empty BGP is answered with zero
   // rows, skipping optimize + execute; a satisfiable one may still
   // contribute inferred class anchors to the estimator.
-  analysis::ShapeCheckResult check;
-  bool lint_errors = false;
   if (state_->options.static_check) {
-    check = Checker().Check(query, bgp);
-    life->Verdict(check.verdict, &check);
+    fresh.check = Checker().Check(query, bgp);
+    const analysis::ShapeCheckResult& check = fresh.check;
+    if (life != nullptr) life->Verdict(check.verdict, &check);
     if (check.provably_empty()) {
       // Degenerate queries (unbound projection / FILTER / ORDER BY
       // variables) must keep failing exactly as the executor would fail
       // them — only clean queries take the short-circuit.
-      lint_errors = analysis::HasErrors(
+      fresh.lint_errors = analysis::HasErrors(
           analysis::QueryLint(state_->gs, state_->graph.dict())
               .Lint(query, bgp));
-      if (!lint_errors) {
-        if (tmpl != nullptr) {
-          // Repeated provably-empty templates short-circuit straight from
-          // the cache, skipping even the checker.
-          auto entry = std::make_shared<cache::CachedPlan>();
-          entry->template_hash = tmpl->hash;
-          entry->short_id = tmpl->ShortId();
-          entry->num_patterns = static_cast<uint32_t>(bgp.patterns.size());
-          entry->checked = true;
-          entry->verdict = check.verdict;
-          entry->rule = check.rule;
-          entry->feedback_version = pcache->feedback().Version(tmpl->hash);
-          pcache->Put(tmpl->key, std::move(entry));
-        }
-        return true;
-      }
+      fresh.empty = !fresh.lint_errors;
+      if (fresh.empty) return fresh;
     }
     if (state_->options.infer_constraints && !check.inferred.empty()) {
-      *inferred_anchors = check.InferredAnchors(state_->gs);
+      fresh.inferred_anchors = check.InferredAnchors(state_->gs);
     }
-    life->Enter(obs::Phase::kPlan);
+    if (life != nullptr) life->Enter(obs::Phase::kPlan);
   }
 
   // Feedback-learned correction factors for this template, mapped into
-  // instance pattern numbering. The feedback version is read before the
-  // factors so a concurrent publication can only make the entry look
-  // stale (forcing a harmless re-plan), never fresh.
-  std::vector<double> corrections_canon;
+  // instance pattern numbering.
   std::vector<double> corrections;
-  uint64_t feedback_version = 0;
   if (tmpl != nullptr) {
-    feedback_version = pcache->feedback().Version(tmpl->hash);
     corrections = InstanceCorrections(*pcache, *tmpl, bgp.patterns.size(),
-                                      &corrections_canon);
+                                      &fresh.corrections_canon);
   }
-  obs::QueryTrace* trace = life->trace();
+  obs::QueryTrace* trace = life != nullptr ? life->trace() : nullptr;
   ASSIGN_OR_RETURN(
-      result->plan,
+      fresh.plan,
       PlanQuery(bgp, trace != nullptr ? &trace->planner : nullptr,
-                inferred_anchors, corrections.empty() ? nullptr : &corrections));
-  ASSIGN_OR_RETURN(result->phys, PlanPhysicalFor(bgp, result->plan));
-
-  if (tmpl != nullptr) {
-    auto entry = std::make_shared<cache::CachedPlan>();
-    entry->template_hash = tmpl->hash;
-    entry->short_id = tmpl->ShortId();
-    entry->num_patterns = static_cast<uint32_t>(bgp.patterns.size());
-    entry->checked = state_->options.static_check;
-    entry->verdict = check.verdict;
-    entry->rule = check.rule;
-    entry->lint_errors = lint_errors;
-    if (state_->options.infer_constraints) {
-      for (const auto& [var, cls] : *inferred_anchors) {
-        entry->inferred.emplace_back(tmpl->var_instance_to_canon[var], cls);
-      }
-    }
-    // The physical plan is cached before any ASK/LIMIT pipelining
-    // downgrade, which is applied per instance.
-    entry->plan = cache::PlanToCanonical(result->plan, *tmpl);
-    entry->phys = cache::PhysToCanonical(result->phys, *tmpl);
-    entry->corrections = std::move(corrections_canon);
-    entry->feedback_version = feedback_version;
-    pcache->Put(tmpl->key, std::move(entry));
-  }
-  return false;
+                &fresh.inferred_anchors,
+                corrections.empty() ? nullptr : &corrections));
+  ASSIGN_OR_RETURN(fresh.phys, PlanPhysicalFor(bgp, fresh.plan));
+  return fresh;
 }
 
 BatchResult QueryEngine::ExecuteBatch(const std::vector<std::string>& queries,
@@ -819,35 +846,28 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
   const sparql::ParsedQuery& query = q.query;
   const sparql::EncodedBgp& bgp = q.bgp;
 
-  analysis::ShapeCheckResult check;
-  std::unordered_map<sparql::VarId, rdf::TermId> inferred_anchors;
-  if (state_->options.static_check) {
-    check = Checker().Check(query, bgp);
-    if (state_->options.infer_constraints) {
-      inferred_anchors = check.InferredAnchors(state_->gs);
-    }
-  }
-  // With the plan cache enabled, EXPLAIN reports the query's template,
-  // whether it is currently cached, and any feedback corrections in force
-  // — and plans under those corrections, so the output matches what
-  // Execute would run.
+  // Plans as Execute does on a plan-cache miss: under the feedback
+  // corrections in force for the template, with the ASK/LIMIT pipelining
+  // downgrade. With the plan cache enabled, EXPLAIN also reports the
+  // query's template and whether it is currently cached.
   cache::PlanCache* pcache = state_->plan_cache.get();
   cache::CanonicalTemplate tmpl;
   std::shared_ptr<const cache::CachedPlan> centry;
-  std::vector<double> corrections;
   if (pcache != nullptr) {
     tmpl = cache::CanonicalizeTemplate(query, bgp, state_->gs.rdf_type_id);
-    if (tmpl.cacheable) {
-      centry = pcache->Peek(tmpl.key);
-      corrections = InstanceCorrections(*pcache, tmpl, bgp.patterns.size());
-    }
+    if (tmpl.cacheable) centry = pcache->Peek(tmpl.key);
   }
-  ASSIGN_OR_RETURN(opt::Plan plan,
-                   PlanQuery(bgp, nullptr, &inferred_anchors,
-                             corrections.empty() ? nullptr : &corrections));
-  ASSIGN_OR_RETURN(phys::PhysicalPlan pplan, PlanPhysicalFor(bgp, plan));
+  const bool cache_eligible = pcache != nullptr && tmpl.cacheable;
+  ASSIGN_OR_RETURN(FreshPlan fresh,
+                   PlanUncached(query, bgp, cache_eligible ? &tmpl : nullptr,
+                                /*life=*/nullptr));
+  PipelineEarlyStop(query, &fresh.phys);
+  const opt::Plan& plan = fresh.plan;
+  const phys::PhysicalPlan& pplan = fresh.phys;
+  const analysis::ShapeCheckResult& check = fresh.check;
 
-  std::string out = "plan (" + plan.provider + " optimizer, query shape: " +
+  std::string out = "plan (" + (fresh.empty ? kStaticEmpty : plan.provider) +
+                    " optimizer, query shape: " +
                     sparql::QueryShapeName(sparql::ClassifyShape(bgp)) + ")\n";
   if (pcache != nullptr) {
     if (!tmpl.cacheable) {
@@ -858,12 +878,13 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
       out += "plan: not cached (template " + tmpl.ShortId() + ")\n";
     }
   }
-  if (!corrections.empty()) {
+  if (!plan.correction_factors.empty()) {
     out += "est: corrected (feedback factors:";
     char buf[48];
-    for (size_t i = 0; i < corrections.size(); ++i) {
-      if (corrections[i] == 1.0) continue;
-      std::snprintf(buf, sizeof(buf), " tp%zu x%.3g", i, corrections[i]);
+    for (size_t i = 0; i < plan.correction_factors.size(); ++i) {
+      if (plan.correction_factors[i] == 1.0) continue;
+      std::snprintf(buf, sizeof(buf), " tp%zu x%.3g", i,
+                    plan.correction_factors[i]);
       out += buf;
     }
     out += ")\n";
@@ -875,9 +896,11 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
   if (state_->options.static_check) {
     out += "static check: " + std::string(analysis::SatisfiabilityName(
                                   check.verdict));
-    if (check.provably_empty()) {
+    if (fresh.empty) {
       out += " (" + check.rule + "; the query returns zero rows without "
-             "executing this plan)";
+             "planning or executing it)";
+    } else if (check.provably_empty()) {
+      out += " (" + check.rule + ")";
     } else if (!check.inferred.empty()) {
       out += " (" + std::to_string(check.inferred.size()) +
              " inferred class anchor(s) feed the estimates below)";
@@ -911,7 +934,7 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
       out += "\n";
     }
   }
-  if (!query.filters.empty()) {
+  if (!query.filters.empty() && !fresh.empty) {
     out += "  + " + std::to_string(query.filters.size()) +
            " filter(s), applied at the earliest step where bound\n";
   }
@@ -931,125 +954,52 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
       obs::MetricsRegistry::Global().GetCounter("engine.explain_analyze");
   AnalyzeResult out;
   obs::QueryTrace& trace = out.trace;
-  trace.query = std::string(sparql);
-
-  Timer total;
-  Timer phase;
-  auto close_phase = [&](obs::Phase done) {
-    trace.AddPhase(done, phase.ElapsedMs());
-    phase.Reset();
-  };
-  sparql::BgpEncoder& encoder = ThreadScratch().encoder;
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query,
-                   sparql::ParseQuery(sparql, &encoder));
-  close_phase(obs::Phase::kParse);
-  const sparql::EncodedBgp bgp = encoder.Finish(state_->graph.dict());
-  close_phase(obs::Phase::kEncode);
-
-  // EXPLAIN ANALYZE executes in full even for provably-empty verdicts — the
-  // profiling run doubles as a live soundness check of the static analyzer.
-  analysis::ShapeCheckResult check;
-  std::unordered_map<sparql::VarId, rdf::TermId> inferred_anchors;
-  if (state_->options.static_check) {
-    check = Checker().Check(query, bgp);
-    trace.static_verdict = analysis::SatisfiabilityName(check.verdict);
-    if (state_->options.infer_constraints) {
-      inferred_anchors = check.InferredAnchors(state_->gs);
-    }
-    close_phase(obs::Phase::kStaticCheck);
-  }
-
-  // Apply any feedback corrections in force for this template so the
-  // profiled plan matches what Execute would run (no cache lookup/insert:
-  // the profiling run always plans fresh).
-  std::vector<double> corrections;
-  if (state_->plan_cache != nullptr) {
-    cache::CanonicalTemplate tmpl =
-        cache::CanonicalizeTemplate(query, bgp, state_->gs.rdf_type_id);
-    if (tmpl.cacheable) {
-      corrections = InstanceCorrections(*state_->plan_cache, tmpl,
-                                        bgp.patterns.size());
-      trace.est_corrected = !corrections.empty();
-    }
-  }
-  ASSIGN_OR_RETURN(opt::Plan plan,
-                   PlanQuery(bgp, &trace.planner, &inferred_anchors,
-                             corrections.empty() ? nullptr : &corrections));
-  ASSIGN_OR_RETURN(phys::PhysicalPlan pplan, PlanPhysicalFor(bgp, plan));
-  // The profiling run is full (no early termination), but an options-level
-  // LIMIT still needs the streaming executor's pushdown.
-  if (state_->options.exec.limit > 0 && pplan.Materializes()) {
-    phys::ForceInlj(&pplan, "pipelined: LIMIT early termination");
-  }
-  close_phase(obs::Phase::kPlan);
-  trace.optimizer = plan.provider;
-  trace.query_shape = sparql::QueryShapeName(sparql::ClassifyShape(bgp));
-  trace.est_total_cost = plan.total_cost;
-
-  // Per-pattern estimate provenance (which statistics source / Table-1
-  // formula produced each TP estimate), for the step annotations.
-  std::vector<card::EstimateDetail> details;
-  if (state_->estimator != nullptr) {
-    details = state_->estimator->EstimateAllDetailed(bgp, &inferred_anchors);
-  }
-  close_phase(obs::Phase::kEstimate);
-
-  // Execute on the profiling executor: true per-step cardinalities (the
-  // paper's TZ Card ground truth) plus probe/scan counters. A local
-  // resource tracker feeds the trace's resources block (EXPLAIN ANALYZE
-  // always reports resource totals, registry or not).
-  obs::ResourceTracker analyze_tracker;
-  exec::ExecOptions eopts = state_->options.exec;
-  eopts.trace = &trace.exec;
-  eopts.resources = &analyze_tracker;
-  exec::ExecResult run;
-  if (pplan.Materializes()) {
-    ASSIGN_OR_RETURN(
-        run, phys::ExecuteBgpPhysical(state_->graph, bgp, pplan, eopts));
-  } else {
-    ASSIGN_OR_RETURN(
-        run, exec::ExecuteBgp(state_->graph, bgp, plan.order, eopts));
-  }
-  close_phase(obs::Phase::kExecute);
-  trace.num_results = run.num_results;
-  trace.timed_out = run.timed_out;
-  trace.cancelled = run.cancelled;
-  trace.resources = analyze_tracker.Snapshot();
-  trace.has_resources = true;
-  FillStepTraces(query, bgp, plan, &pplan, details, run.step_cards, &trace,
-                 /*record=*/!run.timed_out);
-  trace.total_ms = total.ElapsedMs();
-
-  // Live soundness cross-check: a provably-empty verdict that observed any
-  // result is an analyzer bug (counted, never silently ignored — and
-  // captured as a flight-recorder bundle when the recorder is active).
-  if (check.provably_empty() && run.num_results > 0) {
-    static obs::Counter* violations =
-        obs::MetricsRegistry::Global().GetCounter("static_check.violations");
-    violations->Add();
-    obs::EventLog& log = obs::EventLog::Global();
-    if (log.active()) {
-      log.Emit(obs::Event("static_check.violation")
-                   .Str("rule", check.rule)
-                   .Uint("results", run.num_results));
-    }
-    if (state_->sinks.flight != nullptr) {
-      state_->sinks.flight->Record(
-          "static-violation",
-          BuildFlightBundle("static-violation", sparql, obs::Outcome::kOk,
-                            plan, pplan, trace.total_ms, run.num_results,
-                            &trace, &trace.resources, /*cache_template=*/"",
-                            state_->plan_cache.get(), Caller{}));
-    }
-  }
-
+  ASSIGN_OR_RETURN(QueryResult result,
+                   ExecuteInternal(sparql, &trace, Caller{}));
   analyzes->Add();
   out.text = trace.ToTable();
   // Lint and checker findings ride along so .analyze shows why a query was
   // empty or needed a Cartesian product.
-  analysis::Diagnostics lint =
-      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(query, bgp);
-  if (!lint.empty()) out.text += analysis::ToText(lint);
+  ASSIGN_OR_RETURN(analysis::ShapeCheckResult check, StaticCheck(sparql));
+
+  // Live soundness cross-check of a query Execute answered from its static
+  // verdict alone: the textual-order INLJ oracle runs it with its FILTERs,
+  // and any solution it finds is an analyzer bug (counted, never silently
+  // ignored — and captured as a flight-recorder bundle when the recorder
+  // is active).
+  if (result.plan.provider == kStaticEmpty) {
+    ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
+    query.limit.reset();
+    if (query.count_aggregate) CountAsSelectAll(&query);
+    ASSIGN_OR_RETURN(exec::ResultTable oracle,
+                     exec::ExecuteSelect(state_->graph, query,
+                                         state_->options.exec));
+    const uint64_t found = oracle.bgp_matches;
+    out.text += "soundness check: " + trace.static_verdict + " (" +
+                check.rule + "); the textual-order INLJ oracle found " +
+                WithCommas(found) + " solution(s)" +
+                (oracle.timed_out ? " before it was stopped" : "") + "\n";
+    if (found > 0) {
+      static obs::Counter* violations =
+          obs::MetricsRegistry::Global().GetCounter("static_check.violations");
+      violations->Add();
+      obs::EventLog& log = obs::EventLog::Global();
+      if (log.active()) {
+        log.Emit(obs::Event("static_check.violation")
+                     .Str("rule", check.rule)
+                     .Uint("results", found));
+      }
+      if (state_->sinks.flight != nullptr) {
+        state_->sinks.flight->Record(
+            "static-violation",
+            BuildFlightBundle("static-violation", sparql,
+                              obs::Outcome::kStaticEmpty, result.plan,
+                              result.phys, trace.total_ms, found, &trace,
+                              /*resources=*/nullptr, /*cache_template=*/"",
+                              state_->plan_cache.get(), Caller{}));
+      }
+    }
+  }
   if (!check.diagnostics.empty()) {
     out.text += analysis::ToText(check.diagnostics);
   }

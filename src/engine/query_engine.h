@@ -30,6 +30,8 @@
 
 namespace shapestats::engine {
 
+struct FreshPlan;
+
 struct EngineOptions {
   enum class Optimizer {
     kShapeStats,   // SS: annotated SHACL shapes + global stats (default)
@@ -37,6 +39,8 @@ struct EngineOptions {
     kTextual,      // no optimizer: execute patterns in textual order
   };
   Optimizer optimizer = Optimizer::kShapeStats;
+  /// Timeout and row budget of every execution. `exec.limit` must be 0
+  /// (Open fails otherwise): a result limit is the query's own SPARQL LIMIT.
   exec::ExecOptions exec;
   /// Run analysis::PlanVerifier on every plan before execution (cheap,
   /// O(n^2) in the BGP size). A violation means a planner/estimator bug;
@@ -108,9 +112,9 @@ struct QueryResult {
   double total_ms = 0;  // parse + optimize + execute
 };
 
-/// Result of ExplainAnalyze: the query is executed once on the profiling
-/// executor and the plan is annotated with estimated vs. true cardinality,
-/// q-error, and work counters per join step plus per-phase timings.
+/// Result of ExplainAnalyze: the query runs once as a traced Execute and
+/// the plan is annotated with estimated vs. true cardinality, q-error, and
+/// work counters per join step plus per-phase timings.
 struct AnalyzeResult {
   obs::QueryTrace trace;
   /// Human-readable rendering (step table + phases + totals).
@@ -181,8 +185,9 @@ class QueryEngine {
                            const BatchOptions& options = {}) const;
 
   /// Parses and plans without executing; returns a human-readable plan
-  /// description (pattern order with estimates), followed by any lint
-  /// warnings for the query.
+  /// description (pattern order with estimates and the operators Execute
+  /// would run on a plan-cache miss, ASK/LIMIT pipelining included),
+  /// followed by any lint warnings for the query.
   Result<std::string> Explain(std::string_view sparql) const;
 
   /// Static analysis only: parses and encodes the query and runs
@@ -199,10 +204,15 @@ class QueryEngine {
   /// shell's .check expose the same result offline.
   Result<analysis::ShapeCheckResult> StaticCheck(std::string_view sparql) const;
 
-  /// EXPLAIN ANALYZE: plans the query, executes it once on the profiling
-  /// executor, and reports per-step estimated vs. true cardinality with
-  /// q-error, rows scanned and index probes, plus per-phase timings —
-  /// in table and JSON form.
+  /// EXPLAIN ANALYZE: runs the query once as a traced Execute (same
+  /// registry record, plan cache, plan, operators and early termination)
+  /// and reports per-step estimated vs. true cardinality with q-error, rows
+  /// scanned and index probes, plus per-phase timings — in table and JSON
+  /// form, followed by the lint and checker findings. ASK and LIMIT queries
+  /// report their per-step counts up to the early stop. A query Execute
+  /// answers as provably empty is re-run on the textual-order INLJ oracle
+  /// (FILTERs applied); any solution it finds is a checker bug, counted in
+  /// static_check.violations.
   Result<AnalyzeResult> ExplainAnalyze(std::string_view sparql) const;
 
   const rdf::Graph& graph() const { return state_->graph; }
@@ -260,15 +270,16 @@ class QueryEngine {
                                       obs::QueryTrace* trace,
                                       const Caller& caller) const;
 
-  /// The uncached half of planning: the static check (when enabled) and,
-  /// unless it proves the query empty, the join order and physical plan
-  /// into `result` — both stored in the plan cache under `tmpl` when it is
-  /// non-null. Returns true for a provably-empty query.
-  Result<bool> CheckAndPlan(
-      const sparql::ParsedQuery& query, const sparql::EncodedBgp& bgp,
-      const cache::CanonicalTemplate* tmpl, QueryLifecycle* life,
-      std::unordered_map<sparql::VarId, rdf::TermId>* inferred_anchors,
-      QueryResult* result) const;
+  /// The uncached half of planning, shared by Execute (on a plan-cache
+  /// miss) and Explain: the static verdict (when enabled), the checker's
+  /// class anchors, the feedback corrections in force for `tmpl` (when
+  /// non-null), the join order and the physical operators. A provably-empty
+  /// query is not planned. `life` (null for Explain) gets the verdict and
+  /// the plan phase, and its trace the planner counters.
+  Result<FreshPlan> PlanUncached(const sparql::ParsedQuery& query,
+                                 const sparql::EncodedBgp& bgp,
+                                 const cache::CanonicalTemplate* tmpl,
+                                 QueryLifecycle* life) const;
 
   /// `inferred` optionally carries the static checker's proven class
   /// anchors, merged into the estimator's rdf:type anchors for this query.
@@ -291,14 +302,12 @@ class QueryEngine {
   analysis::ShapeChecker Checker() const;
 
   /// Builds trace->steps from the plan, the per-pattern estimate details,
-  /// and the executor's measured per-step cardinalities (also classifying
-  /// each step's join type), then records the steps into the ledger when
-  /// `record` is set and emits per-step events.
-  /// `pplan` (may be null for short-circuited paths) stamps each step's
-  /// physical operator and build/probe estimates onto the trace.
-  void FillStepTraces(const sparql::ParsedQuery& query,
-                      const sparql::EncodedBgp& bgp, const opt::Plan& plan,
-                      const phys::PhysicalPlan* pplan,
+  /// and the executor's measured per-step cardinalities, with each step's
+  /// physical operator and build/probe estimates from `pplan`, then records
+  /// the steps into the ledger when `record` is set and emits per-step
+  /// events.
+  void FillStepTraces(const sparql::ParsedQuery& query, const opt::Plan& plan,
+                      const phys::PhysicalPlan& pplan,
                       const std::vector<card::EstimateDetail>& details,
                       const std::vector<uint64_t>& true_cards,
                       obs::QueryTrace* trace, bool record) const;

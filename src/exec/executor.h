@@ -29,7 +29,10 @@ struct ExecOptions {
   /// counter that advances per index probe and per scanned triple, so
   /// queries stuck producing zero rows still time out.
   double timeout_ms = 0;
-  /// If > 0, stop after this many result rows (SPARQL LIMIT).
+  /// If > 0, exec::ExecuteBgp stops once this many results are counted.
+  /// Only ExecuteBgp reads it: ExecuteSelect applies the query's own LIMIT,
+  /// the physical executor rejects it, and QueryEngine::Open rejects a
+  /// non-zero value.
   uint64_t limit = 0;
   /// Optional per-step probe/scan counters. When null (the default) the
   /// executor only maintains scalar totals for the global metrics registry.

@@ -55,8 +55,7 @@ struct StepTrace {
   std::string source;        // statistics source: "shape" | "global" | "textual"
   std::string formula;       // Table-1 case that produced the TP estimate
   /// Physical operator: "scan" (first step) | "inlj" | "merge" | "product"
-  /// (see phys::OpName). Textual fallbacks without a physical plan report
-  /// "join" for every non-first, non-Cartesian step.
+  /// (see phys::OpName).
   std::string join_type;
   double tp_est = 0;         // per-pattern estimated cardinality
   double est_card = 0;       // estimated cardinality after this join step

@@ -156,7 +156,7 @@ class PhysEvaluator {
   template <typename T>
   using Counted = std::vector<T, obs::CountingAllocator<T>>;
 
-  PhysEvaluator(const rdf::Graph& graph, const ParsedQuery* query,
+  PhysEvaluator(const rdf::Graph& graph, const ParsedQuery& query,
                 const EncodedBgp& bgp, const PhysicalPlan& pplan,
                 const exec::ExecOptions& options)
       : graph_(graph),
@@ -170,28 +170,13 @@ class PhysEvaluator {
         order_(JoinOrder(pplan)),
         rows_(obs::CountingAllocator<TermId>(account_)),
         next_rows_(obs::CountingAllocator<TermId>(account_)),
-        prefix_bound_(bgp.NumVars(), false),
-        produced_(pplan.steps.size(), 0) {}
+        prefix_bound_(bgp.NumVars(), false) {}
 
-  Result<exec::ExecResult> RunBgp() {
-    filters_.by_depth.resize(order_.size());  // BGP counting: no filters
-    Execute();
-    exec::ExecResult res;
-    res.step_cards = produced_;
-    res.num_results = produced_.empty() ? 0 : produced_.back();
-    res.timed_out = meter_.timed_out();
-    res.cancelled = meter_.cancelled();
-    res.row_capped = meter_.row_capped();
-    res.elapsed_ms = meter_.ElapsedMs();
-    meter_.Finish(exec::RunKind::kPhys);
-    return res;
-  }
-
-  Result<exec::ResultTable> RunSelect() {
+  Result<exec::ResultTable> Run() {
     ASSIGN_OR_RETURN(exec::SelectShape shape,
-                     exec::PrepareSelectShape(*query_, bgp_));
+                     exec::PrepareSelectShape(query_, bgp_));
     shape_ = std::move(shape);
-    ASSIGN_OR_RETURN(filters_, exec::EncodeFilters(*query_, bgp_, order_));
+    ASSIGN_OR_RETURN(filters_, exec::EncodeFilters(query_, bgp_, order_));
     if (!filters_.unsatisfiable && !order_.empty()) Execute();
     exec::ResultTable table;
     table.var_names = shape_.var_names;
@@ -208,7 +193,7 @@ class PhysEvaluator {
       if (shape_.order_var) order_keys.push_back(row[*shape_.order_var]);
       table.rows.push_back(std::move(out));
     }
-    RETURN_NOT_OK(exec::ApplyModifiers(*query_, graph_.dict(), &table.rows,
+    RETURN_NOT_OK(exec::ApplyModifiers(query_, graph_.dict(), &table.rows,
                                        &order_keys));
     table.timed_out = meter_.timed_out();
     table.cancelled = meter_.cancelled();
@@ -282,7 +267,11 @@ class PhysEvaluator {
   // order, each group in run order: that is the depth-first order, since
   // every run is sorted by its free components in MatchOrder sequence
   // (DESIGN.md §9).
-  void MergeStep(size_t k, const PhysicalStep& st, const EncodedPattern& tp) {
+  // Kept out of line: gcc 12 -O2 otherwise inlines it, with the radix
+  // sort, into the step loop, and lubm-analytic qps drops ~10%
+  // (interleaved shapebench runs on an AMD EPYC host).
+  [[gnu::noinline]] void MergeStep(size_t k, const PhysicalStep& st,
+                                   const EncodedPattern& tp) {
     const int jp = st.join_pos;
     const sparql::VarId jv = st.join_var;
     const std::span<const Triple> run =
@@ -385,7 +374,6 @@ class PhysEvaluator {
   // semantics) and applies the intermediate-row abort.
   bool ProduceCheck(size_t k, const TermId* lrow, const Triple& t) {
     if (!prog_.Check(lrow, t)) return false;
-    ++produced_[k];
     meter_.Produce(k);
     return true;
   }
@@ -433,7 +421,7 @@ class PhysEvaluator {
   }
 
   const rdf::Graph& graph_;
-  const ParsedQuery* query_;  // null in BGP-counting mode
+  const ParsedQuery& query_;
   const EncodedBgp& bgp_;
   const PhysicalPlan& pplan_;
   exec::WorkMeter meter_;
@@ -447,38 +435,24 @@ class PhysEvaluator {
   size_t next_count_ = 0;
   std::vector<bool> prefix_bound_;    // variables bound by steps 0..k-1
   BindProgram prog_{};                // the current step's bind program
-  std::vector<uint64_t> produced_;    // per-step true cardinality
 
-  exec::SelectShape shape_;  // select mode only
+  exec::SelectShape shape_;
   exec::FilterPlan filters_;
 };
 
-Status ValidatePhysical(const rdf::Graph& graph, const EncodedBgp& bgp,
-                        const PhysicalPlan& pplan,
-                        const exec::ExecOptions& options) {
+}  // namespace
+
+Result<exec::ResultTable> ExecuteSelectPhysical(
+    const rdf::Graph& graph, const ParsedQuery& query, const EncodedBgp& bgp,
+    const PhysicalPlan& pplan, const exec::ExecOptions& options) {
   if (options.limit > 0) {
     return Status::InvalidArgument(
         "the physical executor does not support LIMIT pushdown; use the "
         "streaming executor for early termination");
   }
-  return exec::CheckJoinOrder(graph, bgp.patterns.size(), JoinOrder(pplan));
-}
-
-}  // namespace
-
-Result<exec::ExecResult> ExecuteBgpPhysical(const rdf::Graph& graph,
-                                            const EncodedBgp& bgp,
-                                            const PhysicalPlan& pplan,
-                                            const exec::ExecOptions& options) {
-  RETURN_NOT_OK(ValidatePhysical(graph, bgp, pplan, options));
-  return PhysEvaluator(graph, nullptr, bgp, pplan, options).RunBgp();
-}
-
-Result<exec::ResultTable> ExecuteSelectPhysical(
-    const rdf::Graph& graph, const ParsedQuery& query, const EncodedBgp& bgp,
-    const PhysicalPlan& pplan, const exec::ExecOptions& options) {
-  RETURN_NOT_OK(ValidatePhysical(graph, bgp, pplan, options));
-  return PhysEvaluator(graph, &query, bgp, pplan, options).RunSelect();
+  RETURN_NOT_OK(
+      exec::CheckJoinOrder(graph, bgp.patterns.size(), JoinOrder(pplan)));
+  return PhysEvaluator(graph, query, bgp, pplan, options).Run();
 }
 
 }  // namespace shapestats::phys

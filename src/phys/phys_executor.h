@@ -5,10 +5,10 @@
 //
 // Result contract: for every well-formed physical plan over the same join
 // order, the output is byte-for-byte identical to the depth-first INLJ
-// executor (exec::ExecuteBgp / exec::ExecuteSelect) — same rows in the
-// same order. A merge step emits its left rows in order, each with its
-// group of the sorted index run in run order, which is already the order
-// the INLJ probe would have produced (see DESIGN.md §9 for the argument).
+// executor (exec::ExecuteSelect) — same rows in the same order. A merge
+// step emits its left rows in order, each with its group of the sorted
+// index run in run order, which is already the order the INLJ probe would
+// have produced (see DESIGN.md §9 for the argument).
 //
 // Probe, scan and row accounting, the timeout, row budget and
 // cancellation checks, the ExecTrace and the exec.* counters go through
@@ -30,17 +30,12 @@
 
 namespace shapestats::phys {
 
-/// Executes the BGP with the physical plan's operators, counting the true
-/// cardinality of every intermediate result (the profiling twin of
-/// exec::ExecuteBgp). `pplan.steps[k].pattern` defines the join order.
-Result<exec::ExecResult> ExecuteBgpPhysical(const rdf::Graph& graph,
-                                            const sparql::EncodedBgp& bgp,
-                                            const PhysicalPlan& pplan,
-                                            const exec::ExecOptions& options = {});
-
 /// Executes a full SELECT query (filters + DISTINCT / ORDER BY / OFFSET /
-/// LIMIT as post-modifiers) with the physical plan's operators. `bgp` must
-/// be the encoding of `query` against `graph.dict()`.
+/// LIMIT as post-modifiers) with the physical plan's operators.
+/// `pplan.steps[k].pattern` defines the join order, and `bgp` must be the
+/// encoding of `query` against `graph.dict()`. With `options.trace` set,
+/// ExecTrace::step_rows_produced counts each step's bindings (post-bind,
+/// pre-filter), as the depth-first executor does.
 Result<exec::ResultTable> ExecuteSelectPhysical(
     const rdf::Graph& graph, const sparql::ParsedQuery& query,
     const sparql::EncodedBgp& bgp, const PhysicalPlan& pplan,

@@ -646,5 +646,43 @@ TEST_F(IntrospectEngineFixture, CancellationStopsARunningQuery) {
   EXPECT_TRUE(found) << "cancelled query missing from the completed ring";
 }
 
+TEST_F(IntrospectEngineFixture, ExplainAnalyzeIsRegisteredAndCancellable) {
+  // EXPLAIN ANALYZE runs on Execute's lifecycle: the query is visible in
+  // flight, and a cancellation stops it like any other execution.
+  constexpr char kSlowQuery[] =
+      "SELECT (COUNT(*) AS ?m) WHERE { ?a ?p ?o . ?b ?q ?r }";
+  QueryRegistry* registry = engine_->query_registry();
+  ASSERT_NE(registry, nullptr);
+
+  std::thread runner([&]() {
+    auto analyzed = engine_->ExplainAnalyze(kSlowQuery);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_TRUE(analyzed->trace.cancelled);
+    EXPECT_NE(analyzed->text.find("[CANCELLED]"), std::string::npos)
+        << analyzed->text;
+  });
+
+  uint64_t id = 0;
+  for (int spin = 0; spin < 10000 && id == 0; ++spin) {
+    for (const QueryRecord& q : registry->Inflight()) {
+      if (q.query == kSlowQuery) id = q.id;
+    }
+    if (id == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_NE(id, 0u) << "EXPLAIN ANALYZE never appeared in the registry";
+  EXPECT_TRUE(registry->Cancel(id));
+  runner.join();
+
+  bool found = false;
+  for (const QueryRecord& q : registry->Completed(8)) {
+    if (q.id == id) {
+      found = true;
+      EXPECT_EQ(q.outcome, "cancelled");
+    }
+  }
+  EXPECT_TRUE(found) << "cancelled EXPLAIN ANALYZE missing from the completed "
+                        "ring";
+}
+
 }  // namespace
 }  // namespace shapestats

@@ -8,11 +8,13 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <thread>
 
 #include "datagen/lubm.h"
+#include "datagen/yago.h"
 #include "engine/query_engine.h"
 #include "exec/executor.h"
 #include "exec/work_meter.h"
@@ -388,12 +390,12 @@ TEST(ExplainAnalyze, PhaseSpansPopulatedAndNonNegative) {
   auto analyzed = eng.ExplainAnalyze(kTinyQuery);
   ASSERT_TRUE(analyzed.ok());
   const obs::QueryTrace& trace = analyzed->trace;
-  for (const char* name :
-       {"parse", "encode", "static-check", "plan", "estimate", "execute"}) {
+  for (const char* name : {"parse", "encode", "analyze", "static-check",
+                           "plan", "estimate", "execute"}) {
     double ms = trace.PhaseMs(name);
     EXPECT_GE(ms, 0.0) << "phase " << name << " missing or negative";
   }
-  EXPECT_EQ(trace.phases.size(), 6u);
+  EXPECT_EQ(trace.phases.size(), 7u);
   EXPECT_GE(trace.total_ms, 0.0);
 }
 
@@ -1232,6 +1234,132 @@ TEST(ExplainAnalyze, FeedsAccuracyLedgerAndClassifiesJoinTypes) {
   }
   EXPECT_NE(analyzed->json.find("\"join_type\":\"scan\""), std::string::npos);
   EXPECT_EQ(eng.accuracy_ledger().num_queries(), 1u);
+}
+
+TEST(ExplainAnalyze, EmptyVerdictIsCheckedWithTheQueryFilters) {
+  // FILTER(?x != ?x) over a bound ?x rejects every binding, so the
+  // checker's empty verdict is right. The oracle that checks the verdict
+  // applies the FILTER (and, for ASK and COUNT(*), runs the SELECT * form
+  // without LIMIT): it finds no solution and counts no violation.
+  engine::QueryEngine eng = OpenTiny();
+  obs::Counter* violations =
+      obs::MetricsRegistry::Global().GetCounter("static_check.violations");
+  const uint64_t before = violations->value();
+  for (const char* head :
+       {"SELECT *", "ASK", "SELECT (COUNT(*) AS ?n)", "SELECT ?x"}) {
+    const std::string query = std::string("PREFIX ex: <http://ex/>\n") + head +
+                              " WHERE { ?x a ex:Student FILTER(?x != ?x) }";
+    SCOPED_TRACE(query);
+    auto analyzed = eng.ExplainAnalyze(query);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_EQ(analyzed->trace.static_verdict, "empty");
+    EXPECT_TRUE(analyzed->trace.steps.empty());
+    EXPECT_NE(analyzed->text.find("soundness check: empty "
+                                  "(check.filter-contradiction); the "
+                                  "textual-order INLJ oracle found 0 "
+                                  "solution(s)\n"),
+              std::string::npos)
+        << analyzed->text;
+  }
+  EXPECT_EQ(violations->value(), before);
+}
+
+// --- EXPLAIN and EXPLAIN ANALYZE describe what Execute runs ------------------
+
+// A benchmark query ("... SELECT * WHERE { ... }\n") as written, with
+// LIMIT 5, as ASK, and as COUNT(*) without and with LIMIT 5 (which bounds
+// the count's one row, not the rows it counts).
+std::vector<std::string> QueryForms(const std::string& text) {
+  const std::string head = "SELECT * WHERE";
+  const size_t at = text.find(head);
+  EXPECT_NE(at, std::string::npos) << text;
+  if (at == std::string::npos) return {};
+  auto with_head = [&](const std::string& h) {
+    return text.substr(0, at) + h + text.substr(at + head.size());
+  };
+  const std::string count = with_head("SELECT (COUNT(*) AS ?n) WHERE");
+  return {text, text + "LIMIT 5", with_head("ASK WHERE"), count,
+          count + "LIMIT 5"};
+}
+
+// The operators of EXPLAIN's "join mode: <mode> -> <operators>" line; empty
+// when it prints none (a query answered without a plan).
+std::string ExplainedOperators(const std::string& explain) {
+  size_t at = explain.find("join mode: ");
+  if (at == std::string::npos) return "";
+  at = explain.find(" -> ", at) + 4;
+  return explain.substr(at, explain.find('\n', at) - at);
+}
+
+// Runs every form of every query on two engines opened alike, kept in
+// lockstep so their plan caches and feedback stores stay equal: EXPLAIN's
+// operators must be those Execute runs, and EXPLAIN ANALYZE's steps those
+// of a traced Execute.
+void ExpectExplainsAgreeWithExecute(
+    const std::function<rdf::Graph()>& make_graph,
+    const std::vector<workload::BenchQuery>& queries) {
+  for (auto cache : {engine::EngineOptions::PlanCacheMode::kOff,
+                     engine::EngineOptions::PlanCacheMode::kOn}) {
+    SCOPED_TRACE(cache == engine::EngineOptions::PlanCacheMode::kOn
+                     ? "plan cache on"
+                     : "plan cache off");
+    engine::EngineOptions options;
+    options.join_mode = phys::JoinMode::kAuto;
+    options.plan_cache = cache;
+    auto analyzed_eng = engine::QueryEngine::Open(make_graph(), options);
+    auto traced_eng = engine::QueryEngine::Open(make_graph(), options);
+    ASSERT_TRUE(analyzed_eng.ok()) << analyzed_eng.status().ToString();
+    ASSERT_TRUE(traced_eng.ok()) << traced_eng.status().ToString();
+    for (const workload::BenchQuery& bq : queries) {
+      for (const std::string& q : QueryForms(bq.text)) {
+        SCOPED_TRACE(bq.label + ": " + q);
+        auto explain = analyzed_eng->Explain(q);
+        auto run = analyzed_eng->Execute(q);
+        auto twin_run = traced_eng->Execute(q);
+        ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        ASSERT_TRUE(twin_run.ok()) << twin_run.status().ToString();
+        EXPECT_EQ(ExplainedOperators(*explain), run->phys.Summary()) << *explain;
+
+        auto analyzed = analyzed_eng->ExplainAnalyze(q);
+        obs::QueryTrace trace;
+        auto traced = traced_eng->Execute(q, &trace);
+        ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+        ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+        EXPECT_EQ(analyzed->trace.num_results, trace.num_results);
+        ASSERT_EQ(analyzed->trace.steps.size(), trace.steps.size());
+        for (size_t k = 0; k < trace.steps.size(); ++k) {
+          EXPECT_EQ(analyzed->trace.steps[k].join_type,
+                    trace.steps[k].join_type)
+              << "step " << k;
+          EXPECT_EQ(analyzed->trace.steps[k].true_card,
+                    trace.steps[k].true_card)
+              << "step " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(ExplainAgreement, LubmBenchmarkQueriesInEveryForm) {
+  ExpectExplainsAgreeWithExecute(
+      [] {
+        datagen::LubmOptions o;
+        o.universities = 1;
+        o.seed = 1;
+        return datagen::GenerateLubm(o);
+      },
+      workload::LubmQueries());
+}
+
+TEST(ExplainAgreement, YagoBenchmarkQueriesInEveryForm) {
+  ExpectExplainsAgreeWithExecute(
+      [] {
+        datagen::YagoOptions o;
+        o.seed = 1;
+        return datagen::GenerateYago(o);
+      },
+      workload::YagoQueries());
 }
 
 }  // namespace

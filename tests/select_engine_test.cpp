@@ -379,6 +379,21 @@ TEST(EngineOpenTest, RejectsUnfinalizedGraph) {
   EXPECT_FALSE(engine::QueryEngine::Open(std::move(g)).ok());
 }
 
+// A result limit is the query's own SPARQL LIMIT: no executor the engine
+// runs reads EngineOptions::exec.limit, so Open rejects a non-zero value
+// instead of ignoring it.
+TEST(EngineOpenTest, RejectsAnExecLimit) {
+  rdf::Graph g;
+  g.Finalize();
+  engine::EngineOptions opts;
+  opts.exec.limit = 3;
+  auto eng = engine::QueryEngine::Open(std::move(g), opts);
+  ASSERT_FALSE(eng.ok());
+  EXPECT_EQ(eng.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(eng.status().message().find("SPARQL LIMIT"), std::string::npos)
+      << eng.status().ToString();
+}
+
 TEST(EngineOpenTest, MissingFileSurfacesIOError) {
   auto r = engine::QueryEngine::FromNTriplesFile("/no/such/file.nt");
   ASSERT_FALSE(r.ok());
