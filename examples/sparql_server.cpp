@@ -11,15 +11,15 @@
 //     --queue-limit N     waiting requests beyond this are shed 503 (default 32)
 //     --queue-wait-ms MS  max time a request may wait for a slot (default 2000)
 //     --timeout-ms MS     per-query execution timeout (default 10000; 0 = none)
-//     --slow-ms MS        slow-query log latency threshold (default 250)
-//     --slow-log FILE     slow-query JSONL path (default: SHAPESTATS_SLOW_QUERY_LOG)
 //     --plan-cache B      on|off: template plan cache + feedback-corrected
 //                         estimates (default: SHAPESTATS_PLAN_CACHE)
 //     --universities N    size of the generated demo dataset (default 2)
 //
 // Routes: /sparql /explain /metrics /healthz /accuracy (see DESIGN.md §8),
 // plus the introspection plane /debug/queries, /debug/queries/<id>/cancel,
-// /debug/flightrecorder, /debug/build (see DESIGN.md §12).
+// /debug/flightrecorder, /debug/build (see DESIGN.md §12). Slow requests
+// are captured by the flight recorder: set SHAPESTATS_FLIGHT_DIR and
+// SHAPESTATS_FLIGHT_SLOW_MS to write each one as a `slow` bundle file.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -72,10 +72,6 @@ int main(int argc, char** argv) {
       opts.admission.max_queue_wait_ms = std::atof(next());
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
       timeout_ms = std::atof(next());
-    } else if (std::strcmp(argv[i], "--slow-ms") == 0) {
-      opts.slow_query_ms = std::atof(next());
-    } else if (std::strcmp(argv[i], "--slow-log") == 0) {
-      opts.slow_query_log = next();
     } else if (std::strcmp(argv[i], "--plan-cache") == 0) {
       const char* v = next();
       if (std::strcmp(v, "on") == 0) {
@@ -132,11 +128,9 @@ int main(int argc, char** argv) {
   std::printf("introspection: registry %s, flight recorder %s\n",
               eng.query_registry() != nullptr ? "on" : "off",
               eng.flight_recorder() != nullptr ? "armed" : "off");
-  std::printf("admission: max-inflight %llu, queue %llu, slow-query %s >= %.0f ms\n",
+  std::printf("admission: max-inflight %llu, queue %llu\n",
               static_cast<unsigned long long>(opts.admission.max_inflight),
-              static_cast<unsigned long long>(opts.admission.queue_limit),
-              srv.slow_query_log().enabled() ? "logged" : "counted",
-              opts.slow_query_ms);
+              static_cast<unsigned long long>(opts.admission.queue_limit));
   std::fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);

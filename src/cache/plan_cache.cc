@@ -45,8 +45,7 @@ std::shared_ptr<const CachedPlan> PlanCache::Get(const std::string& key) {
     util::MutexLock lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
-      if (it->second->second->stats_epoch == epoch_ &&
-          !Stale(*it->second->second)) {
+      if (!Stale(*it->second->second)) {
         lru_.splice(lru_.begin(), lru_, it->second);
         hit = it->second->second;
         ++hits_;
@@ -84,7 +83,7 @@ std::shared_ptr<const CachedPlan> PlanCache::Peek(
   auto it = index_.find(key);
   if (it == index_.end()) return nullptr;
   const auto& entry = it->second->second;
-  if (entry->stats_epoch != epoch_ || Stale(*entry)) return nullptr;
+  if (Stale(*entry)) return nullptr;
   return entry;
 }
 
@@ -93,7 +92,6 @@ void PlanCache::Put(const std::string& key, std::shared_ptr<CachedPlan> entry) {
   std::string inserted_id;
   {
     util::MutexLock lock(mu_);
-    entry->stats_epoch = epoch_;
     inserted_id = entry->short_id;
     auto it = index_.find(key);
     if (it != index_.end()) {
@@ -151,21 +149,6 @@ size_t PlanCache::RecordFeedback(
     }
   }
   return published;
-}
-
-void PlanCache::InvalidateAll() {
-  util::MutexLock lock(mu_);
-  ++epoch_;
-  invalidations_ += index_.size();
-  m_invalidations_->Add(index_.size());
-  lru_.clear();
-  index_.clear();
-  PublishGauges(0, hits_, misses_);
-}
-
-uint64_t PlanCache::stats_epoch() const {
-  util::MutexLock lock(mu_);
-  return epoch_;
 }
 
 size_t PlanCache::size() const {

@@ -7,13 +7,12 @@
 // into the instance's pattern/variable numbering and goes straight to
 // execution.
 //
-// Entries are validated on every lookup against (a) the cache's stats
-// epoch (bumped by InvalidateAll when statistics change) and (b) the
-// owned FeedbackStore's per-template version: a published estimate
-// correction bumps the version, so the next lookup of that template
-// misses, re-plans under the corrected estimates — possibly flipping the
-// join order or an operator — and re-inserts. Eviction is LRU with a
-// fixed capacity.
+// The graph and statistics are immutable after QueryEngine::Open, so the
+// only invalidation is the owned FeedbackStore's per-template version,
+// checked on every lookup: a published estimate correction bumps the
+// version, so the next lookup of that template misses, re-plans under the
+// corrected estimates — possibly flipping the join order or an operator —
+// and re-inserts. Eviction is LRU with a fixed capacity.
 //
 // Thread safety: all public methods are safe for concurrent use
 // (ExecuteBatch runs queries on a pool); entries are immutable once
@@ -72,8 +71,6 @@ struct CachedPlan {
   std::vector<double> corrections;
   /// FeedbackStore::Version at plan time; a newer version invalidates.
   uint64_t feedback_version = 0;
-  /// PlanCache::stats_epoch at plan time.
-  uint64_t stats_epoch = 0;
 };
 
 class PlanCache {
@@ -106,8 +103,8 @@ class PlanCache {
   explicit PlanCache(Options opts);
 
   /// Looks up a canonical key, counting a hit or miss. A stale entry
-  /// (stats epoch or feedback version behind) is erased and counted as an
-  /// invalidation + miss.
+  /// (feedback version behind) is erased and counted as an invalidation +
+  /// miss.
   std::shared_ptr<const CachedPlan> Get(const std::string& key);
 
   /// Lookup without touching LRU order or hit/miss counters, but with the
@@ -115,7 +112,7 @@ class PlanCache {
   std::shared_ptr<const CachedPlan> Peek(const std::string& key) const;
 
   /// Inserts (or replaces) an entry, evicting the least-recently-used
-  /// entry beyond capacity. Stamps the entry's stats_epoch.
+  /// entry beyond capacity.
   void Put(const std::string& key, std::shared_ptr<CachedPlan> entry);
 
   /// Counts a query that could not be cached (empty BGP, missing
@@ -130,11 +127,6 @@ class PlanCache {
   size_t RecordFeedback(uint64_t template_hash,
                         const std::vector<FeedbackStore::Sample>& samples);
 
-  /// Drops every entry by bumping the stats epoch (entries are erased
-  /// lazily on lookup) and clearing the map eagerly.
-  void InvalidateAll();
-
-  uint64_t stats_epoch() const;
   size_t size() const;
   StatsSnapshot stats() const;
 
@@ -142,7 +134,7 @@ class PlanCache {
   const FeedbackStore& feedback() const { return feedback_; }
 
  private:
-  /// True when `entry` is stale under the current epoch/feedback version.
+  /// True when `entry` is stale under the current feedback version.
   bool Stale(const CachedPlan& entry) const;
   void PublishGauges(size_t size, uint64_t hits, uint64_t misses) const;
 
@@ -155,7 +147,6 @@ class PlanCache {
   LruList lru_ SHAPESTATS_GUARDED_BY(mu_);  // front = most recent
   std::unordered_map<std::string, LruList::iterator> index_
       SHAPESTATS_GUARDED_BY(mu_);
-  uint64_t epoch_ SHAPESTATS_GUARDED_BY(mu_) = 1;
   uint64_t hits_ SHAPESTATS_GUARDED_BY(mu_) = 0;
   uint64_t misses_ SHAPESTATS_GUARDED_BY(mu_) = 0;
   uint64_t evictions_ SHAPESTATS_GUARDED_BY(mu_) = 0;

@@ -35,6 +35,9 @@ Sinks Sinks::Resolve(obs::QueryRegistry* registry, obs::FlightRecorder* flight,
   s.queries = metrics.GetCounter("engine.queries");
   s.short_circuits = metrics.GetCounter("static_check.short_circuits");
   s.query_ms = metrics.GetHistogram("engine.query_ms");
+  s.phys_plans = metrics.GetCounter("phys.plans");
+  s.phys_merge_steps = metrics.GetCounter("phys.merge_steps");
+  s.phys_inlj_steps = metrics.GetCounter("phys.inlj_steps");
   s.index_probes = metrics.GetHistogram("exec.query_index_probes");
   s.rows_scanned = metrics.GetHistogram("exec.query_rows_scanned");
   s.rows_materialized = metrics.GetHistogram("exec.query_rows_materialized");
@@ -126,6 +129,17 @@ void QueryLifecycle::Planned(QueryResult* result, exec::ExecOptions* eopts) {
     }
     eopts->trace = &trace_->exec;
   }
+  // Counted from the plan that runs (after the ASK/LIMIT downgrade, on
+  // cache hits and misses alike).
+  uint64_t merges = 0;
+  uint64_t inljs = 0;
+  for (const phys::PhysicalStep& step : result->phys.steps) {
+    merges += step.op == phys::OpKind::kMerge;
+    inljs += step.op == phys::OpKind::kInlj;
+  }
+  sinks_.phys_plans->Add();
+  sinks_.phys_merge_steps->Add(merges);
+  sinks_.phys_inlj_steps->Add(inljs);
   if (sinks_.log->active()) {
     obs::Event ev("query.plan");
     ev.Str("optimizer", plan.provider)
@@ -188,8 +202,9 @@ void QueryLifecycle::Report(const QueryResult& result, obs::Outcome outcome,
   if (outcome == obs::Outcome::kStaticEmpty) sinks_.short_circuits->Add();
   reg_.Complete(outcome, num_results, obs::ToMonotonicUs(end_) / 1e3);
   // Flight-recorder anomaly triggers: cancellation, latency over the slow
-  // threshold, or a per-step q-error over the threshold (traced runs only —
-  // untraced runs have no step annotations to judge).
+  // threshold, or a per-step q-error over the threshold (exact traced runs
+  // only — untraced runs have no step annotations to judge, and early-
+  // stopped or truncated runs have no q-errors).
   if (obs::FlightRecorder* fr = sinks_.flight; fr != nullptr) {
     const char* trigger = nullptr;
     if (outcome == obs::Outcome::kCancelled) {

@@ -56,6 +56,10 @@ struct Sinks {
   obs::Counter* queries = nullptr;
   obs::Counter* short_circuits = nullptr;
   obs::Histogram* query_ms = nullptr;
+  // Physical plans executed and their join operators, as they ran.
+  obs::Counter* phys_plans = nullptr;
+  obs::Counter* phys_merge_steps = nullptr;
+  obs::Counter* phys_inlj_steps = nullptr;
   // Per-query resource distributions of executed queries.
   obs::Histogram* index_probes = nullptr;
   obs::Histogram* rows_scanned = nullptr;
@@ -97,7 +101,8 @@ class QueryLifecycle {
   void Verdict(analysis::Satisfiability verdict,
                const analysis::ShapeCheckResult* check);
   /// The plan is final: stamps plan_ms, hands the executor the trace's
-  /// counters, emits query.plan and records the step count.
+  /// counters, counts the physical plan's join operators, emits query.plan
+  /// and records the step count.
   void Planned(QueryResult* result, exec::ExecOptions* eopts);
 
   /// The one finish path, for every outcome: closes the last phase, stamps

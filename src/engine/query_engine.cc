@@ -510,7 +510,7 @@ void QueryEngine::FillStepTraces(const sparql::ParsedQuery& query,
     }
     step.est_card = k < plan.step_estimates.size() ? plan.step_estimates[k] : 0;
     step.true_card = k < true_cards.size() ? true_cards[k] : 0;
-    step.q_error = state_->estimator != nullptr
+    step.q_error = record && state_->estimator != nullptr
                        ? obs::QError(step.est_card,
                                      static_cast<double>(step.true_card))
                        : std::numeric_limits<double>::quiet_NaN();
@@ -666,8 +666,8 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
   }
   life.Finish(&result, outcome, num_results, [&] {
     // ASK probes, LIMIT and truncated runs stop early, so their per-step
-    // counts are not true cardinalities: they get step annotations but
-    // stay out of the accuracy ledger and the feedback loop.
+    // counts are not true cardinalities: they get step annotations without
+    // q-errors and stay out of the accuracy ledger and the feedback loop.
     const std::vector<uint64_t>& truth = trace->exec.step_rows_produced;
     const bool exact = !is_ask && !has_limit &&
                        outcome == obs::Outcome::kOk && !truth.empty();

@@ -208,11 +208,12 @@ class QueryEngine {
   /// registry record, plan cache, plan, operators and early termination)
   /// and reports per-step estimated vs. true cardinality with q-error, rows
   /// scanned and index probes, plus per-phase timings — in table and JSON
-  /// form, followed by the lint and checker findings. ASK and LIMIT queries
-  /// report their per-step counts up to the early stop. A query Execute
-  /// answers as provably empty is re-run on the textual-order INLJ oracle
-  /// (FILTERs applied); any solution it finds is a checker bug, counted in
-  /// static_check.violations.
+  /// form, followed by the lint and checker findings. ASK, LIMIT and
+  /// truncated runs report their per-step counts up to the early stop, and
+  /// their q-errors as n/a (those counts are not true cardinalities). A
+  /// query Execute answers as provably empty is re-run on the textual-order
+  /// INLJ oracle (FILTERs applied); any solution it finds is a checker bug,
+  /// counted in static_check.violations.
   Result<AnalyzeResult> ExplainAnalyze(std::string_view sparql) const;
 
   const rdf::Graph& graph() const { return state_->graph; }
@@ -305,7 +306,8 @@ class QueryEngine {
   /// and the executor's measured per-step cardinalities, with each step's
   /// physical operator and build/probe estimates from `pplan`, then records
   /// the steps into the ledger when `record` is set and emits per-step
-  /// events.
+  /// events. `record` marks an exact run: without it the counts stopped
+  /// early, and every step's q-error is NaN.
   void FillStepTraces(const sparql::ParsedQuery& query, const opt::Plan& plan,
                       const phys::PhysicalPlan& pplan,
                       const std::vector<card::EstimateDetail>& details,

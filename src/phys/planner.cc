@@ -3,7 +3,6 @@
 #include <optional>
 #include <string>
 
-#include "obs/metrics.h"
 #include "util/string_util.h"
 
 namespace shapestats::phys {
@@ -39,14 +38,6 @@ std::string MergeRunName(const EncodedPattern& tp, int pos) {
 PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
                           const rdf::Graph& /*graph*/,
                           const PlannerOptions& options) {
-  static obs::Counter* plans =
-      obs::MetricsRegistry::Global().GetCounter("phys.plans");
-  static obs::Counter* merge_steps =
-      obs::MetricsRegistry::Global().GetCounter("phys.merge_steps");
-  static obs::Counter* inlj_steps =
-      obs::MetricsRegistry::Global().GetCounter("phys.inlj_steps");
-  plans->Add();
-
   PhysicalPlan out;
   out.mode = ResolveJoinMode(options.mode);
   const bool has_est = plan.step_estimates.size() == plan.order.size() &&
@@ -154,11 +145,6 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
       }
     }
 
-    switch (st.op) {
-      case OpKind::kMerge: merge_steps->Add(); break;
-      case OpKind::kInlj: inlj_steps->Add(); break;
-      default: break;
-    }
     for (int pos : {0, 1, 2}) {
       if (std::optional<VarId> v = VarAt(tp, pos)) bound[*v] = true;
     }

@@ -196,52 +196,14 @@ int64_t AdmissionController::queued() const {
 }
 
 // ---------------------------------------------------------------------------
-// SlowQueryLog
-
-Status SlowQueryLog::Open(const std::string& path) {
-  util::MutexLock lock(mu_);
-  file_.open(path, std::ios::app);
-  if (!file_) {
-    return Status::IOError("cannot open slow-query log: " + path);
-  }
-  enabled_.store(true, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-void SlowQueryLog::Append(const std::string& json_line) {
-  if (!enabled()) return;
-  util::MutexLock lock(mu_);
-  file_ << json_line << "\n";
-  file_.flush();
-  entries_.fetch_add(1, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
 // SparqlServer
 
 SparqlServer::SparqlServer(const engine::QueryEngine* engine,
                            SparqlServerOptions options)
     : engine_(engine), options_(std::move(options)),
       admission_(options_.admission), http_(options_.http) {
-  std::string slow_path = options_.slow_query_log;
-  if (slow_path.empty()) {
-    const char* env = std::getenv("SHAPESTATS_SLOW_QUERY_LOG");
-    if (env != nullptr) slow_path = env;
-  }
-  if (!slow_path.empty()) {
-    // Failure to open the log degrades to counting-only (never fatal for
-    // serving); the status is observable via slow_query_log().enabled().
-    slow_log_.Open(slow_path).ok();
-  }
-
   Route("/sparql", [this](const HttpRequest& req, uint64_t request_id) {
-    // Handled inline below via the instrumented wrapper; see Route().
-    obs::QueryTrace trace;
-    uint64_t batch_id = 0;
-    uint64_t rows = 0;
-    bool timed_out = false;
-    return HandleSparql(req, request_id, options_.collect_traces ? &trace : nullptr,
-                        &batch_id, &rows, &timed_out);
+    return HandleSparql(req, request_id);
   });
   Route("/explain",
         [this](const HttpRequest& req, uint64_t) { return HandleExplain(req); });
@@ -344,15 +306,11 @@ void SparqlServer::Route(
 }
 
 HttpResponse SparqlServer::HandleSparql(const HttpRequest& req,
-                                        uint64_t request_id,
-                                        obs::QueryTrace* trace_out,
-                                        uint64_t* batch_id, uint64_t* result_rows,
-                                        bool* timed_out) {
+                                        uint64_t request_id) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   static obs::Counter* queries_ok = reg.GetCounter("server.sparql.ok");
   static obs::Counter* queries_failed = reg.GetCounter("server.sparql.failed");
   static obs::Counter* query_timeouts = reg.GetCounter("server.sparql.timeouts");
-  static obs::Counter* slow_queries = reg.GetCounter("server.sparql.slow");
   static obs::Histogram* rows_hist = reg.GetHistogram("server.result_rows./sparql");
 
   std::string query = req.Param("query");
@@ -436,14 +394,15 @@ HttpResponse SparqlServer::HandleSparql(const HttpRequest& req,
 
   Timer timer;
   engine::BatchOptions bopts;
-  bopts.collect_traces = trace_out != nullptr;
+  bopts.collect_traces = options_.collect_traces;
   bopts.request_id = request_id;
   engine::BatchResult batch = engine_->ExecuteBatch({query}, bopts);
   admission_.Release();
   double exec_ms = timer.ElapsedMs();
-  *batch_id = batch.batch_id;
 
   HttpResponse resp;
+  uint64_t result_rows = 0;
+  bool timed_out = false;
   const Result<engine::QueryResult>& slot = batch.results[0];
   if (!slot.ok()) {
     queries_failed->Add();
@@ -452,23 +411,20 @@ HttpResponse SparqlServer::HandleSparql(const HttpRequest& req,
     // A truncated ASK has no answer to send: the error says why, and the
     // header marks it as a limit hit like any truncated result.
     if (slot.status().code() == StatusCode::kAborted) {
-      *timed_out = true;
+      timed_out = true;
       query_timeouts->Add();
       resp.extra_headers.emplace_back("X-Timed-Out", "true");
     }
   } else {
     queries_ok->Add();
-    if (trace_out != nullptr && !batch.traces.empty()) {
-      *trace_out = std::move(batch.traces[0]);
-    }
-    *timed_out = slot->table.timed_out || (trace_out != nullptr && trace_out->timed_out);
-    if (*timed_out) query_timeouts->Add();
+    timed_out = slot->table.timed_out;
+    if (timed_out) query_timeouts->Add();
     std::string body = ResultToJson(*slot, engine_->graph().dict(),
-                                    options_.max_response_rows, result_rows,
+                                    options_.max_response_rows, &result_rows,
                                     verdict);
-    rows_hist->Observe(static_cast<double>(*result_rows));
+    rows_hist->Observe(static_cast<double>(result_rows));
     resp = {200, "application/sparql-results+json", std::move(body), {}};
-    if (*timed_out) resp.extra_headers.emplace_back("X-Timed-Out", "true");
+    if (timed_out) resp.extra_headers.emplace_back("X-Timed-Out", "true");
     if (!verdict.empty()) {
       resp.extra_headers.emplace_back("X-Static-Verdict", verdict);
     }
@@ -482,31 +438,11 @@ HttpResponse SparqlServer::HandleSparql(const HttpRequest& req,
         .Uint("batch_id", batch.batch_id)
         .Bool("ok", slot.ok())
         .Num("exec_ms", exec_ms);
-    if (slot.ok()) ev.Uint("results", *result_rows);
-    if (slot.ok() || *timed_out) ev.Bool("timed_out", *timed_out);
+    if (slot.ok()) ev.Uint("results", result_rows);
+    if (slot.ok() || timed_out) ev.Bool("timed_out", timed_out);
     log.Emit(std::move(ev));
   }
 
-  // Slow-query capture: latency threshold crossed -> count it and, when the
-  // JSONL sink is open, persist the request id, query, and full plan trace.
-  if (exec_ms >= options_.slow_query_ms) {
-    slow_queries->Add();
-    if (slow_log_.enabled()) {
-      std::string line = "{\"request_id\":" + std::to_string(request_id) +
-                         ",\"batch_id\":" + std::to_string(batch.batch_id) +
-                         ",\"ms\":" + std::to_string(exec_ms) +
-                         ",\"status\":" + std::to_string(resp.status) +
-                         ",\"query\":" + JsonStr(query);
-      if (!verdict.empty()) {
-        line += ",\"static_verdict\":" + JsonStr(verdict);
-      }
-      if (trace_out != nullptr && !trace_out->query.empty()) {
-        line += ",\"trace\":" + trace_out->ToJson();
-      }
-      line += "}";
-      slow_log_.Append(line);
-    }
-  }
   return resp;
 }
 
@@ -540,8 +476,7 @@ HttpResponse SparqlServer::HandleHealthz(const HttpRequest&) {
       ",\"inflight\":" + std::to_string(admission_.inflight()) +
       ",\"queued\":" + std::to_string(admission_.queued()) +
       ",\"admitted\":" + std::to_string(admission_.admitted_total()) +
-      ",\"shed\":" + std::to_string(admission_.shed_total()) +
-      ",\"slow_queries_logged\":" + std::to_string(slow_log_.entries()) + "}\n";
+      ",\"shed\":" + std::to_string(admission_.shed_total()) + "}\n";
   return {200, "application/json", std::move(body), {}};
 }
 

@@ -27,14 +27,14 @@
 // correlated with the `batch.*`/`query.*` events the request caused via
 // both the request id and the batch id), a ChromeTracer span on the
 // handling worker's timeline, and per-route latency / result-size
-// histograms plus admission gauges in the MetricsRegistry. Requests slower
-// than a threshold land in a JSONL slow-query log with their plan trace.
+// histograms plus admission gauges in the MetricsRegistry. A slow request
+// is captured by the engine's flight recorder (its `slow` trigger), which
+// carries the request and batch ids, the query and its plan trace.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <fstream>
 #include <string>
 
 #include "engine/query_engine.h"
@@ -84,39 +84,15 @@ class AdmissionController {
   std::atomic<uint64_t> shed_{0};
 };
 
-/// Append-only JSONL sink for requests over the latency threshold. Each
-/// line carries the request id, route, latency, status, query text, and the
-/// full obs::QueryTrace JSON (plan, per-step cardinalities, q-errors), so a
-/// slow request is diagnosable from the log alone.
-class SlowQueryLog {
- public:
-  Status Open(const std::string& path);
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void Append(const std::string& json_line);
-  uint64_t entries() const { return entries_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> entries_{0};
-  mutable util::Mutex mu_;
-  std::ofstream file_ SHAPESTATS_GUARDED_BY(mu_);
-};
-
 struct SparqlServerOptions {
   HttpServer::Options http;
   AdmissionController::Options admission;
-  /// Requests slower than this are appended to the slow-query log (and
-  /// counted in server.slow_queries either way).
-  double slow_query_ms = 250;
-  /// JSONL slow-query log path; empty disables the file (falls back to the
-  /// SHAPESTATS_SLOW_QUERY_LOG environment variable).
-  std::string slow_query_log;
   /// Result rows rendered per response; beyond this the JSON is truncated
   /// and flagged. 0 = unlimited.
   uint64_t max_response_rows = 10000;
   /// Collect a per-request obs::QueryTrace. Feeds the live AccuracyLedger
-  /// (exposed at /accuracy) and the slow-query log's plan dump; costs one
-  /// detailed estimate pass per request.
+  /// (exposed at /accuracy) and the flight-recorder bundles' plan trace;
+  /// costs one detailed estimate pass per request.
   bool collect_traces = true;
 };
 
@@ -138,13 +114,10 @@ class SparqlServer {
 
   /// Exposed for tests: occupy/release admission slots deterministically.
   AdmissionController& admission() { return admission_; }
-  const SlowQueryLog& slow_query_log() const { return slow_log_; }
   const SparqlServerOptions& options() const { return options_; }
 
  private:
-  HttpResponse HandleSparql(const HttpRequest& req, uint64_t request_id,
-                            obs::QueryTrace* trace_out, uint64_t* batch_id,
-                            uint64_t* result_rows, bool* timed_out);
+  HttpResponse HandleSparql(const HttpRequest& req, uint64_t request_id);
   HttpResponse HandleExplain(const HttpRequest& req);
   HttpResponse HandleMetrics(const HttpRequest& req);
   HttpResponse HandleHealthz(const HttpRequest& req);
@@ -165,7 +138,6 @@ class SparqlServer {
   const engine::QueryEngine* engine_;
   SparqlServerOptions options_;
   AdmissionController admission_;
-  SlowQueryLog slow_log_;
   HttpServer http_;
   double start_ms_ = 0;  // process-clock timestamp of Start()
 };

@@ -212,9 +212,6 @@ TEST(PlanCacheTest, LruEvictionAndStats) {
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.hits, 3u);
   EXPECT_EQ(s.misses, 1u);
-  pc.InvalidateAll();
-  EXPECT_EQ(pc.size(), 0u);
-  EXPECT_EQ(pc.Get("a"), nullptr);
 }
 
 TEST(PlanCacheTest, FeedbackVersionInvalidatesEntry) {

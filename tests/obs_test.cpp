@@ -294,7 +294,8 @@ TEST(Explain, MergeStepReportsLeftInputAsBuild) {
       "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
       "SELECT * WHERE { ?x ub:takesCourse ?c . ?y ub:teacherOf ?c . "
       "?x ub:name ?n }";
-  auto run = eng->Execute(kQuery);
+  obs::QueryTrace run_trace;
+  auto run = eng->Execute(kQuery, &run_trace);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   size_t k = 0;
   while (k < run->phys.steps.size() &&
@@ -330,12 +331,24 @@ TEST(Explain, MergeStepReportsLeftInputAsBuild) {
   EXPECT_NE(analyzed->json.find(fields), std::string::npos)
       << analyzed->json;
 
+  // The bundle a slow served request leaves: the caller's ids, the query
+  // and the traced run's plan trace ride along with the operators.
   const std::string bundle = engine::BuildFlightBundle(
       "slow", kQuery, obs::Outcome::kOk, run->plan, run->phys, run->total_ms,
-      run->table.rows.size(), nullptr, nullptr, "", nullptr, {});
+      run->table.rows.size(), &run_trace, nullptr, "", nullptr,
+      engine::Caller{/*request_id=*/7, /*batch_id=*/3, /*slot=*/1});
   const std::string step = "{\"op\":\"merge\"," + std::string(fields) +
                            ",\"rationale\":\"" + st.rationale + "\"}";
   EXPECT_NE(bundle.find(step), std::string::npos) << bundle;
+  EXPECT_NE(bundle.find("\"request_id\":7,"), std::string::npos) << bundle;
+  EXPECT_NE(bundle.find("\"batch_id\":3,"), std::string::npos) << bundle;
+  EXPECT_NE(bundle.find("\"slot\":1,"), std::string::npos) << bundle;
+  EXPECT_NE(bundle.find("\"query\":\"" + obs::JsonEscape(kQuery) + "\""),
+            std::string::npos)
+      << bundle;
+  ASSERT_FALSE(run_trace.steps.empty());
+  EXPECT_NE(bundle.find("\"trace\":" + run_trace.ToJson()), std::string::npos)
+      << bundle;
 }
 
 // --- ExplainAnalyze --------------------------------------------------------
@@ -446,6 +459,35 @@ TEST(ExplainAnalyze, LubmExampleQueryReportsGroundTruth) {
   EXPECT_EQ(trace.num_results, truth->num_results);
   EXPECT_GT(trace.exec.total_probes, 0u);
   EXPECT_GT(trace.exec.total_rows_scanned, 0u);
+}
+
+// A LIMIT run stops early, so its per-step counts are not true
+// cardinalities: every step's q-error is n/a, in the table and the JSON.
+TEST(ExplainAnalyze, LimitRunHasNoQError) {
+  datagen::LubmOptions opts;
+  opts.universities = 1;
+  auto eng = engine::QueryEngine::Open(datagen::GenerateLubm(opts));
+  ASSERT_TRUE(eng.ok());
+  auto analyzed = eng->ExplainAnalyze(workload::LubmExampleQuery() + " LIMIT 5");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const obs::QueryTrace& trace = analyzed->trace;
+  ASSERT_FALSE(trace.steps.empty());
+  EXPECT_EQ(trace.num_results, 5u);
+  for (const obs::StepTrace& s : trace.steps) {
+    EXPECT_TRUE(std::isnan(s.q_error)) << "step " << s.step << ": " << s.q_error;
+  }
+  EXPECT_NE(analyzed->text.find("n/a"), std::string::npos) << analyzed->text;
+  const std::string& json = analyzed->json;
+  const std::string null_field = "\"q_error\":null";
+  size_t fields = 0, nulls = 0;
+  for (size_t at = json.find("\"q_error\":"); at != std::string::npos;
+       at = json.find("\"q_error\":", at + 1)) {
+    ++fields;
+    nulls += json.compare(at, null_field.size(), null_field) == 0;
+  }
+  EXPECT_EQ(fields, trace.steps.size()) << json;
+  EXPECT_EQ(nulls, fields) << json;
+  EXPECT_EQ(eng->accuracy_ledger().num_queries(), 0u);
 }
 
 // --- executor instrumentation ---------------------------------------------
@@ -668,6 +710,51 @@ TEST(GlobalMetrics, EngineQueryIncrementsCounters) {
   EXPECT_EQ(reg.GetCounter("engine.queries")->value(), queries_before + 1);
   EXPECT_GT(reg.GetCounter("opt.plans")->value(), plans_before);
   EXPECT_EQ(reg.GetCounter("exec.select_runs")->value(), runs_before + 1);
+}
+
+// phys.* count the operators that ran: after the ASK/LIMIT downgrade, on
+// plan-cache hits as on misses, and never for Explain.
+TEST(GlobalMetrics, PhysCountersCountExecutedOperators) {
+  datagen::LubmOptions lubm;
+  lubm.universities = 1;
+  engine::EngineOptions options;
+  options.plan_cache = engine::EngineOptions::PlanCacheMode::kOn;
+  auto eng = engine::QueryEngine::Open(datagen::GenerateLubm(lubm), options);
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter* plans = reg.GetCounter("phys.plans");
+  obs::Counter* merges = reg.GetCounter("phys.merge_steps");
+  obs::Counter* inljs = reg.GetCounter("phys.inlj_steps");
+  const uint64_t plans_before = plans->value();
+  const uint64_t merges_before = merges->value();
+  const uint64_t inljs_before = inljs->value();
+
+  const std::string unlimited = workload::LubmExampleQuery();
+  const std::string limited = unlimited + " LIMIT 5";
+  uint64_t ran_merges = 0;
+  uint64_t ran_inljs = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string* q : {&limited, &unlimited}) {
+      auto run = eng->Execute(*q);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      for (const phys::PhysicalStep& st : run->phys.steps) {
+        ran_merges += st.op == phys::OpKind::kMerge;
+        ran_inljs += st.op == phys::OpKind::kInlj;
+      }
+    }
+  }
+  EXPECT_GT(ran_merges, 0u);  // the unlimited query merges, LIMIT does not
+  EXPECT_GT(ran_inljs, 0u);
+  EXPECT_GE(eng->plan_cache()->stats().hits, 2u);
+  EXPECT_EQ(plans->value() - plans_before, 4u);
+  EXPECT_EQ(merges->value() - merges_before, ran_merges);
+  EXPECT_EQ(inljs->value() - inljs_before, ran_inljs);
+
+  ASSERT_TRUE(eng->Explain(limited).ok());
+  ASSERT_TRUE(eng->Explain(unlimited).ok());
+  EXPECT_EQ(plans->value() - plans_before, 4u);
+  EXPECT_EQ(merges->value() - merges_before, ran_merges);
+  EXPECT_EQ(inljs->value() - inljs_before, ran_inljs);
 }
 
 // Every timed set-up phase of Open lands in its own histogram, exported on

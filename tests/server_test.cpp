@@ -2,9 +2,9 @@
 // functions + socket server), the AdmissionController's cap / queue / shed
 // semantics, and the SparqlServer serving plane end-to-end over real
 // sockets — /sparql result rendering, /metrics Prometheus exposition,
-// 503 load shedding, the slow-query JSONL log, and EventLog request-id
-// correlation between http.request.* and the batch.* events a request
-// causes, under concurrent clients.
+// 503 load shedding, and EventLog request-id correlation between
+// http.request.* and the batch.* events a request causes, under concurrent
+// clients.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -613,35 +612,6 @@ TEST_F(SparqlServerFixture, OverloadShedsWith503AndRetryAfter) {
   // With the slot free the same request succeeds.
   ClientResponse ok = Get(srv.port(), "/sparql?query=" + UrlEncode(kLubmQuery));
   EXPECT_EQ(ok.status, 200);
-}
-
-TEST_F(SparqlServerFixture, SlowQueryLogCapturesIdsQueryAndTrace) {
-  std::string path = ::testing::TempDir() + "/slow_queries_test.jsonl";
-  std::remove(path.c_str());
-  SparqlServerOptions opts = ServerOptions();
-  opts.slow_query_ms = 0;  // everything is "slow": deterministic capture
-  opts.slow_query_log = path;
-  SparqlServer srv(engine_, opts);
-  ASSERT_TRUE(srv.Start().ok());
-  ASSERT_TRUE(srv.slow_query_log().enabled());
-  ClientResponse resp =
-      Get(srv.port(), "/sparql?query=" + UrlEncode(kLubmQuery));
-  ASSERT_EQ(resp.status, 200);
-  EXPECT_GE(srv.slow_query_log().entries(), 1u);
-  srv.Stop();
-
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(line.find("\"request_id\":" + resp.Header("x-request-id")),
-            std::string::npos);
-  EXPECT_NE(line.find("\"batch_id\":" + resp.Header("x-batch-id")),
-            std::string::npos);
-  EXPECT_NE(line.find("\"query\":"), std::string::npos);
-  EXPECT_NE(line.find("FullProfessor"), std::string::npos);
-  EXPECT_NE(line.find("\"trace\":"), std::string::npos);
-  EXPECT_NE(line.find("\"ms\":"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 // --- EventLog request-id correlation (satellite) ---------------------------
