@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <thread>
 
 #include "bench_common.h"
@@ -287,11 +288,19 @@ int main() {
   }
 
   // Load path: each dataset is serialized as N-Triples (untimed), parsed
-  // back from memory and loaded from a file holding the same text (both
-  // timed). The digest catches any change in the ids the loader assigns, for
-  // instance from compiler-dependent interning order; the file load must
-  // reproduce it.
+  // back from memory and loaded from a file holding the same text, all on
+  // the shared pool (timed). The digest catches any change in the ids the
+  // loader assigns, for instance from compiler-dependent interning order;
+  // the file load must reproduce it. The file is then loaded again on pools
+  // of 1, 2 and 4 threads, which cut it into different chunks
+  // (rdf::NTriplesChunks): each must reproduce the digest too, and the
+  // "load chunks" line shows how many chunks every load parsed.
   std::printf("\n");
+  const unsigned load_threads[] = {1, 2, 4};
+  std::vector<std::unique_ptr<util::ThreadPool>> load_pools;
+  for (unsigned threads : load_threads) {
+    load_pools.push_back(std::make_unique<util::ThreadPool>(threads));
+  }
   for (const bench::Dataset& ds : datasets) {
     const std::string text = rdf::WriteNTriples(ds.graph);
     const LoadRun run =
@@ -303,22 +312,53 @@ int main() {
     std::ofstream(path, std::ios::binary) << text;
     const LoadRun file_run =
         TimedLoad([&](rdf::Graph* g) { return rdf::LoadNTriplesFile(path, g); });
+    std::vector<LoadRun> pool_runs;
+    for (const auto& pool : load_pools) {
+      pool_runs.push_back(TimedLoad([&](rdf::Graph* g) {
+        return rdf::LoadNTriplesFile(path, g, pool.get());
+      }));
+    }
     std::filesystem::remove(path);
     std::printf("load digest %s: %016llx\n", ds.name.c_str(),
                 static_cast<unsigned long long>(run.digest));
     std::printf("load time %s: parse %.1f ms, file %.1f ms, finalize %.1f ms\n",
                 ds.name.c_str(), run.parse_ms, file_run.parse_ms, run.finalize_ms);
-    if (file_run.digest != run.digest) {
+    std::printf("load chunks %s: shared %zu", ds.name.c_str(),
+                rdf::NTriplesChunks(text, util::ThreadPool::Shared().num_threads())
+                    .size());
+    for (unsigned threads : load_threads) {
+      std::printf(", t%u %zu", threads, rdf::NTriplesChunks(text, threads).size());
+    }
+    std::printf("\nload file time %s:", ds.name.c_str());
+    for (size_t i = 0; i < pool_runs.size(); ++i) {
+      std::printf("%s t%u %.1f ms", i ? "," : "", load_threads[i],
+                  pool_runs[i].parse_ms);
+    }
+    std::printf("\n");
+    // Pool size 0 stands for the shared pool.
+    std::vector<std::pair<unsigned, uint64_t>> loads = {{0, file_run.digest}};
+    for (size_t i = 0; i < pool_runs.size(); ++i) {
+      loads.emplace_back(load_threads[i], pool_runs[i].digest);
+    }
+    for (const auto& [threads, digest] : loads) {
+      if (digest == run.digest) continue;
       std::fprintf(stderr,
-                   "FATAL: loading %s from a file gave digest %016llx, not "
-                   "%016llx\n",
-                   ds.name.c_str(), static_cast<unsigned long long>(file_run.digest),
+                   "FATAL: loading %s from a file (pool: %s) gave digest "
+                   "%016llx, not %016llx\n",
+                   ds.name.c_str(),
+                   threads == 0 ? "shared" : std::to_string(threads).c_str(),
+                   static_cast<unsigned long long>(digest),
                    static_cast<unsigned long long>(run.digest));
       return 1;
     }
     telemetry.Digest("load." + ds.name, run.digest);
     telemetry.Timing("load_ms." + ds.name, run.parse_ms);
     telemetry.Timing("load_file_ms." + ds.name, file_run.parse_ms);
+    for (size_t i = 0; i < pool_runs.size(); ++i) {
+      telemetry.Timing("load_file_ms.t" + std::to_string(load_threads[i]) + "." +
+                           ds.name,
+                       pool_runs[i].parse_ms);
+    }
     telemetry.Timing("finalize_ms." + ds.name, run.finalize_ms);
   }
 

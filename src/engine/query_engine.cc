@@ -369,7 +369,7 @@ Result<QueryEngine> QueryEngine::FromNTriplesFile(const std::string& path,
   Timer phase;
   {
     obs::TraceSpan span("engine", "preprocess:load");
-    RETURN_NOT_OK(rdf::LoadNTriplesFile(path, &graph));
+    RETURN_NOT_OK(rdf::LoadNTriplesFile(path, &graph, options.pool));
   }
   obs::MetricsRegistry::Global().Observe("engine.preprocess.load_ms",
                                          phase.ElapsedMs());

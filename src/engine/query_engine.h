@@ -161,7 +161,8 @@ class QueryEngine {
   /// (global statistics; shape generation + annotation in kShapeStats mode).
   static Result<QueryEngine> Open(rdf::Graph graph, EngineOptions options = {});
 
-  /// Loads an N-Triples file and opens it.
+  /// Loads an N-Triples file, parsing it on `options.pool` (the shared pool
+  /// when null), and opens it.
   static Result<QueryEngine> FromNTriplesFile(const std::string& path,
                                               EngineOptions options = {});
 

@@ -5,12 +5,10 @@
 
 namespace shapestats::rdf {
 
-namespace {
-
-// A 32-bit hash of a key: 8-byte words folded by multiply/xorshift, then the
-// splitmix64 finalizer, whose low bits are well mixed for slot selection.
-// Ids never depend on it (they follow interning order), only slot positions.
-uint32_t HashTag(std::string_view key) {
+// 8-byte words folded by multiply/xorshift, then the splitmix64 finalizer,
+// whose low bits are well mixed for slot selection. Ids never depend on it
+// (they follow interning order), only slot positions.
+uint32_t TermDictionary::Hash(std::string_view key) {
   constexpr uint64_t kMul = 0x9E3779B97F4A7C15ULL;
   uint64_t h = key.size() * kMul;
   const char* p = key.data();
@@ -33,8 +31,6 @@ uint32_t HashTag(std::string_view key) {
   h ^= h >> 31;
   return static_cast<uint32_t>(h);
 }
-
-}  // namespace
 
 TermDictionary::TermDictionary()
     : slots_(kInitialSlots, Slot{0, kInvalidTermId}),
@@ -70,7 +66,7 @@ TermId TermDictionary::Intern(const Term& term) {
   const size_t start = keys_.size();
   term.AppendNTriples(&keys_);
   const std::string_view key(keys_.data() + start, keys_.size() - start);
-  const uint32_t tag = HashTag(key);
+  const uint32_t tag = Hash(key);
   const size_t slot = Probe(key, tag);
   if (slots_[slot].id != kInvalidTermId) {
     keys_.resize(start);
@@ -79,12 +75,18 @@ TermId TermDictionary::Intern(const Term& term) {
   return Insert(slot, tag, Term(term));
 }
 
-TermId TermDictionary::InternKey(std::string_view key, Term&& term) {
-  const uint32_t tag = HashTag(key);
-  const size_t slot = Probe(key, tag);
+TermId TermDictionary::InternKey(std::string_view key, uint32_t hash,
+                                 Term&& term) {
+  const size_t slot = Probe(key, hash);
   if (slots_[slot].id != kInvalidTermId) return slots_[slot].id;
   keys_.append(key);
-  return Insert(slot, tag, std::move(term));
+  return Insert(slot, hash, std::move(term));
+}
+
+void TermDictionary::Reserve(size_t terms, size_t key_bytes) {
+  terms_.reserve(terms_.size() + terms);
+  key_offset_.reserve(key_offset_.size() + terms);
+  keys_.reserve(keys_.size() + key_bytes);
 }
 
 TermId TermDictionary::Insert(size_t slot, uint32_t tag, Term&& term) {
@@ -108,8 +110,9 @@ std::optional<TermId> TermDictionary::Find(const Term& term) const {
   return FindKey(term.ToNTriples());
 }
 
-std::optional<TermId> TermDictionary::FindKey(std::string_view key) const {
-  const Slot& slot = slots_[Probe(key, HashTag(key))];
+std::optional<TermId> TermDictionary::FindKey(std::string_view key,
+                                             uint32_t hash) const {
+  const Slot& slot = slots_[Probe(key, hash)];
   if (slot.id == kInvalidTermId) return std::nullopt;
   return slot.id;
 }

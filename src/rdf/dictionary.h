@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -42,15 +43,28 @@ class TermDictionary {
   std::optional<TermId> Find(const Term& term) const;
   std::optional<TermId> FindIri(std::string_view iri) const;
 
+  /// The 32-bit hash a key is slotted by. Ids never depend on it.
+  static uint32_t Hash(std::string_view key);
+
   /// Looks up a canonical N-Triples key (Term::ToNTriples) as given, without
   /// parsing or building a string; nullopt if no term has exactly this key.
-  std::optional<TermId> FindKey(std::string_view key) const;
+  /// `hash` must be Hash(key); a caller that goes on to InternKey the same
+  /// key passes it on, so the key is hashed once.
+  std::optional<TermId> FindKey(std::string_view key) const {
+    return FindKey(key, Hash(key));
+  }
+  std::optional<TermId> FindKey(std::string_view key, uint32_t hash) const;
 
   /// Interns `term` under `key`, its canonical key as given
-  /// (key == term.ToNTriples()): the key's bytes are stored as they are, not
-  /// serialized from the term, and the term is moved in. Returns the same id
-  /// Intern(term) would.
-  TermId InternKey(std::string_view key, Term&& term);
+  /// (key == term.ToNTriples()), with hash == Hash(key): the key's bytes are
+  /// stored as they are, not serialized from the term, and the term is moved
+  /// in. Returns the same id Intern(term) would.
+  TermId InternKey(std::string_view key, uint32_t hash, Term&& term);
+
+  /// Makes room for `terms` more terms whose keys are `key_bytes` long in
+  /// all, so that interning them moves no term and copies no key again. The
+  /// slot table still doubles as it fills: re-slotting reads only tags.
+  void Reserve(size_t terms, size_t key_bytes);
 
   /// Decodes an id back to the term. Id must be valid.
   const Term& term(TermId id) const { return terms_[id]; }

@@ -74,6 +74,13 @@ void Graph::Add(TermId s, TermId p, TermId o) {
   spo_.push_back(Triple{s, p, o});
 }
 
+std::span<Triple> Graph::StageTriples(size_t n) {
+  assert(!finalized_ && "StageTriples after Finalize");
+  const size_t at = spo_.size();
+  spo_.resize(at + n);
+  return std::span<Triple>(spo_).subspan(at);
+}
+
 void Graph::Add(const Term& s, const Term& p, const Term& o) {
   // Sequenced explicitly: argument evaluation order is unspecified, and
   // interning order decides the ids, so Add(Intern(s), ...) would give

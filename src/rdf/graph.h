@@ -60,6 +60,11 @@ class Graph {
   /// Adds a triple by ids. Duplicates are removed at Finalize().
   void Add(TermId s, TermId p, TermId o);
 
+  /// Appends `n` triples to the staging area and returns them, for the
+  /// caller to fill with valid ids before the next Add or Finalize. Lets a
+  /// loader that knows its triple count stage them with one allocation.
+  std::span<Triple> StageTriples(size_t n);
+
   /// Adds a triple of decoded terms, interning the object, then the
   /// predicate, then the subject (the order ParseNTriples uses too).
   void Add(const Term& s, const Term& p, const Term& o);

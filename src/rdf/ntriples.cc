@@ -1,11 +1,18 @@
 #include "rdf/ntriples.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <fstream>
+#include <memory>
+#include <new>
 #include <optional>
+#include <thread>
 
 #include "rdf/vocab.h"
 #include "util/file_view.h"
@@ -97,47 +104,184 @@ bool IsCanonical(std::string_view token, const Term& term) {
   return term.datatype != vocab::kXsdString;
 }
 
-}  // namespace
+// Allocates each block as a private anonymous mapping and unmaps it when it
+// is freed. The chunk tables below are built on the pool's threads and freed
+// after the merge. Memory a thread takes from malloc comes from that thread's
+// arena, and malloc_trim gives back none of the free space at the top of an
+// arena other than the main one, so tables taken from malloc would stay
+// resident after the load.
+template <typename T>
+struct MappedAllocator {
+  using value_type = T;
+  MappedAllocator() = default;
+  template <typename U>
+  MappedAllocator(const MappedAllocator<U>&) {}  // NOLINT(runtime/explicit)
+  T* allocate(size_t n) {
+    void* p = mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, size_t n) { munmap(p, n * sizeof(T)); }
+  bool operator==(const MappedAllocator&) const { return true; }
+};
 
+template <typename T>
+using MappedVector = std::vector<T, MappedAllocator<T>>;
+
+// Bytes of text per distinct term, and per triple, that a chunk's tables are
+// reserved for up front. A mapping costs nothing until it is written, so the
+// reservation is generous: chunks of generated LUBM and YAGO data hold a
+// distinct term per 260-590 bytes and a triple per 110-170. A denser chunk
+// grows its tables, which only costs copies.
+constexpr size_t kBytesPerTermReserved = 64;
+constexpr size_t kBytesPerTripleReserved = 32;
+
+// The terms of one chunk, with chunk-local ids 1, 2, ... in the order they
+// were first interned, behind the three TermDictionary calls ParseLines
+// makes. The index works like the dictionary's (tagged slots, linear
+// probing, load at most 1/2), but a key is not copied: it is a view of the
+// token in the text, or, for a term spelled non-canonically, of the
+// canonical key kept in `respelled_`.
+class ChunkTerms {
+ public:
+  explicit ChunkTerms(size_t text_bytes = 0) : slots_(kInitialSlots) {
+    keys_.reserve(text_bytes / kBytesPerTermReserved);
+    terms_.reserve(text_bytes / kBytesPerTermReserved);
+  }
+
+  std::optional<TermId> FindKey(std::string_view key, uint32_t hash) const {
+    const TermId id = slots_[Probe(key, hash)].id;
+    if (id == kInvalidTermId) return std::nullopt;
+    return id;
+  }
+
+  TermId InternKey(std::string_view key, uint32_t hash, Term&& term) {
+    const size_t slot = Probe(key, hash);
+    if (slots_[slot].id != kInvalidTermId) return slots_[slot].id;
+    keys_.push_back(Key{key, hash});
+    terms_.push_back(std::move(term));
+    const TermId id = static_cast<TermId>(keys_.size());
+    slots_[slot] = Slot{hash, id};
+    if (2 * keys_.size() > slots_.size()) Grow();
+    return id;
+  }
+
+  TermId Intern(const Term& term) {
+    std::string key = term.ToNTriples();
+    const uint32_t hash = TermDictionary::Hash(key);
+    if (std::optional<TermId> id = FindKey(key, hash)) return *id;
+    return InternKey(respelled_.emplace_back(std::move(key)), hash, Term(term));
+  }
+
+  size_t size() const { return keys_.size(); }
+  size_t key_bytes() const {
+    size_t bytes = 0;
+    for (const Key& k : keys_) bytes += k.key.size();
+    return bytes;
+  }
+
+  // Interns every term into `dict` in id order, moving it out, and frees the
+  // table; returns the id in `dict` of each local id (0 maps to 0).
+  std::vector<TermId> MoveInto(TermDictionary& dict) {
+    std::vector<TermId> ids(keys_.size() + 1, kInvalidTermId);
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      ids[i + 1] = dict.InternKey(keys_[i].key, keys_[i].hash,
+                                  std::move(terms_[i]));
+    }
+    *this = ChunkTerms();
+    return ids;
+  }
+
+ private:
+  static constexpr size_t kInitialSlots = 1024;
+  struct Slot {
+    uint32_t tag;
+    TermId id;  // kInvalidTermId marks an empty slot
+  };
+  struct Key {
+    std::string_view key;
+    uint32_t hash;
+  };
+
+  size_t Probe(std::string_view key, uint32_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kInvalidTermId ||
+          (slot.tag == hash && keys_[slot.id - 1].key == key)) {
+        return i;
+      }
+    }
+  }
+
+  void Grow() {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kInvalidTermId) continue;
+      size_t i = slot.tag & mask;
+      while (slots_[i].id != kInvalidTermId) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  // The slots come from malloc: they double from 8 KB, and a mapping per
+  // doubling would cost a system call and fresh pages each time.
+  std::vector<Slot> slots_;
+  MappedVector<Key> keys_;    // keys_[id - 1]
+  MappedVector<Term> terms_;  // terms_[id - 1]
+  std::deque<std::string> respelled_;
+};
+
+// What ParseLines read: `lines` lines, the last of them rejected with
+// `error` when that is set.
+struct LinesRead {
+  size_t lines = 0;
+  std::optional<std::string> error;
+};
+
+// Parses the whole lines of `text` into `dict` (a TermDictionary or a
+// ChunkTerms), passing each triple's ids to `add(s, p, o)`, up to the first
+// malformed line.
+//
 // Each token is first looked up by its raw text. A hit is exact: for every
 // term t, ToNTriples(ParseTerm(ToNTriples(t))) == ToNTriples(t), so a token
 // equal to a dictionary key parses to a term whose key is that key, and
 // Intern(ParseTerm(token)) would return the same id. A miss runs ParseTerm;
-// a canonical token is then interned from its own bytes (InternKey), and any
-// other spelling (an explicit ^^xsd:string, an escape, a raw tab in quotes)
-// through Intern, which canonicalizes it. A subject spelled like the
-// previous triple's subject reuses its id.
-Status ParseNTriples(std::string_view text, Graph* graph) {
-  if (graph->finalized()) {
-    return Status::InvalidArgument("graph already finalized");
-  }
-  TermDictionary& dict = graph->dict();
+// a canonical token is then interned from its own bytes (InternKey, with
+// the hash of the lookup), and any other spelling (an explicit
+// ^^xsd:string, an escape, a raw tab in quotes) through Intern, which
+// canonicalizes it. A subject spelled like the previous triple's subject
+// reuses its id.
+template <typename Dict, typename Add>
+LinesRead ParseLines(std::string_view text, Dict& dict, Add add) {
+  LinesRead read;
   std::string_view prev_subject;  // empty, so no token equals it until set
   TermId prev_subject_id = kInvalidTermId;
   size_t pos = 0;
-  size_t line_no = 0;
   while (pos < text.size()) {
     size_t eol = text.find('\n', pos);
     if (eol == std::string_view::npos) eol = text.size();
     std::string_view line = Trim(text.substr(pos, eol - pos));
     pos = eol + 1;
-    ++line_no;
+    ++read.lines;
     if (line.empty() || line.front() == '#') continue;
-    auto error = [&](std::string_view message) {
-      return Status::ParseError("line " + std::to_string(line_no) + ": " +
-                                std::string(message));
-    };
     if (line.back() != '.') {
-      return error("missing terminating '.': " + std::string(line));
+      read.error = "missing terminating '.': " + std::string(line);
+      return read;
     }
     std::string_view tok[3];
     if (!SplitTriple(Trim(line.substr(0, line.size() - 1)), tok)) {
-      return error("truncated triple");
+      read.error = "truncated triple";
+      return read;
     }
 
     // Resolve subject, predicate, object; validate; only then intern, so a
     // rejected line adds nothing to the dictionary.
     TermId id[3] = {};
+    uint32_t hash[3] = {};
     std::optional<Term> parsed[3];
     TermKind kind[3] = {};
     for (int k = 0; k < 3; ++k) {
@@ -146,38 +290,161 @@ Status ParseNTriples(std::string_view text, Graph* graph) {
         kind[0] = KindOfKey(tok[0]);
         continue;
       }
-      if (std::optional<TermId> hit = dict.FindKey(tok[k])) {
+      hash[k] = TermDictionary::Hash(tok[k]);
+      if (std::optional<TermId> hit = dict.FindKey(tok[k], hash[k])) {
         id[k] = *hit;
         kind[k] = KindOfKey(tok[k]);
         continue;
       }
       Result<Term> term = ParseTerm(tok[k]);
-      if (!term.ok()) return error(term.status().message());
+      if (!term.ok()) {
+        read.error = term.status().message();
+        return read;
+      }
       kind[k] = term->kind;
       parsed[k] = std::move(*term);
     }
-    if (kind[1] != TermKind::kIri) return error("predicate must be an IRI");
+    if (kind[1] != TermKind::kIri) {
+      read.error = "predicate must be an IRI";
+      return read;
+    }
     if (kind[0] == TermKind::kLiteral) {
-      return error("subject must not be a literal");
+      read.error = "subject must not be a literal";
+      return read;
     }
     // Object, predicate, subject: the order Graph::Add(const Term&, ...) uses.
     for (int k = 2; k >= 0; --k) {
       if (!parsed[k]) continue;
       id[k] = IsCanonical(tok[k], *parsed[k])
-                  ? dict.InternKey(tok[k], std::move(*parsed[k]))
+                  ? dict.InternKey(tok[k], hash[k], std::move(*parsed[k]))
                   : dict.Intern(*parsed[k]);
     }
-    graph->Add(id[0], id[1], id[2]);
+    add(id[0], id[1], id[2]);
     prev_subject = tok[0];
     prev_subject_id = id[0];
   }
-  return Status::OK();
+  return read;
 }
 
-Status LoadNTriplesFile(const std::string& path, Graph* graph) {
+// The status of a parse whose first bad line is line `line_no`.
+Status LineError(size_t line_no, const std::string& message) {
+  return Status::ParseError("line " + std::to_string(line_no) + ": " + message);
+}
+
+}  // namespace
+
+std::vector<std::string_view> NTriplesChunks(std::string_view text,
+                                             unsigned threads) {
+  const size_t n =
+      threads <= 1 ? 1
+                   : std::clamp<size_t>(text.size() / kNTriplesMinChunkBytes, 1,
+                                        size_t{threads} * 4);
+  std::vector<std::string_view> chunks;
+  size_t begin = 0;
+  for (size_t i = 1; i < n; ++i) {
+    // Chunk i - 1 ends after the first newline at or past i / n of the text.
+    const size_t eol = text.find('\n', std::max(begin, i * (text.size() / n)));
+    if (eol == std::string_view::npos || eol + 1 == text.size()) break;
+    chunks.push_back(text.substr(begin, eol + 1 - begin));
+    begin = eol + 1;
+  }
+  chunks.push_back(text.substr(begin));
+  return chunks;
+}
+
+// One chunk is parsed straight into the graph: the sequential loop. Several
+// chunks are parsed in parallel, each into a ChunkTerms and a triple list
+// of its own, with chunk-local ids. The chunk tables are interned into the
+// graph's dictionary in chunk order, each in its local id order. That is
+// the order a line-by-line parse meets their terms in, so every id is the
+// one that parse gives: a term first met in chunk c occurs in no earlier
+// chunk, so it is new when chunk c merges, after the new terms of every
+// earlier chunk and in its order of first occurrence within chunk c. Only
+// the calling thread merges, between the chunks it parses itself and after
+// the last one, so the dictionary's arrays come from its malloc arena. Each
+// chunk's triples are then rewritten to the merged ids, into their place in
+// the staging area. Only the chunks up to the first one with a bad line are
+// merged, and that chunk holds only the lines before the bad one.
+Status ParseNTriples(std::string_view text, Graph* graph,
+                     util::ThreadPool* pool) {
+  if (graph->finalized()) {
+    return Status::InvalidArgument("graph already finalized");
+  }
+  util::ThreadPool& tp = pool != nullptr ? *pool : util::ThreadPool::Shared();
+  const std::vector<std::string_view> chunks =
+      NTriplesChunks(text, tp.num_threads());
+  const size_t n = chunks.size();
+  if (n == 1) {
+    const LinesRead read = ParseLines(text, graph->dict(),
+                                      [graph](TermId s, TermId p, TermId o) {
+                                        graph->Add(s, p, o);
+                                      });
+    return read.error ? LineError(read.lines, *read.error) : Status::OK();
+  }
+
+  std::vector<LinesRead> read(n);
+  std::vector<ChunkTerms> tables;
+  std::vector<MappedVector<Triple>> triples(n);
+  for (size_t c = 0; c < n; ++c) {
+    tables.emplace_back(chunks[c].size());
+    triples[c].reserve(chunks[c].size() / kBytesPerTripleReserved);
+  }
+  // parsed[c] is set once chunk c is parsed. Chunks below `merged` are in
+  // the graph's dictionary, and ids[c] maps chunk c's local ids to the
+  // graph's. `failed` is the first merged chunk with a bad line, if any.
+  std::unique_ptr<std::atomic<bool>[]> parsed(new std::atomic<bool>[n]());
+  std::vector<std::vector<TermId>> ids(n);
+  size_t merged = 0;
+  std::optional<size_t> failed;
+  TermDictionary& dict = graph->dict();
+  auto merge_parsed = [&] {
+    for (; merged < n && !failed && parsed[merged].load(std::memory_order_acquire);
+         ++merged) {
+      if (merged == 0) {
+        // Room for the whole text at the density of chunk 0, so that
+        // merging does not regrow the term array, moving every term. Room
+        // that is never written is never faulted in.
+        const double scale = static_cast<double>(text.size()) /
+                             static_cast<double>(chunks[0].size());
+        auto scaled = [scale](size_t x) {
+          return static_cast<size_t>(static_cast<double>(x) * scale);
+        };
+        dict.Reserve(scaled(tables[0].size()), scaled(tables[0].key_bytes()));
+      }
+      ids[merged] = tables[merged].MoveInto(dict);
+      if (read[merged].error) failed = merged;
+    }
+  };
+  const std::thread::id caller = std::this_thread::get_id();
+  tp.ParallelFor(0, n, [&](size_t c) {
+    MappedVector<Triple>& out = triples[c];
+    read[c] = ParseLines(chunks[c], tables[c], [&out](TermId s, TermId p, TermId o) {
+      out.push_back(Triple{s, p, o});
+    });
+    parsed[c].store(true, std::memory_order_release);
+    if (std::this_thread::get_id() == caller) merge_parsed();
+  });
+  merge_parsed();
+
+  std::vector<size_t> at(merged + 1, 0);  // at[c]: chunk c's first triple
+  for (size_t c = 0; c < merged; ++c) at[c + 1] = at[c] + triples[c].size();
+  const std::span<Triple> staged = graph->StageTriples(at[merged]);
+  tp.ParallelFor(0, merged, [&](size_t c) {
+    const std::vector<TermId>& to = ids[c];
+    Triple* out = staged.data() + at[c];
+    for (const Triple& t : triples[c]) *out++ = Triple{to[t.s], to[t.p], to[t.o]};
+  });
+  if (!failed) return Status::OK();
+  size_t line_no = 0;
+  for (size_t c = 0; c <= *failed; ++c) line_no += read[c].lines;
+  return LineError(line_no, *read[*failed].error);
+}
+
+Status LoadNTriplesFile(const std::string& path, Graph* graph,
+                        util::ThreadPool* pool) {
   Result<FileView> file = FileView::Open(path);
   if (!file.ok()) return file.status();
-  return ParseNTriples(file->text(), graph);
+  return ParseNTriples(file->text(), graph, pool);
 }
 
 std::string WriteNTriples(const Graph& graph) {

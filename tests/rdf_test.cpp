@@ -768,6 +768,27 @@ std::string Mutate(const std::string& line, Rng& rng) {
   return joined();
 }
 
+// Loads `doc` with ParseNTriples on `pool` and with ReferenceParse and
+// requires the same status text, the same terms and keys in id order and the
+// same triples in the order they were added. Returns the status and adds
+// the number of triples loaded to `*loaded`.
+Status ExpectLoadsLikeReference(const std::string& doc, util::ThreadPool* pool,
+                                size_t* loaded) {
+  Graph actual, reference;
+  const Status got = ParseNTriples(doc, &actual, pool);
+  const Status want = ReferenceParse(doc, &reference);
+  EXPECT_EQ(got.ToString(), want.ToString());
+  EXPECT_EQ(Keys(actual.dict()), Keys(reference.dict()));
+  if (actual.dict().size() == reference.dict().size()) {
+    for (TermId id = 1; id <= actual.dict().size(); ++id) {
+      EXPECT_EQ(actual.dict().term(id), reference.dict().term(id)) << id;
+    }
+  }
+  EXPECT_EQ(Triples(actual), Triples(reference));
+  *loaded += actual.triples().size();
+  return got;
+}
+
 // Loads `docs` mutated documents cut from `g`'s N-Triples with both loaders
 // and requires the same status text, the same terms and keys in id order
 // and the same triples in the order they were added.
@@ -785,17 +806,9 @@ void ExpectLoaderMatchesReference(const Graph& g, uint64_t seed, int docs) {
     }
     if (rng.Chance(0.3)) doc.pop_back();
     SCOPED_TRACE(doc);
-    Graph actual, reference;
-    const Status got = ParseNTriples(doc, &actual);
-    const Status want = ReferenceParse(doc, &reference);
-    ASSERT_EQ(got.ToString(), want.ToString());
-    ASSERT_EQ(Keys(actual.dict()), Keys(reference.dict()));
-    for (TermId id = 1; id <= actual.dict().size(); ++id) {
-      ASSERT_EQ(actual.dict().term(id), reference.dict().term(id));
-    }
-    ASSERT_EQ(Triples(actual), Triples(reference));
+    const Status got = ExpectLoadsLikeReference(doc, nullptr, &loaded);
+    ASSERT_FALSE(::testing::Test::HasFailure());
     failed += got.ok() ? 0 : 1;
-    loaded += actual.triples().size();
   }
   // Both outcomes, and thousands of lines, must have been exercised.
   EXPECT_GT(failed, docs / 10);
@@ -813,6 +826,180 @@ TEST(NTriplesDifferentialTest, MutatedYagoLines) {
   datagen::YagoOptions opts;
   opts.num_entities = 2000;
   ExpectLoaderMatchesReference(datagen::GenerateYago(opts), /*seed=*/23, /*docs=*/800);
+}
+
+// ---------------------------------------------------------------------------
+// Multi-chunk loads: documents long enough for NTriplesChunks to cut them
+// into several chunks, loaded on pools of 1, 2 and 4 threads, against the
+// same reference. Besides random mutations, each document plants a term
+// spelled canonically in one chunk and non-canonically in another, and
+// about half of them a bad line on the first or last line of a chunk.
+
+TEST(NTriplesChunksTest, ChunksAreWholeLinesCoveringTheText) {
+  std::string text;
+  for (int i = 0; text.size() < 5 * kNTriplesMinChunkBytes; ++i) {
+    text += "<http://x/s" + std::to_string(i) + "> <http://x/p> \"v\" .\n";
+  }
+  for (const std::string& doc : {text, text.substr(0, text.size() - 1)}) {
+    EXPECT_EQ(NTriplesChunks(doc, 1).size(), 1u);
+    EXPECT_EQ(NTriplesChunks(doc.substr(0, kNTriplesMinChunkBytes), 4).size(), 1u);
+    for (unsigned threads : {2u, 4u, 64u}) {
+      const std::vector<std::string_view> chunks = NTriplesChunks(doc, threads);
+      EXPECT_EQ(chunks.size(), 5u) << threads;
+      std::string joined;
+      for (size_t c = 0; c < chunks.size(); ++c) {
+        ASSERT_FALSE(chunks[c].empty());
+        if (c + 1 < chunks.size()) {
+          EXPECT_EQ(chunks[c].back(), '\n');
+        }
+        joined += chunks[c];
+      }
+      EXPECT_EQ(joined, doc);
+    }
+  }
+  EXPECT_EQ(NTriplesChunks("", 4), std::vector<std::string_view>{""});
+}
+
+// The 1-based line numbers at which the chunks of `doc` start.
+std::vector<size_t> ChunkFirstLines(std::string_view doc, unsigned threads) {
+  std::vector<size_t> first;
+  size_t line = 1;
+  for (std::string_view chunk : NTriplesChunks(doc, threads)) {
+    first.push_back(line);
+    line += static_cast<size_t>(std::count(chunk.begin(), chunk.end(), '\n'));
+  }
+  return first;
+}
+
+// The line number a "line N: ..." status names, or 0 for OK.
+size_t ErrorLine(const Status& st) {
+  if (st.ok()) return 0;
+  return std::stoul(st.message().substr(5));
+}
+
+void ExpectChunkedLoaderMatchesReference(const Graph& g, uint64_t seed, int docs) {
+  const std::vector<std::string> lines = Split(Trim(WriteNTriples(g)), '\n');
+  util::ThreadPool one(1), two(2), four(4);
+  util::ThreadPool* pools[] = {&one, &two, &four};
+  Rng rng(seed);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng.Uniform(0, n - 1)); };
+  int later_chunk_errors = 0, first_line_errors = 0, last_line_errors = 0;
+  int repeated_subjects = 0, no_final_newline = 0, canonical_first = 0,
+      canonical_second = 0, multi_chunk = 0;
+  for (int d = 0; d < docs; ++d) {
+    // A run of consecutive lines, 2 to 9 minimum chunks long (with a margin
+    // for mutations that shorten lines), with about two random mutations.
+    const size_t target = (2 + pick(8)) * kNTriplesMinChunkBytes + 4096;
+    std::vector<std::string> doc_lines;
+    size_t bytes = 0;
+    for (size_t i = pick(lines.size()); bytes < target; ++i) {
+      doc_lines.push_back(lines[i % lines.size()]);
+      bytes += doc_lines.back().size() + 1;
+    }
+    for (std::string& line : doc_lines) {
+      if (rng.Chance(2.0 / doc_lines.size())) line = Mutate(line, rng);
+    }
+    auto join = [&] {
+      std::string doc;
+      for (const std::string& line : doc_lines) doc += line + '\n';
+      return doc;
+    };
+    // One literal in two chunks a < b: canonically in one, and as an
+    // explicit ^^xsd:string or with a raw tab (canonically \t) in the other.
+    const std::vector<size_t> clean_first = ChunkFirstLines(join(), 2);
+    const size_t a = pick(clean_first.size() - 1);
+    const size_t b = a + 1 + pick(clean_first.size() - a - 1);
+    auto line_in = [&](size_t chunk) {
+      const size_t begin = clean_first[chunk] - 1;
+      const size_t end = chunk + 1 < clean_first.size() ? clean_first[chunk + 1] - 1
+                                                       : doc_lines.size();
+      return begin + pick(end - begin);
+    };
+    const std::string value = "w" + std::to_string(d);
+    std::string spelled[2] = {"\"" + value + "\"",
+                              "\"" + value + "\"^^<http://www.w3.org/2001/XMLSchema#string>"};
+    if (rng.Chance(0.5)) {
+      spelled[0] = "\"" + value + "\\t\"";
+      spelled[1] = "\"" + value + "\t\"";
+    }
+    const bool canonical_in_a = rng.Chance(0.5);
+    const size_t planted[2] = {line_in(a), line_in(b)};
+    for (int k = 0; k < 2; ++k) {
+      std::string& line = doc_lines[planted[k]];
+      if (line.empty() || line[0] == '#') line = lines[0];
+      const size_t sp = line.find(' ', line.find(' ') + 1);
+      line = line.substr(0, sp + 1) + spelled[(k == 0) == canonical_in_a ? 0 : 1] + " .";
+    }
+    std::string doc = join();
+    if (rng.Chance(0.3)) {
+      doc.pop_back();
+      ++no_final_newline;
+    }
+    // A bad line on the first or last line of a chunk, written in place so
+    // that no chunk boundary moves: the terminating '.' becomes ','.
+    std::vector<size_t> first = ChunkFirstLines(doc, 2);
+    ASSERT_GT(first.size(), 1u);
+    if (rng.Chance(0.5)) {
+      const size_t k = pick(first.size());
+      const bool last = k > 0 && rng.Chance(0.5);
+      const size_t line_no = last ? first[k] - 1 : (k > 0 ? first[k] : first[1] - 1);
+      size_t at = 0;
+      for (size_t l = 1; l < line_no; ++l) at = doc.find('\n', at) + 1;
+      const size_t dot = doc.find_last_of('.', doc.find('\n', at) - 1);
+      if (dot != std::string::npos && dot >= at) doc[dot] = ',';
+    }
+    SCOPED_TRACE("document " + std::to_string(d));
+    for (util::ThreadPool* pool : pools) {
+      size_t loaded = 0;
+      const Status got = ExpectLoadsLikeReference(doc, pool, &loaded);
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "pool of " << pool->num_threads();
+      // What the document covered, as this pool cut it.
+      first = ChunkFirstLines(doc, pool->num_threads());
+      if (first.size() == 1) continue;
+      ++multi_chunk;
+      const size_t bad = ErrorLine(got);
+      const size_t loaded_lines = bad == 0 ? doc_lines.size() : bad - 1;
+      for (size_t k = 1; k < first.size() && first[k] <= loaded_lines; ++k) {
+        const std::string& prev = doc_lines[first[k] - 2];
+        const std::string& next = doc_lines[first[k] - 1];
+        repeated_subjects += !prev.empty() && prev.substr(0, prev.find(' ') + 1) ==
+                                                  next.substr(0, next.find(' ') + 1);
+      }
+      if (bad != 0) {
+        const auto it = std::upper_bound(first.begin(), first.end(), bad);
+        later_chunk_errors += it - first.begin() > 1;
+        first_line_errors += it - first.begin() > 1 && *(it - 1) == bad;
+        last_line_errors += it != first.end() && *it == bad + 1;
+      }
+      if (std::max(planted[0], planted[1]) < loaded_lines) {
+        ++(canonical_in_a ? canonical_first : canonical_second);
+      }
+    }
+  }
+  // Every document spans several chunks on the 2- and 4-thread pools.
+  EXPECT_EQ(multi_chunk, 2 * docs);
+  EXPECT_GT(later_chunk_errors, 0);
+  EXPECT_GT(first_line_errors, 0);
+  EXPECT_GT(last_line_errors, 0);
+  EXPECT_GT(repeated_subjects, 0);
+  EXPECT_GT(no_final_newline, 0);
+  EXPECT_GT(canonical_first, 0);
+  EXPECT_GT(canonical_second, 0);
+}
+
+TEST(NTriplesDifferentialTest, MultiChunkLubmLines) {
+  datagen::LubmOptions opts;
+  opts.universities = 1;
+  ExpectChunkedLoaderMatchesReference(datagen::GenerateLubm(opts), /*seed=*/25,
+                                      /*docs=*/24);
+}
+
+TEST(NTriplesDifferentialTest, MultiChunkYagoLines) {
+  datagen::YagoOptions opts;
+  opts.num_entities = 2000;
+  ExpectChunkedLoaderMatchesReference(datagen::GenerateYago(opts), /*seed=*/26,
+                                      /*docs=*/24);
 }
 
 // ---------------------------------------------------------------------------
@@ -872,6 +1059,24 @@ TEST(LoadFileTest, FifoIsReadToItsEnd) {
   ASSERT_TRUE(ParseNTriples(text, &from_text).ok());
   EXPECT_EQ(Keys(from_fifo.dict()), Keys(from_text.dict()));
   EXPECT_EQ(Triples(from_fifo), Triples(from_text));
+}
+
+// A file of several chunks, loaded on a 4-thread pool, gets the ids and
+// triples of a one-chunk parse of its text.
+TEST(LoadFileTest, ChunkedOnAFourThreadPool) {
+  datagen::LubmOptions opts;
+  opts.universities = 1;
+  const std::string text = WriteNTriples(datagen::GenerateLubm(opts));
+  ASSERT_GT(NTriplesChunks(text, 4).size(), 8u);
+  const std::string path = WriteTempFile("load_chunked.nt", text);
+  util::ThreadPool four(4), one(1);
+  Graph from_file, from_text;
+  const Status st = LoadNTriplesFile(path, &from_file, &four);
+  std::remove(path.c_str());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_TRUE(ParseNTriples(text, &from_text, &one).ok());
+  EXPECT_EQ(Keys(from_file.dict()), Keys(from_text.dict()));
+  EXPECT_EQ(Triples(from_file), Triples(from_text));
 }
 
 TEST(LoadFileTest, MissingFileNamesThePath) {
