@@ -120,7 +120,7 @@ std::vector<std::string> DeptQueries(const engine::QueryEngine& eng,
   }
   std::vector<std::string> out;
   for (size_t i = 0; i < depts->table.rows.size() && i < max_depts; ++i) {
-    std::string iri = eng.graph().dict().term(depts->table.rows[i][0]).lexical;
+    const std::string iri(eng.graph().dict().term(depts->table.rows[i][0]).lexical);
     out.push_back(std::string(kUbPrefix) + "SELECT ?x WHERE { ?x ub:memberOf <" +
                   iri + "> . ?x a ub:GraduateStudent }");
   }

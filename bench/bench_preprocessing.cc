@@ -268,6 +268,11 @@ int main() {
                       static_cast<double>(ds.graph.NumTriples()));
     telemetry.Counter("shapes_extended_kb." + ds.name,
                       ds.shapes_extended_bytes / 1024.0);
+    // The term dictionary beside the statistics: keys, offsets, slots.
+    const double dict_kb = ds.graph.dict().MemoryBytes() / 1024.0;
+    std::printf("dictionary %s: %zu terms, %.1f KB\n", ds.name.c_str(),
+                ds.graph.dict().size(), dict_kb);
+    telemetry.Counter("dict_kb." + ds.name, dict_kb);
     telemetry.Timing("annotate_ms." + ds.name, ds.annotate_ms);
   }
 

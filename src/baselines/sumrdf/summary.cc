@@ -50,8 +50,8 @@ Result<SumRdfSummary> SumRdfSummary::Build(const rdf::Graph& graph,
     if (class_resources.count(t)) return "class:" + std::to_string(t);
     auto sig = signature.find(t);
     if (sig != signature.end()) return "sig:" + sig->second;
-    const rdf::Term& term = graph.dict().term(t);
-    if (term.is_literal()) return "lit:" + term.datatype;
+    const rdf::TermView term = graph.dict().term(t);
+    if (term.is_literal()) return "lit:" + std::string(term.datatype);
     return "iri";
   };
   {

@@ -150,7 +150,7 @@ const shacl::NodeShape* CardinalityEstimator::FindShapeCached(
   // Resolve outside the lock; two threads may race here, so re-check under
   // the second lock before counting: only the thread that actually inserts
   // records the miss (the loser's lookup was answered by the cache).
-  const rdf::Term& cls = dict_.term(class_id);
+  const rdf::TermView cls = dict_.term(class_id);
   const shacl::NodeShape* ns =
       cls.is_iri() ? shapes_->FindByClass(cls.lexical) : nullptr;
   util::MutexLock lock(cache_mu_);
@@ -274,7 +274,7 @@ std::optional<TpEstimate> CardinalityEstimator::ShapeEstimate(
   // shape.
   auto anchor = anchors.find(tp.s.id);
   if (anchor == anchors.end()) return std::nullopt;
-  const rdf::Term& pred = dict_.term(tp.p.id);
+  const rdf::TermView pred = dict_.term(tp.p.id);
   if (!pred.is_iri()) return std::nullopt;
   const shacl::NodeShape* ns = FindShapeCached(anchor->second);
   if (ns == nullptr || !ns->annotated()) return std::nullopt;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -18,22 +19,31 @@ using sparql::ParsedQuery;
 
 namespace {
 
-// Numeric value of a literal term if it parses as a number.
-bool NumericValue(const rdf::Term& term, double* out) {
+// Numeric value of a literal term if its whole lexical form is one number
+// to strtod. A view does not end in a NUL, so strtod reads a copy.
+bool NumericValue(rdf::TermView term, double* out) {
   if (!term.is_literal() || term.lexical.empty()) return false;
+  char small[64];
+  std::string large;
+  const char* text = small;
+  if (term.lexical.size() < sizeof(small)) {
+    std::memcpy(small, term.lexical.data(), term.lexical.size());
+    small[term.lexical.size()] = '\0';
+  } else {
+    large = term.lexical;
+    text = large.c_str();
+  }
   errno = 0;
   char* end = nullptr;
-  double v = std::strtod(term.lexical.c_str(), &end);
-  if (errno != 0 || end != term.lexical.c_str() + term.lexical.size()) {
-    return false;
-  }
+  double v = std::strtod(text, &end);
+  if (errno != 0 || end != text + term.lexical.size()) return false;
   *out = v;
   return true;
 }
 
 }  // namespace
 
-bool CompareTerms(const rdf::Term& ta, CompareOp op, const rdf::Term& tb) {
+bool CompareTerms(rdf::TermView ta, CompareOp op, rdf::TermView tb) {
   double va, vb;
   int cmp;
   if (NumericValue(ta, &va) && NumericValue(tb, &vb)) {
@@ -101,7 +111,7 @@ Result<FilterPlan> EncodeFilters(const ParsedQuery& query,
     ef.ready_depth = depth;
     // Constant-only filters decide satisfiability up front.
     if (!ef.lhs.is_var && !ef.rhs.is_var) {
-      if (!CompareTerms(ef.lhs.term, ef.op, ef.rhs.term)) {
+      if (!CompareTerms(ef.lhs.term.view(), ef.op, ef.rhs.term.view())) {
         plan.unsatisfiable = true;
       }
       continue;
@@ -115,10 +125,10 @@ bool FiltersPass(const std::vector<EncodedFilter>& filters,
                  const TermId* bindings,
                  const rdf::TermDictionary& dict) {
   for (const EncodedFilter& f : filters) {
-    const rdf::Term& lhs =
-        f.lhs.is_var ? dict.term(bindings[f.lhs.var_id]) : f.lhs.term;
-    const rdf::Term& rhs =
-        f.rhs.is_var ? dict.term(bindings[f.rhs.var_id]) : f.rhs.term;
+    const rdf::TermView lhs =
+        f.lhs.is_var ? dict.term(bindings[f.lhs.var_id]) : f.lhs.term.view();
+    const rdf::TermView rhs =
+        f.rhs.is_var ? dict.term(bindings[f.rhs.var_id]) : f.rhs.term.view();
     if (!CompareTerms(lhs, f.op, rhs)) return false;
   }
   return true;
@@ -183,13 +193,14 @@ Status ApplyModifiers(const ParsedQuery& query, const rdf::TermDictionary& dict,
   if (query.order_by) {
     std::vector<size_t> idx(rows->size());
     std::iota(idx.begin(), idx.end(), 0);
-    bool desc = query.order_by->descending;
+    // Each key is read from the dictionary once, not at every comparison.
+    std::vector<rdf::TermView> keys;
+    keys.reserve(order_keys->size());
+    for (TermId id : *order_keys) keys.push_back(dict.term(id));
+    const CompareOp before =
+        query.order_by->descending ? CompareOp::kGt : CompareOp::kLt;
     std::stable_sort(idx.begin(), idx.end(), [&](size_t a, size_t b) {
-      const rdf::Term& ka = dict.term((*order_keys)[a]);
-      const rdf::Term& kb = dict.term((*order_keys)[b]);
-      bool lt = CompareTerms(ka, CompareOp::kLt, kb);
-      bool gt = CompareTerms(ka, CompareOp::kGt, kb);
-      return desc ? gt : lt;
+      return CompareTerms(keys[a], before, keys[b]);
     });
     std::vector<std::vector<TermId>> sorted;
     sorted.reserve(idx.size());

@@ -40,8 +40,10 @@ struct FilterPlan {
 };
 
 /// SPARQL-ish comparison: numeric when both sides are numeric literals,
-/// term equality for =/!=, lexical ordering as the fallback for </>.
-bool CompareTerms(const rdf::Term& a, sparql::CompareOp op, const rdf::Term& b);
+/// term equality for =/!=, lexical ordering as the fallback for </>. A
+/// query constant takes part as Term::view(), so "x" and
+/// "x"^^xsd:string are the same term on either side.
+bool CompareTerms(rdf::TermView a, sparql::CompareOp op, rdf::TermView b);
 
 /// Encodes `query`'s filters against the BGP's variable table, computing
 /// each filter's readiness depth for the join order `order`. Fails on

@@ -154,7 +154,7 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-std::string JsonEscape(const std::string& s) {
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {

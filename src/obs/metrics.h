@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/thread_annotations.h"
@@ -159,7 +160,7 @@ class MetricsRegistry {
 };
 
 /// Escapes a string for embedding in JSON output (quotes not included).
-std::string JsonEscape(const std::string& s);
+std::string JsonEscape(std::string_view s);
 
 /// Copies the shared util::ThreadPool's activity counters into the global
 /// registry: `pool.tasks_executed` and `pool.peak_queue_depth` (published as

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstring>
 
+#include "util/string_util.h"
+
 namespace shapestats::rdf {
 
 // 8-byte words folded by multiply/xorshift, then the splitmix64 finalizer,
@@ -34,9 +36,8 @@ uint32_t TermDictionary::Hash(std::string_view key) {
 
 TermDictionary::TermDictionary()
     : slots_(kInitialSlots, Slot{0, kInvalidTermId}),
-      keys_(Term().ToNTriples()),
-      key_offset_{0, keys_.size()},
-      terms_(1) {}  // id 0: the invalid dummy term, keyed but never indexed
+      keys_(Term().ToNTriples()),  // id 0: the IRI <>, keyed but never indexed
+      key_offset_{0, keys_.size()} {}
 
 size_t TermDictionary::Probe(std::string_view key, uint32_t tag) const {
   const size_t mask = slots_.size() - 1;
@@ -72,30 +73,41 @@ TermId TermDictionary::Intern(const Term& term) {
     keys_.resize(start);
     return slots_[slot].id;
   }
-  return Insert(slot, tag, Term(term));
+  return Insert(slot, tag);
 }
 
-TermId TermDictionary::InternKey(std::string_view key, uint32_t hash,
-                                 Term&& term) {
+TermId TermDictionary::InternKey(std::string_view key, uint32_t hash) {
   const size_t slot = Probe(key, hash);
   if (slots_[slot].id != kInvalidTermId) return slots_[slot].id;
   keys_.append(key);
-  return Insert(slot, hash, std::move(term));
+  return Insert(slot, hash);
 }
 
 void TermDictionary::Reserve(size_t terms, size_t key_bytes) {
-  terms_.reserve(terms_.size() + terms);
   key_offset_.reserve(key_offset_.size() + terms);
   keys_.reserve(keys_.size() + key_bytes);
 }
 
-TermId TermDictionary::Insert(size_t slot, uint32_t tag, Term&& term) {
-  const TermId id = static_cast<TermId>(terms_.size());
-  terms_.push_back(std::move(term));
+TermId TermDictionary::Insert(size_t slot, uint32_t tag) {
+  const TermId id = static_cast<TermId>(key_offset_.size() - 1);
   key_offset_.push_back(keys_.size());
+  // A literal's value holds a backslash only where its key escapes it, and
+  // then the first quote may be an escaped one.
+  const std::string_view key = Key(id);
+  if (key.front() == '"' &&
+      key.substr(1, key.find('"', 1) - 1).find('\\') != std::string_view::npos) {
+    unescaped_.emplace(id, UnescapeLiteral(key.substr(1, LiteralEnd(key) - 1)));
+  }
   slots_[slot] = Slot{tag, id};
   if (2 * size() > slots_.size()) Grow();
   return id;
+}
+
+size_t TermDictionary::MemoryBytes() const {
+  size_t unescaped = 0;
+  for (const auto& [id, value] : unescaped_) unescaped += sizeof(id) + value.size();
+  return keys_.size() + key_offset_.size() * sizeof(size_t) +
+         slots_.size() * sizeof(Slot) + unescaped;
 }
 
 TermId TermDictionary::InternIri(std::string_view iri) {
@@ -127,13 +139,14 @@ std::optional<TermId> TermDictionary::FindIri(std::string_view iri) const {
 }
 
 std::string TermDictionary::Pretty(TermId id) const {
-  const Term& t = term(id);
+  const TermView t = term(id);
   if (t.is_iri()) {
-    size_t cut = t.lexical.find_last_of("#/");
-    return cut == std::string::npos ? t.lexical : t.lexical.substr(cut + 1);
+    const size_t cut = t.lexical.find_last_of("#/");
+    return std::string(cut == std::string_view::npos ? t.lexical
+                                                     : t.lexical.substr(cut + 1));
   }
-  if (t.is_blank()) return "_:" + t.lexical;
-  return t.lexical;
+  if (t.is_blank()) return "_:" + std::string(t.lexical);
+  return std::string(t.lexical);
 }
 
 }  // namespace shapestats::rdf

@@ -47,19 +47,8 @@ const char* FindSpaceOrControl(const char* p, const char* end) {
 // time and tests only the bytes <= 0x20 it stops at.
 size_t TokenEnd(std::string_view line, size_t i) {
   if (line[i] == '"') {
-    ++i;
-    while (i < line.size()) {
-      if (line[i] == '\\') {
-        i += 2;
-        continue;
-      }
-      if (line[i] == '"') {
-        ++i;
-        break;
-      }
-      ++i;
-    }
-    i = std::min(i, line.size());
+    const size_t close = LiteralEnd(line.substr(i));
+    i = close == std::string_view::npos ? line.size() : i + close + 1;
   }
   const char* const end = line.data() + line.size();
   for (const char* p = line.data() + i;; ++p) {
@@ -129,15 +118,17 @@ struct MappedAllocator {
 template <typename T>
 using MappedVector = std::vector<T, MappedAllocator<T>>;
 
-// Bytes of text per distinct term, and per triple, that a chunk's tables are
-// reserved for up front. A mapping costs nothing until it is written, so the
-// reservation is generous: chunks of generated LUBM and YAGO data hold a
-// distinct term per 260-590 bytes and a triple per 110-170. A denser chunk
-// grows its tables, which only costs copies.
+// Bytes of text per distinct term, per triple and per key byte that the
+// tables of a load are reserved for up front. Room that is never written is
+// never faulted in, so the reservation is generous: generated LUBM, YAGO and
+// WatDiv data hold a distinct term per 260-620 bytes, a triple per 110-170
+// and a key byte per 10-16. Denser text grows the tables, which only costs
+// copies.
 constexpr size_t kBytesPerTermReserved = 64;
 constexpr size_t kBytesPerTripleReserved = 32;
+constexpr size_t kBytesPerKeyByteReserved = 4;
 
-// The terms of one chunk, with chunk-local ids 1, 2, ... in the order they
+// The keys of one chunk, with chunk-local ids 1, 2, ... in the order they
 // were first interned, behind the three TermDictionary calls ParseLines
 // makes. The index works like the dictionary's (tagged slots, linear
 // probing, load at most 1/2), but a key is not copied: it is a view of the
@@ -147,7 +138,6 @@ class ChunkTerms {
  public:
   explicit ChunkTerms(size_t text_bytes = 0) : slots_(kInitialSlots) {
     keys_.reserve(text_bytes / kBytesPerTermReserved);
-    terms_.reserve(text_bytes / kBytesPerTermReserved);
   }
 
   std::optional<TermId> FindKey(std::string_view key, uint32_t hash) const {
@@ -156,11 +146,10 @@ class ChunkTerms {
     return id;
   }
 
-  TermId InternKey(std::string_view key, uint32_t hash, Term&& term) {
+  TermId InternKey(std::string_view key, uint32_t hash) {
     const size_t slot = Probe(key, hash);
     if (slots_[slot].id != kInvalidTermId) return slots_[slot].id;
     keys_.push_back(Key{key, hash});
-    terms_.push_back(std::move(term));
     const TermId id = static_cast<TermId>(keys_.size());
     slots_[slot] = Slot{hash, id};
     if (2 * keys_.size() > slots_.size()) Grow();
@@ -171,23 +160,15 @@ class ChunkTerms {
     std::string key = term.ToNTriples();
     const uint32_t hash = TermDictionary::Hash(key);
     if (std::optional<TermId> id = FindKey(key, hash)) return *id;
-    return InternKey(respelled_.emplace_back(std::move(key)), hash, Term(term));
+    return InternKey(respelled_.emplace_back(std::move(key)), hash);
   }
 
-  size_t size() const { return keys_.size(); }
-  size_t key_bytes() const {
-    size_t bytes = 0;
-    for (const Key& k : keys_) bytes += k.key.size();
-    return bytes;
-  }
-
-  // Interns every term into `dict` in id order, moving it out, and frees the
-  // table; returns the id in `dict` of each local id (0 maps to 0).
+  // Interns every key into `dict` in id order and frees the table; returns
+  // the id in `dict` of each local id (0 maps to 0).
   std::vector<TermId> MoveInto(TermDictionary& dict) {
     std::vector<TermId> ids(keys_.size() + 1, kInvalidTermId);
     for (size_t i = 0; i < keys_.size(); ++i) {
-      ids[i + 1] = dict.InternKey(keys_[i].key, keys_[i].hash,
-                                  std::move(terms_[i]));
+      ids[i + 1] = dict.InternKey(keys_[i].key, keys_[i].hash);
     }
     *this = ChunkTerms();
     return ids;
@@ -230,8 +211,7 @@ class ChunkTerms {
   // The slots come from malloc: they double from 8 KB, and a mapping per
   // doubling would cost a system call and fresh pages each time.
   std::vector<Slot> slots_;
-  MappedVector<Key> keys_;    // keys_[id - 1]
-  MappedVector<Term> terms_;  // terms_[id - 1]
+  MappedVector<Key> keys_;  // keys_[id - 1]
   std::deque<std::string> respelled_;
 };
 
@@ -316,7 +296,7 @@ LinesRead ParseLines(std::string_view text, Dict& dict, Add add) {
     for (int k = 2; k >= 0; --k) {
       if (!parsed[k]) continue;
       id[k] = IsCanonical(tok[k], *parsed[k])
-                  ? dict.InternKey(tok[k], hash[k], std::move(*parsed[k]))
+                  ? dict.InternKey(tok[k], hash[k])
                   : dict.Intern(*parsed[k]);
     }
     add(id[0], id[1], id[2]);
@@ -352,9 +332,11 @@ std::vector<std::string_view> NTriplesChunks(std::string_view text,
   return chunks;
 }
 
-// One chunk is parsed straight into the graph: the sequential loop. Several
-// chunks are parsed in parallel, each into a ChunkTerms and a triple list
-// of its own, with chunk-local ids. The chunk tables are interned into the
+// The dictionary is first reserved for the whole text, so that neither path
+// grows its key arena and offsets by doubling. One chunk is parsed straight
+// into the graph: the sequential loop. Several chunks are parsed in
+// parallel, each into a ChunkTerms and a triple list of its own, with
+// chunk-local ids. The chunk tables are interned into the
 // graph's dictionary in chunk order, each in its local id order. That is
 // the order a line-by-line parse meets their terms in, so every id is the
 // one that parse gives: a term first met in chunk c occurs in no earlier
@@ -374,6 +356,8 @@ Status ParseNTriples(std::string_view text, Graph* graph,
   const std::vector<std::string_view> chunks =
       NTriplesChunks(text, tp.num_threads());
   const size_t n = chunks.size();
+  graph->dict().Reserve(text.size() / kBytesPerTermReserved,
+                        text.size() / kBytesPerKeyByteReserved);
   if (n == 1) {
     const LinesRead read = ParseLines(text, graph->dict(),
                                       [graph](TermId s, TermId p, TermId o) {
@@ -400,17 +384,6 @@ Status ParseNTriples(std::string_view text, Graph* graph,
   auto merge_parsed = [&] {
     for (; merged < n && !failed && parsed[merged].load(std::memory_order_acquire);
          ++merged) {
-      if (merged == 0) {
-        // Room for the whole text at the density of chunk 0, so that
-        // merging does not regrow the term array, moving every term. Room
-        // that is never written is never faulted in.
-        const double scale = static_cast<double>(text.size()) /
-                             static_cast<double>(chunks[0].size());
-        auto scaled = [scale](size_t x) {
-          return static_cast<size_t>(static_cast<double>(x) * scale);
-        };
-        dict.Reserve(scaled(tables[0].size()), scaled(tables[0].key_bytes()));
-      }
       ids[merged] = tables[merged].MoveInto(dict);
       if (read[merged].error) failed = merged;
     }

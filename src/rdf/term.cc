@@ -58,18 +58,7 @@ Result<Term> ParseTerm(std::string_view text) {
     return Term::Blank(std::string(text.substr(2)));
   }
   if (text.front() == '"') {
-    // Find the closing unescaped quote.
-    size_t end = std::string_view::npos;
-    for (size_t i = 1; i < text.size(); ++i) {
-      if (text[i] == '\\') {
-        ++i;
-        continue;
-      }
-      if (text[i] == '"') {
-        end = i;
-        break;
-      }
-    }
+    const size_t end = LiteralEnd(text);
     if (end == std::string_view::npos) {
       return Status::ParseError("unterminated literal: " + std::string(text));
     }

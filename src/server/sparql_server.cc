@@ -21,7 +21,7 @@ namespace {
 // Process-unique request ids; 0 is reserved for "no request".
 std::atomic<uint64_t> g_next_request_id{1};
 
-std::string JsonStr(const std::string& s) {
+std::string JsonStr(std::string_view s) {
   // Built via append: gcc 12's -Wrestrict fires a false positive on
   // operator+(const char*, std::string&&) in Release builds.
   std::string out = "\"";
@@ -35,7 +35,7 @@ std::string JsonError(const std::string& message) {
 }
 
 /// One solution term in SPARQL 1.1 Query Results JSON form.
-std::string TermToJson(const rdf::Term& term) {
+std::string TermToJson(rdf::TermView term) {
   switch (term.kind) {
     case rdf::TermKind::kIri:
       return "{\"type\":\"uri\",\"value\":" + JsonStr(term.lexical) + "}";

@@ -30,7 +30,7 @@ Result<ShapesGraph> GenerateShapes(const rdf::Graph& data,
   for (const rdf::Triple& t : data.PredicateByObject(*type)) {
     if (t.o == prev_cls) continue;
     prev_cls = t.o;
-    const rdf::Term& cls = dict.term(t.o);
+    const rdf::TermView cls = dict.term(t.o);
     if (cls.is_iri()) classes.emplace_back(cls.lexical, t.o);
   }
   if (classes.empty()) {
@@ -67,7 +67,7 @@ Result<ShapesGraph> GenerateShapes(const rdf::Graph& data,
           info = &preds[t.p];
           ++info->instances_with;
         }
-        const rdf::Term& obj = dict.term(t.o);
+        const rdf::TermView obj = dict.term(t.o);
         if (obj.is_literal()) {
           info->objects_all_iris = false;
           const std::string_view dt =

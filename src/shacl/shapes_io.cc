@@ -61,12 +61,17 @@ std::string WriteShapesTurtle(const ShapesGraph& shapes) {
 
 namespace {
 
+// A shape node's name: its IRI, or "_:" and the label of a blank node.
+std::string NodeName(rdf::TermView node) {
+  return node.is_iri() ? std::string(node.lexical) : "_:" + std::string(node.lexical);
+}
+
 // Reads the single object of (s, p, ?) as an IRI string; empty if absent.
 std::string ObjectIri(const rdf::Graph& g, rdf::TermId s, rdf::TermId p) {
   auto span = g.Match(s, p, std::nullopt);
   if (span.empty()) return "";
-  const rdf::Term& t = g.dict().term(span.front().o);
-  return t.is_iri() ? t.lexical : "";
+  const rdf::TermView t = g.dict().term(span.front().o);
+  return t.is_iri() ? std::string(t.lexical) : "";
 }
 
 // Reads the single object of (s, p, ?) as an integer literal.
@@ -74,7 +79,7 @@ std::optional<uint64_t> ObjectInt(const rdf::Graph& g, rdf::TermId s,
                                   rdf::TermId p) {
   auto span = g.Match(s, p, std::nullopt);
   if (span.empty()) return std::nullopt;
-  const rdf::Term& t = g.dict().term(span.front().o);
+  const rdf::TermView t = g.dict().term(span.front().o);
   if (!t.is_literal()) return std::nullopt;
   uint64_t v = 0;
   auto [ptr, ec] =
@@ -111,8 +116,7 @@ Result<ShapesGraph> ShapesFromRdf(const rdf::Graph& g) {
   ShapesGraph shapes;
   for (const rdf::Triple& t : g.Match(std::nullopt, *type, *node_shape_cls)) {
     NodeShape ns;
-    const rdf::Term& subject = dict.term(t.s);
-    ns.iri = subject.is_iri() ? subject.lexical : ("_:" + subject.lexical);
+    ns.iri = NodeName(dict.term(t.s));
     if (!target_class) {
       return Status::ParseError("node shape without sh:targetClass: " + ns.iri);
     }
@@ -124,9 +128,7 @@ Result<ShapesGraph> ShapesFromRdf(const rdf::Graph& g) {
     if (property) {
       for (const rdf::Triple& link : g.Match(t.s, *property, std::nullopt)) {
         PropertyShape ps;
-        const rdf::Term& shape_node = dict.term(link.o);
-        ps.iri = shape_node.is_iri() ? shape_node.lexical
-                                     : ("_:" + shape_node.lexical);
+        ps.iri = NodeName(dict.term(link.o));
         if (path) ps.path = ObjectIri(g, link.o, *path);
         if (ps.path.empty()) {
           return Status::ParseError("property shape without sh:path under " +

@@ -81,11 +81,11 @@ Result<ValidationReport> Validate(const rdf::Graph& data, const ShapesGraph& sha
         }
         if (!ps.datatype.empty()) {
           for (const rdf::Triple& t : data.Match(inst.s, *pred, std::nullopt)) {
-            const rdf::Term& obj = dict.term(t.o);
-            std::string dt = obj.is_literal()
-                                 ? (obj.datatype.empty() ? std::string(vocab::kXsdString)
-                                                         : obj.datatype)
-                                 : "";
+            const rdf::TermView obj = dict.term(t.o);
+            const std::string_view dt =
+                !obj.is_literal() ? ""
+                : obj.datatype.empty() ? vocab::kXsdString
+                                       : obj.datatype;
             if (dt != ps.datatype) {
               add({ViolationKind::kDatatype, focus, ps.iri, ps.path,
                    "object is not a literal of " + ps.datatype});

@@ -75,7 +75,9 @@ std::string WriteVoidTurtle(const GlobalStats& stats,
   out += "    ss:distinctClasses " + std::to_string(stats.num_distinct_classes) +
          " .\n\n";
   for (const auto& [p, ps] : stats.by_predicate) {
-    out += "[ void:property <" + dict.term(p).lexical + "> ;\n";
+    out += "[ void:property <";
+    out += dict.term(p).lexical;
+    out += "> ;\n";
     out += "  void:triples " + std::to_string(ps.count) + " ;\n";
     out += "  void:distinctSubjects " + std::to_string(ps.dsc) + " ;\n";
     out += "  void:distinctObjects " + std::to_string(ps.doc) + " ] .\n";

@@ -167,7 +167,7 @@ TEST(DictionaryTest, GrowthKeepsEveryKeyFindable) {
     EXPECT_EQ(dict.Intern(term), k + 1) << "re-interning returns the old id";
     EXPECT_EQ(dict.Find(term), OptId(k + 1));
     EXPECT_EQ(dict.ToNTriples(k + 1), keys[k]);
-    EXPECT_EQ(dict.term(k + 1), term);
+    EXPECT_EQ(dict.term(k + 1), term.view());
     // Extensions of a present key are absent, and so are its proper
     // prefixes (a blank label's prefix may be another label).
     EXPECT_FALSE(dict.FindKey(keys[k] + "#").has_value()) << keys[k];
@@ -612,24 +612,45 @@ Graph ReferenceLoad(std::string_view text) {
   return g;
 }
 
+// term(id) reads, field by field, as ParseTerm of the id's key, for every
+// id (0, never assigned, reads as the IRI <>).
+void ExpectViewsParseTheirKeys(const TermDictionary& dict) {
+  for (TermId id = 0; id <= dict.size(); ++id) {
+    const std::string key = dict.ToNTriples(id);
+    Result<Term> parsed = ParseTerm(key);
+    ASSERT_TRUE(parsed.ok()) << key;
+    const TermView view = dict.term(id);
+    ASSERT_EQ(view.kind, parsed->kind) << key;
+    ASSERT_EQ(view.lexical, parsed->lexical) << key;
+    ASSERT_EQ(view.datatype, parsed->datatype) << key;
+    ASSERT_EQ(view.lang, parsed->lang) << key;
+  }
+}
+
+// Writes `g` as N-Triples and loads the text back on the shared pool and on
+// pools of 1, 2 and 4 threads: each load must intern the keys and add the
+// triples the reference loader does, and read every term as its key.
 void ExpectLoadRoundTrip(const Graph& g) {
   const TermDictionary& dict = g.dict();
   ASSERT_GT(dict.size(), 0u);
   for (TermId id = 1; id <= dict.size(); ++id) {
     const std::string key = dict.ToNTriples(id);
     ASSERT_EQ(dict.FindKey(key), id) << key;
-    Result<Term> parsed = ParseTerm(key);
-    ASSERT_TRUE(parsed.ok()) << key;
-    ASSERT_EQ(*parsed, dict.term(id)) << key;
   }
+  ExpectViewsParseTheirKeys(dict);
   const std::string text = WriteNTriples(g);
-  Graph loaded;
-  ASSERT_TRUE(ParseNTriples(text, &loaded).ok());
-  loaded.Finalize();
   Graph reference = ReferenceLoad(text);
-  EXPECT_EQ(Keys(loaded.dict()), Keys(reference.dict()));
-  EXPECT_EQ(Triples(loaded), Triples(reference));
-  EXPECT_EQ(loaded.NumTriples(), g.NumTriples());
+  util::ThreadPool one(1), two(2), four(4);
+  for (util::ThreadPool* pool : {&util::ThreadPool::Shared(), &one, &two, &four}) {
+    SCOPED_TRACE("pool of " + std::to_string(pool->num_threads()));
+    Graph loaded;
+    ASSERT_TRUE(ParseNTriples(text, &loaded, pool).ok());
+    loaded.Finalize();
+    EXPECT_EQ(Keys(loaded.dict()), Keys(reference.dict()));
+    EXPECT_EQ(Triples(loaded), Triples(reference));
+    EXPECT_EQ(loaded.NumTriples(), g.NumTriples());
+    ExpectViewsParseTheirKeys(loaded.dict());
+  }
 }
 
 TEST(LoadRoundTripTest, Lubm1) {
@@ -642,6 +663,57 @@ TEST(LoadRoundTripTest, SmallYago) {
   datagen::YagoOptions opts;
   opts.num_entities = 5000;
   ExpectLoadRoundTrip(datagen::GenerateYago(opts));
+}
+
+TEST(LoadRoundTripTest, EveryTermKindOnEveryPool) {
+  // Several chunks of IRIs, blank nodes, a language tag, a datatype, a
+  // literal with every escape, literals spelled both plainly and as
+  // ^^xsd:string (the plain spelling first for even i and second for odd
+  // i), and suffixes holding a quote.
+  const std::string xsd_string = "^^<http://www.w3.org/2001/XMLSchema#string>";
+  std::string doc;
+  for (int i = 0; doc.size() < 4 * kNTriplesMinChunkBytes; ++i) {
+    const std::string s = "<http://x/s" + std::to_string(i) + "> ";
+    const std::string blank = "_:b" + std::to_string(i % 7);
+    const std::string x = "\"x" + std::to_string(i) + "\"";
+    doc += s + "<http://x/p> " + blank + " .\n";
+    doc += blank + " <http://x/lang> \"v" + std::to_string(i % 5) + "\"@en-GB .\n";
+    doc += s + "<http://x/int> \"" + std::to_string(i % 11) +
+           "\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n";
+    doc += s + "<http://x/esc> \"say \\\"hi\\\" \\\\ \\n\\t" + std::to_string(i % 3) +
+           "\" .\n";
+    doc += s + "<http://x/str> " + x + (i % 2 ? xsd_string : "") + " .\n";
+    doc += s + "<http://x/str> " + x + (i % 2 ? "" : xsd_string) + " .\n";
+    // The object keeps its suffix as written, so a tag or datatype may hold
+    // a quote: the value ends at the first one.
+    doc += s + "<http://x/odd> \"q\"@en\"GB .\n";
+    doc += s + "<http://x/odd> \"q\"^^<http://x/d\"t> .\n";
+  }
+  util::ThreadPool one(1), two(2), four(4);
+  std::vector<std::string> keys;
+  for (util::ThreadPool* pool : {&one, &two, &four}) {
+    SCOPED_TRACE("pool of " + std::to_string(pool->num_threads()));
+    Graph g;
+    ASSERT_TRUE(ParseNTriples(doc, &g, pool).ok());
+    g.Finalize();
+    ExpectViewsParseTheirKeys(g.dict());
+    const TermDictionary& dict = g.dict();
+    const std::optional<TermId> escaped = dict.Find(Term::Literal("say \"hi\" \\ \n\t2"));
+    ASSERT_TRUE(escaped.has_value());
+    EXPECT_EQ(dict.term(*escaped).lexical, "say \"hi\" \\ \n\t2");
+    const std::optional<TermId> x = dict.Find(Term::Literal("x1"));
+    ASSERT_TRUE(x.has_value());
+    EXPECT_EQ(dict.ToNTriples(*x), "\"x1\"");
+    EXPECT_EQ(dict.term(*x), Term::Literal("x1").view());
+    EXPECT_EQ(dict.term(*x), Term::Literal("x1", std::string(vocab::kXsdString)).view());
+    const TermView odd = dict.term(*dict.FindKey("\"q\"@en\"GB"));
+    EXPECT_EQ(odd.lexical, "q");
+    EXPECT_EQ(odd.lang, "en\"GB");
+    EXPECT_EQ(dict.term(*dict.FindKey("\"q\"^^<http://x/d\"t>")).datatype, "http://x/d\"t");
+    if (keys.empty()) keys = Keys(dict);
+    EXPECT_EQ(Keys(dict), keys);
+    if (pool == &four) ExpectLoadRoundTrip(g);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -784,6 +856,7 @@ Status ExpectLoadsLikeReference(const std::string& doc, util::ThreadPool* pool,
       EXPECT_EQ(actual.dict().term(id), reference.dict().term(id)) << id;
     }
   }
+  ExpectViewsParseTheirKeys(actual.dict());
   EXPECT_EQ(Triples(actual), Triples(reference));
   *loaded += actual.triples().size();
   return got;
@@ -885,7 +958,7 @@ void ExpectChunkedLoaderMatchesReference(const Graph& g, uint64_t seed, int docs
   auto pick = [&](size_t n) { return static_cast<size_t>(rng.Uniform(0, n - 1)); };
   int later_chunk_errors = 0, first_line_errors = 0, last_line_errors = 0;
   int repeated_subjects = 0, no_final_newline = 0, canonical_first = 0,
-      canonical_second = 0, multi_chunk = 0;
+      canonical_second = 0, multi_chunk = 0, escaped_across_chunks = 0;
   for (int d = 0; d < docs; ++d) {
     // A run of consecutive lines, 2 to 9 minimum chunks long (with a margin
     // for mutations that shorten lines), with about two random mutations.
@@ -929,6 +1002,26 @@ void ExpectChunkedLoaderMatchesReference(const Graph& g, uint64_t seed, int docs
       if (line.empty() || line[0] == '#') line = lines[0];
       const size_t sp = line.find(' ', line.find(' ') + 1);
       line = line.substr(0, sp + 1) + spelled[(k == 0) == canonical_in_a ? 0 : 1] + " .";
+    }
+    // In every chunk, one line whose object is the same literal with every
+    // escape, under a blank subject, and one with a language tag or a
+    // datatype.
+    const std::string escaped = "\"e" + std::to_string(d) + " \\\" \\\\ \\n\\t\"";
+    std::set<size_t> used = {planted[0], planted[1]};
+    auto unused_line_in = [&](size_t chunk) {
+      size_t line;
+      do line = line_in(chunk);
+      while (!used.insert(line).second);
+      return line;
+    };
+    std::vector<size_t> escaped_lines;
+    for (size_t c = 0; c < clean_first.size(); ++c) {
+      escaped_lines.push_back(unused_line_in(c));
+      doc_lines[escaped_lines.back()] =
+          "_:e" + std::to_string(c % 2) + " <http://x/esc> " + escaped + " .";
+      doc_lines[unused_line_in(c)] =
+          "<http://x/s" + std::to_string(c) + "> <http://x/p> " +
+          (c % 2 ? "\"v\"@en-GB" : "\"7\"^^<http://www.w3.org/2001/XMLSchema#integer>") + " .";
     }
     std::string doc = join();
     if (rng.Chance(0.3)) {
@@ -975,6 +1068,13 @@ void ExpectChunkedLoaderMatchesReference(const Graph& g, uint64_t seed, int docs
       if (std::max(planted[0], planted[1]) < loaded_lines) {
         ++(canonical_in_a ? canonical_first : canonical_second);
       }
+      std::set<size_t> escaped_chunks;
+      for (size_t line : escaped_lines) {
+        if (line >= loaded_lines) continue;
+        escaped_chunks.insert(std::upper_bound(first.begin(), first.end(), line + 1) -
+                              first.begin());
+      }
+      escaped_across_chunks += escaped_chunks.size() > 1;
     }
   }
   // Every document spans several chunks on the 2- and 4-thread pools.
@@ -986,6 +1086,7 @@ void ExpectChunkedLoaderMatchesReference(const Graph& g, uint64_t seed, int docs
   EXPECT_GT(no_final_newline, 0);
   EXPECT_GT(canonical_first, 0);
   EXPECT_GT(canonical_second, 0);
+  EXPECT_GT(escaped_across_chunks, 0);
 }
 
 TEST(NTriplesDifferentialTest, MultiChunkLubmLines) {
