@@ -99,8 +99,9 @@ Dataset BuildYago(uint32_t entities) {
 
 namespace {
 
-engine::QueryEngine OpenEngine(rdf::Graph graph) {
-  auto eng = engine::QueryEngine::Open(std::move(graph));
+engine::QueryEngine OpenEngine(rdf::Graph graph,
+                               const engine::EngineOptions& options) {
+  auto eng = engine::QueryEngine::Open(std::move(graph), options);
   if (!eng.ok()) {
     std::fprintf(stderr, "engine open failed: %s\n",
                  eng.status().ToString().c_str());
@@ -111,16 +112,18 @@ engine::QueryEngine OpenEngine(rdf::Graph graph) {
 
 }  // namespace
 
-engine::QueryEngine OpenLubmEngine(uint32_t universities) {
+engine::QueryEngine OpenLubmEngine(uint32_t universities,
+                                   const engine::EngineOptions& options) {
   datagen::LubmOptions opts;
   opts.universities = universities;
-  return OpenEngine(datagen::GenerateLubm(opts));
+  return OpenEngine(datagen::GenerateLubm(opts), options);
 }
 
-engine::QueryEngine OpenYagoEngine(uint32_t entities) {
+engine::QueryEngine OpenYagoEngine(uint32_t entities,
+                                   const engine::EngineOptions& options) {
   datagen::YagoOptions opts;
   opts.num_entities = entities;
-  return OpenEngine(datagen::GenerateYago(opts));
+  return OpenEngine(datagen::GenerateYago(opts), options);
 }
 
 const char* ApproachName(Approach a) {

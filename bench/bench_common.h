@@ -49,8 +49,10 @@ Dataset BuildYago(uint32_t entities = 60000);
 /// Opens a shape-statistics QueryEngine over a freshly generated graph of
 /// the same scale model (a QueryEngine owns its graph, so the batch
 /// throughput benches regenerate instead of stealing a Dataset's copy).
-engine::QueryEngine OpenLubmEngine(uint32_t universities = 10);
-engine::QueryEngine OpenYagoEngine(uint32_t entities = 60000);
+engine::QueryEngine OpenLubmEngine(uint32_t universities = 10,
+                                   const engine::EngineOptions& options = {});
+engine::QueryEngine OpenYagoEngine(uint32_t entities = 60000,
+                                   const engine::EngineOptions& options = {});
 
 /// The approaches of Figure 4.
 enum class Approach { kSS, kGS, kJena, kGDB, kCS, kSumRDF };

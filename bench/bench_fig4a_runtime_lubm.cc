@@ -17,6 +17,9 @@ int main() {
 
   std::printf("\n=== Batched execution: LUBM workload throughput ===\n");
   engine::QueryEngine eng = bench::OpenLubmEngine();
-  bench::PrintBatchThroughput(eng, workload::LubmQueries());
+  engine::EngineOptions cache_on;
+  cache_on.plan_cache = engine::EngineOptions::PlanCacheMode::kOn;
+  bench::PrintBatchThroughput(eng, bench::OpenLubmEngine(10, cache_on),
+                              workload::LubmQueries());
   return 0;
 }

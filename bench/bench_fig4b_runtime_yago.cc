@@ -15,6 +15,9 @@ int main() {
 
   std::printf("\n=== Batched execution: YAGO workload throughput ===\n");
   engine::QueryEngine eng = bench::OpenYagoEngine();
-  bench::PrintBatchThroughput(eng, workload::YagoQueries());
+  engine::EngineOptions cache_on;
+  cache_on.plan_cache = engine::EngineOptions::PlanCacheMode::kOn;
+  bench::PrintBatchThroughput(eng, bench::OpenYagoEngine(60000, cache_on),
+                              workload::YagoQueries());
   return 0;
 }

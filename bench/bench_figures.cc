@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 
 #include "bench_telemetry.h"
@@ -196,6 +197,7 @@ uint64_t ResultDigest(const Result<engine::QueryResult>& r) {
 }  // namespace
 
 void PrintBatchThroughput(const engine::QueryEngine& eng,
+                          const engine::QueryEngine& cached,
                           const std::vector<workload::BenchQuery>& queries,
                           int reps) {
   std::vector<std::string> texts;
@@ -205,12 +207,12 @@ void PrintBatchThroughput(const engine::QueryEngine& eng,
   util::ThreadPool sequential(1);
   util::ThreadPool& parallel = util::ThreadPool::Shared();
 
-  auto run = [&](util::ThreadPool* pool, double* best_ms,
-                 std::vector<uint64_t>* digests) {
-    for (int rep = 0; rep < reps; ++rep) {
+  auto run = [&](const engine::QueryEngine& e, util::ThreadPool* pool,
+                 int runs, double* best_ms, std::vector<uint64_t>* digests) {
+    for (int rep = 0; rep < runs; ++rep) {
       engine::BatchOptions bopts;
       bopts.pool = pool;
-      engine::BatchResult batch = eng.ExecuteBatch(texts, bopts);
+      engine::BatchResult batch = e.ExecuteBatch(texts, bopts);
       *best_ms = std::min(*best_ms, batch.wall_ms);
       if (rep == 0) {
         for (const auto& r : batch.results) digests->push_back(ResultDigest(r));
@@ -220,13 +222,26 @@ void PrintBatchThroughput(const engine::QueryEngine& eng,
   double seq_ms = std::numeric_limits<double>::infinity();
   double par_ms = std::numeric_limits<double>::infinity();
   std::vector<uint64_t> seq_digests, par_digests;
-  run(&sequential, &seq_ms, &seq_digests);
-  run(&parallel, &par_ms, &par_digests);
+  run(eng, &sequential, reps, &seq_ms, &seq_digests);
+  run(eng, &parallel, reps, &par_ms, &par_digests);
 
   if (seq_digests != par_digests) {
     std::fprintf(stderr,
                  "FATAL: batched execution diverged from sequential results\n");
     std::abort();
+  }
+  // The plan cache must not change an answer, on a miss or on a hit.
+  for (int pass = 0; pass < 2; ++pass) {
+    double ms = std::numeric_limits<double>::infinity();
+    std::vector<uint64_t> cached_digests;
+    run(cached, &parallel, 1, &ms, &cached_digests);
+    if (cached_digests != seq_digests) {
+      std::fprintf(stderr,
+                   "FATAL: batch with the plan cache on (pass %d) diverged "
+                   "from the cache-off results\n",
+                   pass + 1);
+      std::exit(1);
+    }
   }
 
   TablePrinter table({"mode", "threads", "wall (ms)", "queries/s", "speedup"});
@@ -239,8 +254,8 @@ void PrintBatchThroughput(const engine::QueryEngine& eng,
                 CompactDouble(par_ms), qps(par_ms),
                 CompactDouble(seq_ms / std::max(par_ms, 0.001)) + "x"});
   table.Print();
-  std::printf("  (batch results verified identical across modes; %d reps, "
-              "best wall time shown)\n",
+  std::printf("  (batch results verified identical across modes and with "
+              "the plan cache on; %d reps, best wall time shown)\n",
               reps);
 
   if (BenchTelemetry* bt = BenchTelemetry::Current()) {

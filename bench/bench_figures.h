@@ -30,8 +30,12 @@ void PrintCostFigure(const Dataset& ds,
 /// through QueryEngine::ExecuteBatch on a 1-thread pool (sequential
 /// latency) and on the shared pool (parallel throughput), verifies the
 /// batch output is identical, and prints wall time, queries/s and the
-/// speedup. `reps` batches per mode; the fastest is reported.
+/// speedup. `reps` batches per mode; the fastest is reported. `cached` is
+/// an engine over the same data with the plan cache on: the batch runs on
+/// it twice (filling the cache, then hitting it), and the process exits 1
+/// unless every answer equals the cache-off one.
 void PrintBatchThroughput(const engine::QueryEngine& eng,
+                          const engine::QueryEngine& cached,
                           const std::vector<workload::BenchQuery>& queries,
                           int reps = 3);
 

@@ -12,7 +12,7 @@
 //     --queue-wait-ms MS  max time a request may wait for a slot (default 2000)
 //     --timeout-ms MS     per-query execution timeout (default 10000; 0 = none)
 //     --plan-cache B      on|off: template plan cache + feedback-corrected
-//                         estimates (default: SHAPESTATS_PLAN_CACHE)
+//                         estimates (default off)
 //     --universities N    size of the generated demo dataset (default 2)
 //
 // Routes: /sparql /explain /metrics /healthz /accuracy (see DESIGN.md §8),
@@ -125,8 +125,7 @@ int main(int argc, char** argv) {
   std::printf("serving on http://%s:%u  (/sparql /explain /metrics /healthz "
               "/accuracy /debug/queries /debug/flightrecorder /debug/build)\n",
               opts.http.host.c_str(), srv.port());
-  std::printf("introspection: registry %s, flight recorder %s\n",
-              eng.query_registry() != nullptr ? "on" : "off",
+  std::printf("introspection: registry on, flight recorder %s\n",
               eng.flight_recorder() != nullptr ? "armed" : "off");
   std::printf("admission: max-inflight %llu, queue %llu\n",
               static_cast<unsigned long long>(opts.admission.max_inflight),

@@ -118,15 +118,18 @@ std::string ReadQuery(const std::string& first_line) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The shell keeps the plan cache on: `.cache` and `.top` show it.
+  engine::EngineOptions eopts;
+  eopts.plan_cache = engine::EngineOptions::PlanCacheMode::kOn;
   Result<engine::QueryEngine> opened = [&]() -> Result<engine::QueryEngine> {
     if (argc >= 2) {
       std::printf("loading %s ...\n", argv[1]);
-      return engine::QueryEngine::FromNTriplesFile(argv[1]);
+      return engine::QueryEngine::FromNTriplesFile(argv[1], eopts);
     }
     std::printf("no data file given; generating a demo LUBM dataset\n");
     datagen::LubmOptions opts;
     opts.universities = 2;
-    return engine::QueryEngine::Open(datagen::GenerateLubm(opts));
+    return engine::QueryEngine::Open(datagen::GenerateLubm(opts), eopts);
   }();
   if (!opened.ok()) {
     std::fprintf(stderr, "failed to open: %s\n", opened.status().ToString().c_str());
@@ -229,23 +232,19 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(log.dropped()));
     } else if (trimmed == ".cache") {
       cache::PlanCache* pc = eng.plan_cache();
-      if (pc == nullptr) {
-        std::printf("plan cache disabled (SHAPESTATS_PLAN_CACHE=0)\n");
-      } else {
-        cache::PlanCache::StatsSnapshot s = pc->stats();
-        std::printf(
-            "entries: %zu/%zu   hits: %llu   misses: %llu   hit-rate: %.1f%%\n",
-            s.size, s.capacity, static_cast<unsigned long long>(s.hits),
-            static_cast<unsigned long long>(s.misses), 100.0 * s.hit_rate);
-        std::printf(
-            "evictions: %llu   invalidations: %llu   bypasses: %llu   "
-            "corrections published: %llu\n",
-            static_cast<unsigned long long>(s.evictions),
-            static_cast<unsigned long long>(s.invalidations),
-            static_cast<unsigned long long>(s.bypasses),
-            static_cast<unsigned long long>(s.corrections));
-        std::fputs(pc->feedback().ToTable().c_str(), stdout);
-      }
+      cache::PlanCache::StatsSnapshot s = pc->stats();
+      std::printf(
+          "entries: %zu/%zu   hits: %llu   misses: %llu   hit-rate: %.1f%%\n",
+          s.size, s.capacity, static_cast<unsigned long long>(s.hits),
+          static_cast<unsigned long long>(s.misses), 100.0 * s.hit_rate);
+      std::printf(
+          "evictions: %llu   invalidations: %llu   bypasses: %llu   "
+          "corrections published: %llu\n",
+          static_cast<unsigned long long>(s.evictions),
+          static_cast<unsigned long long>(s.invalidations),
+          static_cast<unsigned long long>(s.bypasses),
+          static_cast<unsigned long long>(s.corrections));
+      std::fputs(pc->feedback().ToTable().c_str(), stdout);
     } else if (trimmed == ".metrics") {
       std::fputs(obs::MetricsRegistry::Global().ToText().c_str(), stdout);
     } else if (trimmed == ".metrics reset") {
@@ -255,38 +254,34 @@ int main(int argc, char** argv) {
       std::fputs(eng.accuracy_ledger().ToTable().c_str(), stdout);
     } else if (trimmed == ".running") {
       obs::QueryRegistry* reg = eng.query_registry();
-      if (reg == nullptr) {
-        std::printf("query registry disabled (SHAPESTATS_REGISTRY=0)\n");
-      } else {
-        std::vector<obs::QueryRecord> live = reg->Inflight();
-        if (live.empty()) {
-          std::printf("no queries in flight\n");
-        }
-        for (const obs::QueryRecord& q : live) {
-          std::string text = q.query.substr(0, 60);
-          if (q.query.size() > 60) text += "...";
-          std::printf("#%llu [%s] step %llu/%llu  rows %s  %.1f ms  %s\n",
-                      static_cast<unsigned long long>(q.id), q.phase.c_str(),
-                      static_cast<unsigned long long>(q.steps_completed),
-                      static_cast<unsigned long long>(q.steps_total),
-                      WithCommas(q.rows_produced).c_str(), q.elapsed_ms,
-                      text.c_str());
-          std::printf("    %s\n", q.resources.ToText().c_str());
-        }
-        std::vector<obs::QueryRecord> done = reg->Completed(5);
-        if (!done.empty()) std::printf("recently completed:\n");
-        for (const obs::QueryRecord& q : done) {
-          std::string text = q.query.substr(0, 60);
-          if (q.query.size() > 60) text += "...";
-          std::printf("#%llu [%s] %s results  %.1f ms  %s\n",
-                      static_cast<unsigned long long>(q.id), q.outcome.c_str(),
-                      WithCommas(q.num_results).c_str(), q.elapsed_ms,
-                      text.c_str());
-        }
-        std::printf("%llu registered, %llu cancel requests\n",
-                    static_cast<unsigned long long>(reg->registered_total()),
-                    static_cast<unsigned long long>(reg->cancelled_total()));
+      std::vector<obs::QueryRecord> live = reg->Inflight();
+      if (live.empty()) {
+        std::printf("no queries in flight\n");
       }
+      for (const obs::QueryRecord& q : live) {
+        std::string text = q.query.substr(0, 60);
+        if (q.query.size() > 60) text += "...";
+        std::printf("#%llu [%s] step %llu/%llu  rows %s  %.1f ms  %s\n",
+                    static_cast<unsigned long long>(q.id), q.phase.c_str(),
+                    static_cast<unsigned long long>(q.steps_completed),
+                    static_cast<unsigned long long>(q.steps_total),
+                    WithCommas(q.rows_produced).c_str(), q.elapsed_ms,
+                    text.c_str());
+        std::printf("    %s\n", q.resources.ToText().c_str());
+      }
+      std::vector<obs::QueryRecord> done = reg->Completed(5);
+      if (!done.empty()) std::printf("recently completed:\n");
+      for (const obs::QueryRecord& q : done) {
+        std::string text = q.query.substr(0, 60);
+        if (q.query.size() > 60) text += "...";
+        std::printf("#%llu [%s] %s results  %.1f ms  %s\n",
+                    static_cast<unsigned long long>(q.id), q.outcome.c_str(),
+                    WithCommas(q.num_results).c_str(), q.elapsed_ms,
+                    text.c_str());
+      }
+      std::printf("%llu registered, %llu cancel requests\n",
+                  static_cast<unsigned long long>(reg->registered_total()),
+                  static_cast<unsigned long long>(reg->cancelled_total()));
     } else if (trimmed == ".top" || StartsWith(trimmed, ".top ")) {
       size_t n = 10;
       std::string arg(Trim(trimmed.substr(4)));
@@ -302,41 +297,35 @@ int main(int argc, char** argv) {
         n = parsed;
       }
       obs::QueryRegistry* reg = eng.query_registry();
-      if (reg == nullptr) {
-        std::printf("query registry disabled (SHAPESTATS_REGISTRY=0)\n");
+      cache::PlanCache* pc = eng.plan_cache();
+      cache::PlanCache::StatsSnapshot s = pc->stats();
+      std::printf("plan cache: %zu/%zu entries, hit-rate %.1f%% "
+                  "(%llu hits / %llu misses)\n",
+                  s.size, s.capacity, 100.0 * s.hit_rate,
+                  static_cast<unsigned long long>(s.hits),
+                  static_cast<unsigned long long>(s.misses));
+      std::vector<obs::TemplateStats> tops = reg->TopTemplates(n);
+      if (tops.empty()) {
+        std::printf("no completed queries yet\n");
       } else {
-        cache::PlanCache* pc = eng.plan_cache();
-        if (pc != nullptr) {
-          cache::PlanCache::StatsSnapshot s = pc->stats();
-          std::printf("plan cache: %zu/%zu entries, hit-rate %.1f%% "
-                      "(%llu hits / %llu misses)\n",
-                      s.size, s.capacity, 100.0 * s.hit_rate,
-                      static_cast<unsigned long long>(s.hits),
-                      static_cast<unsigned long long>(s.misses));
-        }
-        std::vector<obs::TemplateStats> tops = reg->TopTemplates(n);
-        if (tops.empty()) {
-          std::printf("no completed queries yet\n");
-        } else {
-          std::printf("%-22s %8s %12s %10s %12s %7s\n", "template", "execs",
-                      "total ms", "avg ms", "results", "corr-v");
-          for (const obs::TemplateStats& t : tops) {
-            // Join with the feedback store: "t:<hex>" parses back to the
-            // template hash whose correction version counts publications.
-            uint64_t fb_version = 0;
-            if (pc != nullptr && t.cache_template.rfind("t:", 0) == 0) {
-              uint64_t hash =
-                  std::strtoull(t.cache_template.c_str() + 2, nullptr, 16);
-              fb_version = pc->feedback().Version(hash);
-            }
-            std::printf("%-22s %8llu %12.1f %10.2f %12s %7llu\n",
-                        t.cache_template.c_str(),
-                        static_cast<unsigned long long>(t.executions),
-                        t.total_ms,
-                        t.executions > 0 ? t.total_ms / t.executions : 0.0,
-                        WithCommas(t.num_results).c_str(),
-                        static_cast<unsigned long long>(fb_version));
+        std::printf("%-22s %8s %12s %10s %12s %7s\n", "template", "execs",
+                    "total ms", "avg ms", "results", "corr-v");
+        for (const obs::TemplateStats& t : tops) {
+          // Join with the feedback store: "t:<hex>" parses back to the
+          // template hash whose correction version counts publications.
+          uint64_t fb_version = 0;
+          if (t.cache_template.rfind("t:", 0) == 0) {
+            uint64_t hash =
+                std::strtoull(t.cache_template.c_str() + 2, nullptr, 16);
+            fb_version = pc->feedback().Version(hash);
           }
+          std::printf("%-22s %8llu %12.1f %10.2f %12s %7llu\n",
+                      t.cache_template.c_str(),
+                      static_cast<unsigned long long>(t.executions),
+                      t.total_ms,
+                      t.executions > 0 ? t.total_ms / t.executions : 0.0,
+                      WithCommas(t.num_results).c_str(),
+                      static_cast<unsigned long long>(fb_version));
         }
       }
     } else if (StartsWith(trimmed, ".trace")) {

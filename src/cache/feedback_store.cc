@@ -19,15 +19,14 @@ size_t FeedbackStore::Record(uint64_t template_hash,
     // Re-publications need exponentially more fresh evidence than the
     // first one (capped at 1024x) so a template whose two candidate plans
     // keep trading places settles instead of thrashing the cache.
-    const uint64_t needed =
-        static_cast<uint64_t>(opts_.min_observations)
-        << std::min<uint32_t>(e.publish_count, 10);
+    const uint64_t needed = uint64_t{kMinObservations}
+                            << std::min<uint32_t>(e.publish_count, 10);
     if (e.n < needed) continue;
     double candidate = std::exp(e.sum_log / static_cast<double>(e.n));
-    candidate = std::clamp(candidate, 1.0 / opts_.max_factor, opts_.max_factor);
+    candidate = std::clamp(candidate, 1.0 / kMaxFactor, kMaxFactor);
     const double drift = candidate > e.published ? candidate / e.published
                                                  : e.published / candidate;
-    if (drift < opts_.invalidate_ratio) continue;
+    if (drift < kInvalidateRatio) continue;
     e.published = candidate;
     e.has_published = true;
     e.publish_count += 1;

@@ -6,7 +6,7 @@
 // enough observations agree (geometric mean over a confidence floor).
 //
 // Publication is deliberately sticky: a factor only moves when the
-// candidate differs from the published value by `invalidate_ratio` or
+// candidate differs from the published value by kInvalidateRatio or
 // more. Every publication bumps the template's feedback version, which the
 // plan cache compares on lookup to force a re-plan under the corrected
 // estimates (the adjustment may flip the join order or operator choice).
@@ -15,7 +15,7 @@
 // change the plan, and per-step ratios observed under the old plan do not
 // describe the new one, so each published regime starts its evidence from
 // scratch. Re-publications additionally back off exponentially (the k-th
-// needs min_observations * 2^k fresh samples, capped), which bounds the
+// needs kMinObservations * 2^k fresh samples, capped), which bounds the
 // invalidation rate even if two plans keep trading places.
 #pragma once
 
@@ -30,17 +30,12 @@ namespace shapestats::cache {
 
 class FeedbackStore {
  public:
-  struct Options {
-    /// Observations per (template, pattern) before a factor may publish.
-    uint32_t min_observations = 3;
-    /// Published factors are clamped to [1/max_factor, max_factor].
-    double max_factor = 1024.0;
-    /// Publish only when candidate/published (or its inverse) reaches this.
-    double invalidate_ratio = 1.25;
-  };
-
-  FeedbackStore() = default;
-  explicit FeedbackStore(Options opts) : opts_(opts) {}
+  /// Observations per (template, pattern) before a factor may publish.
+  static constexpr uint32_t kMinObservations = 3;
+  /// Published factors are clamped to [1/kMaxFactor, kMaxFactor].
+  static constexpr double kMaxFactor = 1024.0;
+  /// Publish only when candidate/published (or its inverse) reaches this.
+  static constexpr double kInvalidateRatio = 1.25;
 
   /// One observation: the canonical pattern blamed and the total
   /// observed/estimated ratio relative to the *uncorrected* estimate.
@@ -96,7 +91,6 @@ class FeedbackStore {
     }
   };
 
-  Options opts_;
   mutable util::Mutex mu_;
   std::unordered_map<Key, Entry, KeyHash> entries_ SHAPESTATS_GUARDED_BY(mu_);
   std::unordered_map<uint64_t, uint64_t> versions_ SHAPESTATS_GUARDED_BY(mu_);

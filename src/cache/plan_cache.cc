@@ -9,8 +9,7 @@ namespace shapestats::cache {
 
 PlanCache::PlanCache() : PlanCache(Options()) {}
 
-PlanCache::PlanCache(Options opts)
-    : opts_(opts), feedback_(opts.feedback) {
+PlanCache::PlanCache(Options opts) : opts_(opts) {
   if (opts_.capacity == 0) opts_.capacity = 1;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   m_hits_ = reg.GetCounter("cache.hits");

@@ -83,7 +83,6 @@ class PlanCache {
     /// deployments that want repeatable plans, and for benchmarking the
     /// pure hit path.
     bool learn = true;
-    FeedbackStore::Options feedback;
   };
 
   struct StatsSnapshot {

@@ -53,14 +53,6 @@ class CorrectedProvider : public PlannerStatsProvider {
     return base_.EstimateResultCardinality(bgp);
   }
 
-  /// True when any factor differs from 1 (i.e. correction is in force).
-  bool Corrects() const {
-    for (double f : factors_) {
-      if (f != 1.0) return true;
-    }
-    return false;
-  }
-
   const std::vector<double>& factors() const { return factors_; }
 
  private:

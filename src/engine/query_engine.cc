@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -50,29 +49,6 @@ namespace {
 
 /// The plan provider of a query answered from its static verdict alone.
 constexpr char kStaticEmpty[] = "static-empty";
-
-/// Resolves EngineOptions::plan_cache against SHAPESTATS_PLAN_CACHE.
-bool PlanCacheEnabled(EngineOptions::PlanCacheMode mode) {
-  switch (mode) {
-    case EngineOptions::PlanCacheMode::kOn: return true;
-    case EngineOptions::PlanCacheMode::kOff: return false;
-    case EngineOptions::PlanCacheMode::kEnv: break;
-  }
-  const char* env = std::getenv("SHAPESTATS_PLAN_CACHE");
-  if (env == nullptr || *env == '\0') return false;
-  const std::string_view v(env);
-  return v != "0" && v != "off" && v != "false" && v != "no";
-}
-
-/// Resolves EngineOptions::registry against SHAPESTATS_REGISTRY.
-bool RegistryEnabled(EngineOptions::RegistryMode mode) {
-  switch (mode) {
-    case EngineOptions::RegistryMode::kOn: return true;
-    case EngineOptions::RegistryMode::kOff: return false;
-    case EngineOptions::RegistryMode::kEnv: break;
-  }
-  return obs::QueryRegistry::EnabledByEnv();
-}
 
 /// Per-thread front-end state reused across queries: the one-pass encoder
 /// and the canonical template keep their buffers' capacity, so the front
@@ -340,13 +316,14 @@ Result<QueryEngine> QueryEngine::Open(rdf::Graph graph, EngineOptions options) {
     case EngineOptions::Optimizer::kTextual:
       break;
   }
-  if (PlanCacheEnabled(options.plan_cache)) {
+  if (options.plan_cache == EngineOptions::PlanCacheMode::kOn) {
     st.plan_cache =
         std::make_unique<cache::PlanCache>(options.plan_cache_options);
   }
   st.sinks = Sinks::Resolve(
-      RegistryEnabled(options.registry) ? &obs::QueryRegistry::Global()
-                                        : nullptr,
+      options.registry == EngineOptions::RegistryMode::kOn
+          ? &obs::QueryRegistry::Global()
+          : nullptr,
       obs::FlightRecorder::Global().active() ? &obs::FlightRecorder::Global()
                                              : nullptr,
       st.plan_cache.get());

@@ -62,34 +62,30 @@ struct EngineOptions {
   /// (tighter SS plans). No effect when static_check is off or the
   /// optimizer has no shape statistics.
   bool infer_constraints = true;
-  /// Physical join-operator policy (phys::PlanPhysical). The default kEnv
-  /// resolves SHAPESTATS_JOIN (auto | inlj | merge) at plan time;
-  /// tests force modes here to stay env-independent. Every mode produces
+  /// Physical join-operator policy (phys::PlanPhysical): auto (the rule of
+  /// DESIGN.md §9), or inlj / merge forced everywhere. Every mode produces
   /// byte-identical results — only the work profile changes. ASK and LIMIT
   /// queries always run on the streaming INLJ executor (early termination
   /// beats materialization), with the downgrade recorded in the plan.
-  phys::JoinMode join_mode = phys::JoinMode::kEnv;
+  phys::JoinMode join_mode = phys::JoinMode::kAuto;
   /// Plan cache over canonicalized BGP templates (src/cache/): repeated
   /// query templates skip static-check + optimize + physical planning, and
   /// ledger-observed estimation errors feed back into future plans for the
-  /// same template. kEnv resolves SHAPESTATS_PLAN_CACHE at Open time
-  /// (unset / "0" / "off" = disabled, so default behavior is unchanged);
-  /// kOn / kOff force it regardless of the environment.
-  enum class PlanCacheMode : uint8_t { kEnv, kOn, kOff };
-  PlanCacheMode plan_cache = PlanCacheMode::kEnv;
-  /// Capacity and feedback-correction knobs for the plan cache (unused
-  /// when the cache is disabled).
+  /// same template. Off by default.
+  enum class PlanCacheMode : uint8_t { kOn, kOff };
+  PlanCacheMode plan_cache = PlanCacheMode::kOff;
+  /// Capacity and learning switch of the plan cache (unused when the cache
+  /// is off).
   cache::PlanCache::Options plan_cache_options;
   /// Live query registry (obs::QueryRegistry::Global()): every Execute /
   /// ExecuteBatch slot registers a record with phase, step progress, and a
   /// per-query ResourceTracker; /debug/queries and the shell's .running
   /// render it, and Cancel(id) requests cooperative cancellation served on
-  /// the executors' next work tick. kEnv resolves SHAPESTATS_REGISTRY at
-  /// Open time (enabled unless "0"/"off"/"false"/"no"); kOn / kOff force
-  /// it. Disabled, queries carry no tracker and pay zero accounting cost
-  /// (untraced executions skip even the per-tick publication).
-  enum class RegistryMode : uint8_t { kEnv, kOn, kOff };
-  RegistryMode registry = RegistryMode::kEnv;
+  /// the executors' next work tick. On by default. Off, queries carry no
+  /// tracker and pay zero accounting cost (untraced executions skip even
+  /// the per-tick publication).
+  enum class RegistryMode : uint8_t { kOn, kOff };
+  RegistryMode registry = RegistryMode::kOn;
 };
 
 const char* OptimizerName(EngineOptions::Optimizer opt);
@@ -231,14 +227,13 @@ class QueryEngine {
   const obs::AccuracyLedger& accuracy_ledger() const { return state_->ledger; }
   void ResetAccuracyLedger() const { state_->ledger.Reset(); }
 
-  /// The plan cache, or null when disabled (EngineOptions::plan_cache
-  /// resolved against SHAPESTATS_PLAN_CACHE at Open time). Internally
-  /// synchronized; safe to inspect concurrently with query execution.
+  /// The plan cache, or null when EngineOptions::plan_cache is off.
+  /// Internally synchronized; safe to inspect concurrently with query
+  /// execution.
   cache::PlanCache* plan_cache() const { return state_->plan_cache.get(); }
 
   /// The live query registry this engine registers executions into, or
-  /// null when disabled (EngineOptions::registry resolved against
-  /// SHAPESTATS_REGISTRY at Open time). Internally synchronized.
+  /// null when EngineOptions::registry is off. Internally synchronized.
   obs::QueryRegistry* query_registry() const { return state_->sinks.registry; }
 
   /// The process flight recorder when any anomaly trigger is configured

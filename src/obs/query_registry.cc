@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 #include <utility>
 
@@ -108,29 +107,18 @@ QueryRecord QueryRegistry::CompletedQuery::ToRecord() const {
   return r;
 }
 
-QueryRegistry::QueryRegistry(Options options)
-    : options_(options),
-      inflight_gauge_(MetricsRegistry::Global().GetGauge("registry.inflight")),
+QueryRegistry::QueryRegistry()
+    : inflight_gauge_(MetricsRegistry::Global().GetGauge("registry.inflight")),
       completed_counter_(
           MetricsRegistry::Global().GetCounter("registry.completed")),
       cancels_counter_(
-          MetricsRegistry::Global().GetCounter("registry.cancels")) {
-  util::MutexLock lock(done_mu_);
-  ring_.resize(options_.completed_capacity);
-}
+          MetricsRegistry::Global().GetCounter("registry.cancels")) {}
 
 QueryRegistry::~QueryRegistry() = default;
 
 QueryRegistry& QueryRegistry::Global() {
   static QueryRegistry* registry = new QueryRegistry();
   return *registry;
-}
-
-bool QueryRegistry::EnabledByEnv() {
-  const char* env = std::getenv("SHAPESTATS_REGISTRY");
-  if (env == nullptr || *env == '\0') return true;
-  const std::string_view v(env);
-  return v != "0" && v != "off" && v != "false" && v != "no";
 }
 
 // ---------------------------------------------------------------------------
@@ -242,18 +230,17 @@ void QueryRegistry::CompleteRecord(LiveQuery* rec, Outcome outcome,
       rec->template_hash.load(std::memory_order_relaxed);
 
   util::MutexLock lock(done_mu_);
-  // New templates beyond max_templates (the uncached bucket included) fold
+  // New templates beyond kMaxTemplates (the uncached bucket included) fold
   // into the overflow bucket, so a hostile workload cannot grow memory.
   Aggregate* agg;
   if (!has_template) {
-    agg = uncached_.executions == 0 &&
-                  NumAggregatesLocked() >= options_.max_templates
+    agg = uncached_.executions == 0 && NumAggregatesLocked() >= kMaxTemplates
               ? &other_
               : &uncached_;
   } else if (auto it = by_template_.find(template_hash);
              it != by_template_.end()) {
     agg = &it->second;
-  } else if (NumAggregatesLocked() >= options_.max_templates) {
+  } else if (NumAggregatesLocked() >= kMaxTemplates) {
     agg = &other_;
   } else {
     agg = &by_template_[template_hash];
@@ -263,26 +250,24 @@ void QueryRegistry::CompleteRecord(LiveQuery* rec, Outcome outcome,
   agg->num_results += num_results;
   agg->total_ms += elapsed_ms;
 
-  if (!ring_.empty()) {
-    CompletedQuery& done = ring_[ring_next_];
-    done.id = rec->id;
-    done.request_id = rec->request_id;
-    done.batch_id = rec->batch_id;
-    done.slot = rec->slot;
-    // The slot takes the record's text and leaves its old buffer for the
-    // record's next query: no copy, no allocation.
-    done.query.swap(rec->query);
-    done.has_template = has_template;
-    done.template_hash = template_hash;
-    done.outcome = outcome;
-    done.steps_total = rec->steps_total.load(std::memory_order_relaxed);
-    done.num_results = num_results;
-    done.started_ms = rec->started_ms;
-    done.elapsed_ms = elapsed_ms;
-    done.resources = resources;
-    ring_next_ = (ring_next_ + 1) % ring_.size();
-    ring_size_ = std::min(ring_size_ + 1, ring_.size());
-  }
+  CompletedQuery& done = ring_[ring_next_];
+  done.id = rec->id;
+  done.request_id = rec->request_id;
+  done.batch_id = rec->batch_id;
+  done.slot = rec->slot;
+  // The slot takes the record's text and leaves its old buffer for the
+  // record's next query: no copy, no allocation.
+  done.query.swap(rec->query);
+  done.has_template = has_template;
+  done.template_hash = template_hash;
+  done.outcome = outcome;
+  done.steps_total = rec->steps_total.load(std::memory_order_relaxed);
+  done.num_results = num_results;
+  done.started_ms = rec->started_ms;
+  done.elapsed_ms = elapsed_ms;
+  done.resources = resources;
+  ring_next_ = (ring_next_ + 1) % ring_.size();
+  ring_size_ = std::min(ring_size_ + 1, ring_.size());
   rec->next = free_;
   free_ = rec;
 }

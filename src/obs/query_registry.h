@@ -15,6 +15,7 @@
 // per-template aggregates are keyed by the hash.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -69,26 +70,19 @@ struct TemplateStats {
 
 class QueryRegistry {
  public:
-  struct Options {
-    /// Completed-query ring capacity.
-    size_t completed_capacity = 256;
-    /// Per-template aggregate map cap; new templates beyond it are folded
-    /// into an "(other)" bucket so a hostile workload cannot grow memory.
-    size_t max_templates = 1024;
-  };
-
+  /// Completed-query ring capacity.
+  static constexpr size_t kCompletedCapacity = 256;
+  /// Per-template aggregate map cap; new templates beyond it are folded
+  /// into an "(other)" bucket so a hostile workload cannot grow memory.
+  static constexpr size_t kMaxTemplates = 1024;
   static constexpr size_t kShards = 16;
   static constexpr size_t kMaxQueryBytes = 2048;
 
-  QueryRegistry() : QueryRegistry(Options()) {}
-  explicit QueryRegistry(Options options);
+  QueryRegistry();
   ~QueryRegistry();
 
   /// Process-wide instance used by the engine unless overridden.
   static QueryRegistry& Global();
-
-  /// SHAPESTATS_REGISTRY resolution: enabled unless "0"/"off"/"false"/"no".
-  static bool EnabledByEnv();
 
   /// RAII registration for one query execution. Destruction without an
   /// explicit Complete() finalizes the record with outcome "error" (the
@@ -206,7 +200,6 @@ class QueryRegistry {
                       double finished_ms);
   size_t NumAggregatesLocked() const SHAPESTATS_REQUIRES(done_mu_);
 
-  Options options_;
   Gauge* inflight_gauge_;
   Counter* completed_counter_;
   Counter* cancels_counter_;
@@ -220,7 +213,8 @@ class QueryRegistry {
   LiveQuery* free_ SHAPESTATS_GUARDED_BY(done_mu_) = nullptr;
   /// The completed ring: `ring_next_` is the slot the next completion
   /// overwrites, `ring_size_` the number of slots holding a record.
-  std::vector<CompletedQuery> ring_ SHAPESTATS_GUARDED_BY(done_mu_);
+  std::array<CompletedQuery, kCompletedCapacity> ring_
+      SHAPESTATS_GUARDED_BY(done_mu_);
   size_t ring_next_ SHAPESTATS_GUARDED_BY(done_mu_) = 0;
   size_t ring_size_ SHAPESTATS_GUARDED_BY(done_mu_) = 0;
   std::unordered_map<uint64_t, Aggregate> by_template_

@@ -1,8 +1,5 @@
 #include "phys/physical_plan.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace shapestats::phys {
 
 const char* OpName(OpKind op) {
@@ -18,24 +15,11 @@ const char* OpName(OpKind op) {
 
 const char* JoinModeName(JoinMode mode) {
   switch (mode) {
-    case JoinMode::kEnv: return "env";
     case JoinMode::kAuto: return "auto";
     case JoinMode::kInlj: return "inlj";
     case JoinMode::kMerge: return "merge";
   }
   return "?";
-}
-
-JoinMode JoinModeFromEnv() {
-  const char* v = std::getenv("SHAPESTATS_JOIN");
-  if (v == nullptr) return JoinMode::kAuto;
-  if (std::strcmp(v, "inlj") == 0) return JoinMode::kInlj;
-  if (std::strcmp(v, "merge") == 0) return JoinMode::kMerge;
-  return JoinMode::kAuto;
-}
-
-JoinMode ResolveJoinMode(JoinMode mode) {
-  return mode == JoinMode::kEnv ? JoinModeFromEnv() : mode;
 }
 
 bool PhysicalPlan::Materializes() const {

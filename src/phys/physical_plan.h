@@ -36,20 +36,12 @@ const char* OpName(OpKind op);
 
 /// Operator selection policy.
 enum class JoinMode : uint8_t {
-  kEnv,    // resolve from SHAPESTATS_JOIN (default: kAuto)
   kAuto,   // rule-based choice per step (merge where a run exists)
   kInlj,   // force index nested-loop joins everywhere
   kMerge,  // force merge joins wherever a sorted run exists (else INLJ)
 };
 
 const char* JoinModeName(JoinMode mode);
-
-/// Reads SHAPESTATS_JOIN (auto | inlj | merge). Unset or unrecognized
-/// values, including the retired "hash", mean kAuto.
-JoinMode JoinModeFromEnv();
-
-/// Resolves kEnv to the environment's mode; other values pass through.
-JoinMode ResolveJoinMode(JoinMode mode);
 
 /// One step of a physical plan. `pattern` mirrors opt::Plan::order[k]; the
 /// remaining fields describe how that step executes.
@@ -76,7 +68,7 @@ struct PhysicalStep {
 /// A physical plan: one step per entry of the join order it annotates.
 struct PhysicalPlan {
   std::vector<PhysicalStep> steps;
-  /// The resolved mode that produced the plan (never kEnv).
+  /// The mode that produced the plan.
   JoinMode mode = JoinMode::kAuto;
 
   /// True when any step materializes intermediates (a merge) — the

@@ -39,7 +39,7 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
                           const rdf::Graph& /*graph*/,
                           const PlannerOptions& options) {
   PhysicalPlan out;
-  out.mode = ResolveJoinMode(options.mode);
+  out.mode = options.mode;
   const bool has_est = plan.step_estimates.size() == plan.order.size() &&
                        plan.tp_estimates.size() == bgp.patterns.size();
 
@@ -114,7 +114,6 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
                   "component; fell back to inlj";
             }
             break;
-          case JoinMode::kEnv:  // ResolveJoinMode never returns kEnv
           case JoinMode::kAuto:
             // The rule of DESIGN.md §9: INLJ unless a non-tiny left input
             // can merge with a sorted index run.
@@ -122,11 +121,11 @@ PhysicalPlan PlanPhysical(const sparql::EncodedBgp& bgp, const opt::Plan& plan,
               st.op = OpKind::kInlj;
               set_join(*general);
               st.rationale = "no estimates (textual plan); inlj";
-            } else if (l <= options.tiny_left) {
+            } else if (l <= kTinyLeftRows) {
               st.op = OpKind::kInlj;
               set_join(*general);
               st.rationale = "tiny left side (~" + CompactDouble(l) +
-                             " rows <= " + CompactDouble(options.tiny_left) +
+                             " rows <= " + CompactDouble(kTinyLeftRows) +
                              "); inlj";
             } else if (st.merge_ok) {
               st.op = OpKind::kMerge;

@@ -45,6 +45,41 @@ void Term::AppendNTriples(std::string* out) const {
   }
 }
 
+namespace {
+
+bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool IsAlnum(char c) { return IsAlpha(c) || (c >= '0' && c <= '9'); }
+
+// A language tag as N-Triples spells it: [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*.
+bool IsLangTag(std::string_view tag) {
+  size_t i = 0;
+  while (i < tag.size() && IsAlpha(tag[i])) ++i;
+  if (i == 0) return false;
+  while (i < tag.size()) {
+    if (tag[i++] != '-') return false;
+    const size_t start = i;
+    while (i < tag.size() && IsAlnum(tag[i])) ++i;
+    if (i == start) return false;
+  }
+  return true;
+}
+
+// The text of an IRI as N-Triples allows it without escapes: no byte <= 0x20
+// and none of <>"{}|^`\.
+bool IsIriText(std::string_view iri) {
+  for (const char c : iri) {
+    if (static_cast<unsigned char>(c) <= 0x20 ||
+        std::string_view("<>\"{}|^`\\").find(c) != std::string_view::npos) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Result<Term> ParseTerm(std::string_view text) {
   text = Trim(text);
   if (text.empty()) return Status::ParseError("empty term");
@@ -65,12 +100,14 @@ Result<Term> ParseTerm(std::string_view text) {
     std::string value = UnescapeLiteral(text.substr(1, end - 1));
     std::string_view rest = text.substr(end + 1);
     if (rest.empty()) return Term::Literal(std::move(value));
-    if (rest.front() == '@') {
+    if (rest.front() == '@' && IsLangTag(rest.substr(1))) {
       return Term::Literal(std::move(value), "", std::string(rest.substr(1)));
     }
     if (StartsWith(rest, "^^<") && rest.back() == '>') {
-      return Term::Literal(std::move(value),
-                           std::string(rest.substr(3, rest.size() - 4)));
+      const std::string_view datatype = rest.substr(3, rest.size() - 4);
+      if (IsIriText(datatype)) {
+        return Term::Literal(std::move(value), std::string(datatype));
+      }
     }
     return Status::ParseError("bad literal suffix: " + std::string(text));
   }

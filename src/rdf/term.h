@@ -87,7 +87,9 @@ struct Term {
   }
 };
 
-/// Parses one N-Triples term ("<iri>", "_:label", or a literal).
+/// Parses one N-Triples term ("<iri>", "_:label", or a literal). A literal's
+/// suffix is a language tag ([a-zA-Z]+ ('-' [a-zA-Z0-9]+)*) or a datatype
+/// IRI with no byte <= 0x20 and none of <>"{}|^`\; any other suffix fails.
 Result<Term> ParseTerm(std::string_view text);
 
 /// The position in `text`, which starts with a quote, of the quote that

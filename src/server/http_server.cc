@@ -266,7 +266,7 @@ void HttpServer::AcceptLoop() {
     tv.tv_usec = 200 * 1000;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     util::MutexLock lock(mu_);
-    if (pending_.size() >= options_.max_pending_connections) {
+    if (pending_.size() >= kMaxPendingConnections) {
       connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       ::close(fd);
       continue;
@@ -322,15 +322,18 @@ int HttpServer::ReadRequest(int fd, std::string* buf, HttpRequest* req) {
   };
 
   // Accumulate until the header terminator, then read the declared body.
+  // Without a terminator in its first kMaxHeaderBytes + 4 bytes the head
+  // is too large wherever the terminator comes.
   size_t head_end;
-  while ((head_end = buf->find("\r\n\r\n")) == std::string::npos) {
-    if (buf->size() > options_.max_header_bytes) {
-      WriteResponse(fd, {431, "text/plain; charset=utf-8", "header too large\n", {}},
-                    false);
-      return -1;
-    }
+  while ((head_end = buf->find("\r\n\r\n")) == std::string::npos &&
+         buf->size() < kMaxHeaderBytes + 4) {
     int got = recv_more(/*mid_request=*/!buf->empty());
     if (got <= 0) return got;
+  }
+  if (head_end > kMaxHeaderBytes) {  // npos included
+    WriteResponse(fd, {431, "text/plain; charset=utf-8", "header too large\n", {}},
+                  false);
+    return -1;
   }
 
   std::string error;
@@ -341,7 +344,7 @@ int HttpServer::ReadRequest(int fd, std::string* buf, HttpRequest* req) {
   size_t body_len = 0;
   std::string cl = req->Header("content-length");
   if (!cl.empty()) body_len = static_cast<size_t>(std::strtoull(cl.c_str(), nullptr, 10));
-  if (body_len > options_.max_body_bytes) {
+  if (body_len > kMaxBodyBytes) {
     WriteResponse(fd, {413, "text/plain; charset=utf-8", "body too large\n", {}},
                   false);
     return -1;
@@ -378,8 +381,7 @@ void HttpServer::ServeConnection(int fd) {
     int got = ReadRequest(fd, &buf, &req);
     if (got <= 0) return;  // closed, timed out, or error already answered
 
-    bool keep_alive = options_.keep_alive && !stopping_.load() &&
-                      req.version == "HTTP/1.1" &&
+    bool keep_alive = !stopping_.load() && req.version == "HTTP/1.1" &&
                       ToLower(req.Header("connection")) != "close";
     HttpResponse resp;
     const Handler* handler = nullptr;

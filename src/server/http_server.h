@@ -79,15 +79,16 @@ class HttpServer {
     uint16_t port = 0;
     /// Connection-handling threads (each serves one connection at a time).
     unsigned threads = 8;
-    /// Accepted connections waiting for a free worker beyond this are
-    /// closed immediately (connection-level overload backstop; request-level
-    /// admission control with 503s lives in SparqlServer).
-    size_t max_pending_connections = 256;
-    size_t max_header_bytes = 16 * 1024;
-    size_t max_body_bytes = 4 * 1024 * 1024;
-    /// Serve multiple requests per connection (HTTP/1.1 keep-alive).
-    bool keep_alive = true;
   };
+
+  /// Accepted connections waiting for a free worker beyond this are closed
+  /// immediately (connection-level overload backstop; request-level
+  /// admission control with 503s lives in SparqlServer).
+  static constexpr size_t kMaxPendingConnections = 256;
+  /// A request head past this size is answered 431, a declared body past
+  /// this size 413 (before the body is read); both close the connection.
+  static constexpr size_t kMaxHeaderBytes = 16 * 1024;
+  static constexpr size_t kMaxBodyBytes = 4 * 1024 * 1024;
 
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 

@@ -488,7 +488,7 @@ HttpResponse SparqlServer::HandleDebugQueries(const HttpRequest&) {
   obs::QueryRegistry* reg = engine_->query_registry();
   if (reg == nullptr) {
     return {404, "application/json",
-            JsonError("query registry disabled (SHAPESTATS_REGISTRY=0)"), {}};
+            JsonError("query registry disabled"), {}};
   }
   return {200, "application/json", reg->ToJson() + "\n", {}};
 }
@@ -497,7 +497,7 @@ HttpResponse SparqlServer::HandleDebugCancel(const HttpRequest& req) {
   obs::QueryRegistry* reg = engine_->query_registry();
   if (reg == nullptr) {
     return {404, "application/json",
-            JsonError("query registry disabled (SHAPESTATS_REGISTRY=0)"), {}};
+            JsonError("query registry disabled"), {}};
   }
   constexpr std::string_view kPrefix = "/debug/queries/";
   std::string_view rest = std::string_view(req.path).substr(kPrefix.size());

@@ -12,8 +12,10 @@ namespace shapestats::shacl {
 
 namespace vocab = rdf::vocab;
 
-Result<ShapesGraph> GenerateShapes(const rdf::Graph& data,
-                                   const GeneratorOptions& options) {
+/// Namespace for generated shape IRIs.
+constexpr std::string_view kShapeNamespace = "http://shapestats.org/shapes#";
+
+Result<ShapesGraph> GenerateShapes(const rdf::Graph& data) {
   if (!data.finalized()) {
     return Status::InvalidArgument("data graph must be finalized");
   }
@@ -41,7 +43,7 @@ Result<ShapesGraph> GenerateShapes(const rdf::Graph& data,
   ShapesGraph shapes;
   for (const auto& [cls_iri, cls_id] : classes) {
     NodeShape ns;
-    ns.iri = options.shape_namespace + dict.Pretty(cls_id) + "Shape";
+    ns.iri = std::string(kShapeNamespace) + dict.Pretty(cls_id) + "Shape";
     ns.target_class = cls_iri;
 
     // Predicates used by instances of this class, with object samples.
@@ -104,16 +106,16 @@ Result<ShapesGraph> GenerateShapes(const rdf::Graph& data,
       ps.iri = ns.iri + "-";
       ps.iri += pred_iri.substr(pred_iri.find_last_of("#/") + 1);
       ps.path = pred_iri;
-      if (options.infer_datatype && info.objects_all_literals &&
+      if (info.objects_all_literals &&
           !info.common_datatype.empty() && info.common_datatype != "-") {
         ps.datatype = info.common_datatype;
       }
-      if (options.infer_object_class && info.objects_all_iris &&
+      if (info.objects_all_iris &&
           info.common_class != rdf::kInvalidTermId &&
           info.common_class != static_cast<rdf::TermId>(~0u)) {
         ps.node_class = dict.term(info.common_class).lexical;
       }
-      if (options.emit_min_count && info.instances_with == num_instances) {
+      if (info.instances_with == num_instances) {
         ps.min_count = 1;
       }
       ns.properties.push_back(std::move(ps));

@@ -11,19 +11,10 @@
 
 namespace shapestats::shacl {
 
-struct GeneratorOptions {
-  /// Namespace for generated shape IRIs.
-  std::string shape_namespace = "http://shapestats.org/shapes#";
-  /// Infer sh:class when all sampled objects of a predicate share one type.
-  bool infer_object_class = true;
-  /// Infer sh:datatype when all sampled objects are literals of one type.
-  bool infer_datatype = true;
-  /// Emit sh:minCount 1 when every instance has the predicate.
-  bool emit_min_count = true;
-};
-
-/// Generates a shapes graph from a finalized data graph.
-Result<ShapesGraph> GenerateShapes(const rdf::Graph& data,
-                                   const GeneratorOptions& options = {});
+/// Generates a shapes graph from a finalized data graph. Shape IRIs live in
+/// http://shapestats.org/shapes#; a property shape gets sh:datatype or
+/// sh:class when all of its objects share one, and sh:minCount 1 when every
+/// instance of the class has the predicate.
+Result<ShapesGraph> GenerateShapes(const rdf::Graph& data);
 
 }  // namespace shapestats::shacl

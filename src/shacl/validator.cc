@@ -32,8 +32,8 @@ std::string ValidationReport::ToString(size_t max_violations) const {
   return out;
 }
 
-Result<ValidationReport> Validate(const rdf::Graph& data, const ShapesGraph& shapes,
-                                  const ValidatorOptions& options) {
+Result<ValidationReport> Validate(const rdf::Graph& data,
+                                  const ShapesGraph& shapes) {
   if (!data.finalized()) {
     return Status::InvalidArgument("data graph must be finalized");
   }
@@ -42,10 +42,7 @@ Result<ValidationReport> Validate(const rdf::Graph& data, const ShapesGraph& sha
   ValidationReport report;
   auto add = [&](Violation v) {
     report.conforms = false;
-    if (!options.max_violations ||
-        report.violations.size() < options.max_violations) {
-      report.violations.push_back(std::move(v));
-    }
+    report.violations.push_back(std::move(v));
   };
 
   for (const NodeShape& ns : shapes.shapes()) {

@@ -39,13 +39,8 @@ struct ValidationReport {
   std::string ToString(size_t max_violations = 20) const;
 };
 
-struct ValidatorOptions {
-  /// Stop after this many violations (0 = unlimited).
-  size_t max_violations = 0;
-};
-
-/// Validates `data` against `shapes`.
-Result<ValidationReport> Validate(const rdf::Graph& data, const ShapesGraph& shapes,
-                                  const ValidatorOptions& options = {});
+/// Validates `data` against `shapes`, reporting every violation.
+Result<ValidationReport> Validate(const rdf::Graph& data,
+                                  const ShapesGraph& shapes);
 
 }  // namespace shapestats::shacl

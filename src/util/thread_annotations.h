@@ -27,8 +27,6 @@
   SHAPESTATS_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
 #define SHAPESTATS_RELEASE(...) \
   SHAPESTATS_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-#define SHAPESTATS_TRY_ACQUIRE(...) \
-  SHAPESTATS_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
 #define SHAPESTATS_NO_THREAD_SAFETY_ANALYSIS \
   SHAPESTATS_THREAD_ANNOTATION__(no_thread_safety_analysis)
 
@@ -44,7 +42,6 @@ class SHAPESTATS_CAPABILITY("mutex") Mutex {
 
   void Lock() SHAPESTATS_ACQUIRE() { mu_.lock(); }
   void Unlock() SHAPESTATS_RELEASE() { mu_.unlock(); }
-  bool TryLock() SHAPESTATS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   // BasicLockable spellings so util::Mutex can be waited on with
   // std::condition_variable_any (used by util::ThreadPool).

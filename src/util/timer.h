@@ -18,11 +18,6 @@ class Timer {
     return std::chrono::duration<double, std::milli>(Clock::now() - start_).count();
   }
 
-  /// Elapsed time in microseconds.
-  double ElapsedUs() const {
-    return std::chrono::duration<double, std::micro>(Clock::now() - start_).count();
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

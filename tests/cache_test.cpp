@@ -233,7 +233,7 @@ TEST(PlanCacheTest, FeedbackVersionInvalidatesEntry) {
 
 TEST(FeedbackStoreTest, PublicationRules) {
   cache::FeedbackStore fs;
-  // Below min_observations: nothing published.
+  // Below kMinObservations: nothing published.
   EXPECT_EQ(fs.Record(1, {{0, 8.0}}), 0u);
   EXPECT_EQ(fs.Record(1, {{0, 8.0}}), 0u);
   EXPECT_EQ(fs.Factors(1, 1)[0], 1.0);
@@ -246,7 +246,7 @@ TEST(FeedbackStoreTest, PublicationRules) {
   for (int i = 0; i < 10; ++i) fs.Record(2, {{0, 1.05}});
   EXPECT_EQ(fs.Factors(2, 1)[0], 1.0);
   EXPECT_EQ(fs.Version(2), 0u);
-  // Factors clamp at max_factor.
+  // Factors clamp at kMaxFactor.
   for (int i = 0; i < 3; ++i) fs.Record(3, {{0, 1e9}});
   EXPECT_LE(fs.Factors(3, 1)[0], 1024.0);
   // Non-finite / non-positive ratios are ignored.

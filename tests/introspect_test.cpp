@@ -200,53 +200,60 @@ TEST(QueryRegistryTest, QueryTextTruncatedToCap) {
 }
 
 TEST(QueryRegistryTest, CompletedRingIsBounded) {
-  QueryRegistry::Options options;
-  options.completed_capacity = 4;
-  QueryRegistry registry(options);
-  for (int i = 0; i < 10; ++i) {
-    // Built via append: gcc 12's -Wrestrict fires a false positive on
-    // operator+(const char*, std::string&&) in Release builds.
-    std::string query = "q";
-    query += std::to_string(i);
-    QueryRegistry::Registration reg = registry.Register(query, 0, 0, 0);
-    reg.Complete(obs::Outcome::kOk, static_cast<uint64_t>(i));
+  QueryRegistry registry;
+  constexpr size_t kCap = QueryRegistry::kCompletedCapacity;
+  const size_t total = kCap + 6;
+  // Built via append: gcc 12's -Wrestrict fires a false positive on
+  // operator+(const char*, std::string&&) in Release builds.
+  auto query = [](size_t i) {
+    std::string q = "q";
+    q += std::to_string(i);
+    return q;
+  };
+  for (size_t i = 0; i < total; ++i) {
+    QueryRegistry::Registration reg = registry.Register(query(i), 0, 0, 0);
+    reg.Complete(obs::Outcome::kOk, i);
   }
   std::vector<QueryRecord> done = registry.Completed();
-  ASSERT_EQ(done.size(), 4u);
-  EXPECT_EQ(done[0].query, "q9");  // newest first
-  EXPECT_EQ(done[3].query, "q6");
-  EXPECT_EQ(registry.registered_total(), 10u);
+  ASSERT_EQ(done.size(), kCap);
+  EXPECT_EQ(done[0].query, query(total - 1));  // newest first
+  EXPECT_EQ(done[kCap - 1].query, query(total - kCap));
+  EXPECT_EQ(registry.registered_total(), total);
 }
 
 TEST(QueryRegistryTest, TemplateAggregatesAccumulateAndFold) {
-  QueryRegistry::Options options;
-  options.max_templates = 2;
-  QueryRegistry registry(options);
+  QueryRegistry registry;
   for (int i = 0; i < 3; ++i) {
     QueryRegistry::Registration reg = registry.Register("a", 0, 0, 0);
     reg.SetTemplate(0xaaaa);
     reg.Complete(obs::Outcome::kOk, 10);
   }
-  {
+  // Fill the aggregate map to kMaxTemplates distinct templates.
+  for (uint64_t t = 1; t < QueryRegistry::kMaxTemplates; ++t) {
     QueryRegistry::Registration reg = registry.Register("b", 0, 0, 0);
-    reg.SetTemplate(0xbbbb);
+    reg.SetTemplate(0x10000 + t);
     reg.Complete(obs::Outcome::kOk, 1);
   }
-  // A third distinct template exceeds max_templates and folds into "(other)".
+  // One more distinct template exceeds kMaxTemplates and folds into
+  // "(other)".
   {
     QueryRegistry::Registration reg = registry.Register("c", 0, 0, 0);
     reg.SetTemplate(0xcccc);
     reg.Complete(obs::Outcome::kOk, 1);
   }
   std::vector<obs::TemplateStats> top = registry.TopTemplates(0);
-  ASSERT_EQ(top.size(), 3u);  // t:aaaa, t:bbbb, (other)
+  ASSERT_EQ(top.size(), QueryRegistry::kMaxTemplates + 1);  // + (other)
   bool found_fold = false;
   for (const obs::TemplateStats& t : top) {
     if (t.cache_template == "t:000000000000aaaa") {
       EXPECT_EQ(t.executions, 3u);
       EXPECT_EQ(t.num_results, 30u);
     }
-    if (t.cache_template == "(other)") found_fold = true;
+    EXPECT_NE(t.cache_template, "t:000000000000cccc");
+    if (t.cache_template == "(other)") {
+      found_fold = true;
+      EXPECT_EQ(t.executions, 1u);
+    }
   }
   EXPECT_TRUE(found_fold);
 }
@@ -556,7 +563,6 @@ class IntrospectEngineFixture : public ::testing::Test {
     datagen::LubmOptions opts;
     opts.universities = 1;
     engine::EngineOptions eopts;
-    eopts.registry = engine::EngineOptions::RegistryMode::kOn;
     // Plan cache on so completed records carry a template id (the registry
     // only learns one for cache-eligible queries).
     eopts.plan_cache = engine::EngineOptions::PlanCacheMode::kOn;

@@ -1391,7 +1391,6 @@ void ExpectExplainsAgreeWithExecute(
                      ? "plan cache on"
                      : "plan cache off");
     engine::EngineOptions options;
-    options.join_mode = phys::JoinMode::kAuto;
     options.plan_cache = cache;
     auto analyzed_eng = engine::QueryEngine::Open(make_graph(), options);
     auto traced_eng = engine::QueryEngine::Open(make_graph(), options);

@@ -48,24 +48,6 @@ TEST(PhysPlanTest, OperatorAndModeNames) {
   EXPECT_STREQ(phys::JoinModeName(JoinMode::kMerge), "merge");
 }
 
-TEST(PhysPlanTest, JoinModeFromEnvParsesValues) {
-  // Single-threaded env mutation; no engine/pool is active in this test.
-  ::setenv("SHAPESTATS_JOIN", "merge", 1);
-  EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kMerge);
-  EXPECT_EQ(phys::ResolveJoinMode(JoinMode::kEnv), JoinMode::kMerge);
-  // Explicit modes pass through untouched.
-  EXPECT_EQ(phys::ResolveJoinMode(JoinMode::kInlj), JoinMode::kInlj);
-  ::setenv("SHAPESTATS_JOIN", "inlj", 1);
-  EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kInlj);
-  ::setenv("SHAPESTATS_JOIN", "bogus", 1);
-  EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kAuto);
-  // The retired hash mode is just another unrecognized value.
-  ::setenv("SHAPESTATS_JOIN", "hash", 1);
-  EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kAuto);
-  ::unsetenv("SHAPESTATS_JOIN");
-  EXPECT_EQ(phys::JoinModeFromEnv(), JoinMode::kAuto);
-}
-
 sparql::EncodedPattern Pattern(bool s_var, bool p_var, bool o_var) {
   sparql::EncodedPattern tp;
   auto term = [](bool is_var) {
@@ -199,27 +181,26 @@ TEST_F(PhysFixture, AutoModeTinyLeftPrefersInlj) {
 }
 
 TEST_F(PhysFixture, AutoModeRulePastTinyThreshold) {
-  // Past tiny_left, a step whose join component has a sorted index run is
-  // a merge naming that run, a predicate-position join is an INLJ, and a
-  // textual plan (no estimates) is an INLJ.
+  // Past kTinyLeftRows, a step whose join component has a sorted index run
+  // is a merge naming that run, a predicate-position join is an INLJ, and
+  // a textual plan (no estimates) is an INLJ.
   auto bgp = Encode(
       "?x ex:advisor ?p . ?y ex:teaches ?p . ?x ex:name ?n . ?s ?n ?o");
   opt::Plan plan;
   plan.order = {0, 1, 2, 3};
-  plan.step_estimates = {4, 4, 4, 4};
+  plan.step_estimates = {100, 100, 100, 100};
   plan.tp_estimates.resize(bgp.patterns.size());
-  for (card::TpEstimate& tp : plan.tp_estimates) tp.card = 4;
-  phys::PlannerOptions opts = Forced(JoinMode::kAuto);
-  opts.tiny_left = 0;
+  for (card::TpEstimate& tp : plan.tp_estimates) tp.card = 100;
+  const phys::PlannerOptions opts = Forced(JoinMode::kAuto);
   phys::PhysicalPlan pplan = phys::PlanPhysical(bgp, plan, graph_, opts);
   ASSERT_EQ(pplan.steps.size(), 4u);
   EXPECT_EQ(pplan.steps[1].op, OpKind::kMerge);
   EXPECT_EQ(pplan.steps[1].join_pos, 2);
   EXPECT_EQ(pplan.steps[1].rationale,
-            "left side ~4 rows; merge with the POS run sorted by object");
+            "left side ~100 rows; merge with the POS run sorted by object");
   EXPECT_EQ(pplan.steps[2].op, OpKind::kMerge);
   EXPECT_EQ(pplan.steps[2].rationale,
-            "left side ~4 rows; merge with the PSO run sorted by subject");
+            "left side ~100 rows; merge with the PSO run sorted by subject");
   EXPECT_EQ(pplan.steps[3].op, OpKind::kInlj);
   EXPECT_EQ(pplan.steps[3].join_pos, 1);
   EXPECT_EQ(pplan.steps[3].rationale,

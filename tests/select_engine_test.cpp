@@ -2,6 +2,10 @@
 // LIMIT), the materializing SELECT executor, and the QueryEngine facade.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "datagen/lubm.h"
 #include "engine/query_engine.h"
 #include "exec/select_executor.h"
@@ -456,6 +460,40 @@ TEST(EngineOptionsTest, GlobalStatsAndTextualModes) {
   ASSERT_TRUE(tx_result.ok());
   EXPECT_EQ(tx_result->plan.provider, "textual");
   EXPECT_EQ(tx_result->table.rows.size(), gs_result->table.rows.size());
+}
+
+TEST(EngineOptionsTest, EnvironmentDoesNotChangeDefaults) {
+  // Environment settings a default engine must ignore: EngineOptions alone
+  // decides the join mode, the plan cache and the query registry.
+  const std::string kPrefix = "SHAPESTATS_";
+  const std::string names[] = {kPrefix + "JOIN", kPrefix + "PLAN_CACHE",
+                               kPrefix + "REGISTRY"};
+  const char* kValues[] = {"merge", "1", "0"};
+  std::optional<std::string> saved[3];
+  for (int i = 0; i < 3; ++i) {
+    if (const char* v = std::getenv(names[i].c_str())) saved[i] = v;
+    ::setenv(names[i].c_str(), kValues[i], 1);
+  }
+  datagen::LubmOptions dopts;
+  dopts.universities = 1;
+  auto eng = engine::QueryEngine::Open(datagen::GenerateLubm(dopts));
+  Result<std::string> explain = eng.ok()
+      ? eng->Explain(
+            "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+            "SELECT * WHERE { ?x a ub:GraduateStudent . ?x ub:advisor ?p }")
+      : Result<std::string>(eng.status());
+  for (int i = 0; i < 3; ++i) {
+    if (saved[i]) {
+      ::setenv(names[i].c_str(), saved[i]->c_str(), 1);
+    } else {
+      ::unsetenv(names[i].c_str());
+    }
+  }
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  EXPECT_EQ(eng->plan_cache(), nullptr);
+  EXPECT_NE(eng->query_registry(), nullptr);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("join mode: auto"), std::string::npos) << *explain;
 }
 
 TEST(EngineLimitsTest, RowCappedCountAndAskAreFlaggedTruncated) {

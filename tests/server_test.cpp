@@ -389,6 +389,87 @@ TEST(HttpServerTest, MalformedRequestAnswers400) {
   srv.Stop();
 }
 
+// After a response that closes the connection the server sends nothing
+// more and the client reads end-of-stream.
+void ExpectClosedAfterResponse(int fd, const std::string& carry) {
+  EXPECT_EQ(carry, "");
+  char byte;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << std::strerror(errno);
+}
+
+TEST(HttpServerTest, RequestHeadOver16KiBAnswers431AndCloses) {
+  HttpServer srv(TestHttpOptions());
+  srv.Handle("/x", [](const HttpRequest& req) {
+    return HttpResponse{200, "text/plain; charset=utf-8",
+                        std::to_string(req.Header("x-pad").size()), {}};
+  });
+  ASSERT_TRUE(srv.Start().ok());
+  ASSERT_EQ(HttpServer::kMaxHeaderBytes, 16u * 1024);
+  auto padded_head = [](size_t bytes) {
+    std::string head = "GET /x HTTP/1.1\r\nX-Pad: ";
+    head.append(bytes - head.size(), 'a');
+    return head;
+  };
+
+  // A head of exactly 16 KiB is served.
+  ClientResponse at_limit =
+      Fetch(srv.port(), padded_head(HttpServer::kMaxHeaderBytes) + "\r\n\r\n");
+  EXPECT_EQ(at_limit.status, 200);
+
+  // One byte more is refused, terminator or not. Without a terminator the
+  // server reads every byte before it answers, so its close is clean.
+  int fd = ConnectTo(srv.port());
+  SendRaw(fd, padded_head(HttpServer::kMaxHeaderBytes + 4));
+  std::string carry;
+  ClientResponse over = ReadOneResponse(fd, &carry);
+  EXPECT_EQ(over.status, 431);
+  EXPECT_EQ(over.Header("connection"), "close");
+  ExpectClosedAfterResponse(fd, carry);
+  ::close(fd);
+
+  ClientResponse over_terminated = Fetch(
+      srv.port(), padded_head(HttpServer::kMaxHeaderBytes + 1) + "\r\n\r\n");
+  EXPECT_EQ(over_terminated.status, 431);
+  srv.Stop();
+}
+
+TEST(HttpServerTest, BodyOver4MiBAnswers413BeforeReadingItAndCloses) {
+  HttpServer srv(TestHttpOptions());
+  std::atomic<int> hits{0};
+  srv.Handle("/x", [&](const HttpRequest& req) {
+    hits.fetch_add(1);
+    return HttpResponse{200, "text/plain; charset=utf-8",
+                        std::to_string(req.body.size()), {}};
+  });
+  ASSERT_TRUE(srv.Start().ok());
+  ASSERT_EQ(HttpServer::kMaxBodyBytes, 4u * 1024 * 1024);
+  auto post_head = [](size_t content_length) {
+    return "POST /x HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+           "Content-Length: " +
+           std::to_string(content_length) + "\r\n\r\n";
+  };
+
+  // A body of exactly 4 MiB is read and served.
+  ClientResponse at_limit =
+      Fetch(srv.port(), post_head(HttpServer::kMaxBodyBytes) +
+                            std::string(HttpServer::kMaxBodyBytes, 'b'));
+  EXPECT_EQ(at_limit.status, 200);
+  EXPECT_EQ(at_limit.body, std::to_string(HttpServer::kMaxBodyBytes));
+
+  // One byte more is refused from the head alone: no body byte is sent, and
+  // the answer still arrives.
+  int fd = ConnectTo(srv.port());
+  SendRaw(fd, post_head(HttpServer::kMaxBodyBytes + 1));
+  std::string carry;
+  ClientResponse over = ReadOneResponse(fd, &carry);
+  EXPECT_EQ(over.status, 413);
+  EXPECT_EQ(over.Header("connection"), "close");
+  ExpectClosedAfterResponse(fd, carry);
+  ::close(fd);
+  EXPECT_EQ(hits.load(), 1);
+  srv.Stop();
+}
+
 // --- SparqlServer end-to-end -----------------------------------------------
 
 class SparqlServerFixture : public ::testing::Test {
@@ -788,7 +869,6 @@ TEST(SparqlServerIntrospectionTest, InflightQueryVisibleAndCancellable) {
   datagen::LubmOptions lubm;
   lubm.universities = 1;
   engine::EngineOptions eopts;
-  eopts.registry = engine::EngineOptions::RegistryMode::kOn;
   eopts.exec.timeout_ms = 60000;  // backstop so a missed cancel cannot hang CI
   engine::QueryEngine eng =
       std::move(engine::QueryEngine::Open(datagen::GenerateLubm(lubm), eopts))

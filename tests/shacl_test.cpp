@@ -327,15 +327,6 @@ TEST_F(ValidatorFixture, ReportsAllViolationKinds) {
   EXPECT_EQ(cls, 1);        // ex:c knows a Rock
 }
 
-TEST_F(ValidatorFixture, MaxViolationsCap) {
-  ValidatorOptions opts;
-  opts.max_violations = 1;
-  auto report = Validate(graph_, shapes_, opts);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->conforms);
-  EXPECT_EQ(report->violations.size(), 1u);
-}
-
 TEST_F(ValidatorFixture, ReportRendering) {
   auto report = Validate(graph_, shapes_);
   std::string text = report->ToString();
