@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace shapestats::exec {
@@ -17,12 +16,9 @@ using sparql::EncodedPattern;
 using sparql::EncodedTerm;
 using sparql::ParsedQuery;
 
-namespace {
-
-// Numeric value of a literal term if its whole lexical form is one number
-// to strtod. A view does not end in a NUL, so strtod reads a copy.
-bool NumericValue(rdf::TermView term, double* out) {
-  if (!term.is_literal() || term.lexical.empty()) return false;
+std::optional<double> NumericValue(rdf::TermView term) {
+  if (!term.is_literal() || term.lexical.empty()) return std::nullopt;
+  // A view does not end in a NUL, so strtod reads a copy.
   char small[64];
   std::string large;
   const char* text = small;
@@ -36,18 +32,15 @@ bool NumericValue(rdf::TermView term, double* out) {
   errno = 0;
   char* end = nullptr;
   double v = std::strtod(text, &end);
-  if (errno != 0 || end != text + term.lexical.size()) return false;
-  *out = v;
-  return true;
+  if (errno != 0 || end != text + term.lexical.size()) return std::nullopt;
+  return v;
 }
 
-}  // namespace
-
-bool CompareTerms(rdf::TermView ta, CompareOp op, rdf::TermView tb) {
-  double va, vb;
+bool CompareTerms(rdf::TermView ta, std::optional<double> va, CompareOp op,
+                  rdf::TermView tb, std::optional<double> vb) {
   int cmp;
-  if (NumericValue(ta, &va) && NumericValue(tb, &vb)) {
-    cmp = va < vb ? -1 : (va > vb ? 1 : 0);
+  if (va && vb) {
+    cmp = *va < *vb ? -1 : (*va > *vb ? 1 : 0);
   } else if (op == CompareOp::kEq || op == CompareOp::kNe) {
     cmp = ta == tb ? 0 : 1;
   } else {
@@ -71,10 +64,6 @@ Result<FilterPlan> EncodeFilters(const ParsedQuery& query,
   FilterPlan plan;
   plan.by_depth.resize(order.size());
 
-  std::unordered_map<std::string, sparql::VarId> var_ids;
-  for (sparql::VarId v = 0; v < bgp.NumVars(); ++v) {
-    var_ids[bgp.var_names[v]] = v;
-  }
   // Earliest step at which each variable is bound under `order`.
   std::vector<size_t> bound_at(bgp.NumVars(), order.size());
   for (size_t step = 0; step < order.size(); ++step) {
@@ -91,18 +80,19 @@ Result<FilterPlan> EncodeFilters(const ParsedQuery& query,
     auto encode = [&](const sparql::PatternTerm& t) -> Result<EncodedOperand> {
       EncodedOperand op;
       if (sparql::IsVar(t)) {
-        auto it = var_ids.find(sparql::AsVar(t).name);
-        if (it == var_ids.end()) {
+        const int v = bgp.FindVar(sparql::AsVar(t).name);
+        if (v < 0) {
           return Status::InvalidArgument("FILTER variable ?" +
                                          sparql::AsVar(t).name +
                                          " does not occur in the BGP");
         }
-        depth = std::max(depth, bound_at[it->second]);
+        depth = std::max(depth, bound_at[v]);
         op.is_var = true;
-        op.var_id = it->second;
+        op.var_id = static_cast<uint32_t>(v);
         return op;
       }
       op.term = sparql::AsTerm(t);
+      op.number = NumericValue(op.term.view());
       return op;
     };
     ASSIGN_OR_RETURN(ef.lhs, encode(f.lhs));
@@ -111,7 +101,8 @@ Result<FilterPlan> EncodeFilters(const ParsedQuery& query,
     ef.ready_depth = depth;
     // Constant-only filters decide satisfiability up front.
     if (!ef.lhs.is_var && !ef.rhs.is_var) {
-      if (!CompareTerms(ef.lhs.term.view(), ef.op, ef.rhs.term.view())) {
+      if (!CompareTerms(ef.lhs.term.view(), ef.lhs.number, ef.op,
+                        ef.rhs.term.view(), ef.rhs.number)) {
         plan.unsatisfiable = true;
       }
       continue;
@@ -129,7 +120,13 @@ bool FiltersPass(const std::vector<EncodedFilter>& filters,
         f.lhs.is_var ? dict.term(bindings[f.lhs.var_id]) : f.lhs.term.view();
     const rdf::TermView rhs =
         f.rhs.is_var ? dict.term(bindings[f.rhs.var_id]) : f.rhs.term.view();
-    if (!CompareTerms(lhs, f.op, rhs)) return false;
+    // A constant's number was read once, in EncodeFilters; a bound
+    // variable's is read here, and only when the other side can be one.
+    const std::optional<double> lnum =
+        f.lhs.is_var ? NumericValue(lhs) : f.lhs.number;
+    const std::optional<double> rnum =
+        !lnum ? std::nullopt : f.rhs.is_var ? NumericValue(rhs) : f.rhs.number;
+    if (!CompareTerms(lhs, lnum, f.op, rhs, rnum)) return false;
   }
   return true;
 }
@@ -137,10 +134,6 @@ bool FiltersPass(const std::vector<EncodedFilter>& filters,
 Result<SelectShape> PrepareSelectShape(const ParsedQuery& query,
                                        const EncodedBgp& bgp) {
   SelectShape shape;
-  std::unordered_map<std::string, sparql::VarId> var_ids;
-  for (sparql::VarId v = 0; v < bgp.NumVars(); ++v) {
-    var_ids[bgp.var_names[v]] = v;
-  }
   if (query.select_all) {
     for (sparql::VarId v = 0; v < bgp.NumVars(); ++v) {
       shape.var_names.push_back(bgp.var_names[v]);
@@ -148,20 +141,18 @@ Result<SelectShape> PrepareSelectShape(const ParsedQuery& query,
     }
   } else {
     for (const sparql::Variable& v : query.projection) {
-      auto it = var_ids.find(v.name);
-      if (it == var_ids.end()) {
+      const int id = bgp.FindVar(v.name);
+      if (id < 0) {
         return Status::InvalidArgument("unknown projected variable ?" + v.name);
       }
       shape.var_names.push_back(v.name);
-      shape.projection.push_back(it->second);
+      shape.projection.push_back(static_cast<sparql::VarId>(id));
     }
   }
   if (query.order_by) {
-    auto it = var_ids.find(query.order_by->var.name);
-    if (it == var_ids.end()) {
-      return Status::InvalidArgument("unknown ORDER BY variable");
-    }
-    shape.order_var = it->second;
+    const int id = bgp.FindVar(query.order_by->var.name);
+    if (id < 0) return Status::InvalidArgument("unknown ORDER BY variable");
+    shape.order_var = static_cast<sparql::VarId>(id);
   }
   return shape;
 }
@@ -193,14 +184,20 @@ Status ApplyModifiers(const ParsedQuery& query, const rdf::TermDictionary& dict,
   if (query.order_by) {
     std::vector<size_t> idx(rows->size());
     std::iota(idx.begin(), idx.end(), 0);
-    // Each key is read from the dictionary once, not at every comparison.
+    // Each key is read from the dictionary, and its number parsed, once,
+    // not at every comparison.
     std::vector<rdf::TermView> keys;
+    std::vector<std::optional<double>> numbers;
     keys.reserve(order_keys->size());
-    for (TermId id : *order_keys) keys.push_back(dict.term(id));
+    numbers.reserve(order_keys->size());
+    for (TermId id : *order_keys) {
+      keys.push_back(dict.term(id));
+      numbers.push_back(NumericValue(keys.back()));
+    }
     const CompareOp before =
         query.order_by->descending ? CompareOp::kGt : CompareOp::kLt;
     std::stable_sort(idx.begin(), idx.end(), [&](size_t a, size_t b) {
-      return CompareTerms(keys[a], before, keys[b]);
+      return CompareTerms(keys[a], numbers[a], before, keys[b], numbers[b]);
     });
     std::vector<std::vector<TermId>> sorted;
     sorted.reserve(idx.size());

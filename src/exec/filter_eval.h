@@ -21,7 +21,8 @@ namespace shapestats::exec {
 struct EncodedOperand {
   bool is_var = false;
   uint32_t var_id = 0;
-  rdf::Term term;  // set when !is_var
+  rdf::Term term;                // set when !is_var
+  std::optional<double> number;  // NumericValue(term.view()), when !is_var
 };
 
 struct EncodedFilter {
@@ -39,11 +40,22 @@ struct FilterPlan {
   bool unsatisfiable = false;
 };
 
+/// The number a literal term stands for in comparisons: set when its whole
+/// lexical form is one number to strtod, which skips leading whitespace,
+/// reads hex, inf and nan, and fails with ERANGE on overflow and underflow
+/// (so "1e999" and "1e-400" are not numbers). IRIs and blank nodes have
+/// none.
+std::optional<double> NumericValue(rdf::TermView term);
+
 /// SPARQL-ish comparison: numeric when both sides are numeric literals,
 /// term equality for =/!=, lexical ordering as the fallback for </>. A
 /// query constant takes part as Term::view(), so "x" and
-/// "x"^^xsd:string are the same term on either side.
-bool CompareTerms(rdf::TermView a, sparql::CompareOp op, rdf::TermView b);
+/// "x"^^xsd:string are the same term on either side. `va` and `vb` are
+/// NumericValue(a) and NumericValue(b), read once by the caller (`vb` may
+/// be left unset when `va` is).
+bool CompareTerms(rdf::TermView a, std::optional<double> va,
+                  sparql::CompareOp op, rdf::TermView b,
+                  std::optional<double> vb);
 
 /// Encodes `query`'s filters against the BGP's variable table, computing
 /// each filter's readiness depth for the join order `order`. Fails on

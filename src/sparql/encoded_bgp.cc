@@ -39,6 +39,13 @@ int BgpEncoder::FindVar(std::string_view name) const {
   return -1;
 }
 
+int EncodedBgp::FindVar(std::string_view name) const {
+  for (size_t v = 0; v < var_names.size(); ++v) {
+    if (var_names[v] == name) return static_cast<int>(v);
+  }
+  return -1;
+}
+
 EncodedTerm BgpEncoder::Key(std::string_view key) {
   // Queries carry a handful of distinct constants, and lookups repeat
   // their anchor in every pattern: a linear scan finds the repeats.

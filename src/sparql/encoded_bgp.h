@@ -55,6 +55,9 @@ struct EncodedBgp {
   std::vector<std::string> var_names;  // index = VarId
 
   size_t NumVars() const { return var_names.size(); }
+  /// VarId of the variable `name`, or -1 when no pattern mentions it. A
+  /// linear scan: BGPs hold at most a few dozen variables.
+  int FindVar(std::string_view name) const;
 };
 
 /// Builds an EncodedBgp one triple pattern at a time: the per-term encoder

@@ -2,12 +2,18 @@
 // LIMIT), the materializing SELECT executor, and the QueryEngine facade.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "datagen/lubm.h"
 #include "engine/query_engine.h"
+#include "exec/filter_eval.h"
 #include "exec/select_executor.h"
 #include "phys/physical_plan.h"
 #include "rdf/ntriples.h"
@@ -233,15 +239,30 @@ constexpr const char* kCompareValues[][2] = {
     {"\"abc\"", "\"abc\""},   {"\"\\t5\"", "\"\\t5\""}, {"<5>", "<5>"},
     {"\"1000\"", "\"1000\""}, {"\"16\"", "\"16\""},
 };
-constexpr size_t kNumCompareValues = std::size(kCompareValues);
+
+// Numbers at strtod's edges: leading whitespace, hex, infinities and NaN
+// are numbers; overflow and underflow set ERANGE, so "1e999" and "1e-400"
+// compare by their text.
+constexpr const char* kEdgeValues[][2] = {
+    {"\" 26\"", "\" 26\""},     {"\"0x1A\"", "\"0x1A\""},
+    {"\"26\"", "\"26\""},       {"\"inf\"", "\"inf\""},
+    {"\"-inf\"", "\"-inf\""},   {"\"nan\"", "\"nan\""},
+    {"\"1e999\"", "\"1e999\""}, {"\"1e-400\"", "\"1e-400\""},
+    {"\"0\"", "\"0\""},         {"\"abc\"", "\"abc\""},
+};
 
 class CompareSemanticsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Load(kCompareValues); }
+
+  // Subject <http://ex/v{i}> gets value i.
+  template <size_t N>
+  void Load(const char* const (&values)[N][2]) {
     std::string nt;
-    for (size_t i = 0; i < kNumCompareValues; ++i) {
+    for (size_t i = 0; i < N; ++i) {
       nt += "<http://ex/v" + std::to_string(i) + "> <http://ex/val> " +
-            kCompareValues[i][0] + " .\n";
+            values[i][0] + " .\n";
+      constants_.push_back(values[i][1]);
     }
     ASSERT_TRUE(rdf::ParseNTriples(nt, &graph_).ok());
     graph_.Finalize();
@@ -249,7 +270,7 @@ class CompareSemanticsTest : public ::testing::Test {
 
   // The value index of subject id `id`.
   size_t Index(rdf::TermId id) const {
-    for (size_t i = 0; i < kNumCompareValues; ++i) {
+    for (size_t i = 0; i < constants_.size(); ++i) {
       if (graph_.dict().FindIri("http://ex/v" + std::to_string(i)) == id) return i;
     }
     ADD_FAILURE() << "unknown subject " << id;
@@ -267,7 +288,8 @@ class CompareSemanticsTest : public ::testing::Test {
   // Row i, column j is '1' when value i `op` value j holds, both bound to
   // variables.
   std::vector<std::string> VarMatrix(const std::string& op) {
-    std::vector<std::string> m(kNumCompareValues, std::string(kNumCompareValues, '0'));
+    const size_t n = constants_.size();
+    std::vector<std::string> m(n, std::string(n, '0'));
     const exec::ResultTable t =
         Run("SELECT ?a ?b WHERE { ?a <http://ex/val> ?x . ?b <http://ex/val> ?y . "
             "FILTER(?x " + op + " ?y) }");
@@ -279,11 +301,12 @@ class CompareSemanticsTest : public ::testing::Test {
 
   // The same with value j written as a query constant.
   std::vector<std::string> ConstantMatrix(const std::string& op) {
-    std::vector<std::string> m(kNumCompareValues, std::string(kNumCompareValues, '0'));
-    for (size_t j = 0; j < kNumCompareValues; ++j) {
+    const size_t n = constants_.size();
+    std::vector<std::string> m(n, std::string(n, '0'));
+    for (size_t j = 0; j < n; ++j) {
       const exec::ResultTable t =
           Run(std::string("SELECT ?a WHERE { ?a <http://ex/val> ?x . FILTER(?x ") + op +
-              " " + kCompareValues[j][1] + ") }");
+              " " + constants_[j] + ") }");
       for (const std::vector<rdf::TermId>& row : t.rows) m[Index(row[0])][j] = '1';
     }
     return m;
@@ -299,6 +322,7 @@ class CompareSemanticsTest : public ::testing::Test {
   }
 
   rdf::Graph graph_;
+  std::vector<std::string> constants_;  // value i as a query constant
 };
 
 TEST_F(CompareSemanticsTest, EqualityIsNumericOrByTerm) {
@@ -334,6 +358,69 @@ TEST_F(CompareSemanticsTest, OrderByUsesTheSameComparison) {
   // this is the order a stable sort makes of the executor's rows with them.
   EXPECT_EQ(Ordered("?x"), (std::vector<size_t>{5, 4, 0, 1, 2, 7, 10, 3, 9, 8, 6}));
   EXPECT_EQ(Ordered("DESC(?x)"), (std::vector<size_t>{6, 3, 0, 8, 4, 9, 5, 10, 1, 2, 7}));
+}
+
+class NumericEdgeTest : public CompareSemanticsTest {
+ protected:
+  void SetUp() override { Load(kEdgeValues); }
+};
+
+TEST_F(NumericEdgeTest, FilterAndOrderByResultsArePinned) {
+  // Values: " 26", 0x1A, 26, inf, -inf, nan, 1e999, 1e-400, 0, abc. NaN
+  // compares equal to every number; " 26" and 26 differ by text.
+  const std::pair<const char*, std::vector<std::string>> kWant[] = {
+      {"=",
+       {"1110010000", "1110010000", "1110010000", "0001010000",
+        "0000110000", "1111110010", "0000001000", "0000000100",
+        "0000010010", "0000000001"}},
+      {"!=",
+       {"0001101111", "0001101111", "0001101111", "1110101111",
+        "1111001111", "0000001101", "1111110111", "1111111011",
+        "1111101101", "1111111110"}},
+      {"<",
+       {"0001001101", "0001001101", "0001000001", "0000000000",
+        "1111001111", "0000000000", "0011010001", "0011011001",
+        "1111001101", "0001010000"}},
+      {"<=",
+       {"1111011101", "1111011101", "1111010001", "0001010000",
+        "1111111111", "1111110010", "0011011001", "0011011101",
+        "1111011111", "0001010001"}},
+      {">",
+       {"0000100010", "0000100010", "0000101110", "1110101111",
+        "0000000000", "0000001101", "1100100110", "1100100010",
+        "0000100000", "1110101110"}},
+      {">=",
+       {"1110110010", "1110110010", "1110111110", "1111111111",
+        "0000110000", "1111111111", "1100101110", "1100100110",
+        "0000110010", "1110101111"}},
+  };
+  for (const auto& [op, want] : kWant) {
+    SCOPED_TRACE(op);
+    EXPECT_EQ(VarMatrix(op), want);
+    EXPECT_EQ(ConstantMatrix(op), want);
+  }
+  EXPECT_EQ(Ordered("?x"), (std::vector<size_t>{4, 8, 0, 1, 7, 6, 2, 9, 3, 5}));
+  EXPECT_EQ(Ordered("DESC(?x)"), (std::vector<size_t>{3, 0, 1, 2, 4, 5, 9, 6, 7, 8}));
+}
+
+TEST(NumericValueTest, ReadsWhatStrtodReadsWhole) {
+  auto literal = [](std::string_view lexical) {
+    return rdf::TermView{rdf::TermKind::kLiteral, lexical, {}, {}};
+  };
+  EXPECT_EQ(exec::NumericValue(literal(" 26")), 26.0);
+  EXPECT_EQ(exec::NumericValue(literal("0x1A")), 26.0);
+  EXPECT_EQ(exec::NumericValue(literal("-inf")),
+            -std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(exec::NumericValue(literal("nan")).has_value());
+  EXPECT_TRUE(std::isnan(*exec::NumericValue(literal("nan"))));
+  for (const char* text : {"1e999", "1e-400", "26 ", "", "abc", "1e"}) {
+    EXPECT_FALSE(exec::NumericValue(literal(text)).has_value()) << text;
+  }
+  EXPECT_FALSE(exec::NumericValue(
+                   rdf::TermView{rdf::TermKind::kIri, "26", {}, {}})
+                   .has_value());
+  // A lexical form longer than the stack buffer is read as well.
+  EXPECT_EQ(exec::NumericValue(literal(std::string(80, ' ') + "7")), 7.0);
 }
 
 // "x" and "x"^^xsd:string are one term with one key. A FILTER must treat
@@ -494,6 +581,72 @@ TEST(EngineOptionsTest, EnvironmentDoesNotChangeDefaults) {
   EXPECT_NE(eng->query_registry(), nullptr);
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   EXPECT_NE(explain->find("join mode: auto"), std::string::npos) << *explain;
+}
+
+// Threads calling Execute at once on one plan-cache engine share its cache
+// and each keep their own canonicalization memo: every thread must get the
+// serial answers.
+TEST(PlanCacheConcurrencyTest, ConcurrentExecuteMatchesSerial) {
+  datagen::LubmOptions dopts;
+  dopts.universities = 1;
+  engine::EngineOptions opts;
+  opts.plan_cache = engine::EngineOptions::PlanCacheMode::kOn;
+  opts.plan_cache_options.capacity = 4;  // hits, misses and evictions
+  auto eng = engine::QueryEngine::Open(datagen::GenerateLubm(dopts), opts);
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  const std::string prefix =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n";
+  std::vector<std::string> queries;
+  for (const char* cls : {"FullProfessor", "Lecturer", "AssistantProfessor"}) {
+    for (const char* form :
+         {"SELECT ?x ?n WHERE { ?x a ub:%s . ?x ub:name ?n }",
+          "SELECT ?m ?x WHERE { ?x ub:name ?m . ?x a ub:%s } LIMIT 3",
+          "SELECT (COUNT(*) AS ?c) WHERE { ?x a ub:%s . ?x ub:worksFor ?d }",
+          "ASK { ?x a ub:%s . ?x ub:teacherOf ?c }",
+          "SELECT ?x WHERE { ?x a ub:%s . ?x ub:name ?n FILTER(?n != \"z\") }"}) {
+      char text[256];
+      std::snprintf(text, sizeof(text), form, cls);
+      queries.push_back(prefix + text);
+    }
+  }
+  auto summary = [](const engine::QueryResult& r) {
+    std::string s;
+    for (const std::string& v : r.table.var_names) s += v + " ";
+    for (const std::vector<rdf::TermId>& row : r.table.rows) {
+      s += "|";
+      for (rdf::TermId id : row) s += std::to_string(id) + " ";
+    }
+    if (r.ask) s += *r.ask ? "|ask:true" : "|ask:false";
+    if (r.count) s += "|count:" + std::to_string(*r.count);
+    return s;
+  };
+  std::vector<std::string> want;
+  for (const std::string& q : queries) {
+    auto r = eng->Execute(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    want.push_back(summary(*r));
+  }
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const size_t q = (i + t * 5) % queries.size();
+          auto r = eng->Execute(queries[q]);
+          got[t].push_back(r.ok() ? summary(*r) : r.status().ToString());
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t k = 0; k < got[t].size(); ++k) {
+      EXPECT_EQ(got[t][k], want[(k % queries.size() + t * 5) % queries.size()])
+          << "thread " << t;
+    }
+  }
 }
 
 TEST(EngineLimitsTest, RowCappedCountAndAskAreFlaggedTruncated) {
