@@ -38,11 +38,10 @@ Sinks Sinks::Resolve(obs::QueryRegistry* registry, obs::FlightRecorder* flight,
   s.phys_plans = metrics.GetCounter("phys.plans");
   s.phys_merge_steps = metrics.GetCounter("phys.merge_steps");
   s.phys_inlj_steps = metrics.GetCounter("phys.inlj_steps");
-  s.index_probes = metrics.GetHistogram("exec.query_index_probes");
-  s.rows_scanned = metrics.GetHistogram("exec.query_rows_scanned");
-  s.rows_materialized = metrics.GetHistogram("exec.query_rows_materialized");
-  s.peak_bytes = metrics.GetHistogram("exec.query_peak_bytes");
-  s.build_bytes = metrics.GetHistogram("exec.query_build_bytes");
+  s.resources = metrics.GetHistogramGroup(
+      {"exec.query_index_probes", "exec.query_rows_scanned",
+       "exec.query_rows_materialized", "exec.query_peak_bytes",
+       "exec.query_build_bytes"});
   return s;
 }
 
@@ -174,12 +173,12 @@ void QueryLifecycle::Close(QueryResult* result, obs::Outcome outcome,
   // numbers. Short-circuited queries did no execution work to report.
   if (tracker_ != nullptr && executed) {
     resources_ = tracker_->Snapshot();
-    sinks_.index_probes->Observe(static_cast<double>(resources_.index_probes));
-    sinks_.rows_scanned->Observe(static_cast<double>(resources_.rows_scanned));
-    sinks_.rows_materialized->Observe(
-        static_cast<double>(resources_.rows_materialized));
-    sinks_.peak_bytes->Observe(static_cast<double>(resources_.peak_bytes));
-    sinks_.build_bytes->Observe(static_cast<double>(resources_.build_bytes));
+    sinks_.resources->Observe(
+        {static_cast<double>(resources_.index_probes),
+         static_cast<double>(resources_.rows_scanned),
+         static_cast<double>(resources_.rows_materialized),
+         static_cast<double>(resources_.peak_bytes),
+         static_cast<double>(resources_.build_bytes)});
   }
   if (trace_ != nullptr) {
     trace_->optimizer = result->plan.provider;

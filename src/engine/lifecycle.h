@@ -60,12 +60,9 @@ struct Sinks {
   obs::Counter* phys_plans = nullptr;
   obs::Counter* phys_merge_steps = nullptr;
   obs::Counter* phys_inlj_steps = nullptr;
-  // Per-query resource distributions of executed queries.
-  obs::Histogram* index_probes = nullptr;
-  obs::Histogram* rows_scanned = nullptr;
-  obs::Histogram* rows_materialized = nullptr;
-  obs::Histogram* peak_bytes = nullptr;
-  obs::Histogram* build_bytes = nullptr;
+  // Per-query resource distributions of executed queries: index probes,
+  // rows scanned, rows materialized, peak bytes and build bytes.
+  obs::HistogramGroup* resources = nullptr;
 
   static Sinks Resolve(obs::QueryRegistry* registry,
                        obs::FlightRecorder* flight,

@@ -38,18 +38,22 @@ double Histogram::BucketLow(size_t i) {
   return std::ldexp(1.0, static_cast<int>(i) - 1);  // 2^(i-1)
 }
 
+void Histogram::Snapshot::Add(double value) {
+  if (count == 0) {
+    min = value;
+    max = value;
+  } else {
+    min = std::min(min, value);
+    max = std::max(max, value);
+  }
+  ++count;
+  sum += value;
+  ++buckets[BucketIndex(value)];
+}
+
 void Histogram::Observe(double value) {
   util::MutexLock lock(mu_);
-  if (data_.count == 0) {
-    data_.min = value;
-    data_.max = value;
-  } else {
-    data_.min = std::min(data_.min, value);
-    data_.max = std::max(data_.max, value);
-  }
-  ++data_.count;
-  data_.sum += value;
-  ++data_.buckets[BucketIndex(value)];
+  data_.Add(value);
 }
 
 void Histogram::Reset() {
@@ -60,6 +64,25 @@ void Histogram::Reset() {
 Histogram::Snapshot Histogram::Snap() const {
   util::MutexLock lock(mu_);
   return data_;
+}
+
+void HistogramGroup::Observe(std::initializer_list<double> values) {
+  util::MutexLock lock(mu_);
+  size_t i = 0;
+  for (double v : values) {
+    if (i == data_.size()) break;
+    data_[i++].Add(v);
+  }
+}
+
+void HistogramGroup::Reset() {
+  util::MutexLock lock(mu_);
+  for (Histogram::Snapshot& d : data_) d = Histogram::Snapshot{};
+}
+
+Histogram::Snapshot HistogramGroup::Snap(size_t member) const {
+  util::MutexLock lock(mu_);
+  return data_[member];
 }
 
 double Histogram::Snapshot::Percentile(double p) const {
@@ -116,6 +139,17 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   return histograms_.back().second.get();
 }
 
+HistogramGroup* MetricsRegistry::GetHistogramGroup(
+    const std::vector<std::string>& names) {
+  util::MutexLock lock(mu_);
+  for (auto& [n, g] : histogram_groups_) {
+    if (n == names) return g.get();
+  }
+  histogram_groups_.emplace_back(names,
+                                 std::make_unique<HistogramGroup>(names.size()));
+  return histogram_groups_.back().second.get();
+}
+
 MetricsSnapshot MetricsRegistry::Snap() const {
   MetricsSnapshot snap;
   {
@@ -132,6 +166,11 @@ MetricsSnapshot MetricsRegistry::Snap() const {
     for (const auto& [n, h] : histograms_) {
       snap.histograms.push_back({n, h->Snap()});
     }
+    for (const auto& [names, g] : histogram_groups_) {
+      for (size_t i = 0; i < names.size(); ++i) {
+        snap.histograms.push_back({names[i], g->Snap(i)});
+      }
+    }
   }
   std::sort(snap.counters.begin(), snap.counters.end(),
             [](const auto& a, const auto& b) { return a.name < b.name; });
@@ -147,6 +186,7 @@ void MetricsRegistry::ResetAll() {
   for (auto& [n, c] : counters_) c->Reset();
   for (auto& [n, g] : gauges_) g->Reset();
   for (auto& [n, h] : histograms_) h->Reset();
+  for (auto& [n, g] : histogram_groups_) g->Reset();
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

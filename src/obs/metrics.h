@@ -9,6 +9,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -71,6 +72,8 @@ class Histogram {
     double max = 0;
     std::array<uint64_t, kNumBuckets> buckets{};
     double Mean() const { return count ? sum / static_cast<double>(count) : 0; }
+    /// Records one sample.
+    void Add(double value);
     /// Estimated percentile (p in [0,100]) by linear interpolation within
     /// the log-scale bucket holding the target rank, clamped to the
     /// observed [min, max]. Exact for the extremes; within one power of
@@ -82,6 +85,24 @@ class Histogram {
  private:
   mutable util::Mutex mu_;
   Snapshot data_ SHAPESTATS_GUARDED_BY(mu_);
+};
+
+/// Histograms that always take one sample each at the same time, recorded
+/// under one lock: a per-query set of distributions costs one lock, not
+/// one per histogram. Exported as separate histograms, one per name.
+class HistogramGroup {
+ public:
+  explicit HistogramGroup(size_t size) : data_(size) {}
+
+  /// Records values[i] into member i; one value per member.
+  void Observe(std::initializer_list<double> values);
+  void Reset();
+  Histogram::Snapshot Snap(size_t member) const;
+  size_t size() const { return data_.size(); }
+
+ private:
+  mutable util::Mutex mu_;
+  std::vector<Histogram::Snapshot> data_ SHAPESTATS_GUARDED_BY(mu_);
 };
 
 /// Point-in-time view of a whole registry.
@@ -129,6 +150,10 @@ class MetricsRegistry {
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
+  /// Finds or creates the group of histograms named `names` (the same
+  /// list, in the same order, finds the same group). The names must not
+  /// also be used for GetHistogram.
+  HistogramGroup* GetHistogramGroup(const std::vector<std::string>& names);
 
   /// Convenience one-shot forms (one map lookup per call).
   void Add(const std::string& name, uint64_t delta = 1) { GetCounter(name)->Add(delta); }
@@ -157,6 +182,9 @@ class MetricsRegistry {
       SHAPESTATS_GUARDED_BY(mu_);
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_
       SHAPESTATS_GUARDED_BY(mu_);
+  std::vector<std::pair<std::vector<std::string>,
+                        std::unique_ptr<HistogramGroup>>>
+      histogram_groups_ SHAPESTATS_GUARDED_BY(mu_);
 };
 
 /// Escapes a string for embedding in JSON output (quotes not included).

@@ -11,12 +11,12 @@ namespace shapestats::obs {
 
 /// One in-flight query. A record is owned by the registry and recycled
 /// through its free list. The identity fields and the query text are
-/// written by the registering thread before the record is linked into its
-/// shard (readers see them under the shard lock); phase, template and step
-/// count are atomics the query's own thread updates without a lock; the
-/// tracker is atomically updated by the executor. `prev`/`next` link the
-/// shard's live list (guarded by the shard lock) and the free list (next
-/// only, guarded by the registry's done_mu_).
+/// written under the registry's mutex as the record is linked into the
+/// live list (readers see them under the same mutex); phase, template and
+/// step count are atomics the query's own thread updates without a lock;
+/// the tracker is atomically updated by the executor. `prev`/`next` link
+/// the live list and the free list (next only), both guarded by the
+/// registry's mutex.
 struct LiveQuery {
   uint64_t id = 0;
   uint64_t request_id = 0;
@@ -165,18 +165,18 @@ QueryRegistry::Registration QueryRegistry::Register(std::string_view query,
                                                     uint64_t batch_id,
                                                     uint32_t slot,
                                                     double started_ms) {
+  util::MutexLock lock(mu_);
   LiveQuery* rec;
-  {
-    util::MutexLock lock(done_mu_);
-    if (free_ != nullptr) {
-      rec = free_;
-      free_ = rec->next;
-    } else {
-      records_.push_back(std::make_unique<LiveQuery>());
-      rec = records_.back().get();
-    }
+  if (free_ != nullptr) {
+    rec = free_;
+    free_ = rec->next;
+  } else {
+    records_.push_back(std::make_unique<LiveQuery>());
+    rec = records_.back().get();
   }
-  rec->id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  // Ids are only handed out under mu_, so a load and a store suffice.
+  rec->id = next_id_.load(std::memory_order_relaxed);
+  next_id_.store(rec->id + 1, std::memory_order_relaxed);
   rec->request_id = request_id;
   rec->batch_id = batch_id;
   rec->slot = slot;
@@ -188,14 +188,10 @@ QueryRegistry::Registration QueryRegistry::Register(std::string_view query,
   rec->template_hash.store(0, std::memory_order_relaxed);
   rec->steps_total.store(0, std::memory_order_relaxed);
   rec->tracker.Reset();
-  Shard& shard = ShardFor(rec->id);
-  {
-    util::MutexLock lock(shard.mu);
-    rec->prev = nullptr;
-    rec->next = shard.live;
-    if (shard.live != nullptr) shard.live->prev = rec;
-    shard.live = rec;
-  }
+  rec->prev = nullptr;
+  rec->next = live_;
+  if (live_ != nullptr) live_->prev = rec;
+  live_ = rec;
   inflight_gauge_->Add(1);
   Registration reg;
   reg.registry_ = this;
@@ -210,26 +206,21 @@ size_t QueryRegistry::NumAggregatesLocked() const {
 
 void QueryRegistry::CompleteRecord(LiveQuery* rec, Outcome outcome,
                                    uint64_t num_results, double finished_ms) {
-  Shard& shard = ShardFor(rec->id);
-  {
-    util::MutexLock lock(shard.mu);
-    if (rec->prev != nullptr) {
-      rec->prev->next = rec->next;
-    } else {
-      shard.live = rec->next;
-    }
-    if (rec->next != nullptr) rec->next->prev = rec->prev;
-  }
-  inflight_gauge_->Add(-1);
-  completed_counter_->Add();
-
   const ResourceSnapshot resources = rec->tracker.Snapshot();
-  const double elapsed_ms = finished_ms - rec->started_ms;
   const bool has_template = rec->has_template.load(std::memory_order_relaxed);
   const uint64_t template_hash =
       rec->template_hash.load(std::memory_order_relaxed);
+  inflight_gauge_->Add(-1);
+  completed_counter_->Add();
 
-  util::MutexLock lock(done_mu_);
+  util::MutexLock lock(mu_);
+  if (rec->prev != nullptr) {
+    rec->prev->next = rec->next;
+  } else {
+    live_ = rec->next;
+  }
+  if (rec->next != nullptr) rec->next->prev = rec->prev;
+  const double elapsed_ms = finished_ms - rec->started_ms;
   // New templates beyond kMaxTemplates (the uncached bucket included) fold
   // into the overflow bucket, so a hostile workload cannot grow memory.
   Aggregate* agg;
@@ -274,13 +265,12 @@ void QueryRegistry::CompleteRecord(LiveQuery* rec, Outcome outcome,
 
 bool QueryRegistry::Cancel(uint64_t id) {
   {
-    const Shard& shard = ShardFor(id);
-    util::MutexLock lock(shard.mu);
-    LiveQuery* rec = shard.live;
+    util::MutexLock lock(mu_);
+    LiveQuery* rec = live_;
     while (rec != nullptr && rec->id != id) rec = rec->next;
     if (rec == nullptr) return false;
-    // Under the shard lock: the record cannot complete and be reused
-    // by another query meanwhile.
+    // Under the lock: the record cannot complete and be reused by another
+    // query meanwhile.
     rec->tracker.RequestCancel();
   }
   cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -290,21 +280,17 @@ bool QueryRegistry::Cancel(uint64_t id) {
 
 size_t QueryRegistry::NumInflight() const {
   size_t n = 0;
-  for (const Shard& shard : shards_) {
-    util::MutexLock lock(shard.mu);
-    for (const LiveQuery* rec = shard.live; rec != nullptr; rec = rec->next) {
-      ++n;
-    }
-  }
+  util::MutexLock lock(mu_);
+  for (const LiveQuery* rec = live_; rec != nullptr; rec = rec->next) ++n;
   return n;
 }
 
 std::vector<QueryRecord> QueryRegistry::Inflight() const {
   const double now = MonotonicMs();
   std::vector<QueryRecord> out;
-  for (const Shard& shard : shards_) {
-    util::MutexLock lock(shard.mu);
-    for (const LiveQuery* rec = shard.live; rec != nullptr; rec = rec->next) {
+  {
+    util::MutexLock lock(mu_);
+    for (const LiveQuery* rec = live_; rec != nullptr; rec = rec->next) {
       out.push_back(Freeze(*rec, now));
     }
   }
@@ -317,7 +303,7 @@ std::vector<QueryRecord> QueryRegistry::Inflight() const {
 
 std::vector<QueryRecord> QueryRegistry::Completed(size_t max) const {
   std::vector<QueryRecord> out;
-  util::MutexLock lock(done_mu_);
+  util::MutexLock lock(mu_);
   const size_t n = max == 0 ? ring_size_ : std::min(max, ring_size_);
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -330,7 +316,7 @@ std::vector<QueryRecord> QueryRegistry::Completed(size_t max) const {
 std::vector<TemplateStats> QueryRegistry::TopTemplates(size_t n) const {
   std::vector<TemplateStats> out;
   {
-    util::MutexLock lock(done_mu_);
+    util::MutexLock lock(mu_);
     out.reserve(NumAggregatesLocked());
     auto add = [&out](std::string name, const Aggregate& agg) {
       out.push_back({std::move(name), agg.executions, agg.rows_produced,

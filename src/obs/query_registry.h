@@ -1,14 +1,15 @@
 // Live query registry: the "what is running right now" half of the
 // introspection plane (DESIGN.md §12). Every engine Execute / ExecuteBatch
 // slot registers a record (query text, request/batch ids, phase, step
-// progress, a ResourceTracker) into a lock-sharded live list for the
-// lifetime of the query; completion copies it into a bounded ring and
-// per-template aggregates. The server's /debug/queries and the shell's
+// progress, a ResourceTracker) into a live list for the lifetime of the
+// query; completion copies it into a bounded ring and per-template
+// aggregates. The server's /debug/queries and the shell's
 // .running render snapshots; Cancel(id) flips the record's tracker flag,
 // which the executors observe on their next work tick.
 //
-// Registration costs no allocation in steady state: records come from a
-// registry-owned free list, the phase, template and step count are atomics
+// Registration costs no allocation in steady state and one lock at each
+// end (the live list, the free list, the ring and the aggregates share
+// one mutex): records come from a registry-owned free list, the phase, template and step count are atomics
 // (the query's own thread writes them without a lock), the template is
 // kept as its 64-bit hash and rendered as text only when read, the
 // completed ring is preallocated and overwritten in place, and the
@@ -75,7 +76,6 @@ class QueryRegistry {
   /// Per-template aggregate map cap; new templates beyond it are folded
   /// into an "(other)" bucket so a hostile workload cannot grow memory.
   static constexpr size_t kMaxTemplates = 1024;
-  static constexpr size_t kShards = 16;
   static constexpr size_t kMaxQueryBytes = 2048;
 
   QueryRegistry();
@@ -187,40 +187,33 @@ class QueryRegistry {
     double total_ms = 0;
   };
 
-  struct Shard {
-    mutable util::Mutex mu;
-    LiveQuery* live SHAPESTATS_GUARDED_BY(mu) = nullptr;  // list head
-  };
-  Shard& ShardFor(uint64_t id) { return shards_[id % kShards]; }
-  const Shard& ShardFor(uint64_t id) const { return shards_[id % kShards]; }
-
-  /// Unlinks `rec` from its shard, copies it into the ring and the
+  /// Unlinks `rec` from the live list, copies it into the ring and the
   /// aggregates, and returns it to the free list.
   void CompleteRecord(LiveQuery* rec, Outcome outcome, uint64_t num_results,
                       double finished_ms);
-  size_t NumAggregatesLocked() const SHAPESTATS_REQUIRES(done_mu_);
+  size_t NumAggregatesLocked() const SHAPESTATS_REQUIRES(mu_);
 
   Gauge* inflight_gauge_;
   Counter* completed_counter_;
   Counter* cancels_counter_;
-  Shard shards_[kShards];
+  /// Written under mu_; read without it by registered_total().
   std::atomic<uint64_t> next_id_{1};
   std::atomic<uint64_t> cancelled_{0};
-  mutable util::Mutex done_mu_;
+  mutable util::Mutex mu_;
+  LiveQuery* live_ SHAPESTATS_GUARDED_BY(mu_) = nullptr;  // list head
   /// Every record the registry ever created, and the idle ones.
-  std::vector<std::unique_ptr<LiveQuery>> records_
-      SHAPESTATS_GUARDED_BY(done_mu_);
-  LiveQuery* free_ SHAPESTATS_GUARDED_BY(done_mu_) = nullptr;
+  std::vector<std::unique_ptr<LiveQuery>> records_ SHAPESTATS_GUARDED_BY(mu_);
+  LiveQuery* free_ SHAPESTATS_GUARDED_BY(mu_) = nullptr;
   /// The completed ring: `ring_next_` is the slot the next completion
   /// overwrites, `ring_size_` the number of slots holding a record.
   std::array<CompletedQuery, kCompletedCapacity> ring_
-      SHAPESTATS_GUARDED_BY(done_mu_);
-  size_t ring_next_ SHAPESTATS_GUARDED_BY(done_mu_) = 0;
-  size_t ring_size_ SHAPESTATS_GUARDED_BY(done_mu_) = 0;
+      SHAPESTATS_GUARDED_BY(mu_);
+  size_t ring_next_ SHAPESTATS_GUARDED_BY(mu_) = 0;
+  size_t ring_size_ SHAPESTATS_GUARDED_BY(mu_) = 0;
   std::unordered_map<uint64_t, Aggregate> by_template_
-      SHAPESTATS_GUARDED_BY(done_mu_);
-  Aggregate uncached_ SHAPESTATS_GUARDED_BY(done_mu_);
-  Aggregate other_ SHAPESTATS_GUARDED_BY(done_mu_);
+      SHAPESTATS_GUARDED_BY(mu_);
+  Aggregate uncached_ SHAPESTATS_GUARDED_BY(mu_);
+  Aggregate other_ SHAPESTATS_GUARDED_BY(mu_);
 };
 
 }  // namespace shapestats::obs

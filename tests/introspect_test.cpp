@@ -275,8 +275,8 @@ TEST(QueryRegistryTest, ToJsonCarriesBothSections) {
 }
 
 // Registration/completion/cancellation racing snapshot readers: the TSan CI
-// job runs this binary, so any locking mistake in the sharded registry
-// surfaces as a data-race report.
+// job runs this binary, so any locking mistake in the registry surfaces as
+// a data-race report.
 TEST(QueryRegistryTest, ConcurrentRegistrationAndSnapshotsAreRaceFree) {
   QueryRegistry registry;
   constexpr int kWriters = 4;
@@ -584,9 +584,20 @@ constexpr char kProfessorQuery[] =
     "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
     "SELECT ?x ?n WHERE { ?x a ub:FullProfessor . ?x ub:name ?n }";
 
+obs::Histogram::Snapshot GlobalHistogram(const std::string& name) {
+  for (const auto& h : obs::MetricsRegistry::Global().Snap().histograms) {
+    if (h.name == name) return h.snap;
+  }
+  return {};
+}
+
 TEST_F(IntrospectEngineFixture, ExecutionLandsInCompletedRingWithResources) {
   ASSERT_NE(engine_->query_registry(), nullptr);
   uint64_t before = engine_->query_registry()->registered_total();
+  const obs::Histogram::Snapshot probes_before =
+      GlobalHistogram("exec.query_index_probes");
+  const obs::Histogram::Snapshot scanned_before =
+      GlobalHistogram("exec.query_rows_scanned");
   obs::QueryTrace trace;
   auto result = engine_->Execute(kProfessorQuery, &trace);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -598,6 +609,18 @@ TEST_F(IntrospectEngineFixture, ExecutionLandsInCompletedRingWithResources) {
   EXPECT_EQ(done[0].num_results, result->table.rows.size());
   EXPECT_GT(done[0].resources.index_probes, 0u);
   EXPECT_FALSE(done[0].cache_template.empty());
+
+  // The Prometheus resource distributions took this query's totals.
+  const obs::Histogram::Snapshot probes =
+      GlobalHistogram("exec.query_index_probes");
+  const obs::Histogram::Snapshot scanned =
+      GlobalHistogram("exec.query_rows_scanned");
+  EXPECT_EQ(probes.count, probes_before.count + 1);
+  EXPECT_DOUBLE_EQ(probes.sum - probes_before.sum,
+                   static_cast<double>(done[0].resources.index_probes));
+  EXPECT_EQ(scanned.count, scanned_before.count + 1);
+  EXPECT_DOUBLE_EQ(scanned.sum - scanned_before.sum,
+                   static_cast<double>(done[0].resources.rows_scanned));
 
   // The trace carries the same accounting, rendered in JSON and the table.
   EXPECT_TRUE(trace.has_resources);

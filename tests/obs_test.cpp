@@ -95,6 +95,39 @@ TEST(MetricsRegistry, HistogramBucketsMinMaxMean) {
   EXPECT_DOUBLE_EQ(obs::Histogram::BucketLow(10), 512);
 }
 
+TEST(MetricsRegistry, HistogramGroupExportsEachMemberByName) {
+  obs::MetricsRegistry reg;
+  const std::vector<std::string> names = {"g.second", "g.first"};
+  obs::HistogramGroup* g = reg.GetHistogramGroup(names);
+  EXPECT_EQ(reg.GetHistogramGroup(names), g);
+  ASSERT_EQ(g->size(), 2u);
+  // Each member records what a histogram of its own would.
+  obs::Histogram second, first;
+  for (double v : {0.5, 3.0, 1000.0}) {
+    g->Observe({v, 2 * v});
+    second.Observe(v);
+    first.Observe(2 * v);
+  }
+  obs::MetricsSnapshot snap = reg.Snap();
+  ASSERT_EQ(snap.histograms.size(), 2u);
+  EXPECT_EQ(snap.histograms[0].name, "g.first");
+  EXPECT_EQ(snap.histograms[1].name, "g.second");
+  for (const auto& [entry, alone] :
+       {std::pair{snap.histograms[0], first.Snap()},
+        std::pair{snap.histograms[1], second.Snap()}}) {
+    SCOPED_TRACE(entry.name);
+    EXPECT_EQ(entry.snap.count, alone.count);
+    EXPECT_DOUBLE_EQ(entry.snap.sum, alone.sum);
+    EXPECT_DOUBLE_EQ(entry.snap.min, alone.min);
+    EXPECT_DOUBLE_EQ(entry.snap.max, alone.max);
+    EXPECT_EQ(entry.snap.buckets, alone.buckets);
+  }
+  EXPECT_NE(reg.ToPrometheus().find("g_first_count 3\n"), std::string::npos);
+  reg.ResetAll();
+  EXPECT_EQ(g->Snap(0).count, 0u);
+  EXPECT_EQ(g->Snap(1).count, 0u);
+}
+
 TEST(MetricsRegistry, CountersAreThreadSafe) {
   obs::MetricsRegistry reg;
   obs::Counter* c = reg.GetCounter("contended");
