@@ -16,12 +16,6 @@ namespace {
 
 BenchTelemetry* g_current = nullptr;
 
-std::string FmtNum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 std::string FmtHex(uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
@@ -81,7 +75,7 @@ std::string BenchTelemetry::ToJson() const {
     if (!first) out += ",";
     first = false;
     AppendKey(&out, k);
-    out += FmtNum(v);
+    out += obs::FormatNumber(v);
   }
   out += "},\"timings\":{";
   first = true;
@@ -89,7 +83,7 @@ std::string BenchTelemetry::ToJson() const {
     if (!first) out += ",";
     first = false;
     AppendKey(&out, k);
-    out += FmtNum(v);
+    out += obs::FormatNumber(v);
   }
   out += "}";
   util::ThreadPool::StatsSnapshot pool = util::ThreadPool::Shared().stats();

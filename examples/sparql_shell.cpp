@@ -17,11 +17,11 @@
 //                        estimated vs true cardinality, q-error, timings;
 //                        ASK/LIMIT step counts stop early, and a provably
 //                        empty query is checked on the INLJ oracle
-//   .lint <query>        static analysis only: unknown predicates/classes,
-//                        guaranteed-empty patterns, forced Cartesian products
-//   .check <query>       shape-aware satisfiability verdict (satisfiable /
-//                        empty / empty-by-stats) plus inferred class
-//                        constraints and lint findings, without executing
+//   .check <query>       static analysis without executing: the
+//                        satisfiability verdict (satisfiable / empty /
+//                        empty-by-stats), inferred class constraints, and
+//                        every finding (guaranteed-empty patterns, forced
+//                        Cartesian products, redundant patterns)
 //   .audit               audit global + shape statistics consistency
 //   .cache               plan-cache size / hit-rate / evictions plus the
 //                        per-template learned correction factors
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
     if (trimmed == ".help") {
       std::printf(
           ".stats | .shapes [class] | .explain <query> | .analyze <query> | "
-          ".lint <query> | .check <query> | .audit | .cache | "
+          ".check <query> | .audit | .cache | "
           ".metrics [reset] | .events [n] | .accuracy | .running | "
           ".top [n] | .trace <file> | .quit\n");
     } else if (trimmed == ".stats") {
@@ -177,16 +177,6 @@ int main(int argc, char** argv) {
                     eng.shapes().NumNodeShapes());
       } else {
         std::fputs(analysis::ToText(diags).c_str(), stdout);
-      }
-    } else if (StartsWith(trimmed, ".lint")) {
-      std::string text = ReadQuery(trimmed.substr(5));
-      auto diags = eng.Lint(text);
-      if (!diags.ok()) {
-        std::printf("error: %s\n", diags.status().ToString().c_str());
-      } else if (diags->empty()) {
-        std::printf("no findings\n");
-      } else {
-        std::fputs(analysis::ToText(*diags).c_str(), stdout);
       }
     } else if (StartsWith(trimmed, ".check")) {
       std::string text = ReadQuery(trimmed.substr(6));
@@ -366,9 +356,14 @@ int main(int argc, char** argv) {
       std::string text = ReadQuery(line);
       // Surface static-analysis warnings (guaranteed-empty patterns,
       // forced Cartesian products) before the results they explain.
-      auto lint = eng.Lint(text);
-      if (lint.ok() && !lint->empty()) {
-        std::fputs(analysis::ToText(*lint).c_str(), stdout);
+      if (auto check = eng.StaticCheck(text); check.ok()) {
+        analysis::Diagnostics warnings;
+        for (const analysis::Diagnostic& d : check->diagnostics) {
+          if (d.severity != analysis::Severity::kInfo) warnings.push_back(d);
+        }
+        if (!warnings.empty()) {
+          std::fputs(analysis::ToText(warnings).c_str(), stdout);
+        }
       }
       obs::QueryTrace trace;
       auto result = eng.Execute(text, &trace);

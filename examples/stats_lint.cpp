@@ -8,9 +8,10 @@
 //   * annotated SHACL shapes: distinctCount <= count, minCount/maxCount
 //     bounds vs the node count, node/property counts contained in the
 //     global statistics;
-//   * optionally, a SPARQL query: unknown predicates/classes,
-//     guaranteed-empty patterns, forced Cartesian products, plus the
-//     shape-aware satisfiability verdict (see src/analysis/shape_check.h);
+//   * optionally, a SPARQL query: the shape-aware satisfiability verdict
+//     with its findings (missing constants, unknown predicates, empty
+//     classes, ...; see src/analysis/shape_check.h) plus forced Cartesian
+//     products (src/analysis/query_lint.h), each fact reported once;
 //   * or a whole query corpus (--queries <file>): queries separated by
 //     blank lines, '#' comment lines ignored. Each query gets lint +
 //     shape check; the JSON report is machine-readable for CI gating.

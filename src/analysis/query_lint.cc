@@ -1,7 +1,5 @@
 #include "analysis/query_lint.h"
 
-#include <algorithm>
-#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -11,45 +9,11 @@
 
 namespace shapestats::analysis {
 
-namespace {
-
-std::string PatternSubject(size_t index) {
-  return "pattern " + std::to_string(index + 1);
-}
-
-}  // namespace
-
-Diagnostics QueryLint::Lint(const sparql::EncodedBgp& bgp) const {
+Diagnostics QueryLint::Lint(const sparql::ParsedQuery& /*query*/,
+                            const sparql::EncodedBgp& bgp) const {
   static obs::Counter* lint_warnings =
       obs::MetricsRegistry::Global().GetCounter("analysis.lint_warnings");
   Diagnostics out;
-
-  for (size_t i = 0; i < bgp.patterns.size(); ++i) {
-    const sparql::EncodedPattern& tp = bgp.patterns[i];
-    if (tp.HasMissingConstant()) {
-      out.push_back({Severity::kWarning, "query.missing-constant",
-                     PatternSubject(i),
-                     "a constant does not occur in the dataset; the pattern "
-                     "matches nothing and the query returns no results"});
-      continue;  // downstream rules would only restate the same emptiness
-    }
-    if (tp.p.is_bound()) {
-      const bool is_type = gs_.rdf_type_id != rdf::kInvalidTermId &&
-                           tp.p.id == gs_.rdf_type_id;
-      if (!is_type && gs_.Predicate(tp.p.id) == nullptr) {
-        out.push_back({Severity::kWarning, "query.unknown-predicate",
-                       PatternSubject(i),
-                       "predicate " + dict_.Pretty(tp.p.id) +
-                           " occurs in no triple; the pattern matches nothing"});
-      }
-      if (is_type && tp.o.is_bound() && gs_.ClassCount(tp.o.id) == 0) {
-        out.push_back({Severity::kWarning, "query.unknown-class",
-                       PatternSubject(i),
-                       "class " + dict_.Pretty(tp.o.id) +
-                           " has no instances; the pattern matches nothing"});
-      }
-    }
-  }
 
   // Connected components of the join graph (patterns as nodes, shared
   // variables as edges): more than one component forces Cartesian products
@@ -58,7 +22,7 @@ Diagnostics QueryLint::Lint(const sparql::EncodedBgp& bgp) const {
   if (n > 1) {
     std::vector<size_t> parent(n);
     std::iota(parent.begin(), parent.end(), 0);
-    std::function<size_t(size_t)> find = [&](size_t x) {
+    auto find = [&parent](size_t x) {
       while (parent[x] != x) x = parent[x] = parent[parent[x]];
       return x;
     };
@@ -83,50 +47,6 @@ Diagnostics QueryLint::Lint(const sparql::EncodedBgp& bgp) const {
   }
 
   if (!out.empty()) lint_warnings->Add(out.size());
-  return out;
-}
-
-Diagnostics QueryLint::Lint(const sparql::ParsedQuery& query,
-                            const sparql::EncodedBgp& bgp) const {
-  static obs::Counter* lint_errors =
-      obs::MetricsRegistry::Global().GetCounter("analysis.lint_errors");
-  Diagnostics out = Lint(bgp);
-  const size_t warnings = out.size();
-
-  auto in_bgp = [&bgp](const std::string& name) {
-    return std::find(bgp.var_names.begin(), bgp.var_names.end(), name) !=
-           bgp.var_names.end();
-  };
-  // COUNT(*) projects only the aggregate alias, which never binds in the BGP.
-  if (!query.select_all && !query.count_aggregate) {
-    for (const sparql::Variable& v : query.projection) {
-      if (!in_bgp(v.name)) {
-        out.push_back({Severity::kError, "query.unbound-projection",
-                       "?" + v.name,
-                       "projected variable ?" + v.name +
-                           " never occurs in the BGP and can never be bound"});
-      }
-    }
-  }
-  for (const sparql::FilterComparison& f : query.filters) {
-    for (const sparql::PatternTerm* t : {&f.lhs, &f.rhs}) {
-      if (!sparql::IsVar(*t)) continue;
-      const std::string& name = sparql::AsVar(*t).name;
-      if (!in_bgp(name)) {
-        out.push_back({Severity::kError, "query.unbound-filter", "?" + name,
-                       "FILTER variable ?" + name +
-                           " never occurs in the BGP; the filter cannot be "
-                           "evaluated"});
-      }
-    }
-  }
-  if (query.order_by && !in_bgp(query.order_by->var.name)) {
-    out.push_back({Severity::kError, "query.unbound-order-by",
-                   "?" + query.order_by->var.name,
-                   "ORDER BY variable ?" + query.order_by->var.name +
-                       " never occurs in the BGP"});
-  }
-  if (out.size() > warnings) lint_errors->Add(out.size() - warnings);
   return out;
 }
 

@@ -1,23 +1,16 @@
-// QueryLint: static checks over a parsed-and-encoded BGP against the
-// dataset's dictionary and global statistics, before any planning happens.
-// Surfaced as warnings in sparql_shell, through QueryEngine::Lint, and by
-// the stats_lint tool. Lint findings never block execution — a query that
-// can only return the empty answer is still a valid query.
+// QueryLint: the one static rule about a query's shape rather than its
+// answer. Surfaced through QueryEngine::StaticCheck / Explain (ahead of the
+// ShapeChecker's findings) and by the stats_lint tool. Lint findings never
+// block execution.
 //
 // Rule catalog (severity warning):
-//   query.missing-constant   a constant does not occur in the dataset, so the
-//                            pattern (and the whole BGP) matches nothing
-//   query.unknown-predicate  bound predicate with no triples in the dataset
-//   query.unknown-class      rdf:type object names a class with no instances
-//   query.cartesian          the BGP's join graph is disconnected, forcing at
-//                            least one Cartesian product
+//   query.cartesian   the BGP's join graph is disconnected, forcing at
+//                     least one Cartesian product
 //
-// Degenerate-query rules (severity error — the executor would reject the
-// query with InvalidArgument anyway; linting them statically lets the
-// serving plane answer 400 with structured diagnostics before admission):
-//   query.unbound-projection  a projected variable never occurs in the BGP
-//   query.unbound-filter      a FILTER variable never occurs in the BGP
-//   query.unbound-order-by    the ORDER BY variable never occurs in the BGP
+// Emptiness facts (missing constants, unknown predicates, empty classes)
+// belong to the ShapeChecker's check.* rules, and variables that never
+// occur in the BGP are rejected by the parser (and, for hand-built queries,
+// by the executors).
 #pragma once
 
 #include "analysis/diagnostics.h"
@@ -30,21 +23,11 @@ namespace shapestats::analysis {
 
 class QueryLint {
  public:
-  QueryLint(const stats::GlobalStats& gs, const rdf::TermDictionary& dict)
-      : gs_(gs), dict_(dict) {}
+  QueryLint(const stats::GlobalStats&, const rdf::TermDictionary&) {}
 
   /// Lints the encoded BGP; publishes the analysis.lint_warnings counter.
-  Diagnostics Lint(const sparql::EncodedBgp& bgp) const;
-
-  /// Full lint: the BGP rules above plus the error-severity degenerate-query
-  /// rules that need the parsed query (projection / FILTER / ORDER BY
-  /// variables that never occur in the BGP).
   Diagnostics Lint(const sparql::ParsedQuery& query,
                    const sparql::EncodedBgp& bgp) const;
-
- private:
-  const stats::GlobalStats& gs_;
-  const rdf::TermDictionary& dict_;
 };
 
 }  // namespace shapestats::analysis

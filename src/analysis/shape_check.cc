@@ -105,20 +105,13 @@ ShapeCheckResult ShapeChecker::Check(const sparql::ParsedQuery& query,
       prove(Satisfiability::kEmpty, "check.missing-constant");
       continue;  // further rules would restate the same emptiness
     }
-    if (tp.p.is_bound() && !IsTypePredicate(gs_, tp.p)) {
-      const rdf::TermView pred = dict_.term(tp.p.id);
-      const bool in_data = gs_.Predicate(tp.p.id) != nullptr;
-      const bool in_shapes =
-          shapes_ != nullptr && pred.is_iri() &&
-          !shapes_->CandidatesForPath(pred.lexical).empty();
-      if (!in_data && !in_shapes) {
-        out.diagnostics.push_back(
-            {Severity::kWarning, "check.unknown-predicate", PatternSubject(i),
-             "predicate " + dict_.Pretty(tp.p.id) +
-                 " occurs in no triple and no property shape; the pattern "
-                 "matches nothing"});
-        prove(Satisfiability::kEmpty, "check.unknown-predicate");
-      }
+    if (tp.p.is_bound() && !IsTypePredicate(gs_, tp.p) &&
+        gs_.Predicate(tp.p.id) == nullptr) {
+      out.diagnostics.push_back(
+          {Severity::kWarning, "check.unknown-predicate", PatternSubject(i),
+           "predicate " + dict_.Pretty(tp.p.id) +
+               " occurs in no triple; the pattern matches nothing"});
+      prove(Satisfiability::kEmpty, "check.unknown-predicate");
     }
     if (IsTypePredicate(gs_, tp.p) && tp.o.is_bound() &&
         gs_.ClassCount(tp.o.id) == 0) {

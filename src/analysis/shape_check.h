@@ -1,9 +1,10 @@
 // ShapeChecker: static satisfiability analysis of a BGP against the
 // dataset's dictionary, global statistics, and annotated SHACL shapes —
-// before any planning happens. Where QueryLint flags suspicious queries,
-// the checker issues a *verdict*: a query proven empty is answered with
-// zero rows in microseconds, skipping optimize + execute entirely
-// (QueryEngine short-circuits kEmpty/kEmptyByStats verdicts).
+// before any planning happens. The checker issues a *verdict*: a query
+// proven empty is answered with zero rows in microseconds, skipping
+// optimize + execute entirely (QueryEngine short-circuits kEmpty /
+// kEmptyByStats verdicts). It owns every emptiness rule; QueryLint keeps
+// only the Cartesian-product warning.
 //
 // Every emptiness rule is exact on the dataset the statistics were computed
 // from — the property-test soundness oracle asserts that no non-satisfiable
@@ -11,8 +12,7 @@
 //
 //   check.missing-constant    a constant is absent from the dictionary; the
 //                             pattern matches nothing            -> kEmpty
-//   check.unknown-predicate   bound predicate with no triples and no
-//                             property shape                     -> kEmpty
+//   check.unknown-predicate   bound predicate with no triples    -> kEmpty
 //   check.empty-class         rdf:type object names a class with zero
 //                             instances (zero-count node shape)  -> kEmptyByStats
 //   check.max-count-conflict  two patterns force distinct constant objects

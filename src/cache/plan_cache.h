@@ -54,9 +54,8 @@ struct CachedPlan {
   bool checked = false;
   analysis::Satisfiability verdict = analysis::Satisfiability::kSatisfiable;
   std::string rule;
-  /// The query has error-severity lint findings (degenerate projection /
-  /// filter / order variables): never short-circuit, match uncached
-  /// behavior exactly.
+  /// Never set by the engine (QueryLint has no error-severity rule); kept
+  /// only because the benchmark program writes and reads it.
   bool lint_errors = false;
   /// Inferred class anchors: canonical var id -> class term.
   std::vector<std::pair<uint32_t, rdf::TermId>> inferred;

@@ -1,10 +1,10 @@
 #include "engine/lifecycle.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "engine/query_engine.h"
 #include "obs/build_info.h"
+#include "obs/metrics.h"
 #include "obs/process_clock.h"
 
 namespace shapestats::engine {
@@ -13,12 +13,6 @@ namespace {
 
 double Ms(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double, std::milli>(d).count();
-}
-
-std::string FmtNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
 }
 
 }  // namespace
@@ -259,10 +253,10 @@ std::string BuildFlightBundle(const char* trigger, std::string_view sparql,
            ",\"slot\":" + std::to_string(caller.slot);
   }
   out += ",\"query\":\"" + obs::JsonEscape(std::string(sparql)) + "\"";
-  out += ",\"total_ms\":" + FmtNum(total_ms);
+  out += ",\"total_ms\":" + obs::FormatNumber(total_ms);
   out += ",\"num_results\":" + std::to_string(num_results);
   out += ",\"plan\":{\"provider\":\"" + obs::JsonEscape(plan.provider) +
-         "\",\"est_cost\":" + FmtNum(plan.total_cost) + ",\"order\":[";
+         "\",\"est_cost\":" + obs::FormatNumber(plan.total_cost) + ",\"order\":[";
   for (size_t i = 0; i < plan.order.size(); ++i) {
     if (i) out += ",";
     out += std::to_string(plan.order[i]);
@@ -275,8 +269,8 @@ std::string BuildFlightBundle(const char* trigger, std::string_view sparql,
       const phys::PhysicalStep& ps = pplan.steps[i];
       if (i) out += ",";
       out += "{\"op\":\"" + std::string(phys::OpName(ps.op)) +
-             "\",\"est_build\":" + FmtNum(ps.est_left) +
-             ",\"est_probe\":" + FmtNum(ps.est_right) + ",\"rationale\":\"" +
+             "\",\"est_build\":" + obs::FormatNumber(ps.est_left) +
+             ",\"est_probe\":" + obs::FormatNumber(ps.est_right) + ",\"rationale\":\"" +
              obs::JsonEscape(ps.rationale) + "\"}";
     }
     out += "]}";
@@ -291,13 +285,13 @@ std::string BuildFlightBundle(const char* trigger, std::string_view sparql,
            ",\"misses\":" + std::to_string(cs.misses) +
            ",\"size\":" + std::to_string(cs.size) +
            ",\"corrections\":" + std::to_string(cs.corrections) +
-           ",\"hit_rate\":" + FmtNum(cs.hit_rate);
+           ",\"hit_rate\":" + obs::FormatNumber(cs.hit_rate);
   }
   if (!plan.correction_factors.empty()) {
     out += ",\"correction_factors\":[";
     for (size_t i = 0; i < plan.correction_factors.size(); ++i) {
       if (i) out += ",";
-      out += FmtNum(plan.correction_factors[i]);
+      out += obs::FormatNumber(plan.correction_factors[i]);
     }
     out += "]";
   }

@@ -30,12 +30,8 @@ namespace shapestats::engine {
 /// What planning decides on a plan-cache miss (QueryEngine::PlanUncached).
 struct FreshPlan {
   /// The checker's result; satisfiable with no findings when the static
-  /// check is off.
+  /// check is off. A provably-empty query is answered without a plan.
   analysis::ShapeCheckResult check;
-  /// A provably-empty verdict that lint errors keep from short-circuiting.
-  bool lint_errors = false;
-  /// The query is provably empty: it is answered without a plan.
-  bool empty = false;
   std::unordered_map<sparql::VarId, rdf::TermId> inferred_anchors;
   /// The template's feedback version and, in canonical pattern order, the
   /// correction factors planned under (empty when every factor is 1).
@@ -116,8 +112,7 @@ std::shared_ptr<cache::CachedPlan> CacheEntry(
   entry->verdict = fresh.check.verdict;
   entry->rule = fresh.check.rule;
   entry->feedback_version = fresh.feedback_version;
-  if (fresh.empty) return entry;
-  entry->lint_errors = fresh.lint_errors;
+  if (fresh.check.provably_empty()) return entry;
   for (const auto& [var, cls] : fresh.inferred_anchors) {
     entry->inferred.emplace_back(tmpl.var_instance_to_canon[var], cls);
   }
@@ -130,19 +125,17 @@ std::shared_ptr<cache::CachedPlan> CacheEntry(
 /// Takes the verdict and plans of a plan-cache hit, which are valid for
 /// every instance of the template (estimates and emptiness rules are
 /// value-independent given the key's concrete predicates, class constants,
-/// and constant-distinctness classes). True when the cached verdict proves
-/// the query empty.
-bool FromCache(const cache::CachedPlan& cached,
+/// and constant-distinctness classes). A provably-empty verdict leaves the
+/// plans unset.
+void FromCache(const cache::CachedPlan& cached,
                const cache::CanonicalTemplate& tmpl, bool infer_constraints,
                QueryLifecycle* life,
                std::unordered_map<sparql::VarId, rdf::TermId>* inferred_anchors,
                QueryResult* result) {
   if (cached.checked) {
     life->Verdict(cached.verdict, nullptr);
-    if (cached.verdict != analysis::Satisfiability::kSatisfiable &&
-        !cached.lint_errors) {
-      return true;
-    }
+    result->verdict = cached.verdict;
+    if (cached.verdict != analysis::Satisfiability::kSatisfiable) return;
     if (infer_constraints) {
       for (const auto& [canon_var, cls] : cached.inferred) {
         if (canon_var < tmpl.var_canon_to_instance.size()) {
@@ -154,7 +147,6 @@ bool FromCache(const cache::CachedPlan& cached,
   }
   result->plan = cache::PlanToInstance(cached.plan, tmpl);
   result->phys = cache::PhysToInstance(cached.phys, tmpl);
-  return false;
 }
 
 /// The answer to a query proven empty (by the checker or the cache): zero
@@ -436,19 +428,6 @@ Result<phys::PhysicalPlan> QueryEngine::PlanPhysicalFor(
   return pplan;
 }
 
-Result<analysis::Diagnostics> QueryEngine::Lint(std::string_view sparql) const {
-  ASSIGN_OR_RETURN(EncodedQuery q, ParseAndEncode(sparql, state_->graph.dict()));
-  analysis::Diagnostics diags =
-      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(q.bgp);
-  obs::EventLog& log = obs::EventLog::Global();
-  if (!diags.empty() && log.active()) {
-    log.Emit(obs::Event("lint")
-                 .Uint("findings", diags.size())
-                 .Str("first_rule", diags.front().rule));
-  }
-  return diags;
-}
-
 Result<analysis::ShapeCheckResult> QueryEngine::StaticCheck(
     std::string_view sparql) const {
   ASSIGN_OR_RETURN(EncodedQuery q, ParseAndEncode(sparql, state_->graph.dict()));
@@ -568,10 +547,9 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
     }
   }
   std::unordered_map<sparql::VarId, rdf::TermId> inferred_anchors;
-  bool empty = false;
   if (cached != nullptr) {
-    empty = FromCache(*cached, tmpl, state_->options.infer_constraints, &life,
-                      &inferred_anchors, &result);
+    FromCache(*cached, tmpl, state_->options.infer_constraints, &life,
+              &inferred_anchors, &result);
   } else {
     ASSIGN_OR_RETURN(FreshPlan fresh,
                      PlanUncached(query, bgp, cache_eligible ? &tmpl : nullptr,
@@ -580,12 +558,12 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
       pcache->Put(tmpl.key, CacheEntry(tmpl, bgp.patterns.size(),
                                        state_->options.static_check, fresh));
     }
-    empty = fresh.empty;
+    result.verdict = fresh.check.verdict;
     inferred_anchors = std::move(fresh.inferred_anchors);
     result.plan = std::move(fresh.plan);
     result.phys = std::move(fresh.phys);
   }
-  if (empty) {
+  if (result.verdict != analysis::Satisfiability::kSatisfiable) {
     AnswerEmpty(query, bgp, &result);
     life.Finish(&result, obs::Outcome::kStaticEmpty, 0, [] {});
     return result;
@@ -688,16 +666,7 @@ Result<FreshPlan> QueryEngine::PlanUncached(
     fresh.check = Checker().Check(query, bgp);
     const analysis::ShapeCheckResult& check = fresh.check;
     if (life != nullptr) life->Verdict(check.verdict, &check);
-    if (check.provably_empty()) {
-      // Degenerate queries (unbound projection / FILTER / ORDER BY
-      // variables) must keep failing exactly as the executor would fail
-      // them — only clean queries take the short-circuit.
-      fresh.lint_errors = analysis::HasErrors(
-          analysis::QueryLint(state_->gs, state_->graph.dict())
-              .Lint(query, bgp));
-      fresh.empty = !fresh.lint_errors;
-      if (fresh.empty) return fresh;
-    }
+    if (check.provably_empty()) return fresh;
     if (state_->options.infer_constraints && !check.inferred.empty()) {
       fresh.inferred_anchors = check.InferredAnchors(state_->gs);
     }
@@ -843,7 +812,8 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
   const phys::PhysicalPlan& pplan = fresh.phys;
   const analysis::ShapeCheckResult& check = fresh.check;
 
-  std::string out = "plan (" + (fresh.empty ? kStaticEmpty : plan.provider) +
+  const bool empty = check.provably_empty();
+  std::string out = "plan (" + (empty ? kStaticEmpty : plan.provider) +
                     " optimizer, query shape: " +
                     sparql::QueryShapeName(sparql::ClassifyShape(bgp)) + ")\n";
   if (pcache != nullptr) {
@@ -873,11 +843,9 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
   if (state_->options.static_check) {
     out += "static check: " + std::string(analysis::SatisfiabilityName(
                                   check.verdict));
-    if (fresh.empty) {
+    if (empty) {
       out += " (" + check.rule + "; the query returns zero rows without "
              "planning or executing it)";
-    } else if (check.provably_empty()) {
-      out += " (" + check.rule + ")";
     } else if (!check.inferred.empty()) {
       out += " (" + std::to_string(check.inferred.size()) +
              " inferred class anchor(s) feed the estimates below)";
@@ -911,7 +879,7 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
       out += "\n";
     }
   }
-  if (!query.filters.empty() && !fresh.empty) {
+  if (!query.filters.empty() && !empty) {
     out += "  + " + std::to_string(query.filters.size()) +
            " filter(s), applied at the earliest step where bound\n";
   }
@@ -944,7 +912,7 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
   // and any solution it finds is an analyzer bug (counted, never silently
   // ignored — and captured as a flight-recorder bundle when the recorder
   // is active).
-  if (result.plan.provider == kStaticEmpty) {
+  if (result.verdict != analysis::Satisfiability::kSatisfiable) {
     ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
     query.limit.reset();
     if (query.count_aggregate) CountAsSelectAll(&query);

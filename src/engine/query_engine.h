@@ -54,8 +54,7 @@ struct EngineOptions {
   /// Run the shape-aware static checker (analysis::ShapeChecker) before
   /// planning. A provably-empty verdict short-circuits to a zero-row result
   /// without invoking the optimizer or executor (static_check.* counters,
-  /// query.static event); degenerate queries the executor would reject are
-  /// never short-circuited, so error behavior is unchanged.
+  /// query.static event) and is reported as QueryResult::verdict.
   bool static_check = true;
   /// Hand the checker's proven class memberships for untyped subject
   /// variables to the cardinality estimator as extra shape anchors
@@ -102,6 +101,10 @@ struct QueryResult {
   /// streaming depth-first executor.
   phys::PhysicalPlan phys;
   sparql::QueryShape shape = sparql::QueryShape::kComplex;
+  /// The static verdict the query was answered under, from the checker or
+  /// the plan cache: anything but kSatisfiable means the answer came from
+  /// the verdict alone. kSatisfiable when static_check is off.
+  analysis::Satisfiability verdict = analysis::Satisfiability::kSatisfiable;
   std::optional<bool> ask;
   std::optional<uint64_t> count;
   double plan_ms = 0;   // parse + optimize
@@ -184,28 +187,20 @@ class QueryEngine {
   /// Parses and plans without executing; returns a human-readable plan
   /// description (pattern order with estimates and the operators Execute
   /// would run on a plan-cache miss, ASK/LIMIT pipelining included),
-  /// followed by any lint warnings for the query.
+  /// followed by the lint and (when static_check is on) checker findings.
   Result<std::string> Explain(std::string_view sparql) const;
 
-  /// Static analysis only: parses and encodes the query and runs
-  /// analysis::QueryLint against the dataset's statistics (unknown
-  /// predicates/classes, guaranteed-empty patterns, forced Cartesian
-  /// products). Does not plan or execute.
-  Result<analysis::Diagnostics> Lint(std::string_view sparql) const;
-
-  /// Full static check without planning or executing: query lint (including
-  /// the error-severity degenerate-query rules) merged with the
-  /// ShapeChecker's satisfiability verdict and inferred constraints. The
-  /// serving plane answers 400 from the error findings and annotates
-  /// statically-empty queries with the verdict; stats_lint --queries and the
-  /// shell's .check expose the same result offline.
+  /// Static analysis without planning or executing: the Cartesian-product
+  /// lint merged with the ShapeChecker's satisfiability verdict, findings
+  /// and inferred constraints. The shell's .check and its pre-query
+  /// warnings show it; stats_lint runs the same two analyzers offline.
   Result<analysis::ShapeCheckResult> StaticCheck(std::string_view sparql) const;
 
   /// EXPLAIN ANALYZE: runs the query once as a traced Execute (same
   /// registry record, plan cache, plan, operators and early termination)
   /// and reports per-step estimated vs. true cardinality with q-error, rows
   /// scanned and index probes, plus per-phase timings — in table and JSON
-  /// form, followed by the lint and checker findings. ASK, LIMIT and
+  /// form, followed by the StaticCheck findings. ASK, LIMIT and
   /// truncated runs report their per-step counts up to the early stop, and
   /// their q-errors as n/a (those counts are not true cardinalities). A
   /// query Execute answers as provably empty is re-run on the textual-order

@@ -1,22 +1,11 @@
 #include "obs/event_log.h"
 
-#include <cstdio>
 #include <cstdlib>
 
 #include "obs/metrics.h"
 #include "obs/process_clock.h"
 
 namespace shapestats::obs {
-
-namespace {
-
-std::string FmtNum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
 
 Event& Event::Str(std::string key, const std::string& value) {
   // Built via append: gcc 12's -Wrestrict fires a false positive on
@@ -29,7 +18,7 @@ Event& Event::Str(std::string key, const std::string& value) {
 }
 
 Event& Event::Num(std::string key, double value) {
-  fields_.emplace_back(std::move(key), FmtNum(value));
+  fields_.emplace_back(std::move(key), FormatNumber(value));
   return *this;
 }
 
@@ -51,7 +40,7 @@ std::string Event::FieldJson(const std::string& key) const {
 }
 
 std::string Event::ToJson() const {
-  std::string out = "{\"ts_ms\":" + FmtNum(ts_ms_) +
+  std::string out = "{\"ts_ms\":" + FormatNumber(ts_ms_) +
                     ",\"tid\":" + std::to_string(tid_) + ",\"type\":\"" +
                     JsonEscape(type_) + "\"";
   for (const auto& [k, v] : fields_) {

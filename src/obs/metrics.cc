@@ -13,16 +13,6 @@
 
 namespace shapestats::obs {
 
-namespace {
-
-std::string FmtDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
-
 size_t Histogram::BucketIndex(double value) {
   if (!(value >= 1)) return 0;  // negatives / NaN land in bucket 0
   // floor(log2(value)) read straight from the IEEE-754 exponent: exact at
@@ -194,6 +184,12 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
+std::string FormatNumber(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -236,18 +232,18 @@ std::string MetricsSnapshot::ToJson() const {
     if (i) out += ",";
     out += "{\"name\":\"" + JsonEscape(h.name) +
            "\",\"count\":" + std::to_string(h.snap.count) +
-           ",\"sum\":" + FmtDouble(h.snap.sum) +
-           ",\"min\":" + FmtDouble(h.snap.min) +
-           ",\"max\":" + FmtDouble(h.snap.max) +
-           ",\"p50\":" + FmtDouble(h.snap.Percentile(50)) +
-           ",\"p95\":" + FmtDouble(h.snap.Percentile(95)) +
-           ",\"p99\":" + FmtDouble(h.snap.Percentile(99)) + ",\"buckets\":[";
+           ",\"sum\":" + FormatNumber(h.snap.sum) +
+           ",\"min\":" + FormatNumber(h.snap.min) +
+           ",\"max\":" + FormatNumber(h.snap.max) +
+           ",\"p50\":" + FormatNumber(h.snap.Percentile(50)) +
+           ",\"p95\":" + FormatNumber(h.snap.Percentile(95)) +
+           ",\"p99\":" + FormatNumber(h.snap.Percentile(99)) + ",\"buckets\":[";
     bool first = true;
     for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
       if (h.snap.buckets[b] == 0) continue;
       if (!first) out += ",";
       first = false;
-      out += "{\"lo\":" + FmtDouble(Histogram::BucketLow(b)) +
+      out += "{\"lo\":" + FormatNumber(Histogram::BucketLow(b)) +
              ",\"count\":" + std::to_string(h.snap.buckets[b]) + "}";
     }
     out += "]}";
@@ -276,11 +272,11 @@ std::string MetricsSnapshot::ToText() const {
     TablePrinter printer(
         {"histogram", "count", "mean", "p50", "p95", "p99", "min", "max"});
     for (const auto& h : histograms) {
-      printer.AddRow({h.name, WithCommas(h.snap.count), FmtDouble(h.snap.Mean()),
-                      FmtDouble(h.snap.Percentile(50)),
-                      FmtDouble(h.snap.Percentile(95)),
-                      FmtDouble(h.snap.Percentile(99)), FmtDouble(h.snap.min),
-                      FmtDouble(h.snap.max)});
+      printer.AddRow({h.name, WithCommas(h.snap.count), FormatNumber(h.snap.Mean()),
+                      FormatNumber(h.snap.Percentile(50)),
+                      FormatNumber(h.snap.Percentile(95)),
+                      FormatNumber(h.snap.Percentile(99)), FormatNumber(h.snap.min),
+                      FormatNumber(h.snap.max)});
     }
     out += printer.Render();
   }
@@ -326,11 +322,11 @@ std::string MetricsSnapshot::ToPrometheus() const {
     uint64_t cum = 0;
     for (size_t b = 0; b < top; ++b) {
       cum += h.snap.buckets[b];
-      out += name + "_bucket{le=\"" + FmtDouble(Histogram::BucketLow(b + 1)) +
+      out += name + "_bucket{le=\"" + FormatNumber(Histogram::BucketLow(b + 1)) +
              "\"} " + std::to_string(cum) + "\n";
     }
     out += name + "_bucket{le=\"+Inf\"} " + std::to_string(h.snap.count) + "\n";
-    out += name + "_sum " + FmtDouble(h.snap.sum) + "\n";
+    out += name + "_sum " + FormatNumber(h.snap.sum) + "\n";
     out += name + "_count " + std::to_string(h.snap.count) + "\n";
   }
   return out;

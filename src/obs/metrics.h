@@ -190,6 +190,10 @@ class MetricsRegistry {
 /// Escapes a string for embedding in JSON output (quotes not included).
 std::string JsonEscape(std::string_view s);
 
+/// Renders a number as printf's "%.6g" (the one number format of every
+/// metrics, trace and event rendering).
+std::string FormatNumber(double v);
+
 /// Copies the shared util::ThreadPool's activity counters into the global
 /// registry: `pool.tasks_executed` and `pool.peak_queue_depth` (published as
 /// deltas so the registry counters track the pool's monotonic totals) plus

@@ -72,35 +72,24 @@ std::string QueryTrace::ToJson() const {
   for (size_t i = 0; i < steps.size(); ++i) {
     const StepTrace& s = steps[i];
     if (i) out += ",";
-    char est[32], tp[32], q[32], build[32], probe[32];
-    std::snprintf(est, sizeof(est), "%.6g", s.est_card);
-    std::snprintf(tp, sizeof(tp), "%.6g", s.tp_est);
-    std::snprintf(build, sizeof(build), "%.6g", s.est_build);
-    std::snprintf(probe, sizeof(probe), "%.6g", s.est_probe);
-    if (std::isnan(s.q_error)) {
-      std::snprintf(q, sizeof(q), "null");
-    } else {
-      std::snprintf(q, sizeof(q), "%.6g", s.q_error);
-    }
     out += "{\"step\":" + std::to_string(s.step) +
            ",\"pattern\":" + std::to_string(s.pattern) +
            ",\"pattern_text\":\"" + JsonEscape(s.pattern_text) + "\"" +
            ",\"source\":\"" + JsonEscape(s.source) + "\"" +
            ",\"formula\":\"" + JsonEscape(s.formula) + "\"" +
            ",\"join_type\":\"" + JsonEscape(s.join_type) + "\"" +
-           ",\"est_build\":" + build + ",\"est_probe\":" + probe +
-           ",\"tp_est\":" + tp + ",\"est_card\":" + est +
-           ",\"true_card\":" + std::to_string(s.true_card) +
-           ",\"q_error\":" + q +
+           ",\"est_build\":" + FormatNumber(s.est_build) +
+           ",\"est_probe\":" + FormatNumber(s.est_probe) +
+           ",\"tp_est\":" + FormatNumber(s.tp_est) +
+           ",\"est_card\":" + FormatNumber(s.est_card) +
+           ",\"true_card\":" + std::to_string(s.true_card) + ",\"q_error\":" +
+           (std::isnan(s.q_error) ? "null" : FormatNumber(s.q_error)) +
            ",\"rows_scanned\":" + std::to_string(s.rows_scanned) +
            ",\"index_probes\":" + std::to_string(s.index_probes) + "}";
   }
   out += "],\"totals\":{\"num_results\":" + std::to_string(num_results) +
-         ",\"est_cost\":";
-  char cost[32];
-  std::snprintf(cost, sizeof(cost), "%.6g", est_total_cost);
-  out += cost;
-  out += ",\"true_cost\":" + std::to_string(true_total_cost) +
+         ",\"est_cost\":" + FormatNumber(est_total_cost) +
+         ",\"true_cost\":" + std::to_string(true_total_cost) +
          ",\"rows_scanned\":" + std::to_string(exec.total_rows_scanned) +
          ",\"index_probes\":" + std::to_string(exec.total_probes) +
          ",\"timed_out\":" + (timed_out ? "true" : "false");

@@ -52,19 +52,21 @@ std::string TermToJson(rdf::TermView term) {
 }
 
 /// Renders a QueryResult as SPARQL 1.1 Query Results JSON. ASK queries get
-/// the boolean form; COUNT(*) is rendered as a single integer binding.
+/// the boolean form; COUNT(*) is rendered as a single integer binding. A
+/// query answered from its static verdict alone carries "static_verdict".
 std::string ResultToJson(const engine::QueryResult& result,
                          const rdf::TermDictionary& dict, uint64_t max_rows,
-                         uint64_t* rows_rendered,
-                         const std::string& static_verdict = "") {
+                         uint64_t* rows_rendered) {
+  std::string tail;
+  if (result.verdict != analysis::Satisfiability::kSatisfiable) {
+    tail = ",\"static_verdict\":";
+    tail += JsonStr(analysis::SatisfiabilityName(result.verdict));
+  }
+  tail += "}\n";
   if (result.ask.has_value()) {
     *rows_rendered = 1;
-    std::string out = std::string("{\"head\":{},\"boolean\":") +
-                      (*result.ask ? "true" : "false");
-    if (!static_verdict.empty()) {
-      out += ",\"static_verdict\":" + JsonStr(static_verdict);
-    }
-    return out + "}\n";
+    return std::string("{\"head\":{},\"boolean\":") +
+           (*result.ask ? "true" : "false") + tail;
   }
   if (result.count.has_value()) {
     *rows_rendered = 1;
@@ -73,10 +75,7 @@ std::string ResultToJson(const engine::QueryResult& result,
         "\"count\":{\"type\":\"literal\",\"value\":\"" +
         std::to_string(*result.count) +
         "\",\"datatype\":\"http://www.w3.org/2001/XMLSchema#integer\"}}]}";
-    if (!static_verdict.empty()) {
-      out += ",\"static_verdict\":" + JsonStr(static_verdict);
-    }
-    return out + "}\n";
+    return out + tail;
   }
   const exec::ResultTable& table = result.table;
   std::string out = "{\"head\":{\"vars\":[";
@@ -103,10 +102,7 @@ std::string ResultToJson(const engine::QueryResult& result,
   }
   out += "]}";
   if (truncated) out += ",\"truncated\":true";
-  if (!static_verdict.empty()) {
-    out += ",\"static_verdict\":" + JsonStr(static_verdict);
-  }
-  out += "}\n";
+  out += tail;
   *rows_rendered = rows;
   return out;
 }
@@ -312,6 +308,8 @@ HttpResponse SparqlServer::HandleSparql(const HttpRequest& req,
   static obs::Counter* queries_failed = reg.GetCounter("server.sparql.failed");
   static obs::Counter* query_timeouts = reg.GetCounter("server.sparql.timeouts");
   static obs::Histogram* rows_hist = reg.GetHistogram("server.result_rows./sparql");
+  static obs::Counter* static_empty =
+      reg.GetCounter("server.sparql.static_empty");
 
   std::string query = req.Param("query");
   if (query.empty() &&
@@ -324,39 +322,6 @@ HttpResponse SparqlServer::HandleSparql(const HttpRequest& req,
             JsonError("missing 'query' parameter (GET ?query=..., form POST, "
                       "or application/sparql-query body)"),
             {}};
-  }
-
-  // Static pre-check (parse + encode + lint + shape check; no planning, no
-  // execution): degenerate queries are rejected with structured diagnostics
-  // before they consume an admission slot, and a provably-empty verdict
-  // annotates the instant (engine-short-circuited) empty response below.
-  // Parse failures fall through so their error shape is unchanged.
-  static obs::Counter* static_rejects =
-      reg.GetCounter("server.sparql.static_rejects");
-  static obs::Counter* static_empty =
-      reg.GetCounter("server.sparql.static_empty");
-  std::string verdict;
-  if (Result<analysis::ShapeCheckResult> check = engine_->StaticCheck(query);
-      check.ok()) {
-    if (analysis::HasErrors(check->diagnostics)) {
-      static_rejects->Add();
-      queries_failed->Add();
-      obs::EventLog& log = obs::EventLog::Global();
-      if (log.active()) {
-        log.Emit(obs::Event("http.sparql.static_reject")
-                     .Uint("request_id", request_id)
-                     .Uint("findings", check->diagnostics.size()));
-      }
-      return {400, "application/json",
-              "{\"error\":\"static analysis rejected the query\","
-              "\"diagnostics\":" +
-                  analysis::ToJson(check->diagnostics) + "}\n",
-              {}};
-    }
-    if (check->provably_empty()) {
-      verdict = analysis::SatisfiabilityName(check->verdict);
-      static_empty->Add();
-    }
   }
 
   if (admission_.Admit() == AdmissionController::Outcome::kShed) {
@@ -420,13 +385,15 @@ HttpResponse SparqlServer::HandleSparql(const HttpRequest& req,
     timed_out = slot->table.timed_out;
     if (timed_out) query_timeouts->Add();
     std::string body = ResultToJson(*slot, engine_->graph().dict(),
-                                    options_.max_response_rows, &result_rows,
-                                    verdict);
+                                    options_.max_response_rows, &result_rows);
     rows_hist->Observe(static_cast<double>(result_rows));
     resp = {200, "application/sparql-results+json", std::move(body), {}};
     if (timed_out) resp.extra_headers.emplace_back("X-Timed-Out", "true");
-    if (!verdict.empty()) {
-      resp.extra_headers.emplace_back("X-Static-Verdict", verdict);
+    // The verdict the engine answered a provably-empty query under.
+    if (slot->verdict != analysis::Satisfiability::kSatisfiable) {
+      static_empty->Add();
+      resp.extra_headers.emplace_back(
+          "X-Static-Verdict", analysis::SatisfiabilityName(slot->verdict));
     }
   }
   resp.extra_headers.emplace_back("X-Batch-Id", std::to_string(batch.batch_id));

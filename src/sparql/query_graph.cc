@@ -1,8 +1,8 @@
 #include "sparql/query_graph.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <numeric>
+#include <utility>
 
 namespace shapestats::sparql {
 
@@ -13,11 +13,19 @@ struct VarAt {
   TermPos pos;
 };
 
-std::vector<VarAt> VarsOf(const EncodedPattern& tp) {
-  std::vector<VarAt> out;
-  if (tp.s.is_var()) out.push_back({tp.s.id, TermPos::kSubject});
-  if (tp.p.is_var()) out.push_back({tp.p.id, TermPos::kPredicate});
-  if (tp.o.is_var()) out.push_back({tp.o.id, TermPos::kObject});
+/// The variable slots of one pattern (at most three), in s/p/o order.
+struct VarSlots {
+  VarAt at[3];
+  size_t size = 0;
+  const VarAt* begin() const { return at; }
+  const VarAt* end() const { return at + size; }
+};
+
+VarSlots VarsOf(const EncodedPattern& tp) {
+  VarSlots out;
+  if (tp.s.is_var()) out.at[out.size++] = {tp.s.id, TermPos::kSubject};
+  if (tp.p.is_var()) out.at[out.size++] = {tp.p.id, TermPos::kPredicate};
+  if (tp.o.is_var()) out.at[out.size++] = {tp.o.id, TermPos::kObject};
   return out;
 }
 
@@ -34,7 +42,12 @@ std::vector<SharedVar> SharedVars(const EncodedPattern& a, const EncodedPattern&
 }
 
 bool Joinable(const EncodedPattern& a, const EncodedPattern& b) {
-  return !SharedVars(a, b).empty();
+  for (const VarAt& va : VarsOf(a)) {
+    for (const VarAt& vb : VarsOf(b)) {
+      if (va.var == vb.var) return true;
+    }
+  }
+  return false;
 }
 
 const char* QueryShapeName(QueryShape shape) {
@@ -64,20 +77,16 @@ QueryShape ClassifyShape(const EncodedBgp& bgp) {
   }
   if (star) return QueryShape::kStar;
 
-  // Group patterns by subject variable; constants or unique subjects form
-  // singleton groups.
-  std::map<std::pair<bool, uint32_t>, int> group_of_subject;
-  std::vector<int> group(bgp.patterns.size(), -1);
+  // Group patterns by subject variable; constants form singleton groups.
+  std::vector<int> group_of_var(bgp.NumVars(), -1);
+  std::vector<int> group(bgp.patterns.size());
   int num_groups = 0;
   for (size_t i = 0; i < bgp.patterns.size(); ++i) {
     const EncodedPattern& tp = bgp.patterns[i];
     if (tp.s.is_var()) {
-      auto key = std::make_pair(true, tp.s.id);
-      auto it = group_of_subject.find(key);
-      if (it == group_of_subject.end()) {
-        it = group_of_subject.emplace(key, num_groups++).first;
-      }
-      group[i] = it->second;
+      int& g = group_of_var[tp.s.id];
+      if (g < 0) g = num_groups++;
+      group[i] = g;
     } else {
       group[i] = num_groups++;
     }
@@ -86,55 +95,51 @@ QueryShape ClassifyShape(const EncodedBgp& bgp) {
   // Linking variables act as hyperedges: a variable shared by three stars
   // still forms a tree (hub), so the tree test runs on the bipartite graph
   // of groups and linking variables rather than on pairwise group edges.
-  std::map<uint32_t, std::set<int>> var_groups;  // var -> groups it touches
+  // Its edges are the distinct (variable, group) incidences.
+  std::vector<std::pair<VarId, int>> touches;
   for (size_t i = 0; i < bgp.patterns.size(); ++i) {
-    const EncodedPattern& tp = bgp.patterns[i];
-    for (const VarAt& v : VarsOf(tp)) var_groups[v.var].insert(group[i]);
+    for (const VarAt& v : VarsOf(bgp.patterns[i])) {
+      touches.emplace_back(v.var, group[i]);
+    }
   }
-  int num_links = 0;
-  size_t num_edges = 0;
-  std::vector<std::vector<int>> group_adj(num_groups);  // group -> link ids
-  std::vector<std::vector<int>> link_adj;               // link id -> groups
-  for (const auto& [var, touched] : var_groups) {
-    (void)var;
-    if (touched.size() < 2) continue;
-    int link = num_links++;
-    link_adj.emplace_back(touched.begin(), touched.end());
-    for (int grp : touched) group_adj[grp].push_back(link);
-    num_edges += touched.size();
-  }
+  std::sort(touches.begin(), touches.end());
+  touches.erase(std::unique(touches.begin(), touches.end()), touches.end());
 
-  // Connectivity over the bipartite graph (nodes: groups + links).
-  std::vector<bool> seen_group(num_groups, false);
-  std::vector<bool> seen_link(num_links, false);
-  std::vector<std::pair<bool, int>> stack{{false, 0}};  // (is_link, id)
-  seen_group[0] = true;
-  int reached = 1;
-  while (!stack.empty()) {
-    auto [is_link, id] = stack.back();
-    stack.pop_back();
-    if (is_link) {
-      for (int grp : link_adj[id]) {
-        if (!seen_group[grp]) {
-          seen_group[grp] = true;
-          ++reached;
-          stack.push_back({false, grp});
-        }
-      }
-    } else {
-      for (int link : group_adj[id]) {
-        if (!seen_link[link]) {
-          seen_link[link] = true;
-          ++reached;
-          stack.push_back({true, link});
+  // Union-find over the groups and (after them) the variables: the graph is
+  // a tree when no edge closes a cycle and edges = nodes - 1.
+  std::vector<int> parent(num_groups + bgp.NumVars());
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&parent](int x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  size_t num_nodes = num_groups;
+  size_t num_edges = 0;
+  bool acyclic = true;
+  for (size_t k = 0; k < touches.size();) {
+    size_t end = k + 1;
+    while (end < touches.size() && touches[end].first == touches[k].first) {
+      ++end;
+    }
+    if (end - k >= 2) {  // the variable links two or more groups
+      ++num_nodes;
+      const int var_node = num_groups + static_cast<int>(touches[k].first);
+      for (size_t e = k; e < end; ++e) {
+        ++num_edges;
+        const int a = find(var_node);
+        const int b = find(touches[e].second);
+        if (a == b) {
+          acyclic = false;
+        } else {
+          parent[a] = b;
         }
       }
     }
+    k = end;
   }
-  int num_nodes = num_groups + num_links;
-  bool connected = reached == num_nodes;
-  bool acyclic = num_edges == static_cast<size_t>(num_nodes) - 1;
-  if (connected && acyclic && num_groups >= 2) return QueryShape::kSnowflake;
+  if (acyclic && num_edges + 1 == num_nodes && num_groups >= 2) {
+    return QueryShape::kSnowflake;
+  }
   return QueryShape::kComplex;
 }
 

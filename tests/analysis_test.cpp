@@ -1,6 +1,7 @@
 // Unit tests for src/analysis: StatsAuditor over deliberately corrupted
 // statistics (each mutation fires exactly one rule), PlanVerifier over
-// hand-corrupted plans, QueryLint over degenerate BGPs, and concurrency
+// hand-corrupted plans, QueryLint and the ShapeChecker over degenerate
+// BGPs, the executors over hand-built degenerate queries, and concurrency
 // regressions for the metrics registry and the estimator's shape cache.
 #include <gtest/gtest.h>
 
@@ -16,8 +17,11 @@
 #include "analysis/stats_audit.h"
 #include "card/estimator.h"
 #include "engine/query_engine.h"
+#include "exec/select_executor.h"
 #include "obs/metrics.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
+#include "phys/planner.h"
 #include "rdf/turtle.h"
 #include "shacl/generator.h"
 #include "shacl/shapes_io.h"
@@ -61,6 +65,15 @@ class AnalysisFixture : public ::testing::Test {
                                 body + "}");
     EXPECT_TRUE(q.ok()) << q.status().ToString();
     return sparql::EncodeBgp(*q, graph_.dict());
+  }
+
+  /// Runs QueryLint on a SELECT * over `body` (prefix added).
+  Diagnostics LintBody(const std::string& body) {
+    auto q = sparql::ParseQuery("PREFIX ex: <http://ex/>\nSELECT * WHERE {" +
+                                body + "}");
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    return QueryLint(gs_, graph_.dict())
+        .Lint(*q, sparql::EncodeBgp(*q, graph_.dict()));
   }
 
   /// Runs the ShapeChecker on a full query (prefix added), with this
@@ -344,37 +357,64 @@ TEST_F(PlanVerifierFixture, TotalCostMismatch) {
   EXPECT_EQ(diags.size(), 1u) << ToText(diags);
 }
 
-// --- QueryLint ---
+// --- QueryLint: the Cartesian-product rule; emptiness belongs to check.* ---
 
 TEST_F(AnalysisFixture, LintCleanQuery) {
-  auto diags = QueryLint(gs_, graph_.dict()).Lint(Encode("?x a ex:C . ?x ex:p ?y"));
+  auto diags = LintBody("?x a ex:C . ?x ex:p ?y");
   EXPECT_TRUE(diags.empty()) << ToText(diags);
 }
 
 TEST_F(AnalysisFixture, LintMissingConstant) {
-  auto diags = QueryLint(gs_, graph_.dict()).Lint(Encode("?x ex:ghost ?y"));
-  EXPECT_EQ(CountRule(diags, "query.missing-constant"), 1u) << ToText(diags);
-  EXPECT_EQ(diags.size(), 1u) << ToText(diags);
-  EXPECT_FALSE(HasErrors(diags));  // lint never blocks execution
+  // The emptiness fact has one owner: lint stays silent, the checker
+  // reports it once.
+  auto diags = LintBody("?x ex:ghost ?y");
+  EXPECT_TRUE(diags.empty()) << ToText(diags);
+  auto r = CheckQuery("SELECT * WHERE { ?x ex:ghost ?y }");
+  EXPECT_EQ(CountRule(r.diagnostics, "check.missing-constant"), 1u)
+      << ToText(r.diagnostics);
+  EXPECT_EQ(r.diagnostics.size(), 1u) << ToText(r.diagnostics);
+  EXPECT_FALSE(HasErrors(r.diagnostics));  // findings never block execution
 }
 
 TEST_F(AnalysisFixture, LintUnknownPredicate) {
   // ex:o1 is in the dictionary (as an object) but never a predicate.
-  auto diags = QueryLint(gs_, graph_.dict()).Lint(Encode("?x ex:o1 ?y"));
-  EXPECT_EQ(CountRule(diags, "query.unknown-predicate"), 1u) << ToText(diags);
-  EXPECT_EQ(diags.size(), 1u) << ToText(diags);
+  EXPECT_TRUE(LintBody("?x ex:o1 ?y").empty());
+  auto r = CheckQuery("SELECT * WHERE { ?x ex:o1 ?y }");
+  EXPECT_EQ(CountRule(r.diagnostics, "check.unknown-predicate"), 1u)
+      << ToText(r.diagnostics);
+  EXPECT_EQ(r.diagnostics.size(), 1u) << ToText(r.diagnostics);
+
+  // A hand-written shapes graph naming the predicate does not hide the
+  // finding: with no data triple the pattern is empty whatever the shapes
+  // say.
+  shacl::ShapesGraph hand;
+  shacl::NodeShape ns;
+  ns.iri = "http://ex/CShape";
+  ns.target_class = "http://ex/C";
+  ns.properties.push_back({});
+  ns.properties.back().path = "http://ex/o1";
+  ASSERT_TRUE(hand.Add(std::move(ns)).ok());
+  auto q = sparql::ParseQuery(
+      "PREFIX ex: <http://ex/> SELECT * WHERE { ?x ex:o1 ?y }");
+  ASSERT_TRUE(q.ok());
+  auto named = ShapeChecker(gs_, &hand, graph_.dict())
+                   .Check(*q, sparql::EncodeBgp(*q, graph_.dict()));
+  EXPECT_EQ(named.verdict, Satisfiability::kEmpty);
+  EXPECT_EQ(CountRule(named.diagnostics, "check.unknown-predicate"), 1u)
+      << ToText(named.diagnostics);
 }
 
 TEST_F(AnalysisFixture, LintUnknownClass) {
   // ex:o1 is in the dictionary but has no instances as a class.
-  auto diags = QueryLint(gs_, graph_.dict()).Lint(Encode("?x a ex:o1"));
-  EXPECT_EQ(CountRule(diags, "query.unknown-class"), 1u) << ToText(diags);
-  EXPECT_EQ(diags.size(), 1u) << ToText(diags);
+  EXPECT_TRUE(LintBody("?x a ex:o1").empty());
+  auto r = CheckQuery("SELECT * WHERE { ?x a ex:o1 }");
+  EXPECT_EQ(CountRule(r.diagnostics, "check.empty-class"), 1u)
+      << ToText(r.diagnostics);
+  EXPECT_EQ(r.diagnostics.size(), 1u) << ToText(r.diagnostics);
 }
 
 TEST_F(AnalysisFixture, LintCartesianProduct) {
-  auto diags =
-      QueryLint(gs_, graph_.dict()).Lint(Encode("?x ex:p ?y . ?a ex:q ?b"));
+  auto diags = LintBody("?x ex:p ?y . ?a ex:q ?b");
   EXPECT_EQ(CountRule(diags, "query.cartesian"), 1u) << ToText(diags);
   EXPECT_EQ(diags.size(), 1u) << ToText(diags);
 }
@@ -537,49 +577,49 @@ TEST_F(AnalysisFixture, CheckInfersClassForUntypedVariable) {
   EXPECT_TRUE(no_shapes.inferred.empty());
 }
 
-// --- QueryLint: full-query overload (degenerate-query error rules) ---
+// --- executors: hand-built degenerate queries fail ---
 
-TEST_F(AnalysisFixture, LintQueryOverloadFlagsUnboundReferences) {
-  // The parser already rejects unbound references in query text, so the
-  // overload's error rules guard hand-constructed queries (and keep the
-  // serving plane's 400 path honest). Build the degenerate cases by
-  // mutating a parsed query.
-  QueryLint lint(gs_, graph_.dict());
+TEST_F(AnalysisFixture, ExecutorsRejectHandBuiltUnboundReferences) {
+  // The parser rejects unbound references in query text, so only
+  // hand-constructed queries can carry them; both SELECT executors must
+  // answer those with InvalidArgument rather than rows or a crash.
   auto base = sparql::ParseQuery(
       "PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x ex:p ?y }");
   ASSERT_TRUE(base.ok());
-  auto run = [&](const std::function<void(sparql::ParsedQuery*)>& mutate) {
-    sparql::ParsedQuery q = *base;
-    mutate(&q);
-    return lint.Lint(q, sparql::EncodeBgp(q, graph_.dict()));
+  const std::vector<std::function<void(sparql::ParsedQuery*)>> mutations = {
+      [](sparql::ParsedQuery* q) {
+        q->projection.push_back(sparql::Variable{"z"});
+      },
+      [](sparql::ParsedQuery* q) {
+        q->filters.push_back({sparql::Variable{"w"}, sparql::CompareOp::kGt,
+                              sparql::Variable{"x"}});
+      },
+      [](sparql::ParsedQuery* q) {
+        q->order_by = sparql::OrderKey{sparql::Variable{"w"}, false};
+      },
   };
+  for (size_t i = 0; i < mutations.size(); ++i) {
+    sparql::ParsedQuery q = *base;
+    mutations[i](&q);
+    const EncodedBgp bgp = sparql::EncodeBgp(q, graph_.dict());
+    auto streamed = exec::ExecuteSelect(graph_, q, bgp, {0});
+    EXPECT_EQ(streamed.status().code(), StatusCode::kInvalidArgument)
+        << "mutation " << i << ": " << streamed.status().ToString();
+    opt::Plan plan;
+    plan.order = {0};
+    phys::PlannerOptions merge;
+    merge.mode = phys::JoinMode::kMerge;
+    auto physical = phys::ExecuteSelectPhysical(
+        graph_, q, bgp, phys::PlanPhysical(bgp, plan, graph_, merge));
+    EXPECT_EQ(physical.status().code(), StatusCode::kInvalidArgument)
+        << "mutation " << i << ": " << physical.status().ToString();
+  }
 
-  auto proj = run([](sparql::ParsedQuery* q) {
-    q->projection.push_back(sparql::Variable{"z"});
-  });
-  EXPECT_EQ(CountRule(proj, "query.unbound-projection"), 1u) << ToText(proj);
-  EXPECT_TRUE(HasErrors(proj));
-
-  auto filter = run([](sparql::ParsedQuery* q) {
-    q->filters.push_back({sparql::Variable{"w"}, sparql::CompareOp::kGt,
-                          sparql::Variable{"x"}});
-  });
-  EXPECT_EQ(CountRule(filter, "query.unbound-filter"), 1u) << ToText(filter);
-
-  auto order = run([](sparql::ParsedQuery* q) {
-    q->order_by = sparql::OrderKey{sparql::Variable{"w"}, false};
-  });
-  EXPECT_EQ(CountRule(order, "query.unbound-order-by"), 1u) << ToText(order);
-
-  auto clean = run([](sparql::ParsedQuery*) {});
-  EXPECT_FALSE(HasErrors(clean)) << ToText(clean);
-
-  // SELECT * never projects unbound names, whatever the projection holds.
-  auto star = run([](sparql::ParsedQuery* q) {
-    q->select_all = true;
-    q->projection.clear();
-  });
-  EXPECT_EQ(CountRule(star, "query.unbound-projection"), 0u) << ToText(star);
+  // The unmutated query runs on both.
+  const EncodedBgp bgp = sparql::EncodeBgp(*base, graph_.dict());
+  auto clean = exec::ExecuteSelect(graph_, *base, bgp, {0});
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ(clean->rows.size(), 3u);
 }
 
 // --- engine integration: every produced plan verifies, lint surfaces ---
@@ -606,16 +646,53 @@ TEST_F(AnalysisFixture, EngineVerifiesPlansAndLints) {
   EXPECT_GT(verifications->value(), verifications_before);
   EXPECT_EQ(violations->value(), violations_before);
 
-  auto lint = engine->Lint(
-      "PREFIX ex: <http://ex/> SELECT * WHERE { ?x ex:nothere ?y }");
-  ASSERT_TRUE(lint.ok()) << lint.status().ToString();
-  EXPECT_EQ(CountRule(*lint, "query.missing-constant"), 1u) << ToText(*lint);
+  // A missing constant is reported exactly once by every static entry
+  // point: StaticCheck's findings and EXPLAIN's text.
+  const char* empty_query =
+      "PREFIX ex: <http://ex/> SELECT * WHERE { ?x ex:nothere ?y }";
+  auto check = engine->StaticCheck(empty_query);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_EQ(check->verdict, Satisfiability::kEmpty);
+  EXPECT_EQ(check->diagnostics.size(), 1u) << ToText(check->diagnostics);
+  EXPECT_EQ(CountRule(check->diagnostics, "check.missing-constant"), 1u)
+      << ToText(check->diagnostics);
 
-  auto explain = engine->Explain(
-      "PREFIX ex: <http://ex/> SELECT * WHERE { ?x ex:nothere ?y }");
+  auto explain = engine->Explain(empty_query);
   ASSERT_TRUE(explain.ok());
-  EXPECT_NE(explain->find("query.missing-constant"), std::string::npos)
+  size_t findings = 0;
+  for (size_t at = explain->find("missing-constant]"); at != std::string::npos;
+       at = explain->find("missing-constant]", at + 1)) {
+    ++findings;
+  }
+  EXPECT_EQ(findings, 1u) << *explain;
+  EXPECT_NE(explain->find("[check.missing-constant]"), std::string::npos)
       << *explain;
+}
+
+TEST_F(AnalysisFixture, EngineResultCarriesTheVerdictItWasAnsweredUnder) {
+  const char* empty_query =
+      "PREFIX ex: <http://ex/> SELECT * WHERE { ?x ex:nothere ?y }";
+  for (bool static_check : {true, false}) {
+    rdf::Graph g;
+    ASSERT_TRUE(rdf::ParseTurtle(kData, &g).ok());
+    g.Finalize();
+    engine::EngineOptions opts;
+    opts.static_check = static_check;
+    auto engine = engine::QueryEngine::Open(std::move(g), opts);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    auto empty = engine->Execute(empty_query);
+    ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+    EXPECT_TRUE(empty->table.rows.empty());
+    // Without the check the engine plans and executes the query, so there
+    // is no verdict to report.
+    EXPECT_EQ(empty->verdict, static_check ? Satisfiability::kEmpty
+                                           : Satisfiability::kSatisfiable);
+    EXPECT_EQ(empty->plan.provider == "static-empty", static_check);
+    auto rows = engine->Execute(
+        "PREFIX ex: <http://ex/> SELECT * WHERE { ?x a ex:C . ?x ex:p ?y }");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->verdict, Satisfiability::kSatisfiable);
+  }
 }
 
 // --- concurrency: metrics registry and the estimator's shape cache ---

@@ -554,6 +554,14 @@ TEST_F(SparqlServerFixture, BadQueriesAnswer400) {
       Get(srv.port(), "/sparql?query=" + UrlEncode("SELECT * WHERE { ?x ?p }"));
   EXPECT_EQ(parse_error.status, 400);
   EXPECT_NE(parse_error.body.find("\"error\":"), std::string::npos);
+  // A degenerate query (a projected variable the BGP never binds) is the
+  // parser's to reject: 400 with its message.
+  ClientResponse unbound = Get(
+      srv.port(), "/sparql?query=" + UrlEncode("SELECT ?z WHERE { ?x ?p ?o }"));
+  EXPECT_EQ(unbound.status, 400);
+  EXPECT_NE(unbound.body.find("projected variable ?z does not occur in the BGP"),
+            std::string::npos)
+      << unbound.body;
 }
 
 TEST_F(SparqlServerFixture, StaticallyEmptyQueryShortCircuits) {
@@ -597,6 +605,55 @@ TEST_F(SparqlServerFixture, StaticallyEmptyQueryShortCircuits) {
   EXPECT_EQ(ok.Header("x-static-verdict"), "");
   EXPECT_EQ(ok.body.find("\"static_verdict\""), std::string::npos);
   EXPECT_GT(plans->value(), plans_before);
+}
+
+TEST_F(SparqlServerFixture, EachRequestIsCheckedOnceAndCarriesItsVerdict) {
+  // On a plan-cache engine the static check runs once per cache miss, in
+  // the query's own execution, and not at all on a hit; both answers carry
+  // the verdict the engine answered under.
+  engine::EngineOptions eopts;
+  eopts.plan_cache = engine::EngineOptions::PlanCacheMode::kOn;
+  datagen::LubmOptions lubm;
+  lubm.universities = 1;
+  auto cached_engine =
+      engine::QueryEngine::Open(datagen::GenerateLubm(lubm), eopts);
+  ASSERT_TRUE(cached_engine.ok()) << cached_engine.status().ToString();
+  SparqlServer srv(&*cached_engine, ServerOptions());
+  ASSERT_TRUE(srv.Start().ok());
+
+  obs::Counter* runs =
+      obs::MetricsRegistry::Global().GetCounter("static_check.runs");
+  auto path = [](const std::string& where) {
+    return "/sparql?query=" +
+           UrlEncode("PREFIX ub: <http://swat.cse.lehigh.edu/onto/"
+                     "univ-bench.owl#>\nSELECT ?x WHERE { " + where + " }");
+  };
+  // ub:holdsPatentOn is absent from the data (a missing constant, which
+  // bypasses the cache); ub:FullProfessor is a class that no triple uses
+  // as a predicate (an unknown predicate, cacheable).
+  const std::string bypass = path("?x ub:holdsPatentOn ?p");
+  const std::string cacheable = path("?x ub:FullProfessor ?p");
+  uint64_t before = runs->value();
+  ClientResponse bypassed = Get(srv.port(), bypass);
+  EXPECT_EQ(runs->value(), before + 1);
+  before = runs->value();
+  ClientResponse miss = Get(srv.port(), cacheable);
+  EXPECT_EQ(runs->value(), before + 1);
+  ClientResponse hit = Get(srv.port(), cacheable);
+  EXPECT_EQ(runs->value(), before + 1);
+  const cache::PlanCache::StatsSnapshot stats =
+      cached_engine->plan_cache()->stats();
+  EXPECT_EQ(stats.bypasses, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  for (const ClientResponse* resp : {&bypassed, &miss, &hit}) {
+    EXPECT_EQ(resp->status, 200);
+    EXPECT_EQ(resp->Header("x-static-verdict"), "empty");
+    EXPECT_NE(resp->body.find("\"static_verdict\":\"empty\""),
+              std::string::npos)
+        << resp->body;
+  }
+  EXPECT_EQ(miss.body, hit.body);
 }
 
 TEST_F(SparqlServerFixture, ExplainDumpsPlanWithoutExecuting) {

@@ -5,6 +5,7 @@
 #include "sparql/encoded_bgp.h"
 #include "sparql/parser.h"
 #include "sparql/query_graph.h"
+#include "workload/queries.h"
 
 namespace shapestats::sparql {
 namespace {
@@ -219,6 +220,70 @@ TEST_F(QueryGraphTest, ChainIsSnowflake) {
   auto bgp = Encode(
       "SELECT * WHERE { ?x <http://p> ?y . ?y <http://q> ?z . ?z <http://r> ?w }");
   EXPECT_EQ(ClassifyShape(bgp), QueryShape::kSnowflake);
+}
+
+/// Queries per shape, as "star/snowflake/complex".
+std::string ShapeCounts(const std::vector<std::string>& queries,
+                        const rdf::TermDictionary& dict) {
+  int counts[3] = {0, 0, 0};
+  for (const std::string& text : queries) {
+    ++counts[static_cast<int>(ClassifyShape(EncodeBgp(MustParse(text), dict)))];
+  }
+  return std::to_string(counts[0]) + "/" + std::to_string(counts[1]) + "/" +
+         std::to_string(counts[2]);
+}
+
+std::vector<std::string> Texts(const std::vector<workload::BenchQuery>& qs) {
+  std::vector<std::string> out;
+  for (const workload::BenchQuery& q : qs) out.push_back(q.text);
+  return out;
+}
+
+TEST_F(QueryGraphTest, PaperAndLookupQueryShapeCounts) {
+  // The workload labels every report groups by: star / snowflake / complex.
+  EXPECT_EQ(ShapeCounts(Texts(workload::LubmQueries()), dict_), "8/12/6");
+  EXPECT_EQ(ShapeCounts(Texts(workload::WatDivQueries()), dict_), "7/6/2");
+  EXPECT_EQ(ShapeCounts(Texts(workload::YagoQueries()), dict_), "5/6/2");
+
+  // Every BGP form of the constant-anchored lookup stream (stars on a
+  // constant or a variable, two- and three-hop paths, and the
+  // provably-empty families); the query forms around a BGP do not change
+  // its shape.
+  const std::string prefix =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+      "SELECT * WHERE { ";
+  std::vector<std::string> lookups;
+  for (const char* body : {
+           "<http://c> a ub:FullProfessor . <http://c> ub:name ?v0 .",
+           "<http://c> a ub:Lecturer . <http://c> ub:name ?v0 . "
+           "<http://c> ub:emailAddress ?v1 .",
+           "<http://c> a ub:GraduateStudent . <http://c> ub:name ?v0 . "
+           "<http://c> ub:emailAddress ?v1 . <http://c> ub:memberOf ?v2 .",
+           "?x a ub:FullProfessor . ?x ub:worksFor <http://c> . "
+           "?x ub:name ?v .",
+           "?x a ub:GraduateStudent . ?x ub:memberOf <http://c> . "
+           "?x ub:name ?v .",
+           "<http://c> a ub:Lecturer . <http://c> ub:teacherOf ?c . "
+           "?s ub:takesCourse ?c . ?s ub:name ?n .",
+           "?p ub:publicationAuthor <http://c> . ?p ub:name ?t .",
+           "?s ub:advisor <http://c> . ?s ub:takesCourse ?k . "
+           "?k ub:name ?kn .",
+           "<http://c> ub:advisor ?p . ?p ub:worksFor ?d . ?d ub:name ?dn .",
+           "<http://c> ub:takesCourse ?k . ?t ub:teacherOf ?k . "
+           "?t ub:name ?tn .",
+           "?x ub:takesCourse <http://c> . ?x ub:name ?n .",
+           "<http://c> ub:subOrganizationOf ?u . ?u ub:name ?un .",
+           "?d ub:subOrganizationOf <http://c> . ?d ub:name ?n .",
+           "?x ub:worksFor <http://c> . ?x ub:worksFor <http://d> . "
+           "?x ub:name ?n",
+           "?x ub:degreeFrom <http://c> . ?x ub:degreeFrom <http://d> . "
+           "?x a ub:GraduateStudent",
+           "?x ub:name \"absent\" . ?x ub:worksFor ?d",
+           "?x a ub:Chair . ?x ub:emailAddress ?e",
+       }) {
+    lookups.push_back(prefix + body + " }");
+  }
+  EXPECT_EQ(ShapeCounts(lookups, dict_), "9/4/4");
 }
 
 TEST_F(QueryGraphTest, VarOccurrences) {
